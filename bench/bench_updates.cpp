@@ -1,6 +1,5 @@
 // Updates/second of the asynchronous update engine, current vs the pre-PR2
-// baseline, pinned vs reassociated scan mode, plus the residual-check cost
-// at synchronization points.
+// baseline, plus the residual-check cost at synchronization points.
 //
 // This driver anchors the repo's measured performance trajectory: it emits a
 // machine-readable BENCH_<label>.json (schema documented in bench/README.md)
@@ -193,11 +192,10 @@ struct Measurement {
   std::string engine;    // "legacy" | "current"
   std::string mode;      // "free_running" | "barrier_residual" |
                          // "prepare_amortization" | "serving_throughput" |
-                         // "storage_policy" | "block_small_k" |
-                         // "sampling_policy" | "kaczmarz_row_action"
-  std::string scan;      // "pinned" | "reassociated" (legacy is always pinned)
+                         // "storage_policy" | "sampling_policy" |
+                         // "kaczmarz_row_action"
   std::string storage;   // CSR policy the row's kernels ran against (v7):
-                         // "int64_double" | "int32_double" | "int32_mixed"
+                         // "int64_double" | "int32_double"
   std::string sampling;  // direction distribution (v9, sampling_policy and
                          // kaczmarz_row_action rows): "uniform" | "weighted"
                          // | "residual"
@@ -211,17 +209,14 @@ struct Measurement {
   std::string family;  // prepare_amortization rows: "spd" | "lsq"
   int shards = 0;                   // serving_throughput rows only
   double solves_per_second = 0.0;   // serving_throughput rows only
-  int block_k = 0;                  // block_small_k rows only: rhs count
 };
 
 /// One storage-policy comparison (schema v7): prepared-handle updates/second
-/// under each CSR storage policy, per workload and scan mode, at 1 worker.
+/// under each CSR storage policy, per workload, at 1 worker.
 struct StoragePoint {
   std::string workload;
-  std::string scan;
   double int64_ups = 0.0;
   double int32_ups = 0.0;
-  double mixed_ups = 0.0;
 };
 
 /// One sampling-policy comparison (schema v9): prepared-handle
@@ -309,9 +304,9 @@ int main(int argc, char** argv) {
   // Headline workload: a short-row Gram (mean ~7 nnz/row) where the engine
   // overhead — direction draws, dispatch, synchronization bookkeeping — is
   // the dominant per-update cost.  The dense-row reference workload below
-  // isolates the complementary regime where the CSR row scan (whose
-  // floating-point association is pinned for bit-reproducibility) bounds
-  // the update, so engine improvements show up less.
+  // isolates the complementary regime where the CSR row scan (a serial
+  // subtraction chain, pinned for bit-reproducibility) bounds the update,
+  // so engine improvements show up less.
   auto terms = cli.add_int("terms", 6000, "headline Gram dimension");
   auto documents = cli.add_int("documents", 9000, "headline corpus size");
   auto doc_length =
@@ -378,15 +373,12 @@ int main(int argc, char** argv) {
   if (std::find(worker_sweep.begin(), worker_sweep.end(),
                 static_cast<int>(*headline)) == worker_sweep.end())
     worker_sweep.push_back(static_cast<int>(*headline));
-  if (std::find(worker_sweep.begin(), worker_sweep.end(), 1) ==
-      worker_sweep.end())
-    worker_sweep.push_back(1);  // scan_headline is measured at 1 worker
   int max_workers = 1;
   for (int w : worker_sweep) max_workers = std::max(max_workers, w);
   ThreadPool pool(max_workers);
 
   std::vector<Measurement> results;
-  Table table({"workload", "workers", "engine", "mode", "scan", "updates/s",
+  Table table({"workload", "workers", "engine", "mode", "updates/s",
                "ns/update", "check_s/sweep"});
 
   AmortizationPoint amor_spd, amor_lsq;
@@ -396,9 +388,6 @@ int main(int argc, char** argv) {
   double kaczmarz_uniform_ups = 0.0, kaczmarz_weighted_ups = 0.0;
   index_t kaczmarz_rows = 0, kaczmarz_cols = 0;
   nnz_t kaczmarz_nnz = 0;
-  double block_pinned_ups = 0.0, block_reassoc_ups = 0.0;
-  std::string block_scan_executed = "pinned";
-  const int block_k = 4;  // widest count the reassociated block kernel serves
   std::vector<ServingPoint> serving;
   OverloadPoint overload;
   const int serve_requests = *smoke ? 8 : 40;
@@ -438,41 +427,29 @@ int main(int argc, char** argv) {
       opt.workers = workers;
 
       // --- free-running updates/second ----------------------------------
-      // Three rows per worker count: the pre-PR2 legacy engine (pinned by
-      // construction), the current engine on the default pinned scan, and
-      // the current engine with the opt-in reassociated scan — so every
-      // BENCH json reports both scan modes side by side.
-      struct FreeRunRow {
-        bool current;
-        ScanMode scan;
-      };
-      for (const FreeRunRow row :
-           {FreeRunRow{false, ScanMode::kPinned},
-            FreeRunRow{true, ScanMode::kPinned},
-            FreeRunRow{true, ScanMode::kReassociated}}) {
+      // Two rows per worker count: the pre-PR2 legacy engine and the
+      // current engine.
+      for (bool current : {false, true}) {
         AsyncRgsOptions run_opt = opt;
         run_opt.sync = SyncMode::kFreeRunning;
-        run_opt.scan = row.scan;
         const double secs = time_run([&](std::vector<double>& x) {
           const AsyncRgsReport r =
-              row.current ? async_rgs_solve(pool, a, b, x, run_opt)
-                          : legacy::solve_free_running(pool, a, b, x, run_opt);
+              current ? async_rgs_solve(pool, a, b, x, run_opt)
+                      : legacy::solve_free_running(pool, a, b, x, run_opt);
           return r.seconds;
         });
         Measurement m;
         m.workload = spec.name;
-        m.engine = row.current ? "current" : "legacy";
+        m.engine = current ? "current" : "legacy";
         m.mode = "free_running";
-        m.scan =
-            row.scan == ScanMode::kReassociated ? "reassociated" : "pinned";
-        m.storage = row.current ? auto_storage : "int64_double";
+        m.storage = current ? auto_storage : "int64_double";
         m.workers = workers;
         m.updates = static_cast<long long>(n_sweeps) * n;
         m.seconds = secs;
         m.updates_per_second = static_cast<double>(m.updates) / secs;
         results.push_back(m);
         table.add_row(
-            {spec.name, std::to_string(workers), m.engine, m.mode, m.scan,
+            {spec.name, std::to_string(workers), m.engine, m.mode,
              fmt_sci(m.updates_per_second),
              fmt_fixed(1e9 * secs / static_cast<double>(m.updates), 1), "-"});
       }
@@ -502,7 +479,6 @@ int main(int argc, char** argv) {
         m.workload = spec.name;
         m.engine = current ? "current" : "legacy";
         m.mode = "barrier_residual";
-        m.scan = "pinned";
         m.storage = current ? auto_storage : "int64_double";
         m.workers = workers;
         m.updates = static_cast<long long>(n_sweeps) * n;
@@ -512,7 +488,7 @@ int main(int argc, char** argv) {
             std::max(0.0, (secs_tracked - secs_plain) / n_sweeps);
         results.push_back(m);
         table.add_row({spec.name, std::to_string(workers), m.engine, m.mode,
-                       m.scan, fmt_sci(m.updates_per_second),
+                       fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * secs_tracked /
                                      static_cast<double>(m.updates),
                                  1),
@@ -521,72 +497,49 @@ int main(int argc, char** argv) {
     }
 
     // --- storage-policy sweep (schema v7) --------------------------------
-    // Updates/second of the prepared handle under each CSR storage policy,
-    // both scan modes, at 1 worker (isolating the kernel's memory stream
-    // from scheduling noise).  int32 halves the index bytes of every row
-    // scan; mixed additionally halves the value bytes (accumulation stays
-    // double) — docs/TUNING.md explains when each wins.
+    // Updates/second of the prepared handle under each CSR storage policy
+    // at 1 worker (isolating the kernel's memory stream from scheduling
+    // noise).  int32 halves the index bytes of every row scan —
+    // docs/TUNING.md explains when it wins.
     {
-      struct PolicyRun {
-        StorageMode mode;
-        const char* name;
-      };
-      for (const PolicyRun policy :
-           {PolicyRun{StorageMode::kInt64Double, "int64_double"},
-            PolicyRun{StorageMode::kInt32Double, "int32_double"},
-            PolicyRun{StorageMode::kInt32Mixed, "int32_mixed"}}) {
-        SpdProblem handle(pool, a, /*check_input=*/false, policy.mode);
-        for (const ScanMode scan :
-             {ScanMode::kPinned, ScanMode::kReassociated}) {
-          SolveControls sc;
-          sc.method = SpdMethod::kAsyncRgs;
-          sc.sweeps = n_sweeps;
-          sc.workers = 1;
-          sc.seed = 1;
-          sc.scan = scan;
-          const double secs = time_run([&](std::vector<double>& x) {
-            return handle.solve(b, x, sc).seconds;
-          });
-          Measurement m;
-          m.workload = spec.name;
-          m.engine = "current";
-          m.mode = "storage_policy";
-          m.scan = scan == ScanMode::kReassociated ? "reassociated" : "pinned";
-          m.storage = policy.name;
-          m.workers = 1;
-          m.updates = static_cast<long long>(n_sweeps) * n;
-          m.seconds = secs;
-          m.updates_per_second = static_cast<double>(m.updates) / secs;
-          results.push_back(m);
-          table.add_row({spec.name, "1", "current",
-                         std::string("storage/") + policy.name, m.scan,
-                         fmt_sci(m.updates_per_second),
-                         fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
-                                   1),
-                         "-"});
-          auto point = std::find_if(
-              storage_points.begin(), storage_points.end(),
-              [&](const StoragePoint& p) {
-                return p.workload == spec.name && p.scan == m.scan;
-              });
-          if (point == storage_points.end()) {
-            storage_points.push_back(StoragePoint{spec.name, m.scan});
-            point = storage_points.end() - 1;
-          }
-          if (policy.mode == StorageMode::kInt64Double)
-            point->int64_ups = m.updates_per_second;
-          else if (policy.mode == StorageMode::kInt32Double)
-            point->int32_ups = m.updates_per_second;
-          else
-            point->mixed_ups = m.updates_per_second;
-        }
+      StoragePoint point;
+      point.workload = spec.name;
+      for (const StorageMode mode :
+           {StorageMode::kInt64Double, StorageMode::kAuto}) {
+        SpdProblem handle(pool, a, /*check_input=*/false, mode);
+        SolveControls sc;
+        sc.method = SpdMethod::kAsyncRgs;
+        sc.sweeps = n_sweeps;
+        sc.workers = 1;
+        sc.seed = 1;
+        const double secs = time_run([&](std::vector<double>& x) {
+          return handle.solve(b, x, sc).seconds;
+        });
+        Measurement m;
+        m.workload = spec.name;
+        m.engine = "current";
+        m.mode = "storage_policy";
+        m.storage = to_string(handle.storage());
+        m.workers = 1;
+        m.updates = static_cast<long long>(n_sweeps) * n;
+        m.seconds = secs;
+        m.updates_per_second = static_cast<double>(m.updates) / secs;
+        results.push_back(m);
+        table.add_row({spec.name, "1", "current", "storage/" + m.storage,
+                       fmt_sci(m.updates_per_second),
+                       fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
+                                 1),
+                       "-"});
+        (handle.storage() == StoragePolicy::kInt64Double ? point.int64_ups
+                                                         : point.int32_ups) =
+            m.updates_per_second;
       }
+      storage_points.push_back(std::move(point));
     }
 
     // --- sampling-policy sweep (schema v9) -------------------------------
     // Updates/second of the prepared handle under each direction
-    // distribution, 1 worker, pinned scan, barrier-per-sweep on both Gram
-    // regimes.  Measures what the non-uniform draw path costs (alias-table
+    // distribution, 1 worker, barrier-per-sweep on both Gram regimes.  Measures what the non-uniform draw path costs (alias-table
     // lookup per draw; periodic rebuild for the residual policy) — the
     // convergence side of the trade is docs/TUNING.md territory.
     {
@@ -615,7 +568,6 @@ int main(int argc, char** argv) {
         m.workload = spec.name;
         m.engine = "current";
         m.mode = "sampling_policy";
-        m.scan = "pinned";
         m.storage = auto_storage;
         m.sampling = policy.name;
         m.workers = 1;
@@ -624,7 +576,7 @@ int main(int argc, char** argv) {
         m.updates_per_second = static_cast<double>(m.updates) / secs;
         results.push_back(m);
         table.add_row({spec.name, "1", "current",
-                       std::string("sampling/") + policy.name, "pinned",
+                       std::string("sampling/") + policy.name,
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
                                  1),
@@ -674,7 +626,6 @@ int main(int argc, char** argv) {
         m.workload = spec.name;
         m.engine = "current";
         m.mode = "kaczmarz_row_action";
-        m.scan = "pinned";
         m.storage = to_string(lsq.storage());
         m.sampling = policy == SamplingPolicy::kWeighted ? "weighted"
                                                          : "uniform";
@@ -684,7 +635,7 @@ int main(int argc, char** argv) {
         m.updates_per_second = static_cast<double>(m.updates) / best;
         results.push_back(m);
         table.add_row({spec.name, "1", "current",
-                       std::string("kaczmarz/") + m.sampling, "pinned",
+                       std::string("kaczmarz/") + m.sampling,
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * best / static_cast<double>(m.updates),
                                  1),
@@ -696,78 +647,17 @@ int main(int argc, char** argv) {
       }
     }
 
-    // --- reassociated block kernel at k <= 4 (headline workload only) ----
-    // Until PR 7 the block solver silently ran the pinned column-parallel
-    // scan for every width; blocks of k <= 4 right-hand sides now dispatch
-    // the register-resident reassociated kernel.  This point measures it —
-    // and refuses to record a pinned run where a reassociated one was
-    // requested, so the JSON can never claim a win the kernels didn't take.
-    if (spec.name == workloads.front().name) {
-      MultiVector block_b(n, block_k);
-      for (index_t col = 0; col < block_k; ++col)
-        block_b.set_column(
-            col, random_vector(n, 500 + static_cast<std::uint64_t>(col)));
-      SpdProblem handle(pool, a, /*check_input=*/false);
-      const int block_sweeps = std::max(1, n_sweeps / block_k);
-      for (const ScanMode scan : {ScanMode::kPinned, ScanMode::kReassociated}) {
-        SolveControls sc;
-        sc.sweeps = block_sweeps;
-        sc.workers = 1;
-        sc.seed = 1;
-        sc.scan = scan;
-        double best = 1e300;
-        std::string executed;
-        for (int rep = 0; rep < n_repeats; ++rep) {
-          MultiVector x(n, block_k);
-          const SolveOutcome out = handle.solve(block_b, x, sc);
-          best = std::min(best, out.seconds);
-          executed = out.scan_executed == ScanMode::kReassociated
-                         ? "reassociated"
-                         : "pinned";
-        }
-        if (scan == ScanMode::kReassociated && executed != "reassociated") {
-          std::cerr << "block_small_k: reassociated scan requested at k="
-                    << block_k << " but the kernels ran " << executed << "\n";
-          return 1;
-        }
-        Measurement m;
-        m.workload = spec.name;
-        m.engine = "current";
-        m.mode = "block_small_k";
-        m.scan = executed;
-        m.storage = auto_storage;
-        m.workers = 1;
-        m.block_k = block_k;
-        m.updates = static_cast<long long>(block_sweeps) * n;
-        m.seconds = best;
-        m.updates_per_second = static_cast<double>(m.updates) / best;
-        results.push_back(m);
-        table.add_row({spec.name, "1", "current",
-                       "block_k" + std::to_string(block_k), executed,
-                       fmt_sci(m.updates_per_second),
-                       fmt_fixed(1e9 * best / static_cast<double>(m.updates),
-                                 1),
-                       "-"});
-        if (scan == ScanMode::kReassociated) {
-          block_reassoc_ups = m.updates_per_second;
-          block_scan_executed = executed;
-        } else {
-          block_pinned_ups = m.updates_per_second;
-        }
-      }
-    }
-
     // --- cold vs prepared solve latency (headline workload only) -----------
     // The serving regime of Section 9: one operator, many short low-accuracy
     // solves.  "cold" constructs a fresh handle per solve — the cost profile
     // of the one-shot API — while "prepared" solves against a handle built
-    // once.  1 worker, free-running, pinned, tiny sweep budget: the
-    // difference is pure per-call preparation (validation compare,
-    // denominators, scratch), not iteration throughput.  Both families'
-    // cold paths share the matrix's transpose cache with the prepared
-    // handle (warm after its construction), so the one-time transpose build
-    // is reported separately as prepare_seconds rather than inside
-    // cold_seconds — see the ROADMAP item for an uncached-cold variant.
+    // once.  1 worker, free-running, tiny sweep budget: the difference is
+    // pure per-call preparation (validation compare, denominators,
+    // scratch), not iteration throughput.  Both families' cold paths share
+    // the matrix's transpose cache with the prepared handle (warm after its
+    // construction), so the one-time transpose build is reported separately
+    // as prepare_seconds rather than inside cold_seconds — see the ROADMAP
+    // item for an uncached-cold variant.
     if (spec.name == workloads.front().name) {
       const auto record_amortization = [&](const char* family,
                                            AmortizationPoint& point,
@@ -802,7 +692,6 @@ int main(int argc, char** argv) {
           m.workload = spec.name;
           m.engine = "current";
           m.mode = "prepare_amortization";
-          m.scan = "pinned";
           m.storage = auto_storage;
           m.workers = 1;
           m.updates = updates_per_solve;
@@ -813,7 +702,7 @@ int main(int argc, char** argv) {
           results.push_back(m);
           table.add_row({spec.name, "1", "current",
                          std::string("prepare/") + m.api + "/" + family,
-                         "pinned", fmt_sci(m.updates_per_second),
+                         fmt_sci(m.updates_per_second),
                          fmt_fixed(1e9 * m.seconds /
                                        static_cast<double>(m.updates),
                                    1),
@@ -899,8 +788,8 @@ int main(int argc, char** argv) {
       // --- sharded serving throughput (schema v5) ------------------------
       // Aggregate completed solves/second for a mixed SPD/LSQ request
       // stream through SolverService at 1 / 2 / 4 shards: the PR-5
-      // trajectory metric.  Serving-sized budgets, free-running, pinned, 1
-      // worker per shard — multi-shard wins come from running independent
+      // trajectory metric.  Serving-sized budgets, free-running, 1 worker
+      // per shard — multi-shard wins come from running independent
       // solves on independent pools, not from intra-solve teams.  On hosts
       // with fewer cores than shards the figures are oversubscribed
       // timeshare numbers (the standing ROADMAP caveat).
@@ -972,7 +861,6 @@ int main(int argc, char** argv) {
           m.workload = spec.name;
           m.engine = "current";
           m.mode = "serving_throughput";
-          m.scan = "pinned";
           m.storage = auto_storage;
           m.workers = 1;
           m.shards = shard_count;
@@ -984,7 +872,7 @@ int main(int argc, char** argv) {
           results.push_back(m);
           table.add_row({spec.name, "1", "current",
                          "serving/" + std::to_string(shard_count) + "shards",
-                         "pinned", fmt_sci(m.updates_per_second),
+                         fmt_sci(m.updates_per_second),
                          fmt_fixed(1e9 * best /
                                        static_cast<double>(m.updates),
                                    1),
@@ -1056,8 +944,8 @@ int main(int argc, char** argv) {
                   : 0.0;
           overload.p50_seconds = stats.latency.p50();
           overload.p99_seconds = stats.latency.p99();
-          table.add_row({spec.name, "1", "current", "serving/overload",
-                         "pinned", "-", "-", "-"});
+          table.add_row(
+              {spec.name, "1", "current", "serving/overload", "-", "-", "-"});
         }
       }
     }
@@ -1113,7 +1001,7 @@ int main(int argc, char** argv) {
   double legacy_ups = 0.0, current_ups = 0.0;
   for (const Measurement& m : results) {
     if (m.workload != headline_workload || m.mode != "free_running" ||
-        m.workers != *headline || m.scan != "pinned")
+        m.workers != *headline)
       continue;
     (m.engine == "current" ? current_ups : legacy_ups) = m.updates_per_second;
   }
@@ -1123,55 +1011,26 @@ int main(int argc, char** argv) {
             << " current=" << fmt_sci(current_ups)
             << " speedup=" << fmt_fixed(speedup, 2) << "x\n";
 
-  // --- scan-mode headline -------------------------------------------------
-  // Pinned vs reassociated on the current engine at 1 worker, in the
-  // scan-bound regime where the row scan's FP association is the binding
-  // constraint (falls back to the headline workload under
-  // --skip-scan-workload).  One worker isolates the kernel change from
-  // scheduling noise on oversubscribed hosts.
-  const std::string scan_workload =
-      workloads.back().name;  // gram_scan_bound unless skipped
-  double scan_pinned_ups = 0.0, scan_reassoc_ups = 0.0;
-  for (const Measurement& m : results) {
-    if (m.workload != scan_workload || m.mode != "free_running" ||
-        m.workers != 1 || m.engine != "current")
-      continue;
-    (m.scan == "reassociated" ? scan_reassoc_ups : scan_pinned_ups) =
-        m.updates_per_second;
-  }
-  const double scan_speedup =
-      scan_pinned_ups > 0.0 ? scan_reassoc_ups / scan_pinned_ups : 0.0;
-  std::cout << "# scan headline (" << scan_workload
-            << ", free-running, 1 worker, current engine): pinned="
-            << fmt_sci(scan_pinned_ups)
-            << " reassociated=" << fmt_sci(scan_reassoc_ups)
-            << " speedup=" << fmt_fixed(scan_speedup, 2) << "x\n";
-
   // --- storage headline ----------------------------------------------------
-  // Per-policy prepared-handle throughput on both Gram regimes (reassociated
-  // scan shown; the pinned rows are in results[]).  int32 speedup is pure
-  // index-bandwidth; mixed adds the value-bandwidth halving.
+  // Per-policy prepared-handle throughput on both Gram regimes.  The int32
+  // speedup is pure index bandwidth.
   for (const StoragePoint& p : storage_points) {
-    if (p.scan != "reassociated") continue;
     std::cout << "# storage headline (" << p.workload
-              << ", free-running, 1 worker, " << p.scan
-              << " scan): int64_double=" << fmt_sci(p.int64_ups)
+              << ", free-running, 1 worker): int64_double="
+              << fmt_sci(p.int64_ups)
               << " int32_double=" << fmt_sci(p.int32_ups) << " ("
               << fmt_fixed(p.int64_ups > 0 ? p.int32_ups / p.int64_ups : 0.0,
-                           2)
-              << "x) int32_mixed=" << fmt_sci(p.mixed_ups) << " ("
-              << fmt_fixed(p.int64_ups > 0 ? p.mixed_ups / p.int64_ups : 0.0,
                            2)
               << "x)\n";
   }
 
   // --- sampling headline ----------------------------------------------------
   // Draw-path cost of the non-uniform policies on both Gram regimes
-  // (1 worker, pinned, barrier-per-sweep).  Ratios < 1 are pure sampling
+  // (1 worker, barrier-per-sweep).  Ratios < 1 are pure sampling
   // overhead per update; the convergence payoff is workload-dependent.
   for (const SamplingPoint& p : sampling_points) {
     std::cout << "# sampling headline (" << p.workload
-              << ", barrier, 1 worker, pinned scan): uniform="
+              << ", barrier, 1 worker): uniform="
               << fmt_sci(p.uniform_ups)
               << " weighted=" << fmt_sci(p.weighted_ups) << " ("
               << fmt_fixed(
@@ -1196,15 +1055,6 @@ int main(int argc, char** argv) {
                              : 0.0,
                          2)
             << "x)\n";
-
-  // --- block small-k headline ----------------------------------------------
-  const double block_speedup =
-      block_pinned_ups > 0.0 ? block_reassoc_ups / block_pinned_ups : 0.0;
-  std::cout << "# block headline (" << headline_workload << ", k=" << block_k
-            << ", 1 worker): pinned=" << fmt_sci(block_pinned_ups)
-            << " reassociated=" << fmt_sci(block_reassoc_ups)
-            << " row-updates/s (executed: " << block_scan_executed
-            << ", speedup " << fmt_fixed(block_speedup, 2) << "x)\n";
 
   // --- prepare-amortization headline ---------------------------------------
   // Cold (construct-and-solve, the one-shot API's cost profile) vs prepared
@@ -1281,7 +1131,7 @@ int main(int argc, char** argv) {
       (*out_path).empty() ? "BENCH_" + *label + ".json" : *out_path;
   std::ofstream json(path);
   json << "{\n"
-       << "  \"schema_version\": 10,\n"
+       << "  \"schema_version\": 11,\n"
        << "  \"bench\": \"bench_updates\",\n"
        << "  \"label\": \"" << json_escape(*label) << "\",\n"
        << "  \"git\": \"" << json_escape(*git_rev) << "\",\n"
@@ -1305,13 +1155,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     json << "    {\"workload\": \"" << m.workload << "\", \"engine\": \""
-         << m.engine << "\", \"mode\": \"" << m.mode << "\", \"scan\": \""
-         << m.scan << "\", \"storage\": \"" << m.storage
+         << m.engine << "\", \"mode\": \"" << m.mode
+         << "\", \"storage\": \"" << m.storage
          << "\", \"workers\": " << m.workers
          << ", \"updates\": " << m.updates
          << ", \"seconds\": " << m.seconds
          << ", \"updates_per_second\": " << m.updates_per_second;
-    if (m.mode == "block_small_k") json << ", \"block_k\": " << m.block_k;
     if (!m.sampling.empty())
       json << ", \"sampling\": \"" << m.sampling << "\"";
     if (m.mode == "barrier_residual")
@@ -1331,23 +1180,14 @@ int main(int argc, char** argv) {
        << ", \"legacy_updates_per_second\": " << legacy_ups
        << ", \"current_updates_per_second\": " << current_ups
        << ", \"speedup\": " << speedup << "},\n"
-       << "  \"scan_headline\": {\"workload\": \"" << scan_workload
-       << "\", \"mode\": \"free_running\", \"workers\": 1"
-       << ", \"pinned_updates_per_second\": " << scan_pinned_ups
-       << ", \"reassociated_updates_per_second\": " << scan_reassoc_ups
-       << ", \"speedup\": " << scan_speedup << "},\n"
        << "  \"storage_headline\": [\n";
   for (std::size_t i = 0; i < storage_points.size(); ++i) {
     const StoragePoint& p = storage_points[i];
-    json << "    {\"workload\": \"" << p.workload << "\", \"scan\": \""
-         << p.scan << "\", \"workers\": 1"
+    json << "    {\"workload\": \"" << p.workload << "\", \"workers\": 1"
          << ", \"int64_double_updates_per_second\": " << p.int64_ups
          << ", \"int32_double_updates_per_second\": " << p.int32_ups
-         << ", \"int32_mixed_updates_per_second\": " << p.mixed_ups
          << ", \"int32_speedup\": "
-         << (p.int64_ups > 0.0 ? p.int32_ups / p.int64_ups : 0.0)
-         << ", \"mixed_speedup\": "
-         << (p.int64_ups > 0.0 ? p.mixed_ups / p.int64_ups : 0.0) << "}"
+         << (p.int64_ups > 0.0 ? p.int32_ups / p.int64_ups : 0.0) << "}"
          << (i + 1 < storage_points.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
@@ -1387,12 +1227,6 @@ int main(int argc, char** argv) {
        << ", \"baseline_updates_per_second\": " << lap_base_ups
        << ", \"partitioned_updates_per_second\": " << lap_part_ups
        << ", \"speedup\": " << lap_speedup << "},\n"
-       << "  \"block_headline\": {\"workload\": \"" << headline_workload
-       << "\", \"block_k\": " << block_k << ", \"workers\": 1"
-       << ", \"scan_executed\": \"" << block_scan_executed << "\""
-       << ", \"pinned_updates_per_second\": " << block_pinned_ups
-       << ", \"reassociated_updates_per_second\": " << block_reassoc_ups
-       << ", \"speedup\": " << block_speedup << "},\n"
        << "  \"prepare_amortization\": {\"workload\": \"" << headline_workload
        << "\", \"mode\": \"free_running\", \"workers\": 1"
        << ", \"sweeps\": " << amor_sweeps << ",\n"

@@ -44,29 +44,19 @@ cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 2)" \
 
 echo "bench.sh: wrote BENCH_${label}.json"
 
-# Side-by-side scan-mode, storage-policy, sampling-policy, kaczmarz,
-# block-kernel, prepare-amortization, serving-throughput, and overload
-# summaries (schema v9: docs/TUNING.md).  Best effort — the JSON is the
+# Side-by-side storage-policy, sampling-policy, kaczmarz,
+# prepare-amortization, locality, serving-throughput, and overload
+# summaries (schema v11: docs/TUNING.md).  Best effort — the JSON is the
 # artifact; these lines are for the terminal.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "BENCH_${label}.json" <<'PYEOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
-s = d.get("scan_headline")
-if s:
-    print("bench.sh: scan mode (%s, 1 worker): pinned=%.3g upd/s "
-          "reassociated=%.3g upd/s speedup=%.2fx"
-          % (s["workload"], s["pinned_updates_per_second"],
-             s["reassociated_updates_per_second"], s["speedup"]))
 for t in d.get("storage_headline", []):
-    if t["scan"] != "reassociated":
-        continue
-    print("bench.sh: storage (%s, 1 worker, %s scan): int64=%.3g "
-          "int32=%.3g (%.2fx) mixed=%.3g (%.2fx) upd/s"
-          % (t["workload"], t["scan"],
-             t["int64_double_updates_per_second"],
-             t["int32_double_updates_per_second"], t["int32_speedup"],
-             t["int32_mixed_updates_per_second"], t["mixed_speedup"]))
+    print("bench.sh: storage (%s, 1 worker): int64=%.3g int32=%.3g (%.2fx) "
+          "upd/s"
+          % (t["workload"], t["int64_double_updates_per_second"],
+             t["int32_double_updates_per_second"], t["int32_speedup"]))
 for t in d.get("sampling_headline", []):
     print("bench.sh: sampling (%s, 1 worker, barrier): uniform=%.3g "
           "weighted=%.3g (%.2fx) residual=%.3g (%.2fx) upd/s"
@@ -80,13 +70,6 @@ if z:
           % (z["rows"], z["cols"], z["nnz"],
              z["uniform_updates_per_second"],
              z["weighted_updates_per_second"], z["weighted_ratio"]))
-k = d.get("block_headline")
-if k:
-    print("bench.sh: block k=%d (%s, 1 worker, executed %s): pinned=%.3g "
-          "reassociated=%.3g row-upd/s speedup=%.2fx"
-          % (k["block_k"], k["workload"], k["scan_executed"],
-             k["pinned_updates_per_second"],
-             k["reassociated_updates_per_second"], k["speedup"]))
 p = d.get("prepare_amortization")
 if p:
     for fam in ("spd", "lsq"):

@@ -39,10 +39,9 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
 /// solver CSR access to the columns of A).  Options/report types are shared
 /// with AsyRGS; `step_size` must be < 1 for the Theorem 5 guarantee.
 /// `scope` partitions the *columns* (the least-squares coordinates) under
-/// RandomizationScope::kOwnerComputes, and `scan` selects the FP
-/// association of the inner row scans (ScanMode; the kernel's dominant FP
-/// cost).  Thread-safety matches async_rgs_solve: matrices and b are
-/// read-only, `x` is written concurrently until the call returns.
+/// RandomizationScope::kOwnerComputes.  Thread-safety matches
+/// async_rgs_solve: matrices and b are read-only, `x` is written
+/// concurrently until the call returns.
 AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
                                const CsrMatrix& at,
                                const std::vector<double>& b,

@@ -3,7 +3,7 @@
 // invocation live in problem.cpp / core/kernels.hpp — these functions only
 // bind a throwaway SpdProblem and translate SolveOutcome back to the legacy
 // AsyncRgsReport shape, so one-shot and prepared solves share every
-// instruction of the hot path (and equal-seed pinned-scan runs are
+// instruction of the hot path (and equal-seed runs are
 // bit-identical through either interface).
 #include "asyrgs/core/async_rgs.hpp"
 

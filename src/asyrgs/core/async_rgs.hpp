@@ -76,31 +76,6 @@ enum class RandomizationScope {
   kOwnerComputes,
 };
 
-/// Floating-point association of the CSR row scan inside each coordinate
-/// update (the dominant FP chain of the scan-bound regime).
-enum class ScanMode {
-  /// One serial subtraction per nonzero, in column order — the association
-  /// every solver in this library shares, which makes equal-seed runs
-  /// bit-identical across worker counts and against the sequential
-  /// reference.  This is the default and the path the determinism suite
-  /// gates.
-  kPinned,
-  /// "Fast math" opt-in: the row scan runs over multiple independent
-  /// accumulators (SIMD gather/FMA lanes where available — see
-  /// sparse/csr.hpp), reducing at the end.  Same mathematical sum, a
-  /// different rounding order that varies with the host's vector width, so
-  /// cross-worker-count (and cross-machine) bit equality is forfeited.  The
-  /// convergence guarantees are unaffected: the paper's theorems (and the
-  /// AsyRK analysis) assume only bounded staleness of the values read,
-  /// never a fixed reduction order.  The direction multiset is identical in
-  /// both modes — scan mode never touches direction planning.  Currently
-  /// accelerates the single-RHS and least-squares kernels; the block kernel
-  /// is column-parallel already and runs the pinned scan in either mode.
-  /// Worthwhile on scan-bound (medium/long-row) matrices only — short-row
-  /// matrices see a modest slowdown (docs/TUNING.md has the numbers).
-  kReassociated,
-};
-
 /// Options for the asynchronous solver.
 struct AsyncRgsOptions {
   int sweeps = 10;           ///< total updates = sweeps * n across all workers
@@ -110,9 +85,6 @@ struct AsyncRgsOptions {
   bool atomic_writes = true; ///< false = racy "non atomic" variant
   SyncMode sync = SyncMode::kFreeRunning;
   RandomizationScope scope = RandomizationScope::kShared;
-  /// Row-scan FP association; kPinned preserves bit reproducibility, while
-  /// kReassociated trades it for multi-accumulator/SIMD scan throughput.
-  ScanMode scan = ScanMode::kPinned;
   /// kTimedBarrier only: seconds between rendezvous points.
   double sync_interval_seconds = 0.05;
   /// With kBarrierPerSweep/kTimedBarrier: track the relative residual at
@@ -130,12 +102,6 @@ struct AsyncRgsReport {
   bool converged = false;
   double final_relative_residual = 0.0;  ///< when history/tolerance active
   std::vector<double> residual_history;  ///< per sweep (barrier mode only)
-  /// Row-scan FP association the kernels actually executed.  Equals the
-  /// requested AsyncRgsOptions::scan except for the block solver, which
-  /// always runs the pinned scan (its inner loops are column-parallel
-  /// already) and reports kPinned here even when kReassociated was
-  /// requested — see docs/TUNING.md.
-  ScanMode scan_used = ScanMode::kPinned;
 };
 
 /// Runs AsyRGS on SPD A x = b starting from `x` (updated in place).

@@ -397,25 +397,15 @@ class PartitionedDirectionPlan {
   std::vector<std::vector<index_t>> cum_;
 };
 
-/// Maps the runtime (atomic_writes, scan) option pair onto the compile-time
-/// kernel grid: invokes fn.operator()<kAtomicWrites, kScan>() for the
-/// matching specialization.  Shared by the single-RHS and least-squares
-/// solvers (and any future kernel axis) so the 2x2 dispatch ladder lives in
-/// one place.
+/// Maps the runtime atomic_writes option onto the compile-time kernel
+/// specialization: invokes fn.operator()<kAtomicWrites>().  Shared by every
+/// asynchronous solve path so the dispatch lives in one place.
 template <typename Fn>
-void dispatch_atomic_scan(const AsyncRgsOptions& options, Fn&& fn) {
-  const bool reassoc = options.scan == ScanMode::kReassociated;
-  if (options.atomic_writes) {
-    if (reassoc)
-      fn.template operator()<true, ScanMode::kReassociated>();
-    else
-      fn.template operator()<true, ScanMode::kPinned>();
-  } else {
-    if (reassoc)
-      fn.template operator()<false, ScanMode::kReassociated>();
-    else
-      fn.template operator()<false, ScanMode::kPinned>();
-  }
+void dispatch_atomic(const AsyncRgsOptions& options, Fn&& fn) {
+  if (options.atomic_writes)
+    fn.template operator()<true>();
+  else
+    fn.template operator()<false>();
 }
 
 /// Whether a team-parallel residual reduction is expected to beat the serial

@@ -7,12 +7,11 @@
 // one place; like core/engine.hpp, nothing in asyrgs::detail is a stable
 // public API.
 //
-// Every functor is templated over the CSR storage policy (Index, Value) with
-// full-width defaults, so the prepared handles can run the identical update
-// logic against CsrMatrix, CsrMatrix32, or CsrMatrixMixed; accumulation is
-// double for every policy (a Value promotes at the multiply).  Call sites
-// deduce the policy from the matrix argument (CTAD for the residual classes,
-// explicit arguments for the aggregate update functors).
+// Every functor is templated over the stored column-index width with a
+// full-width default, so the prepared handles can run the identical update
+// logic against CsrMatrix or CsrMatrix32; values are double for both.  Call
+// sites deduce the width from the matrix argument (CTAD for the residual
+// classes, explicit arguments for the aggregate update functors).
 //
 // Residual functors borrow their TeamReduce (barrier + partial slots) from
 // the caller instead of owning one, so a prepared handle can keep the
@@ -50,21 +49,16 @@ inline void pack_rhs_diag(const std::vector<double>& b,
 }
 
 /// One asynchronous coordinate update on the shared single-RHS iterate,
-/// specialized at compile time on the atomicity mode AND the scan mode so
-/// the hot loop carries no per-update branch and the pinned path compiles to
-/// exactly the pre-ScanMode code.  Pinned: relaxed-atomic reads of x, one
-/// subtraction per nonzero in column order — identical arithmetic to the
-/// sequential solver, so a one-worker run reproduces it bit for bit (and,
-/// because values stay double, identically across the int64/int32 index
-/// policies).  Reassociated: the multi-accumulator/SIMD kernel from
-/// sparse/csr.hpp with plain vector reads of x (see the contract there); the
-/// write path is unchanged.
-template <bool kAtomicWrites, ScanMode kScan, class Index = index_t,
-          class Value = double>
+/// specialized at compile time on the atomicity mode so the hot loop carries
+/// no per-update branch.  The row scan reads x with relaxed-atomic loads and
+/// subtracts once per nonzero in column order — identical arithmetic to the
+/// sequential solver, so a one-worker run reproduces it bit for bit (and
+/// identically across the int64/int32 index policies).
+template <bool kAtomicWrites, class Index = index_t>
 struct SingleRhsUpdate {
   const nnz_t* row_ptr;
   const Index* cols;
-  const Value* vals;
+  const double* vals;
   const RhsDiagPair* rhs_diag;
   double* x;
   double beta;
@@ -80,17 +74,12 @@ struct SingleRhsUpdate {
   [[nodiscard]] double delta(index_t r) const noexcept {
     const nnz_t* __restrict rp = row_ptr;
     const Index* __restrict ci = cols;
-    const Value* __restrict av = vals;
+    const double* __restrict av = vals;
     const RhsDiagPair* __restrict bd = rhs_diag;
     double acc = bd[r].b;
-    const nnz_t lo = rp[r];
     const nnz_t hi = rp[r + 1];
-    if constexpr (kScan == ScanMode::kReassociated) {
-      acc = csr_row_sub_dot_reassoc(acc, ci + lo, av + lo, hi - lo, x);
-    } else {
-      for (nnz_t t = lo; t < hi; ++t)
-        acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
-    }
+    for (nnz_t t = rp[r]; t < hi; ++t)
+      acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
     return beta * (acc * bd[r].inv_diag);
   }
 
@@ -118,11 +107,11 @@ struct SingleRhsUpdate {
 
 /// One asynchronous update applied to every column of the block iterate.
 /// `gamma` is per-worker scratch of k doubles (cache-line separated slab).
-/// Pinned-scan association: one subtraction per nonzero per column, in
-/// column order — the block analogue of SingleRhsUpdate's pinned path.
-template <bool kAtomicWrites, class Index = index_t, class Value = double>
+/// One subtraction per nonzero per column, in column order — the block
+/// analogue of SingleRhsUpdate's row scan.
+template <bool kAtomicWrites, class Index = index_t>
 struct BlockRhsUpdate {
-  const CsrMatrixT<Index, Value>* a;
+  const CsrMatrixT<Index, double>* a;
   const MultiVector* b;
   MultiVector* x;
   const double* inv_diag;
@@ -158,76 +147,13 @@ struct BlockRhsUpdate {
   }
 };
 
-/// Reassociated block update for compile-time small column counts (K <= 4).
-/// The generic BlockRhsUpdate reads X with relaxed-atomic loads and walks
-/// one gamma chain per column; at small K the whole gamma state fits in
-/// registers, so this kernel keeps two accumulator sets per column and
-/// unrolls the nonzero loop by two — the same pipelining trade as the
-/// single-RHS multi-accumulator scan, which is why it carries the
-/// ScanMode::kReassociated contract: plain vector reads of the shared
-/// iterate (naturally aligned 8-byte loads cannot tear; see sparse/csr.hpp)
-/// and a K-independent, unspecified reduction order.  Dispatched by
-/// SpdProblem::solve(block) when the caller requests the reassociated scan
-/// and k <= 4; larger blocks keep the pinned kernel (gamma no longer fits,
-/// and the column loop already pipelines).
-template <bool kAtomicWrites, int K, class Index = index_t,
-          class Value = double>
-struct BlockRhsUpdateSmallK {
-  static_assert(K >= 1 && K <= 4, "BlockRhsUpdateSmallK: K must be 1..4");
-
-  const CsrMatrixT<Index, Value>* a;
-  const MultiVector* b;
-  MultiVector* x;
-  const double* inv_diag;
-  double beta;
-
-  void operator()(int, index_t r, index_t r_ahead) const noexcept {
-    __builtin_prefetch(x->row(r_ahead));
-    __builtin_prefetch(b->row(r_ahead));
-    const double* b_row = b->row(r);
-    double g0[K];
-    double g1[K];
-    for (int c = 0; c < K; ++c) {
-      g0[c] = b_row[c];
-      g1[c] = 0.0;
-    }
-    const auto cols = a->row_cols(r);
-    const auto vals = a->row_vals(r);
-    std::size_t t = 0;
-    for (; t + 2 <= cols.size(); t += 2) {
-      const double a0 = vals[t];
-      const double a1 = vals[t + 1];
-      const double* __restrict x0 = x->row(cols[t]);
-      const double* __restrict x1 = x->row(cols[t + 1]);
-      for (int c = 0; c < K; ++c) {
-        g0[c] -= a0 * x0[c];
-        g1[c] -= a1 * x1[c];
-      }
-    }
-    if (t < cols.size()) {
-      const double a0 = vals[t];
-      const double* __restrict x0 = x->row(cols[t]);
-      for (int c = 0; c < K; ++c) g0[c] -= a0 * x0[c];
-    }
-    const double inv = inv_diag[r];
-    double* xr = x->row(r);
-    for (int c = 0; c < K; ++c) {
-      const double delta = beta * ((g0[c] + g1[c]) * inv);
-      if constexpr (kAtomicWrites)
-        atomic_add_relaxed(xr[c], delta);
-      else
-        racy_add(xr[c], delta);
-    }
-  }
-};
-
 /// ||b - A x|| / ||b|| evaluated as a team-parallel reduction over the
 /// workers rendezvoused at the synchronization barrier (the denominator is
 /// constant and precomputed).
-template <class Index = index_t, class Value = double>
+template <class Index = index_t>
 class SingleRhsResidual {
  public:
-  SingleRhsResidual(const CsrMatrixT<Index, Value>& a,
+  SingleRhsResidual(const CsrMatrixT<Index, double>& a,
                     const std::vector<double>& b, const double* x, int workers,
                     TeamReduce& reduce)
       : a_(a),
@@ -240,13 +166,17 @@ class SingleRhsResidual {
   double operator()(int id, int team) {
     const auto partial = [&](int w, int t) {
       const auto [lo, hi] = chunk_of(a_.rows(), w, t);
+      // A local copy of the iterate pointer: read through the member, each
+      // atomic load would force a reload of x_ whenever this lambda is not
+      // inlined into its caller.
+      const double* const x = x_;
       double acc = 0.0;
       for (index_t i = lo; i < hi; ++i) {
         double ri = b_[i];
         const auto cols = a_.row_cols(i);
         const auto vals = a_.row_vals(i);
         for (std::size_t s = 0; s < cols.size(); ++s)
-          ri -= vals[s] * atomic_load_relaxed(x_[cols[s]]);
+          ri -= vals[s] * atomic_load_relaxed(x[cols[s]]);
         acc += ri * ri;
       }
       return acc;
@@ -264,7 +194,7 @@ class SingleRhsResidual {
   }
 
  private:
-  const CsrMatrixT<Index, Value>& a_;
+  const CsrMatrixT<Index, double>& a_;
   const std::vector<double>& b_;
   const double* x_;
   TeamReduce& reduce_;
@@ -273,10 +203,10 @@ class SingleRhsResidual {
 };
 
 /// ||B - A X||_F / ||B||_F, team-parallel over rows.
-template <class Index = index_t, class Value = double>
+template <class Index = index_t>
 class BlockResidual {
  public:
-  BlockResidual(const CsrMatrixT<Index, Value>& a, const MultiVector& b,
+  BlockResidual(const CsrMatrixT<Index, double>& a, const MultiVector& b,
                 const MultiVector& x, int workers, TeamReduce& reduce)
       : a_(a),
         b_(b),
@@ -318,7 +248,7 @@ class BlockResidual {
   }
 
  private:
-  const CsrMatrixT<Index, Value>& a_;
+  const CsrMatrixT<Index, double>& a_;
   const MultiVector& b_;
   const MultiVector& x_;
   TeamReduce& reduce_;
@@ -328,15 +258,11 @@ class BlockResidual {
 
 /// One asynchronous column update (iteration (21)): the residual entries for
 /// the column's rows are recomputed from shared x on every step.  Specialized
-/// at compile time on the atomicity mode and on the scan mode — the inner
-/// r_i = b_i - A_i x row scans are this kernel's dominant FP cost, so
-/// ScanMode::kReassociated routes them through the multi-accumulator/SIMD
-/// kernel (plain vector reads of the shared iterate; see sparse/csr.hpp).
-template <bool kAtomicWrites, ScanMode kScan, class Index = index_t,
-          class Value = double>
+/// at compile time on the atomicity mode.
+template <bool kAtomicWrites, class Index = index_t>
 struct LsqUpdate {
-  const CsrMatrixT<Index, Value>* a;
-  const CsrMatrixT<Index, Value>* at;
+  const CsrMatrixT<Index, double>* a;
+  const CsrMatrixT<Index, double>* at;
   const double* b;
   const double* col_sq;
   double* x;
@@ -350,21 +276,13 @@ struct LsqUpdate {
     double gamma = 0.0;
     for (std::size_t s = 0; s < rows.size(); ++s) {
       const index_t i = rows[s];
-      // r_i = b_i - A_i x; pinned mode reads the shared iterate with
-      // relaxed-atomic loads, reassociated mode with vector gathers.
-      double ri;
-      if constexpr (kScan == ScanMode::kReassociated) {
-        const auto arow_cols = a->row_cols(i);
-        const auto arow_vals = a->row_vals(i);
-        ri = csr_row_sub_dot_reassoc(b[i], arow_cols.data(), arow_vals.data(),
-                                     static_cast<nnz_t>(arow_cols.size()), x);
-      } else {
-        ri = b[i];
-        const auto arow_cols = a->row_cols(i);
-        const auto arow_vals = a->row_vals(i);
-        for (std::size_t q = 0; q < arow_cols.size(); ++q)
-          ri -= arow_vals[q] * atomic_load_relaxed(x[arow_cols[q]]);
-      }
+      // r_i = b_i - A_i x, reading the shared iterate with relaxed-atomic
+      // loads.
+      double ri = b[i];
+      const auto arow_cols = a->row_cols(i);
+      const auto arow_vals = a->row_vals(i);
+      for (std::size_t q = 0; q < arow_cols.size(); ++q)
+        ri -= arow_vals[q] * atomic_load_relaxed(x[arow_cols[q]]);
       gamma += col_vals[s] * ri;
     }
     const double delta = beta * gamma / col_sq[j];
@@ -378,21 +296,19 @@ struct LsqUpdate {
 /// One asynchronous row-action (Kaczmarz) update on the shared iterate:
 /// project x onto the hyperplane A_i x = b_i, relaxed by beta —
 ///   gamma = beta * (b_i - A_i x) / ||A_i||^2;  x += gamma * A_i^T.
-/// The row scan is the same compute seam as SingleRhsUpdate (pinned:
-/// relaxed-atomic reads of x, one subtraction per nonzero in column order;
-/// reassociated: the multi-accumulator/SIMD kernel with plain vector
-/// reads), but the apply half scatters into every column the row touches
-/// rather than one diagonal entry — which is why the asynchronous analysis
-/// of Liu, Wright & Sridhar (arXiv:1401.4780) covers it: each update
-/// writes a sparse multiple of one row.  `inv_row_sq` holds 1/||A_i||^2
+/// The row scan is the same compute seam as SingleRhsUpdate (relaxed-atomic
+/// reads of x, one subtraction per nonzero in column order), but the apply
+/// half scatters into every column the row touches rather than one diagonal
+/// entry — which is why the asynchronous analysis of Liu, Wright & Sridhar
+/// (arXiv:1401.4780) covers it: each update writes a sparse multiple of one
+/// row.  `inv_row_sq` holds 1/||A_i||^2
 /// precomputed at prepare time (zero rows get 0, making their update a
 /// no-op rather than a NaN).
-template <bool kAtomicWrites, ScanMode kScan, class Index = index_t,
-          class Value = double>
+template <bool kAtomicWrites, class Index = index_t>
 struct KaczmarzUpdate {
   const nnz_t* row_ptr;
   const Index* cols;
-  const Value* vals;
+  const double* vals;
   const double* b;
   const double* inv_row_sq;
   double* x;
@@ -403,16 +319,11 @@ struct KaczmarzUpdate {
   [[nodiscard]] double delta(index_t r) const noexcept {
     const nnz_t* __restrict rp = row_ptr;
     const Index* __restrict ci = cols;
-    const Value* __restrict av = vals;
+    const double* __restrict av = vals;
     double acc = b[r];
-    const nnz_t lo = rp[r];
     const nnz_t hi = rp[r + 1];
-    if constexpr (kScan == ScanMode::kReassociated) {
-      acc = csr_row_sub_dot_reassoc(acc, ci + lo, av + lo, hi - lo, x);
-    } else {
-      for (nnz_t t = lo; t < hi; ++t)
-        acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
-    }
+    for (nnz_t t = rp[r]; t < hi; ++t)
+      acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
     return beta * (acc * inv_row_sq[r]);
   }
 
@@ -421,7 +332,7 @@ struct KaczmarzUpdate {
   void apply(index_t r, double gamma) const noexcept {
     const nnz_t* __restrict rp = row_ptr;
     const Index* __restrict ci = cols;
-    const Value* __restrict av = vals;
+    const double* __restrict av = vals;
     const nnz_t lo = rp[r];
     const nnz_t hi = rp[r + 1];
     if constexpr (kAtomicWrites) {
@@ -448,11 +359,11 @@ struct KaczmarzUpdate {
 /// denominator ||A^T b|| is an invariant of the run and computed once at
 /// construction; `r` is caller-provided scratch of a.rows() doubles so a
 /// prepared handle re-uses the buffer across solves.
-template <class Index = index_t, class Value = double>
+template <class Index = index_t>
 class LsqResidual {
  public:
-  LsqResidual(const CsrMatrixT<Index, Value>& a,
-              const CsrMatrixT<Index, Value>& at, const std::vector<double>& b,
+  LsqResidual(const CsrMatrixT<Index, double>& a,
+              const CsrMatrixT<Index, double>& at, const std::vector<double>& b,
               const double* x, int workers, TeamReduce& reduce, double* r,
               bool enabled)
       : a_(a),
@@ -481,12 +392,13 @@ class LsqResidual {
     {
       const auto [lo, hi] = serial_ ? chunk_of(a_.rows(), 0, 1)
                                     : chunk_of(a_.rows(), id, team);
+      const double* const x = x_;  // see SingleRhsResidual
       for (index_t i = lo; i < hi; ++i) {
         double ri = b_[i];
         const auto cols = a_.row_cols(i);
         const auto vals = a_.row_vals(i);
         for (std::size_t s = 0; s < cols.size(); ++s)
-          ri -= vals[s] * atomic_load_relaxed(x_[cols[s]]);
+          ri -= vals[s] * atomic_load_relaxed(x[cols[s]]);
         r_[i] = ri;
       }
     }
@@ -513,8 +425,8 @@ class LsqResidual {
   }
 
  private:
-  const CsrMatrixT<Index, Value>& a_;
-  const CsrMatrixT<Index, Value>& at_;
+  const CsrMatrixT<Index, double>& a_;
+  const CsrMatrixT<Index, double>& at_;
   const std::vector<double>& b_;
   const double* x_;
   TeamReduce& reduce_;
@@ -523,10 +435,9 @@ class LsqResidual {
   double denom_ = 0.0;
 };
 
-/// Squared Euclidean norms of the columns of A, read off the rows of A^T
-/// (double accumulation for every storage policy).
-template <class Index, class Value>
-inline std::vector<double> column_sq_norms(const CsrMatrixT<Index, Value>& at) {
+/// Squared Euclidean norms of the columns of A, read off the rows of A^T.
+template <class Index>
+inline std::vector<double> column_sq_norms(const CsrMatrixT<Index, double>& at) {
   std::vector<double> sq(static_cast<std::size_t>(at.rows()), 0.0);
   for (index_t j = 0; j < at.rows(); ++j) {
     double acc = 0.0;
@@ -538,8 +449,8 @@ inline std::vector<double> column_sq_norms(const CsrMatrixT<Index, Value>& at) {
 
 /// Squared Euclidean norms of the rows of A — the Strohmer-Vershynin
 /// Kaczmarz sampling weights and the denominators of the row projections.
-template <class Index, class Value>
-inline std::vector<double> row_sq_norms(const CsrMatrixT<Index, Value>& a) {
+template <class Index>
+inline std::vector<double> row_sq_norms(const CsrMatrixT<Index, double>& a) {
   std::vector<double> sq(static_cast<std::size_t>(a.rows()), 0.0);
   for (index_t i = 0; i < a.rows(); ++i) {
     double acc = 0.0;

@@ -127,7 +127,5 @@ template SocialGramT<std::int64_t, double>
 make_social_gram_as<std::int64_t, double>(const SocialGramOptions&);
 template SocialGramT<std::int32_t, double>
 make_social_gram_as<std::int32_t, double>(const SocialGramOptions&);
-template SocialGramT<std::int32_t, float>
-make_social_gram_as<std::int32_t, float>(const SocialGramOptions&);
 
 }  // namespace asyrgs

@@ -58,11 +58,9 @@ using SocialGram = SocialGramT<std::int64_t, double>;
 /// co-occurrences summed).
 [[nodiscard]] SocialGram make_social_gram(const SocialGramOptions& opt);
 
-/// Policy-aware variant assembling directly at the target width.  Entries
-/// are sums of products of small integer term frequencies — exact in float
-/// far beyond any realistic corpus — so every policy generates the same
-/// matrix up to storage width.  (Defined in gram.cpp, instantiated for the
-/// three supported policies.)
+/// Policy-aware variant assembling directly at the target index width, so
+/// every policy generates the same matrix up to storage width.  (Defined in
+/// gram.cpp, instantiated for the two supported policies.)
 template <class Index, class Value>
 [[nodiscard]] SocialGramT<Index, Value> make_social_gram_as(
     const SocialGramOptions& opt);

@@ -129,7 +129,6 @@ double laplacian_1d_eigenvalue(index_t n, index_t k) {
 
 ASYRGS_INSTANTIATE_LAPLACIAN(std::int64_t, double)
 ASYRGS_INSTANTIATE_LAPLACIAN(std::int32_t, double)
-ASYRGS_INSTANTIATE_LAPLACIAN(std::int32_t, float)
 
 #undef ASYRGS_INSTANTIATE_LAPLACIAN
 

@@ -44,7 +44,7 @@ SolveReport kaczmarz_solve(const CsrMatrix& a, const std::vector<double>& b,
       if (row_sq[i] == 0.0) continue;
       // Shared scan kernel (csr_row_sub_dot): acc = b_i, then one
       // subtraction per nonzero in column order — the identical association
-      // the asynchronous KaczmarzUpdate's pinned path runs, so a one-worker
+      // the asynchronous KaczmarzUpdate's row scan runs, so a one-worker
       // async solve reproduces this sequential scan bit for bit.
       const auto cols = a.row_cols(i);
       const auto vals = a.row_vals(i);

@@ -53,29 +53,27 @@ AsyRgsPreconditioner::AsyRgsPreconditioner(ThreadPool& pool,
                                            const CsrMatrix& a, int sweeps,
                                            int workers, double step_size,
                                            std::uint64_t seed,
-                                           bool atomic_writes, ScanMode scan)
+                                           bool atomic_writes)
     : owned_(std::make_unique<SpdProblem>(pool, a, /*check_input=*/false)),
       problem_(owned_.get()),
       sweeps_(sweeps),
       workers_(workers),
       step_size_(step_size),
       seed_(seed),
-      atomic_writes_(atomic_writes),
-      scan_(scan) {
+      atomic_writes_(atomic_writes) {
   require(sweeps > 0, "AsyRgsPreconditioner: sweeps must be positive");
 }
 
 AsyRgsPreconditioner::AsyRgsPreconditioner(SpdProblem& problem, int sweeps,
                                            int workers, double step_size,
                                            std::uint64_t seed,
-                                           bool atomic_writes, ScanMode scan)
+                                           bool atomic_writes)
     : problem_(&problem),
       sweeps_(sweeps),
       workers_(workers),
       step_size_(step_size),
       seed_(seed),
-      atomic_writes_(atomic_writes),
-      scan_(scan) {
+      atomic_writes_(atomic_writes) {
   require(sweeps > 0, "AsyRgsPreconditioner: sweeps must be positive");
 }
 
@@ -93,7 +91,6 @@ void AsyRgsPreconditioner::apply(const std::vector<double>& r,
   controls.step_size = step_size_;
   controls.workers = workers_;
   controls.atomic_writes = atomic_writes_;
-  controls.scan = scan_;
   controls.sync = SyncMode::kFreeRunning;
   // A fresh direction stream per application keeps applications independent
   // (and the preconditioner "variable" in the flexible-Krylov sense).

@@ -76,10 +76,7 @@ class RgsPreconditioner final : public Preconditioner {
 
 /// `sweeps` asynchronous randomized Gauss-Seidel sweeps on A z = r from
 /// z = 0, on `workers` threads (the paper's Table 1 / Figure 3
-/// preconditioner).  `scan` selects the row-scan FP association of the inner
-/// sweeps (see ScanMode); the preconditioner is already variable across
-/// applications, so ScanMode::kReassociated costs nothing extra in
-/// reproducibility here — the flexible outer method absorbs the variation.
+/// preconditioner).
 ///
 /// Every application runs through one prepared SpdProblem handle — owned by
 /// the preconditioner (first constructor) or borrowed from the caller
@@ -93,15 +90,13 @@ class AsyRgsPreconditioner final : public Preconditioner {
  public:
   AsyRgsPreconditioner(ThreadPool& pool, const CsrMatrix& a, int sweeps,
                        int workers, double step_size = 1.0,
-                       std::uint64_t seed = 99, bool atomic_writes = true,
-                       ScanMode scan = ScanMode::kPinned);
+                       std::uint64_t seed = 99, bool atomic_writes = true);
   /// Borrows an existing prepared handle (not owned; must outlive this
   /// preconditioner).  Used by SpdProblem's own FCG path so the outer solve
   /// and the inner sweeps share one set of cached reciprocals and scratch.
   AsyRgsPreconditioner(SpdProblem& problem, int sweeps, int workers,
                        double step_size = 1.0, std::uint64_t seed = 99,
-                       bool atomic_writes = true,
-                       ScanMode scan = ScanMode::kPinned);
+                       bool atomic_writes = true);
   ~AsyRgsPreconditioner() override;  // out-of-line: SpdProblem is incomplete
 
   void apply(const std::vector<double>& r, std::vector<double>& z) override;
@@ -119,7 +114,6 @@ class AsyRgsPreconditioner final : public Preconditioner {
   double step_size_;
   std::uint64_t seed_;
   bool atomic_writes_;
-  ScanMode scan_;
   std::uint64_t applications_ = 0;
 };
 

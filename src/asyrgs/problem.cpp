@@ -38,12 +38,11 @@ struct ProblemScratch {
 /// the handle's storage policy narrows — a compact copy of the permuted
 /// operator, so partitioned solves run the same storage the unpartitioned
 /// path does.  Immutable once constructed; clones alias it via shared_ptr
-/// exactly like the compact storage copies.
+/// exactly like the compact storage copy.
 struct SpdPartitionState {
   PartitionAnalysis analysis;
   std::vector<double> inv_diag;  ///< 1/diag in permuted (RCM) order
   std::shared_ptr<const CsrMatrix32> a32;
-  std::shared_ptr<const CsrMatrixMixed> amixed;
 
   SpdPartitionState(const CsrMatrix& a, StoragePolicy policy) : analysis(a) {
     // The symmetric permutation maps diagonal to diagonal, so the handle's
@@ -53,9 +52,6 @@ struct SpdPartitionState {
     if (policy == StoragePolicy::kInt32Double)
       a32 = std::make_shared<const CsrMatrix32>(
           convert_storage<std::int32_t, double>(analysis.permuted()));
-    else if (policy == StoragePolicy::kInt32Mixed)
-      amixed = std::make_shared<const CsrMatrixMixed>(
-          convert_storage<std::int32_t, float>(analysis.permuted()));
   }
 };
 
@@ -217,8 +213,6 @@ SolveOutcome outcome_from_report(AsyncRgsReport&& report,
   out.workers = report.workers;
   out.relative_residual = report.final_relative_residual;
   out.seconds = report.seconds;
-  out.scan_requested = options.scan;
-  out.scan_executed = report.scan_used;
   out.residual_history = std::move(report.residual_history);
   out.description = std::move(description);
   return out;
@@ -237,7 +231,6 @@ AsyncRgsReport report_from_outcome(SolveOutcome&& out) {
   report.converged = out.status == SolveStatus::kConverged;
   report.final_relative_residual = out.relative_residual;
   report.residual_history = std::move(out.residual_history);
-  report.scan_used = out.scan_executed;
   return report;
 }
 
@@ -263,43 +256,21 @@ const char* to_string(StorageMode mode) noexcept {
       return "auto";
     case StorageMode::kInt64Double:
       return "int64_double";
-    case StorageMode::kInt32Double:
-      return "int32_double";
-    case StorageMode::kInt32Mixed:
-      return "int32_mixed";
   }
   return "?";
 }
 
 StoragePolicy resolve_storage_policy(StorageMode mode, index_t max_index,
-                                     nnz_t nnz, bool* fell_back) noexcept {
-  if (fell_back != nullptr) *fell_back = false;
-  // Both guards must pass: the index width for the coordinates, and the
-  // (conservative — see the header) int32 bound on the nonzero count.
+                                     nnz_t nnz) noexcept {
+  if (mode == StorageMode::kInt64Double) return StoragePolicy::kInt64Double;
+  // Narrowing is free of arithmetic consequences (results stay
+  // bit-identical), so auto takes the bandwidth win whenever both guards
+  // pass: the index width for the coordinates, and the (conservative — see
+  // the header) int32 bound on the nonzero count.
   const bool fits =
       index_width_fits<std::int32_t>(max_index) &&
       nnz <= static_cast<nnz_t>(std::numeric_limits<std::int32_t>::max());
-  switch (mode) {
-    case StorageMode::kInt64Double:
-      return StoragePolicy::kInt64Double;
-    case StorageMode::kAuto:
-      // Narrowing is free of arithmetic consequences for the double-value
-      // policies (pinned-scan results stay bit-identical), so auto always
-      // takes the bandwidth win when the shape allows it.
-      return fits ? StoragePolicy::kInt32Double : StoragePolicy::kInt64Double;
-    case StorageMode::kInt32Double:
-      if (fits) return StoragePolicy::kInt32Double;
-      break;
-    case StorageMode::kInt32Mixed:
-      if (fits) return StoragePolicy::kInt32Mixed;
-      break;
-  }
-  // Explicit narrow request on a shape the index width cannot address:
-  // serve full width rather than failing — the caller asked for a
-  // performance policy, not a shape constraint.  Surfaced via *fell_back /
-  // ProblemStats::storage_fallbacks.
-  if (fell_back != nullptr) *fell_back = true;
-  return StoragePolicy::kInt64Double;
+  return fits ? StoragePolicy::kInt32Double : StoragePolicy::kInt64Double;
 }
 
 SolveControls to_controls(const AsyncRgsOptions& options) {
@@ -312,7 +283,6 @@ SolveControls to_controls(const AsyncRgsOptions& options) {
   c.atomic_writes = options.atomic_writes;
   c.sync = options.sync;
   c.scope = options.scope;
-  c.scan = options.scan;
   c.sync_interval_seconds = options.sync_interval_seconds;
   c.track_history = options.track_history;
   c.rel_tol = options.rel_tol;
@@ -328,7 +298,6 @@ AsyncRgsOptions to_async_rgs_options(const SolveControls& controls) {
   o.atomic_writes = controls.atomic_writes;
   o.sync = controls.sync;
   o.scope = controls.scope;
-  o.scan = controls.scan;
   o.sync_interval_seconds = controls.sync_interval_seconds;
   o.track_history = controls.track_history;
   o.rel_tol = controls.rel_tol;
@@ -361,18 +330,11 @@ SpdProblem::SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input,
             "SpdProblem: matrix is not symmetric");
   }
   // Narrowing happens last, after validation passed, so a rejected matrix
-  // never pays the compact copy.  Reciprocals above were taken from the
-  // full-width diagonal — the narrow kernels read the matrix values narrow
-  // but the update constants at full precision.
-  bool fell_back = false;
-  storage_ = resolve_storage_policy(storage, a.cols(), a.nnz(), &fell_back);
-  if (fell_back) ++stats_.storage_fallbacks;
+  // never pays the compact copy.
+  storage_ = resolve_storage_policy(storage, a.cols(), a.nnz());
   if (storage_ == StoragePolicy::kInt32Double)
     a32_ = std::make_shared<const CsrMatrix32>(
         convert_storage<std::int32_t, double>(a));
-  else if (storage_ == StoragePolicy::kInt32Mixed)
-    amixed_ = std::make_shared<const CsrMatrixMixed>(
-        convert_storage<std::int32_t, float>(a));
   stats_.storage = storage_;
 }
 
@@ -380,14 +342,12 @@ SpdProblem::SpdProblem(ThreadPool& pool, const SpdProblem& other)
     : pool_(pool),
       a_(other.a_),
       a32_(other.a32_),
-      amixed_(other.amixed_),
       storage_(other.storage_),
       inv_diag_(other.inv_diag_),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   // The compact copy is aliased, not rebuilt — the shard-clone contract
   // (analysis once per service) extends to the narrowing pass.
   stats_.storage = storage_;
-  stats_.storage_fallbacks = other.stats_.storage_fallbacks;
   // The partition analysis is built lazily, so unlike the members above it
   // must be read under the prototype's lock (cloning stays safe concurrently
   // with solves on `other`).  The clone aliases the analysis and reports
@@ -461,14 +421,7 @@ SolveOutcome SpdProblem::solve(const std::vector<double>& b,
 SolveOutcome SpdProblem::solve_async_single(const std::vector<double>& b,
                                             std::vector<double>& x,
                                             const SolveControls& controls) {
-  switch (storage_) {
-    case StoragePolicy::kInt32Double:
-      return solve_async_single_on(*a32_, b, x, controls);
-    case StoragePolicy::kInt32Mixed:
-      return solve_async_single_on(*amixed_, b, x, controls);
-    case StoragePolicy::kInt64Double:
-      break;
-  }
+  if (a32_) return solve_async_single_on(*a32_, b, x, controls);
   return solve_async_single_on(a_, b, x, controls);
 }
 
@@ -478,7 +431,6 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
                                                std::vector<double>& x,
                                                const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
   const AsyncRgsOptions options = to_async_rgs_options(controls);
   validate_async_controls(options, "SpdProblem::solve");
   validate_sampling_controls(controls, "SpdProblem::solve");
@@ -488,7 +440,6 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
 
   AsyncRgsReport report;
   report.workers = workers;
-  report.scan_used = options.scan;
 
   detail::pack_rhs_diag(b, inv_diag_, scratch_->rhs_diag);
   detail::SingleRhsResidual residual(a, b, x.data(), workers,
@@ -526,8 +477,8 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
   }
 
   WallTimer timer;
-  detail::dispatch_atomic_scan(options, [&]<bool kAtomic, ScanMode kScan>() {
-    const detail::SingleRhsUpdate<kAtomic, kScan, Index, Value> update{
+  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+    const detail::SingleRhsUpdate<kAtomic, Index> update{
         a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
         scratch_->rhs_diag.data(), x.data(),           beta};
     detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
@@ -554,14 +505,7 @@ SolveOutcome SpdProblem::solve_async_partitioned(
     const std::vector<double>& b, std::vector<double>& x,
     const SolveControls& controls) {
   const detail::SpdPartitionState& st = partition_state();
-  switch (storage_) {
-    case StoragePolicy::kInt32Double:
-      return solve_async_partitioned_on(*st.a32, b, x, controls);
-    case StoragePolicy::kInt32Mixed:
-      return solve_async_partitioned_on(*st.amixed, b, x, controls);
-    case StoragePolicy::kInt64Double:
-      break;
-  }
+  if (st.a32) return solve_async_partitioned_on(*st.a32, b, x, controls);
   return solve_async_partitioned_on(st.analysis.permuted(), b, x, controls);
 }
 
@@ -570,7 +514,6 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
     const Matrix& a, const std::vector<double>& b, std::vector<double>& x,
     const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
   const detail::SpdPartitionState& st = *partition_;
   const AsyncRgsOptions options = to_async_rgs_options(controls);
   validate_async_controls(options, "SpdProblem::solve");
@@ -586,7 +529,6 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
 
   AsyncRgsReport report;
   report.workers = workers;
-  report.scan_used = options.scan;
 
   // Permute the problem into RCM space: xp[i] = x[perm[i]], bp likewise.
   // The engine then runs entirely on the permuted operator, with the
@@ -612,8 +554,8 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
                                      scratch_->engine.reduce(workers));
 
   WallTimer timer;
-  detail::dispatch_atomic_scan(options, [&]<bool kAtomic, ScanMode kScan>() {
-    const detail::SingleRhsUpdate<kAtomic, kScan, Index, Value> update{
+  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+    const detail::SingleRhsUpdate<kAtomic, Index> update{
         a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
         scratch_->rhs_diag.data(), xp.data(),          beta};
     detail::run_engine_with_plan(
@@ -661,14 +603,13 @@ SolveOutcome SpdProblem::solve_krylov(const std::vector<double>& b,
 
   SolveOutcome out;
   out.workers = workers;
-  out.scan_requested = controls.scan;
   WallTimer timer;
   if (method == SpdMethod::kFcgAsyRgs) {
     // The preconditioner borrows this prepared handle, so every outer
     // iteration's inner sweeps reuse the cached reciprocals and scratch.
     AsyRgsPreconditioner precond(*this, controls.inner_sweeps, workers,
                                  /*step_size=*/1.0, controls.seed,
-                                 controls.atomic_writes, controls.scan);
+                                 controls.atomic_writes);
     FcgOptions fo;
     fo.base.max_iterations = max_iterations;
     fo.base.rel_tol = rel_tol;
@@ -679,7 +620,6 @@ SolveOutcome SpdProblem::solve_krylov(const std::vector<double>& b,
     out.iterations = rep.base.iterations;
     out.relative_residual = rep.base.final_relative_residual;
     out.residual_history = rep.base.residual_history;
-    out.scan_executed = controls.scan;  // the preconditioner's inner scans
     out.description = "flexible CG + " + precond.name();
   } else {
     SolveOptions so;
@@ -693,7 +633,6 @@ SolveOutcome SpdProblem::solve_krylov(const std::vector<double>& b,
     out.iterations = rep.iterations;
     out.relative_residual = rep.final_relative_residual;
     out.residual_history = rep.residual_history;
-    out.scan_executed = ScanMode::kPinned;  // CG has no row-scan mode
     out.description = "conjugate gradients";
   }
   out.seconds = timer.seconds();
@@ -716,18 +655,8 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
   require(controls.partitions == 0,
           "SpdProblem::solve(block): partitioned scheduling is "
           "single-right-hand-side only");
-  SolveOutcome out;
-  switch (storage_) {
-    case StoragePolicy::kInt32Double:
-      out = solve_block_on(*a32_, b, x, controls);
-      break;
-    case StoragePolicy::kInt32Mixed:
-      out = solve_block_on(*amixed_, b, x, controls);
-      break;
-    case StoragePolicy::kInt64Double:
-      out = solve_block_on(a_, b, x, controls);
-      break;
-  }
+  SolveOutcome out = a32_ ? solve_block_on(*a32_, b, x, controls)
+                          : solve_block_on(a_, b, x, controls);
   out.method_used = SpdMethod::kAsyncRgs;
   ++stats_.solves;
   return out;
@@ -738,7 +667,6 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
                                         MultiVector& x,
                                         const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
   const AsyncRgsOptions options = to_async_rgs_options(controls);
   validate_async_controls(options, "SpdProblem::solve(block)");
   const index_t n = a.rows();
@@ -746,16 +674,8 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
   const double beta = options.step_size;
   const int workers = clamp_workers(options.workers, pool_);
 
-  // At k <= 4 the whole gamma state fits in registers, so the reassociated
-  // request is honoured by the small-K kernel; wider blocks keep the pinned
-  // column-parallel kernel (and the downgrade stays surfaced).
-  const bool reassociated =
-      options.scan == ScanMode::kReassociated && k <= 4;
-
   AsyncRgsReport report;
   report.workers = workers;
-  report.scan_used =
-      reassociated ? ScanMode::kReassociated : ScanMode::kPinned;
 
   detail::BlockResidual residual(a, b, x, workers,
                                  scratch_->engine.reduce(workers));
@@ -771,68 +691,28 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
   }
 
   WallTimer timer;
-  if (reassociated) {
-    auto launch = [&]<bool kAtomic>() {
-      auto run = [&](auto update) {
-        detail::run_engine_sampled(pool_, options, n, workers, sampling,
-                                   update, residual, report,
-                                   &scratch_->engine);
-      };
-      switch (k) {
-        case 1:
-          run(detail::BlockRhsUpdateSmallK<kAtomic, 1, Index, Value>{
-              &a, &b, &x, inv_diag_.data(), beta});
-          break;
-        case 2:
-          run(detail::BlockRhsUpdateSmallK<kAtomic, 2, Index, Value>{
-              &a, &b, &x, inv_diag_.data(), beta});
-          break;
-        case 3:
-          run(detail::BlockRhsUpdateSmallK<kAtomic, 3, Index, Value>{
-              &a, &b, &x, inv_diag_.data(), beta});
-          break;
-        default:
-          run(detail::BlockRhsUpdateSmallK<kAtomic, 4, Index, Value>{
-              &a, &b, &x, inv_diag_.data(), beta});
-          break;
-      }
-    };
-    if (options.atomic_writes)
-      launch.template operator()<true>();
-    else
-      launch.template operator()<false>();
-  } else {
-    // Per-worker gamma scratch in one aligned slab, strided to whole cache
-    // lines with a guard line between workers: adjacent heap allocations
-    // here would false-share and destroy block-solve scaling.
-    const std::size_t doubles_per_line = kCacheLineBytes / sizeof(double);
-    const std::size_t stride =
-        ((static_cast<std::size_t>(k) + doubles_per_line - 1) /
-         doubles_per_line) *
-            doubles_per_line +
-        doubles_per_line;
-    double* const gamma = scratch_->engine.slab(workers, stride);
-    if (options.atomic_writes) {
-      const detail::BlockRhsUpdate<true, Index, Value> update{
-          &a, &b, &x, inv_diag_.data(), beta, gamma, stride};
-      detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                                 residual, report, &scratch_->engine);
-    } else {
-      const detail::BlockRhsUpdate<false, Index, Value> update{
-          &a, &b, &x, inv_diag_.data(), beta, gamma, stride};
-      detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                                 residual, report, &scratch_->engine);
-    }
-  }
+  // Per-worker gamma scratch in one aligned slab, strided to whole cache
+  // lines with a guard line between workers: adjacent heap allocations here
+  // would false-share and destroy block-solve scaling.
+  const std::size_t doubles_per_line = kCacheLineBytes / sizeof(double);
+  const std::size_t stride =
+      ((static_cast<std::size_t>(k) + doubles_per_line - 1) /
+       doubles_per_line) *
+          doubles_per_line +
+      doubles_per_line;
+  double* const gamma = scratch_->engine.slab(workers, stride);
+  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+    const detail::BlockRhsUpdate<kAtomic, Index> update{
+        &a, &b, &x, inv_diag_.data(), beta, gamma, stride};
+    detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
+                               residual, report, &scratch_->engine);
+  });
   report.seconds = timer.seconds();
 
   std::string description = std::string("AsyRGS block, ") +
                             std::to_string(workers) + " threads, " +
                             std::to_string(k) + " rhs, " +
                             sync_name(options.sync) + sampling_note(controls);
-  if (options.scan == ScanMode::kReassociated && !reassociated)
-    description += "; reassociated scan requested but blocks wider than 4 "
-                   "right-hand sides run the pinned column-parallel scan";
   if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
     description += std::string(", ") + to_string(Matrix::kStorage) +
                    " storage";
@@ -847,18 +727,17 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
 
 namespace {
 
-/// Builds the compact (A, A^T) pair for a resolved least-squares policy.
+/// Builds the compact (A, A^T) pair for the int32 least-squares policy.
 /// Both operands narrow or neither: the update kernel walks rows of A and
 /// rows of A^T in one pass, and mixing widths there would force per-access
 /// dispatch.
-template <class Index, class Value>
 void narrow_lsq_pair(const CsrMatrix& a, const CsrMatrix& at,
-                     std::shared_ptr<const CsrMatrixT<Index, Value>>& a_out,
-                     std::shared_ptr<const CsrMatrixT<Index, Value>>& at_out) {
-  a_out = std::make_shared<const CsrMatrixT<Index, Value>>(
-      convert_storage<Index, Value>(a));
-  at_out = std::make_shared<const CsrMatrixT<Index, Value>>(
-      convert_storage<Index, Value>(at));
+                     std::shared_ptr<const CsrMatrix32>& a_out,
+                     std::shared_ptr<const CsrMatrix32>& at_out) {
+  a_out = std::make_shared<const CsrMatrix32>(
+      convert_storage<std::int32_t, double>(a));
+  at_out = std::make_shared<const CsrMatrix32>(
+      convert_storage<std::int32_t, double>(at));
 }
 
 }  // namespace
@@ -886,14 +765,10 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
   ++stats_.validation_passes;
   // A^T's column indices are row indices of A, so narrowing must fit the
   // larger of the two dimensions.
-  bool fell_back = false;
-  storage_ = resolve_storage_policy(storage, std::max(a.rows(), a.cols()),
-                                    a.nnz(), &fell_back);
-  if (fell_back) ++stats_.storage_fallbacks;
+  storage_ =
+      resolve_storage_policy(storage, std::max(a.rows(), a.cols()), a.nnz());
   if (storage_ == StoragePolicy::kInt32Double)
-    narrow_lsq_pair<std::int32_t, double>(a, *at_, a32_, at32_);
-  else if (storage_ == StoragePolicy::kInt32Mixed)
-    narrow_lsq_pair<std::int32_t, float>(a, *at_, amixed_, atmixed_);
+    narrow_lsq_pair(a, *at_, a32_, at32_);
   stats_.storage = storage_;
 }
 
@@ -917,14 +792,10 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
   for (std::size_t i = 0; i < row_sq_.size(); ++i)
     inv_row_sq_[i] = row_sq_[i] > 0.0 ? 1.0 / row_sq_[i] : 0.0;
   ++stats_.validation_passes;
-  bool fell_back = false;
-  storage_ = resolve_storage_policy(storage, std::max(a.rows(), a.cols()),
-                                    a.nnz(), &fell_back);
-  if (fell_back) ++stats_.storage_fallbacks;
+  storage_ =
+      resolve_storage_policy(storage, std::max(a.rows(), a.cols()), a.nnz());
   if (storage_ == StoragePolicy::kInt32Double)
-    narrow_lsq_pair<std::int32_t, double>(a, at, a32_, at32_);
-  else if (storage_ == StoragePolicy::kInt32Mixed)
-    narrow_lsq_pair<std::int32_t, float>(a, at, amixed_, atmixed_);
+    narrow_lsq_pair(a, at, a32_, at32_);
   stats_.storage = storage_;
 }
 
@@ -935,15 +806,12 @@ LsqProblem::LsqProblem(ThreadPool& pool, const LsqProblem& other)
       at_(other.at_),
       a32_(other.a32_),
       at32_(other.at32_),
-      amixed_(other.amixed_),
-      atmixed_(other.atmixed_),
       storage_(other.storage_),
       col_sq_(other.col_sq_),
       row_sq_(other.row_sq_),
       inv_row_sq_(other.inv_row_sq_),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   stats_.storage = storage_;
-  stats_.storage_fallbacks = other.stats_.storage_fallbacks;
 }
 
 LsqProblem::~LsqProblem() = default;
@@ -974,20 +842,12 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
           "SpdProblem (it partitions a symmetric operator's graph)");
   const bool kaczmarz = controls.method == SpdMethod::kAsyncKaczmarz;
   SolveOutcome out;
-  switch (storage_) {
-    case StoragePolicy::kInt32Double:
-      out = kaczmarz ? solve_kaczmarz_on(*a32_, *at32_, b, x, controls)
-                     : solve_on(*a32_, *at32_, b, x, controls);
-      break;
-    case StoragePolicy::kInt32Mixed:
-      out = kaczmarz ? solve_kaczmarz_on(*amixed_, *atmixed_, b, x, controls)
-                     : solve_on(*amixed_, *atmixed_, b, x, controls);
-      break;
-    case StoragePolicy::kInt64Double:
-      out = kaczmarz ? solve_kaczmarz_on(a_, *at_, b, x, controls)
-                     : solve_on(a_, *at_, b, x, controls);
-      break;
-  }
+  if (a32_)
+    out = kaczmarz ? solve_kaczmarz_on(*a32_, *at32_, b, x, controls)
+                   : solve_on(*a32_, *at32_, b, x, controls);
+  else
+    out = kaczmarz ? solve_kaczmarz_on(a_, *at_, b, x, controls)
+                   : solve_on(a_, *at_, b, x, controls);
   out.method_used =
       kaczmarz ? SpdMethod::kAsyncKaczmarz : SpdMethod::kAsyncRgs;
   ++stats_.solves;
@@ -1000,7 +860,6 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
                                   std::vector<double>& x,
                                   const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
   const AsyncRgsOptions options = to_async_rgs_options(controls);
   validate_async_controls(options, "LsqProblem::solve");
   validate_sampling_controls(controls, "LsqProblem::solve");
@@ -1010,7 +869,6 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
 
   AsyncRgsReport report;
   report.workers = workers;
-  report.scan_used = options.scan;
 
   const bool check = options.track_history || options.rel_tol > 0.0;
   double* const r =
@@ -1047,8 +905,8 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
   }
 
   WallTimer timer;
-  detail::dispatch_atomic_scan(options, [&]<bool kAtomic, ScanMode kScan>() {
-    const detail::LsqUpdate<kAtomic, kScan, Index, Value> update{
+  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+    const detail::LsqUpdate<kAtomic, Index> update{
         &a, &at, b.data(), col_sq_.data(), x.data(), beta};
     detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
                                residual, report, &scratch_->engine);
@@ -1076,7 +934,6 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
                                            std::vector<double>& x,
                                            const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
   const AsyncRgsOptions options = to_async_rgs_options(controls);
   validate_async_controls(options, "LsqProblem::solve(kaczmarz)");
   validate_sampling_controls(controls, "LsqProblem::solve(kaczmarz)");
@@ -1088,7 +945,6 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
 
   AsyncRgsReport report;
   report.workers = workers;
-  report.scan_used = options.scan;
 
   // Same normal-equations metric as coordinate descent, so outcomes of the
   // two methods are directly comparable (and inconsistent systems — where
@@ -1127,8 +983,8 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
   }
 
   WallTimer timer;
-  detail::dispatch_atomic_scan(options, [&]<bool kAtomic, ScanMode kScan>() {
-    const detail::KaczmarzUpdate<kAtomic, kScan, Index, Value> update{
+  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+    const detail::KaczmarzUpdate<kAtomic, Index> update{
         a.row_ptr().data(), a.col_idx().data(), a.values().data(), b.data(),
         inv_row_sq_.data(), x.data(),           beta};
     detail::run_engine_sampled(pool_, options, m, workers, sampling, update,

@@ -11,14 +11,14 @@
 //   SpdProblem / LsqProblem   per-problem state: matrix + attached pool +
 //                             cached analysis + reusable solver scratch
 //   SolveControls             per-call knobs: method, tolerance, seed,
-//                             workers, sync/scope/scan, step size
+//                             workers, sync/scope, step size
 //   SolveOutcome              unified structured result (SolveStatus enum
 //                             instead of per-solver bool/string shapes)
 //
 // The legacy free functions (async_rgs_solve, async_lsq_solve, solve_spd,
 // ...) remain available and are thin wrappers constructing a temporary
-// handle — identical arithmetic, so equal-seed pinned-scan runs through
-// either interface are bit-identical.
+// handle — identical arithmetic, so equal-seed runs through either
+// interface are bit-identical.
 //
 // Thread-safety: a handle's prepared state is immutable after construction
 // and its mutable scratch is guarded by an internal (recursive) mutex —
@@ -83,42 +83,34 @@ enum class SolveStatus {
 [[nodiscard]] const char* to_string(SolveStatus status) noexcept;
 
 /// Requested CSR storage policy for a prepared handle, resolved once at
-/// construction (see resolve_storage_policy for the exact rules).  The
-/// narrow policies build a compact copy of the bound matrix at preparation
-/// time — int32 column indices halve the index bandwidth of every row scan,
-/// and kInt32Mixed additionally halves the value bandwidth (accumulation
-/// stays double; see docs/TUNING.md for when each wins).  Pinned-scan
-/// int32/double arithmetic is bit-identical to full width, which is why
-/// kAuto may narrow by default without breaking reproducibility contracts.
+/// construction (see resolve_storage_policy for the exact rules).  kAuto
+/// builds a compact int32-index copy of the bound matrix at preparation
+/// time when the shape fits — halving the index bandwidth of every row
+/// scan.  The int32 arithmetic is bit-identical to full width, which is
+/// why kAuto narrows by default without breaking reproducibility contracts.
 enum class StorageMode {
   kAuto,         ///< int32/double when the shape fits, else full width
   kInt64Double,  ///< full width; no compact copy is built
-  kInt32Double,  ///< compact indices; falls back to full width on overflow
-  kInt32Mixed,   ///< compact indices + float values, double accumulation
 };
 
-/// Human-readable mode name ("auto", "int64_double", "int32_double",
-/// "int32_mixed").
+/// Human-readable mode name ("auto", "int64_double").
 [[nodiscard]] const char* to_string(StorageMode mode) noexcept;
 
 /// Resolves a storage request against the widest coordinate a policy's
 /// index type must represent (`max_index` = cols() for SPD handles; for
 /// least-squares handles max(rows(), cols()), because the transpose's
 /// column indices are row indices) and the matrix's nonzero count.  kAuto
-/// narrows whenever both fit int32; an explicit narrow request that does
-/// not fit falls back to kInt64Double and reports it through `*fell_back`
-/// (surfaced as ProblemStats::storage_fallbacks).  The nnz guard is
-/// deliberately conservative: the compact row-pointer array physically
-/// stays 64-bit, but a matrix whose nnz overflows int32 is far past the
-/// regime where index narrowing pays, and refusing it keeps every count
-/// derived from the compact copy (row extents, per-partition nnz) safely
-/// inside 32-bit arithmetic.  Exposed separately so both overflow guards
-/// are testable by shape arithmetic alone — exercising the fallback
-/// through a real handle would require materializing a > 2^31-entry
-/// operator.
-[[nodiscard]] StoragePolicy resolve_storage_policy(
-    StorageMode mode, index_t max_index, nnz_t nnz,
-    bool* fell_back = nullptr) noexcept;
+/// narrows whenever both fit int32 and stays full width otherwise.  The
+/// nnz guard is deliberately conservative: the compact row-pointer array
+/// physically stays 64-bit, but a matrix whose nnz overflows int32 is far
+/// past the regime where index narrowing pays, and refusing it keeps every
+/// count derived from the compact copy (row extents, per-partition nnz)
+/// safely inside 32-bit arithmetic.  Exposed separately so both overflow
+/// guards are testable by shape arithmetic alone — exercising them through
+/// a real handle would require materializing a > 2^31-entry operator.
+[[nodiscard]] StoragePolicy resolve_storage_policy(StorageMode mode,
+                                                   index_t max_index,
+                                                   nnz_t nnz) noexcept;
 
 /// Per-call knobs for a prepared handle, deliberately separated from the
 /// per-problem state (matrix, pool, validation policy) bound at handle
@@ -141,7 +133,6 @@ struct SolveControls {
   bool atomic_writes = true; ///< false = racy "non atomic" variant
   SyncMode sync = SyncMode::kFreeRunning;
   RandomizationScope scope = RandomizationScope::kShared;
-  ScanMode scan = ScanMode::kPinned;
   double sync_interval_seconds = 0.05;  ///< kTimedBarrier rendezvous cadence
   bool track_history = false;
   /// Target on the method's convergence metric (relative residual; normal
@@ -190,12 +181,6 @@ struct SolveOutcome {
   int workers = 0;           ///< actual team size used
   double relative_residual = 0.0;  ///< when a tolerance/history was active
   double seconds = 0.0;      ///< iteration-loop wall time
-  ScanMode scan_requested = ScanMode::kPinned;
-  /// Association the kernels actually ran; differs from scan_requested only
-  /// for the block solver at more than four right-hand sides, whose
-  /// column-parallel inner loops run the pinned scan (k <= 4 dispatches the
-  /// reassociated register-resident kernel; see docs/TUNING.md).
-  ScanMode scan_executed = ScanMode::kPinned;
   /// CSR storage policy the kernels actually ran against — the handle's
   /// resolved policy for the asynchronous methods, kInt64Double for the
   /// Krylov outer methods (which always read the bound full-width matrix).
@@ -255,9 +240,6 @@ struct ProblemStats {
   /// Storage policy resolved at preparation (what the asynchronous kernels
   /// run against).
   StoragePolicy storage = StoragePolicy::kInt64Double;
-  /// Explicit narrow-storage requests that overflowed the index width and
-  /// fell back to full storage (0 or 1 per handle; clones inherit it).
-  int storage_fallbacks = 0;
   /// Alias-table build passes paid so far: 1 per lazily cached static
   /// weighted sampler (amortized across solves), plus every residual-policy
   /// build/refresh.  Repeat kWeighted solves must not increase this.
@@ -280,8 +262,8 @@ class SpdProblem {
   /// `check_input` validates symmetry up front — recommended for
   /// user-supplied matrices, skippable for generated/trusted ones.
   /// `storage` selects the CSR policy the asynchronous kernels run against
-  /// (resolve_storage_policy documents the kAuto/fallback rules); a narrow
-  /// policy builds its compact copy here, once, so solves pay none of it.
+  /// (resolve_storage_policy documents the kAuto rules); a narrow policy
+  /// builds its compact copy here, once, so solves pay none of it.
   SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input = true,
              StorageMode storage = StorageMode::kAuto);
 
@@ -307,8 +289,7 @@ class SpdProblem {
 
   /// Block variant: every coordinate update applies to all columns of X
   /// (the paper's 51-right-hand-side experiment).  Asynchronous only
-  /// (method must be kAuto or kAsyncRgs); the block kernel always runs the
-  /// pinned scan — scan_executed reports it.
+  /// (method must be kAuto or kAsyncRgs).
   SolveOutcome solve(const MultiVector& b, MultiVector& x,
                      const SolveControls& controls = {});
 
@@ -359,10 +340,9 @@ class SpdProblem {
 
   ThreadPool& pool_;
   const CsrMatrix& a_;
-  /// Compact copies built at preparation when storage_ narrows; at most one
-  /// is non-null.  shared_ptr so shard clones alias one copy.
+  /// Compact copy built at preparation when storage_ narrows (null
+  /// otherwise).  shared_ptr so shard clones alias one copy.
   std::shared_ptr<const CsrMatrix32> a32_;
-  std::shared_ptr<const CsrMatrixMixed> amixed_;
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
   std::vector<double> inv_diag_;
   /// kWeighted sampler (weights: squared row norms of the bound full-width
@@ -391,8 +371,8 @@ class LsqProblem {
   /// (so several handles — or the convenience free function — against one
   /// matrix construct the transpose a single time).  `storage` narrows both
   /// A and A^T; because the transpose's column indices are row indices,
-  /// narrowing requires max(rows, cols) to fit the index width (kAuto
-  /// checks it, explicit requests fall back — see resolve_storage_policy).
+  /// narrowing requires max(rows, cols) to fit the index width (see
+  /// resolve_storage_policy).
   LsqProblem(ThreadPool& pool, const CsrMatrix& a,
              StorageMode storage = StorageMode::kAuto);
 
@@ -448,12 +428,10 @@ class LsqProblem {
   const CsrMatrix& a_;
   std::shared_ptr<const CsrMatrix> at_holder_;  // cached-transpose mode
   const CsrMatrix* at_;
-  /// Compact copies of (A, A^T) when storage_ narrows; the pair for at most
-  /// one narrow policy is non-null.  shared_ptr so shard clones alias them.
+  /// Compact copies of (A, A^T) when storage_ narrows (both null
+  /// otherwise).  shared_ptr so shard clones alias them.
   std::shared_ptr<const CsrMatrix32> a32_;
   std::shared_ptr<const CsrMatrix32> at32_;
-  std::shared_ptr<const CsrMatrixMixed> amixed_;
-  std::shared_ptr<const CsrMatrixMixed> atmixed_;
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
   std::vector<double> col_sq_;      // ||A_{:,j}||^2 update denominators
   std::vector<double> row_sq_;      // ||A_i||^2 (Kaczmarz sampling weights)

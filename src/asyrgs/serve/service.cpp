@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -467,6 +468,21 @@ SolveTicket SolverService::enqueue(std::shared_ptr<detail::TicketState> state,
   return SolveTicket(std::move(state));
 }
 
+namespace {
+
+/// True when every entry is finite.  Submit rejects NaN or infinite inputs
+/// eagerly: one such entry would poison every iterate it reaches and run
+/// the request's whole budget to a NaN residual.
+bool all_finite(const double* v, std::size_t n) {
+  return std::all_of(v, v + n, [](double e) { return std::isfinite(e); });
+}
+
+bool all_finite(const std::vector<double>& v) {
+  return all_finite(v.data(), v.size());
+}
+
+}  // namespace
+
 SolveTicket SolverService::submit(std::vector<double> b,
                                   SolveControls controls,
                                   RequestOptions request) {
@@ -474,6 +490,7 @@ SolveTicket SolverService::submit(std::vector<double> b,
           "SolverService::submit: service built without prepare_spd");
   require(static_cast<index_t>(b.size()) == impl_->a.rows(),
           "SolverService::submit: rhs size must equal matrix rows");
+  require(all_finite(b), "SolverService::submit: rhs must be finite");
   auto state = std::make_shared<detail::TicketState>();
   state->kind = detail::TicketState::Kind::kSpd;
   state->controls = controls;
@@ -492,6 +509,8 @@ SolveTicket SolverService::submit(std::vector<double> b,
           "SolverService::submit: rhs size must equal matrix rows");
   require(x0.size() == b.size(),
           "SolverService::submit: warm-start x0 size must equal matrix rows");
+  require(all_finite(b) && all_finite(x0),
+          "SolverService::submit: rhs and warm-start x0 must be finite");
   auto state = std::make_shared<detail::TicketState>();
   state->kind = detail::TicketState::Kind::kSpd;
   state->controls = controls;
@@ -507,6 +526,8 @@ SolveTicket SolverService::submit_block(MultiVector b, SolveControls controls,
           "SolverService::submit_block: service built without prepare_spd");
   require(b.rows() == impl_->a.rows() && b.cols() > 0,
           "SolverService::submit_block: rhs rows must equal matrix rows");
+  require(all_finite(b.data(), b.size()),
+          "SolverService::submit_block: rhs must be finite");
   auto state = std::make_shared<detail::TicketState>();
   state->kind = detail::TicketState::Kind::kSpdBlock;
   state->controls = controls;
@@ -523,6 +544,8 @@ SolveTicket SolverService::submit_least_squares(std::vector<double> b,
   require(static_cast<index_t>(b.size()) == impl_->a.rows(),
           "SolverService::submit_least_squares: rhs size must equal matrix "
           "rows");
+  require(all_finite(b),
+          "SolverService::submit_least_squares: rhs must be finite");
   auto state = std::make_shared<detail::TicketState>();
   state->kind = detail::TicketState::Kind::kLsq;
   state->controls = controls;
@@ -544,6 +567,9 @@ SolveTicket SolverService::submit_least_squares(std::vector<double> b,
   require(static_cast<index_t>(x0.size()) == impl_->a.cols(),
           "SolverService::submit_least_squares: warm-start x0 size must "
           "equal matrix columns");
+  require(all_finite(b) && all_finite(x0),
+          "SolverService::submit_least_squares: rhs and warm-start x0 must "
+          "be finite");
   auto state = std::make_shared<detail::TicketState>();
   state->kind = detail::TicketState::Kind::kLsq;
   state->controls = controls;

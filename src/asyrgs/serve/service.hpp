@@ -30,8 +30,8 @@
 // resolves immediately to SolveStatus::kRejected.  A queued request whose
 // RequestOptions::deadline_seconds expires before a shard picks it up is
 // shed the same way and never executes.  Only *malformed* requests (wrong
-// rhs shape, family not prepared) throw from submit(), eagerly, on the
-// caller's thread.
+// rhs shape, non-finite rhs or warm start, family not prepared) throw from
+// submit(), eagerly, on the caller's thread.
 //
 // Warm starts: the submit() overloads taking `x0` start the iteration from
 // a caller-supplied iterate instead of zero — the re-solve pattern where a
@@ -44,8 +44,8 @@
 // and reject/shed counters; ServiceOptions::trace attaches a per-request
 // structured trace sink (serve/metrics.hpp).
 //
-// Determinism: a request with fixed SolveControls (seed, workers, pinned
-// scan) produces a bit-identical result on whichever shard runs it — all
+// Determinism: a request with fixed SolveControls (seed, workers)
+// produces a bit-identical result on whichever shard runs it — all
 // shards hold clones of the same analysis against the same matrix.  Within
 // one priority class requests execute in FIFO order.  NOTE on auto worker
 // sizing: when `workers_per_shard` is 0 the hardware threads are divided

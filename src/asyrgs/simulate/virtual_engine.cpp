@@ -22,7 +22,7 @@ namespace {
 ///   1. For each t in T (schedule order): save the exact bits of
 ///      x[row_t], then subtract delta_t — after the loop the iterate holds
 ///      the stale state x_{K(j)} on every coordinate row r reads.
-///   2. d = kernel.delta(r): the production scan arithmetic (pinned
+///   2. d = kernel.delta(r): the production scan arithmetic (column-order
 ///      association, relaxed-atomic coordinate reads) evaluated against the
 ///      materialized snapshot.
 ///   3. Restore the saved bits in reverse save order — the current iterate
@@ -139,10 +139,10 @@ class VirtualEngine {
     return std::max(acc, 0.0);
   }
 
-  // The production pinned-scan kernel in its racy-write specialization: on a
-  // single thread racy_add is an exact +=, and the pinned scan is the
+  // The production kernel in its racy-write specialization: on a single
+  // thread racy_add is an exact +=, and its column-order scan is the
   // association the bit-reproducibility contract pins.
-  using Kernel = detail::SingleRhsUpdate<false, ScanMode::kPinned>;
+  using Kernel = detail::SingleRhsUpdate<false>;
 
   const CsrMatrix& a_;
   const std::vector<double>& x_star_;

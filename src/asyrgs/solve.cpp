@@ -45,7 +45,6 @@ SpdSolveSummary solve_spd(ThreadPool& pool, const CsrMatrix& a,
   controls.rel_tol = options.rel_tol;
   controls.seed = options.seed;
   controls.workers = options.threads;
-  controls.scan = options.scan;
   controls.inner_sweeps = options.inner_sweeps;
   // AsyRGS runs the paper's occasional-synchronization scheme so the
   // tolerance is actually checked; Krylov methods take the outer cap.

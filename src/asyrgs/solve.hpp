@@ -46,13 +46,6 @@ struct SpdSolveOptions {
   /// matrix's lifetime.  Set false for trusted/generated matrices (or when
   /// that footprint matters).
   bool check_input = true;
-  /// Row-scan FP association for the asynchronous inner iterations (both the
-  /// kAsyncRgs solver and the AsyRGS preconditioner inside kFcgAsyRgs).
-  /// ScanMode::kPinned (default) keeps equal-seed runs bit-identical across
-  /// worker counts; ScanMode::kReassociated opts into the faster
-  /// multi-accumulator/SIMD row scan at the cost of that reproducibility.
-  /// See core/async_rgs.hpp and docs/TUNING.md.
-  ScanMode scan = ScanMode::kPinned;
 };
 
 /// Outcome of solve_spd.

@@ -5,6 +5,5 @@ namespace asyrgs {
 // Anchor one instantiation per supported storage policy (see csr.cpp).
 template class CooBuilderT<std::int64_t, double>;
 template class CooBuilderT<std::int32_t, double>;
-template class CooBuilderT<std::int32_t, float>;
 
 }  // namespace asyrgs

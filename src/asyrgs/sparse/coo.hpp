@@ -6,11 +6,9 @@
 //
 // The builder is parameterized on the same (Index, Value) storage policies
 // as CsrMatrixT and stores triplets directly at the target width — a file
-// loader or generator targeting CsrMatrix32/CsrMatrixMixed never
-// materializes full-width intermediates (the column range is validated once,
-// at add()).  Note that duplicate folding sums in Value precision: for the
-// mixed policy, assembly accumulates in float.  `CooBuilder` remains the
-// full-width alias.
+// loader or generator targeting CsrMatrix32 never materializes full-width
+// intermediates (the column range is validated once, at add()).
+// `CooBuilder` remains the full-width alias.
 #pragma once
 
 #include <algorithm>
@@ -27,8 +25,8 @@ namespace asyrgs {
 template <class Index, class Value>
 class CooBuilderT {
   static_assert(detail::kSupportedStorage<Index, Value>,
-                "CooBuilderT: supported storage policies are <int64,double>, "
-                "<int32,double>, <int32,float>");
+                "CooBuilderT: supported storage policies are <int64,double> "
+                "and <int32,double>");
 
  public:
   /// Creates a builder for a rows x cols matrix.  For narrow-index policies
@@ -36,6 +34,11 @@ class CooBuilderT {
   /// — rows live in row_ptr, which stays nnz_t).
   CooBuilderT(index_t rows, index_t cols) : rows_(rows), cols_(cols) {
     require(rows > 0 && cols > 0, "CooBuilder: dimensions must be positive");
+    // to_csr allocates rows + 1 row pointers; refuse a count no vector can
+    // hold rather than surface std::length_error from deep inside it.
+    require(static_cast<std::size_t>(rows) <
+                std::vector<nnz_t>().max_size(),
+            "CooBuilder: row count exceeds the addressable row-pointer array");
     require(index_width_fits<Index>(cols),
             "CooBuilder: column count exceeds the index width");
   }

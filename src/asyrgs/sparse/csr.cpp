@@ -1,330 +1,11 @@
 #include "asyrgs/sparse/csr.hpp"
 
-#include <cstring>
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define ASYRGS_SCAN_SIMD 1
-#include <immintrin.h>
-#endif
-
 namespace asyrgs {
 
-namespace {
-
-// --- reassociated row-scan kernels -------------------------------------------
-//
-// Same dispatch discipline as the bulk Philox kernels (support/prng.cpp):
-// one widest-available implementation chosen once per process via cached
-// __builtin_cpu_supports, with target attributes so a generic build still
-// carries the AVX paths.  All variants compute the identical mathematical
-// sum; only the rounding order differs (per-variant accumulator count and
-// lane width), which is exactly the license ScanMode::kReassociated grants.
-//
-// One kernel family per storage policy:
-//   int64/double  64-bit-index gathers (one __m512i of indices per 8 lanes)
-//   int32/double  narrow gathers — a single __m256i of int32 indices feeds a
-//                 full 8-double AVX-512 gather, halving index load traffic
-//   int32/float   narrow gathers + half-width value loads widened in
-//                 registers (cvtps_pd) before the double FMA
-//
-// AVX-512 tails: masked 512-bit loads (maskz_loadu_epi64/pd) are plain
-// AVX512F, but masked *256-bit* loads of int32 indices or float values would
-// require AVX512VL — so the narrow-policy tails copy the remainder into
-// zero-padded stack buffers and keep the gather itself masked (no
-// out-of-bounds x reads, no dependence on padded lanes even when x holds
-// non-finite values).
-
-#if defined(ASYRGS_SCAN_SIMD)
-
-/// AVX2 gather + FMA, two 4-lane accumulators (8 products in flight);
-/// int64 indices.
-__attribute__((target("avx2,fma"))) double row_dot_avx2(
-    const std::int64_t* __restrict cols, const double* __restrict vals,
-    nnz_t len, const double* __restrict x) noexcept {
-  __m256d s0 = _mm256_setzero_pd();
-  __m256d s1 = _mm256_setzero_pd();
-  nnz_t t = 0;
-  for (; t + 8 <= len; t += 8) {
-    const __m256i i0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + t));
-    const __m256i i1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + t + 4));
-    s0 = _mm256_fmadd_pd(_mm256_loadu_pd(vals + t),
-                         _mm256_i64gather_pd(x, i0, 8), s0);
-    s1 = _mm256_fmadd_pd(_mm256_loadu_pd(vals + t + 4),
-                         _mm256_i64gather_pd(x, i1, 8), s1);
-  }
-  const __m256d s = _mm256_add_pd(s0, s1);
-  const __m128d lo = _mm256_castpd256_pd128(s);
-  const __m128d hi = _mm256_extractf128_pd(s, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
-  double acc = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; t < len; ++t) acc += vals[t] * x[cols[t]];
-  return acc;
-}
-
-// GCC 12's avx2intrin.h trips -W(maybe-)uninitialized on the i32gather
-// intrinsics' undefined pass-through operand — the same header false
-// positive the AVX-512 block below (and support/prng.cpp) suppresses.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#pragma GCC diagnostic ignored "-Wuninitialized"
-
-/// AVX2 narrow gather, two 4-lane accumulators; int32 indices (a __m128i of
-/// indices per 4-double gather).
-__attribute__((target("avx2,fma"))) double row_dot_avx2_i32(
-    const std::int32_t* __restrict cols, const double* __restrict vals,
-    nnz_t len, const double* __restrict x) noexcept {
-  __m256d s0 = _mm256_setzero_pd();
-  __m256d s1 = _mm256_setzero_pd();
-  nnz_t t = 0;
-  for (; t + 8 <= len; t += 8) {
-    const __m128i i0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + t));
-    const __m128i i1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + t + 4));
-    s0 = _mm256_fmadd_pd(_mm256_loadu_pd(vals + t),
-                         _mm256_i32gather_pd(x, i0, 8), s0);
-    s1 = _mm256_fmadd_pd(_mm256_loadu_pd(vals + t + 4),
-                         _mm256_i32gather_pd(x, i1, 8), s1);
-  }
-  const __m256d s = _mm256_add_pd(s0, s1);
-  const __m128d lo = _mm256_castpd256_pd128(s);
-  const __m128d hi = _mm256_extractf128_pd(s, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
-  double acc = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; t < len; ++t) acc += vals[t] * x[cols[t]];
-  return acc;
-}
-
-/// AVX2 mixed: int32 narrow gather + float values widened with cvtps_pd.
-__attribute__((target("avx2,fma"))) double row_dot_avx2_mixed(
-    const std::int32_t* __restrict cols, const float* __restrict vals,
-    nnz_t len, const double* __restrict x) noexcept {
-  __m256d s0 = _mm256_setzero_pd();
-  __m256d s1 = _mm256_setzero_pd();
-  nnz_t t = 0;
-  for (; t + 8 <= len; t += 8) {
-    const __m128i i0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + t));
-    const __m128i i1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + t + 4));
-    const __m256d v0 = _mm256_cvtps_pd(_mm_loadu_ps(vals + t));
-    const __m256d v1 = _mm256_cvtps_pd(_mm_loadu_ps(vals + t + 4));
-    s0 = _mm256_fmadd_pd(v0, _mm256_i32gather_pd(x, i0, 8), s0);
-    s1 = _mm256_fmadd_pd(v1, _mm256_i32gather_pd(x, i1, 8), s1);
-  }
-  const __m256d s = _mm256_add_pd(s0, s1);
-  const __m128d lo = _mm256_castpd256_pd128(s);
-  const __m128d hi = _mm256_extractf128_pd(s, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
-  double acc = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; t < len; ++t) acc += vals[t] * x[cols[t]];
-  return acc;
-}
-
-// GCC 12's avx512fintrin.h trips -W(maybe-)uninitialized on the unmasked
-// intrinsics' _mm512_undefined_epi32 pass-through operand — the same header
-// false positive support/prng.cpp suppresses around its AVX-512 kernel.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#pragma GCC diagnostic ignored "-Wuninitialized"
-
-/// AVX-512 gather + FMA, two 8-lane accumulators (16 products in flight);
-/// int64 indices.
-__attribute__((target("avx512f"))) double row_dot_avx512(
-    const std::int64_t* __restrict cols, const double* __restrict vals,
-    nnz_t len, const double* __restrict x) noexcept {
-  __m512d s0 = _mm512_setzero_pd();
-  __m512d s1 = _mm512_setzero_pd();
-  nnz_t t = 0;
-  for (; t + 16 <= len; t += 16) {
-    const __m512i i0 = _mm512_loadu_si512(cols + t);
-    const __m512i i1 = _mm512_loadu_si512(cols + t + 8);
-    s0 = _mm512_fmadd_pd(_mm512_loadu_pd(vals + t),
-                         _mm512_i64gather_pd(i0, x, 8), s0);
-    s1 = _mm512_fmadd_pd(_mm512_loadu_pd(vals + t + 8),
-                         _mm512_i64gather_pd(i1, x, 8), s1);
-  }
-  // Mid (one full 8-wide gather) and masked tail both fold into the same
-  // vector accumulator — a single horizontal reduction per row, and medium
-  // rows (17-31 nnz, common in Gram matrices) never leave the vector path.
-  __m512d s = _mm512_add_pd(s0, s1);
-  if (t + 8 <= len) {
-    const __m512i idx = _mm512_loadu_si512(cols + t);
-    s = _mm512_fmadd_pd(_mm512_loadu_pd(vals + t),
-                        _mm512_i64gather_pd(idx, x, 8), s);
-    t += 8;
-  }
-  if (t < len) {
-    const __mmask8 m = static_cast<__mmask8>((1u << (len - t)) - 1u);
-    const __m512i idx = _mm512_maskz_loadu_epi64(m, cols + t);
-    const __m512d v = _mm512_maskz_loadu_pd(m, vals + t);
-    const __m512d g = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), m, idx,
-                                               x, 8);
-    s = _mm512_fmadd_pd(v, g, s);
-  }
-  return _mm512_reduce_add_pd(s);
-}
-
-/// AVX-512 narrow gather, two 8-lane accumulators; int32 indices — one
-/// __m256i index load per full 8-double gather, half the index bytes of the
-/// int64 kernel.  Tail indices go through a zero-padded stack buffer (a
-/// masked 256-bit index load would need AVX512VL); the gather stays masked.
-__attribute__((target("avx512f"))) double row_dot_avx512_i32(
-    const std::int32_t* __restrict cols, const double* __restrict vals,
-    nnz_t len, const double* __restrict x) noexcept {
-  __m512d s0 = _mm512_setzero_pd();
-  __m512d s1 = _mm512_setzero_pd();
-  nnz_t t = 0;
-  for (; t + 16 <= len; t += 16) {
-    const __m256i i0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + t));
-    const __m256i i1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + t + 8));
-    s0 = _mm512_fmadd_pd(_mm512_loadu_pd(vals + t),
-                         _mm512_i32gather_pd(i0, x, 8), s0);
-    s1 = _mm512_fmadd_pd(_mm512_loadu_pd(vals + t + 8),
-                         _mm512_i32gather_pd(i1, x, 8), s1);
-  }
-  __m512d s = _mm512_add_pd(s0, s1);
-  if (t + 8 <= len) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + t));
-    s = _mm512_fmadd_pd(_mm512_loadu_pd(vals + t),
-                        _mm512_i32gather_pd(idx, x, 8), s);
-    t += 8;
-  }
-  if (t < len) {
-    const __mmask8 m = static_cast<__mmask8>((1u << (len - t)) - 1u);
-    alignas(32) std::int32_t ibuf[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::memcpy(ibuf, cols + t, static_cast<std::size_t>(len - t) *
-                                    sizeof(std::int32_t));
-    const __m256i idx =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(ibuf));
-    const __m512d v = _mm512_maskz_loadu_pd(m, vals + t);
-    const __m512d g = _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx,
-                                               x, 8);
-    s = _mm512_fmadd_pd(v, g, s);
-  }
-  return _mm512_reduce_add_pd(s);
-}
-
-/// AVX-512 mixed: int32 narrow gather + 8 float values per lane-set widened
-/// with cvtps_pd — half the index bytes AND half the value bytes of the
-/// full-width kernel.  Tail uses zero-padded stack buffers for indices and
-/// values (masked 256-bit loads would need AVX512VL); padded value lanes are
-/// 0 and the gather is masked, so padding never contributes.
-__attribute__((target("avx512f"))) double row_dot_avx512_mixed(
-    const std::int32_t* __restrict cols, const float* __restrict vals,
-    nnz_t len, const double* __restrict x) noexcept {
-  __m512d s0 = _mm512_setzero_pd();
-  __m512d s1 = _mm512_setzero_pd();
-  nnz_t t = 0;
-  for (; t + 16 <= len; t += 16) {
-    const __m256i i0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + t));
-    const __m256i i1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + t + 8));
-    const __m512d v0 = _mm512_cvtps_pd(_mm256_loadu_ps(vals + t));
-    const __m512d v1 = _mm512_cvtps_pd(_mm256_loadu_ps(vals + t + 8));
-    s0 = _mm512_fmadd_pd(v0, _mm512_i32gather_pd(i0, x, 8), s0);
-    s1 = _mm512_fmadd_pd(v1, _mm512_i32gather_pd(i1, x, 8), s1);
-  }
-  __m512d s = _mm512_add_pd(s0, s1);
-  if (t + 8 <= len) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + t));
-    const __m512d v = _mm512_cvtps_pd(_mm256_loadu_ps(vals + t));
-    s = _mm512_fmadd_pd(v, _mm512_i32gather_pd(idx, x, 8), s);
-    t += 8;
-  }
-  if (t < len) {
-    const __mmask8 m = static_cast<__mmask8>((1u << (len - t)) - 1u);
-    alignas(32) std::int32_t ibuf[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    alignas(32) float vbuf[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::memcpy(ibuf, cols + t, static_cast<std::size_t>(len - t) *
-                                    sizeof(std::int32_t));
-    std::memcpy(vbuf, vals + t,
-                static_cast<std::size_t>(len - t) * sizeof(float));
-    const __m256i idx =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(ibuf));
-    const __m512d v = _mm512_cvtps_pd(_mm256_load_ps(vbuf));
-    const __m512d g = _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx,
-                                               x, 8);
-    s = _mm512_fmadd_pd(v, g, s);
-  }
-  return _mm512_reduce_add_pd(s);
-}
-
-#pragma GCC diagnostic pop
-
-#endif  // ASYRGS_SCAN_SIMD
-
-template <class Index, class Value>
-using RowDotFn = double (*)(const Index* __restrict, const Value* __restrict,
-                            nnz_t, const double* __restrict) noexcept;
-
-/// Widest available long-row kernel per policy, resolved once at load time
-/// into a namespace-scope pointer — the per-row call is one predicted
-/// indirect branch, with no function-local-static guard on the hot path.
-RowDotFn<std::int64_t, double> pick_row_dot_reassoc_64d() noexcept {
-#if defined(ASYRGS_SCAN_SIMD)
-  if (__builtin_cpu_supports("avx512f")) return row_dot_avx512;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return row_dot_avx2;
-#endif
-  return csr_row_dot_multiacc<std::int64_t, double>;  // shared def in csr.hpp
-}
-
-RowDotFn<std::int32_t, double> pick_row_dot_reassoc_32d() noexcept {
-#if defined(ASYRGS_SCAN_SIMD)
-  if (__builtin_cpu_supports("avx512f")) return row_dot_avx512_i32;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return row_dot_avx2_i32;
-#endif
-  return csr_row_dot_multiacc<std::int32_t, double>;
-}
-
-RowDotFn<std::int32_t, float> pick_row_dot_reassoc_32f() noexcept {
-#if defined(ASYRGS_SCAN_SIMD)
-  if (__builtin_cpu_supports("avx512f")) return row_dot_avx512_mixed;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return row_dot_avx2_mixed;
-#endif
-  return csr_row_dot_multiacc<std::int32_t, float>;
-}
-
-const RowDotFn<std::int64_t, double> g_row_dot_reassoc_long_64d =
-    pick_row_dot_reassoc_64d();
-const RowDotFn<std::int32_t, double> g_row_dot_reassoc_long_32d =
-    pick_row_dot_reassoc_32d();
-const RowDotFn<std::int32_t, float> g_row_dot_reassoc_long_32f =
-    pick_row_dot_reassoc_32f();
-
-}  // namespace
-
-double csr_row_dot_reassoc_long(const std::int64_t* cols, const double* vals,
-                                nnz_t len, const double* x) noexcept {
-  return g_row_dot_reassoc_long_64d(cols, vals, len, x);
-}
-
-double csr_row_dot_reassoc_long(const std::int32_t* cols, const double* vals,
-                                nnz_t len, const double* x) noexcept {
-  return g_row_dot_reassoc_long_32d(cols, vals, len, x);
-}
-
-double csr_row_dot_reassoc_long(const std::int32_t* cols, const float* vals,
-                                nnz_t len, const double* x) noexcept {
-  return g_row_dot_reassoc_long_32f(cols, vals, len, x);
-}
-
 // Anchor one instantiation of each supported policy in this TU so policy-set
-// regressions (a kernel overload missing, a member that fails to compile for
-// a narrow width) surface here instead of in whichever consumer first
-// touches the variant.
+// regressions (a member that fails to compile for the narrow width) surface
+// here instead of in whichever consumer first touches the variant.
 template class CsrMatrixT<std::int64_t, double>;
 template class CsrMatrixT<std::int32_t, double>;
-template class CsrMatrixT<std::int32_t, float>;
 
 }  // namespace asyrgs

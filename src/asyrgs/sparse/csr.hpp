@@ -1,28 +1,21 @@
-// Immutable compressed-sparse-row matrix, parameterized on storage policy.
+// Immutable compressed-sparse-row matrix, parameterized on index width.
 //
 // This is the single matrix representation used by all solvers.  Column
 // indices within each row are sorted, which the randomized solvers rely on
 // for cache-friendly row scans and O(log nnz(row)) entry lookup.
 //
 // Storage policy: `CsrMatrixT<Index, Value>` selects the width of the stored
-// column indices and values.  Three policies are supported (anything else is
-// rejected at compile time):
+// column indices.  Two policies are supported (anything else is rejected at
+// compile time); values are always double:
 //
 //   CsrMatrix       = CsrMatrixT<int64, double>  full-width (the historical
 //                                                layout; source-compatible)
 //   CsrMatrix32     = CsrMatrixT<int32, double>  compact indices
-//   CsrMatrixMixed  = CsrMatrixT<int32, float>   compact indices + values
 //
-// Only the *stored* arrays narrow: dimensions stay index_t, row pointers stay
-// nnz_t, and every kernel accumulates in double regardless of Value — so the
-// narrow policies change memory traffic, never the accumulation precision.
-// For int32/double the pinned-scan arithmetic is bit-identical to the
-// full-width layout (same doubles, same association); int32/mixed rounds each
-// stored value once to float and is therefore an accuracy trade the caller
-// opts into (see docs/DESIGN.md).  The paper's convergence theory is
-// indifferent to the index width; mixed precision perturbs the operator by
-// at most one float ulp per entry, which the bounds absorb as a conditioning
-// change, not a correctness loss.
+// Only the *stored* column indices narrow: dimensions stay index_t and row
+// pointers stay nnz_t.  The int32 arithmetic is bit-identical to the
+// full-width layout (same doubles, same association), and the paper's
+// convergence theory is indifferent to the index width.
 #pragma once
 
 #include <algorithm>
@@ -43,24 +36,21 @@ namespace asyrgs {
 // Storage policy
 // ---------------------------------------------------------------------------
 
-/// The three supported (Index, Value) storage layouts, as a runtime tag —
+/// The two supported (Index, Value) storage layouts, as a runtime tag —
 /// what prepared handles record and the bench/trace layers report.
 enum class StoragePolicy {
   kInt64Double,  ///< int64 indices, double values (full width)
-  kInt32Double,  ///< int32 indices, double values (bit-identical pinned math)
-  kInt32Mixed,   ///< int32 indices, float values, double accumulation
+  kInt32Double,  ///< int32 indices, double values (bit-identical math)
 };
 
-/// Stable machine-readable policy name ("int64_double", "int32_double",
-/// "int32_mixed") — used verbatim in bench JSON and trace events.
+/// Stable machine-readable policy name ("int64_double", "int32_double") —
+/// used verbatim in bench JSON and trace events.
 [[nodiscard]] constexpr const char* to_string(StoragePolicy policy) noexcept {
   switch (policy) {
     case StoragePolicy::kInt64Double:
       return "int64_double";
     case StoragePolicy::kInt32Double:
       return "int32_double";
-    case StoragePolicy::kInt32Mixed:
-      return "int32_mixed";
   }
   return "?";
 }
@@ -69,21 +59,19 @@ namespace detail {
 
 template <class Index, class Value>
 inline constexpr bool kSupportedStorage =
-    (std::is_same_v<Index, std::int64_t> && std::is_same_v<Value, double>) ||
-    (std::is_same_v<Index, std::int32_t> && std::is_same_v<Value, double>) ||
-    (std::is_same_v<Index, std::int32_t> && std::is_same_v<Value, float>);
+    (std::is_same_v<Index, std::int64_t> ||
+     std::is_same_v<Index, std::int32_t>) &&
+    std::is_same_v<Value, double>;
 
 template <class Index, class Value>
 [[nodiscard]] constexpr StoragePolicy storage_policy_of() noexcept {
   static_assert(kSupportedStorage<Index, Value>,
-                "CsrMatrixT: supported storage policies are <int64,double>, "
-                "<int32,double>, <int32,float>");
+                "CsrMatrixT: supported storage policies are <int64,double> "
+                "and <int32,double>");
   if constexpr (std::is_same_v<Index, std::int64_t>)
     return StoragePolicy::kInt64Double;
-  else if constexpr (std::is_same_v<Value, double>)
-    return StoragePolicy::kInt32Double;
   else
-    return StoragePolicy::kInt32Mixed;
+    return StoragePolicy::kInt32Double;
 }
 
 /// Re-installation guard for transpose-cache slots stolen by a move; shared
@@ -114,16 +102,13 @@ template <class Index>
 // can keep the row pointers in registers and schedule the loads freely.
 // They are shared by the sequential solvers (rgs, rcd_lsq), SpMV, and the
 // benches; the asynchronous kernels use their own variants with
-// relaxed-atomic reads of the shared iterate.
-//
-// All kernels are templated over the stored (Index, Value) pair and
-// accumulate in double: a float value promotes at the multiply, so mixed
-// storage narrows the memory stream, not the arithmetic.
+// relaxed-atomic reads of the shared iterate.  Both are templated over the
+// stored index width only: every policy stores double values.
 
 /// Sum of vals[t] * x[cols[t]] over one row (SpMV / dot building block).
-template <class Index, class Value>
+template <class Index>
 [[nodiscard]] inline double csr_row_dot(const Index* __restrict cols,
-                                        const Value* __restrict vals,
+                                        const double* __restrict vals,
                                         nnz_t len,
                                         const double* __restrict x) noexcept {
   double acc = 0.0;
@@ -135,104 +120,17 @@ template <class Index, class Value>
 /// canonical Gauss-Seidel association (`acc = b_r`, then acc -= A_rj x_j in
 /// column order) that every solver shares so equal-seed runs agree bit for
 /// bit (per storage policy; int32/double reproduces int64/double exactly).
-template <class Index, class Value>
+template <class Index>
 [[nodiscard]] inline double csr_row_sub_dot(
-    double acc, const Index* __restrict cols, const Value* __restrict vals,
+    double acc, const Index* __restrict cols, const double* __restrict vals,
     nnz_t len, const double* __restrict x) noexcept {
   for (nnz_t t = 0; t < len; ++t) acc -= vals[t] * x[cols[t]];
   return acc;
 }
 
-// --- reassociated ("fast math") row scans ------------------------------------
-//
-// The pinned kernels above evaluate the row scan as one serial
-// subtraction/addition chain, which is what makes equal-seed runs bit-exact
-// across worker counts — and what caps the scan-bound regime at one FP
-// operation per dependency-chain latency.  The *_reassoc variants below drop
-// the association guarantee: they split the scan over multiple independent
-// accumulators (and gather/FMA SIMD lanes where the CPU has AVX-512/AVX2;
-// runtime-dispatched with an unrolled multi-accumulator scalar fallback) and
-// reduce at the end.  The result is the same mathematical sum under a
-// different (unspecified, width-dependent) rounding order.
-//
-// Convergence theory is indifferent to the association — the paper's
-// bounds (and AsyRK's, arXiv:1401.4780) assume only bounded staleness of the
-// values read, never a particular reduction order — so the asynchronous
-// solvers expose these kernels behind the opt-in ScanMode::kReassociated
-// (see core/async_rgs.hpp); the default solve path never calls them.
-//
-// Thread-safety contract: `x` may be a concurrently-updated shared iterate.
-// These kernels read it with plain (vector) loads rather than the pinned
-// path's relaxed-atomic loads; on every supported target a naturally aligned
-// 8-byte load cannot tear, which is all the convergence model requires
-// (each read observes some previously stored value).  See docs/API.md.
-//
-// Per-policy SIMD encodings (sparse/csr.cpp): int64 indices use the
-// 64-bit-index gathers; int32 indices use the narrow gathers, which address
-// twice the lanes per index vector (one __m256i feeds a full 8-double
-// AVX-512 gather); float values load at half the bytes and widen in
-// registers (cvtps_pd) before the double FMA.
-
-/// Long-row reassociated kernel (len >= 16): SIMD gather/FMA lanes,
-/// runtime-dispatched AVX-512 / AVX2 / unrolled scalar, one overload per
-/// storage policy.  Implementation detail of csr_row_dot_reassoc — call
-/// that instead.
-[[nodiscard]] double csr_row_dot_reassoc_long(const std::int64_t* cols,
-                                              const double* vals, nnz_t len,
-                                              const double* x) noexcept;
-[[nodiscard]] double csr_row_dot_reassoc_long(const std::int32_t* cols,
-                                              const double* vals, nnz_t len,
-                                              const double* x) noexcept;
-[[nodiscard]] double csr_row_dot_reassoc_long(const std::int32_t* cols,
-                                              const float* vals, nnz_t len,
-                                              const double* x) noexcept;
-
-/// Four-accumulator scalar scan: splitting the add chain pipelines the FP
-/// adder without SIMD gather setup.  Single definition shared by the
-/// short-row path of csr_row_dot_reassoc below and the no-SIMD long-row
-/// fallback in sparse/csr.cpp, so the two cannot drift apart.
-template <class Index, class Value>
-[[nodiscard]] inline double csr_row_dot_multiacc(
-    const Index* __restrict cols, const Value* __restrict vals, nnz_t len,
-    const double* __restrict x) noexcept {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  nnz_t t = 0;
-  for (; t + 4 <= len; t += 4) {
-    s0 += vals[t] * x[cols[t]];
-    s1 += vals[t + 1] * x[cols[t + 1]];
-    s2 += vals[t + 2] * x[cols[t + 2]];
-    s3 += vals[t + 3] * x[cols[t + 3]];
-  }
-  for (; t < len; ++t) s0 += vals[t] * x[cols[t]];
-  return (s0 + s1) + (s2 + s3);
-}
-
-/// Reassociated sum of vals[t] * x[cols[t]]: multiple accumulators / SIMD
-/// gathers, runtime-dispatched.  Same sum as csr_row_dot up to rounding.
-/// The short-row path is inline — rows under the SIMD threshold pay no
-/// out-of-line call (gather setup never recoups itself there), keeping
-/// reassociated mode close to pinned on short-row (engine-bound) matrices.
-template <class Index, class Value>
-[[nodiscard]] inline double csr_row_dot_reassoc(
-    const Index* __restrict cols, const Value* __restrict vals, nnz_t len,
-    const double* __restrict x) noexcept {
-  if (len >= 16) return csr_row_dot_reassoc_long(cols, vals, len, x);
-  return csr_row_dot_multiacc(cols, vals, len, x);
-}
-
-/// acc - (reassociated row/vector product).  Same value as csr_row_sub_dot
-/// up to rounding; the subtraction of the reduced product from `acc` is the
-/// single final rounding step.
-template <class Index, class Value>
-[[nodiscard]] inline double csr_row_sub_dot_reassoc(
-    double acc, const Index* cols, const Value* vals, nnz_t len,
-    const double* x) noexcept {
-  return acc - csr_row_dot_reassoc(cols, vals, len, x);
-}
-
 /// Sparse rows x cols matrix in CSR format with sorted column indices,
-/// parameterized on the stored index/value widths (see the header comment
-/// for the three supported policies and their aliases).
+/// parameterized on the stored index width (see the header comment for the
+/// two supported policies and their aliases).
 ///
 /// Thread-safety: immutable after construction — every member below is
 /// const and allocation-free, so one matrix may be shared by any number
@@ -240,8 +138,8 @@ template <class Index, class Value>
 template <class Index, class Value>
 class CsrMatrixT {
   static_assert(detail::kSupportedStorage<Index, Value>,
-                "CsrMatrixT: supported storage policies are <int64,double>, "
-                "<int32,double>, <int32,float>");
+                "CsrMatrixT: supported storage policies are <int64,double> "
+                "and <int32,double>");
 
  public:
   using index_type = Index;
@@ -255,8 +153,10 @@ class CsrMatrixT {
   CsrMatrixT() : transpose_cache_(std::make_shared<TransposeCache>()) {}
 
   /// Takes ownership of pre-built CSR arrays.  Validates monotone row
-  /// pointers, in-range sorted column indices, and array sizes; throws
-  /// asyrgs::Error on malformed input.
+  /// pointers, in-range sorted column indices, finite values, and array
+  /// sizes; throws asyrgs::Error on malformed input.  Every loaded,
+  /// generated, assembled, transposed or narrowed matrix passes through
+  /// here, so no solver ever sees a NaN or infinite entry.
   CsrMatrixT(index_t rows, index_t cols, std::vector<nnz_t> row_ptr,
              std::vector<Index> col_idx, std::vector<Value> values)
       : rows_(rows),
@@ -282,6 +182,8 @@ class CsrMatrixT {
         if (t > row_ptr_[i])
           require(col_idx_[t - 1] < col_idx_[t],
                   "CsrMatrix: columns must be strictly increasing in each row");
+        require(std::isfinite(values_[t]),
+                "CsrMatrix: values must be finite (NaN or infinity found)");
       }
     }
   }
@@ -317,7 +219,7 @@ class CsrMatrixT {
   }
 
   /// A(i, j), zero when the entry is not stored (binary search over the
-  /// sorted row).  Returned as double for every policy.
+  /// sorted row).
   [[nodiscard]] double at(index_t i, index_t j) const {
     require(i >= 0 && i < rows_ && j >= 0 && j < cols_,
             "CsrMatrix::at: index out of range");
@@ -325,7 +227,7 @@ class CsrMatrixT {
     const auto it = std::lower_bound(cols.begin(), cols.end(),
                                      static_cast<Index>(j));
     if (it == cols.end() || *it != static_cast<Index>(j)) return 0.0;
-    return static_cast<double>(values_[row_ptr_[i] + (it - cols.begin())]);
+    return values_[row_ptr_[i] + (it - cols.begin())];
   }
 
   /// Dot product of row i with dense vector x (serial building block of both
@@ -430,9 +332,7 @@ class CsrMatrixT {
     if (rows_ != other.rows_ || cols_ != other.cols_) return false;
     if (row_ptr_ != other.row_ptr_ || col_idx_ != other.col_idx_) return false;
     for (std::size_t t = 0; t < values_.size(); ++t)
-      if (std::abs(static_cast<double>(values_[t]) -
-                   static_cast<double>(other.values_[t])) > tol)
-        return false;
+      if (std::abs(values_[t] - other.values_[t]) > tol) return false;
     return true;
   }
 
@@ -463,18 +363,13 @@ class CsrMatrixT {
 /// Full-width storage: the historical layout and the source-compatible
 /// default everywhere a bare `CsrMatrix` is named.
 using CsrMatrix = CsrMatrixT<std::int64_t, double>;
-/// Compact indices, full-precision values.  Pinned-scan solves on this
-/// policy are bit-identical to CsrMatrix (same doubles, same association).
+/// Compact indices, the same double values.  Solves on this policy are
+/// bit-identical to CsrMatrix (same doubles, same association).
 using CsrMatrix32 = CsrMatrixT<std::int32_t, double>;
-/// Compact indices and float values; every kernel still accumulates in
-/// double.  Opt-in accuracy trade — see docs/TUNING.md.
-using CsrMatrixMixed = CsrMatrixT<std::int32_t, float>;
 
-/// Rebuilds `a` under another storage policy.  Values are converted with a
-/// single rounding (double -> float for the mixed target); indices must fit
-/// the target width — throws asyrgs::Error when cols() exceeds it (the
-/// overflow guard the prepared handles rely on for their automatic
-/// narrowing).
+/// Rebuilds `a` under another storage policy.  Indices must fit the target
+/// width — throws asyrgs::Error when cols() exceeds it (the overflow guard
+/// the prepared handles rely on for their automatic narrowing).
 template <class ToIndex, class ToValue, class FromIndex, class FromValue>
 [[nodiscard]] CsrMatrixT<ToIndex, ToValue> convert_storage(
     const CsrMatrixT<FromIndex, FromValue>& a) {

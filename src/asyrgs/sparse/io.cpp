@@ -18,6 +18,10 @@ std::string lower(std::string s) {
   return s;
 }
 
+/// Most triplets reserved before any entry line is read (see
+/// read_matrix_market_as).
+constexpr nnz_t kMaxReservedEntries = nnz_t{1} << 16;
+
 /// Reads the next line that is neither empty nor a '%' comment.
 bool next_content_line(std::istream& in, std::string& line) {
   while (std::getline(in, line)) {
@@ -58,14 +62,24 @@ CsrMatrixT<Index, Value> read_matrix_market_as(std::istream& in) {
   require(!ss.fail(), "matrix market: malformed size line");
   require(rows > 0 && cols > 0 && entries >= 0,
           "matrix market: invalid dimensions");
+  // A coordinate file lists each position at most once, so more entries
+  // than rows * cols is malformed.  A product that overflows nnz_t bounds
+  // nothing.
+  nnz_t positions = 0;
+  require(__builtin_mul_overflow(rows, cols, &positions) ||
+              entries <= positions,
+          "matrix market: declared entry count exceeds rows * cols");
 
   // The builder stores triplets at the target (Index, Value) width from the
   // first entry and validates the column range once here — no full-width
   // intermediate pass.  The builder constructor is the overflow guard: a
   // declared column count beyond the index width throws before any entry is
-  // read.
+  // read.  The up-front reservation is capped, so a size line alone never
+  // asks for more memory than its entry lines then supply; larger files
+  // grow the builder geometrically as entries arrive.
   CooBuilderT<Index, Value> builder(rows, cols);
-  builder.reserve(static_cast<std::size_t>(symmetric ? 2 * entries : entries));
+  const nnz_t reserved = std::min(entries, kMaxReservedEntries);
+  builder.reserve(static_cast<std::size_t>(symmetric ? 2 * reserved : reserved));
   for (nnz_t t = 0; t < entries; ++t) {
     require(next_content_line(in, line),
             "matrix market: fewer entries than declared");
@@ -123,7 +137,7 @@ void write_matrix_market_file(const std::string& path,
   write_matrix_market(out, a);
 }
 
-// Instantiate the policy-aware entry points for the three supported policies.
+// Instantiate the policy-aware entry points for the two supported policies.
 #define ASYRGS_INSTANTIATE_IO(Index, Value)                                   \
   template CsrMatrixT<Index, Value> read_matrix_market_as<Index, Value>(      \
       std::istream&);                                                         \
@@ -136,7 +150,6 @@ void write_matrix_market_file(const std::string& path,
 
 ASYRGS_INSTANTIATE_IO(std::int64_t, double)
 ASYRGS_INSTANTIATE_IO(std::int32_t, double)
-ASYRGS_INSTANTIATE_IO(std::int32_t, float)
 
 #undef ASYRGS_INSTANTIATE_IO
 

@@ -8,8 +8,8 @@
 // Loading is storage-policy-aware: read_matrix_market_as<Index, Value>
 // parses straight into a builder of the target width — triplets are stored
 // as (Index, Value) from the first entry, with the column range validated
-// once at load — so reading a CsrMatrix32/CsrMatrixMixed never materializes
-// full-width intermediates.  The unsuffixed functions keep their historical
+// once at load — so reading a CsrMatrix32 never materializes full-width
+// intermediates.  The unsuffixed functions keep their historical
 // full-width signatures.
 #pragma once
 
@@ -23,9 +23,10 @@ namespace asyrgs {
 
 /// Reads a Matrix Market coordinate file into CSR at the requested storage
 /// width.  Symmetric files are expanded to full storage.  Throws
-/// asyrgs::Error on malformed input, or when the declared column count
-/// exceeds the index width.  (Definitions in io.cpp, instantiated for the
-/// three supported policies.)
+/// asyrgs::Error on malformed input — including a declared entry count
+/// above rows * cols, and non-finite values — or when the declared column
+/// count exceeds the index width.  (Definitions in io.cpp, instantiated for
+/// the two supported policies.)
 template <class Index, class Value>
 [[nodiscard]] CsrMatrixT<Index, Value> read_matrix_market_as(std::istream& in);
 template <class Index, class Value>
@@ -37,8 +38,7 @@ template <class Index, class Value>
 [[nodiscard]] CsrMatrix read_matrix_market_file(const std::string& path);
 
 /// Writes CSR in `matrix coordinate real general` format (any storage
-/// policy; values print through double with full round-trip precision —
-/// float values re-read bit-exactly under any policy).
+/// policy; values print with full round-trip precision).
 template <class Index, class Value>
 void write_matrix_market(std::ostream& out, const CsrMatrixT<Index, Value>& a);
 template <class Index, class Value>

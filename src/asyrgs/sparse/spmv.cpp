@@ -129,7 +129,7 @@ void block_residual(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
       workers);
 }
 
-// Instantiate every entry point for the three supported storage policies
+// Instantiate every entry point for the two supported storage policies
 // (consumers see only the declarations in spmv.hpp).
 #define ASYRGS_INSTANTIATE_SPMV(Index, Value)                                  \
   template void spmv<Index, Value>(ThreadPool&,                                \
@@ -147,7 +147,6 @@ void block_residual(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
 
 ASYRGS_INSTANTIATE_SPMV(std::int64_t, double)
 ASYRGS_INSTANTIATE_SPMV(std::int32_t, double)
-ASYRGS_INSTANTIATE_SPMV(std::int32_t, float)
 
 #undef ASYRGS_INSTANTIATE_SPMV
 

@@ -11,8 +11,7 @@
 //  * kDynamic     - work-stealing chunks; robust default for skewed rows.
 //
 // Every entry point is templated over the CSR storage policy (definitions in
-// spmv.cpp, instantiated for the three supported policies); dense operands
-// stay double for every policy.
+// spmv.cpp, instantiated for the two supported policies).
 #pragma once
 
 #include "asyrgs/linalg/multivector.hpp"

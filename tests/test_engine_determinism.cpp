@@ -11,9 +11,11 @@
 //  (c) the templated atomic/racy kernels produce bit-identical
 //      single-worker results vs. the sequential reference (the old path's
 //      observable contract).
+//  Plus the oversubscription heuristic for team-parallel residuals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -329,6 +331,62 @@ TEST(KernelBitExactness, BlockSingleWorkerEqualsSequentialBlock) {
   for (index_t i = 0; i < a.rows(); ++i)
     for (index_t c = 0; c < 3; ++c)
       ASSERT_EQ(x_seq.at(i, c), x_async.at(i, c)) << i << "," << c;
+}
+
+// --- team-residual oversubscription heuristic --------------------------------
+
+TEST(TeamResidualHeuristic, SerialOnlyWhenOversubscribed) {
+  // Parallel residual whenever the host can actually schedule the team...
+  EXPECT_TRUE(detail::team_residual_profitable(4, 4));
+  EXPECT_TRUE(detail::team_residual_profitable(4, 8));
+  EXPECT_TRUE(detail::team_residual_profitable(2, 2));
+  // ...or the hardware count is unknown (0), or the team is trivial.
+  EXPECT_TRUE(detail::team_residual_profitable(4, 0));
+  EXPECT_TRUE(detail::team_residual_profitable(1, 1));
+  EXPECT_TRUE(detail::team_residual_profitable(0, 1));
+  // Serial fallback exactly when workers outnumber hardware threads.
+  EXPECT_FALSE(detail::team_residual_profitable(2, 1));
+  EXPECT_FALSE(detail::team_residual_profitable(4, 1));
+  EXPECT_FALSE(detail::team_residual_profitable(8, 4));
+}
+
+TEST(TeamResidualHeuristic, ResidualValuesAgreeAcrossWorkerCounts) {
+  // Whichever path the host selects, the reported residual must match the
+  // serial ground truth to reduction-rounding accuracy.  (On 1-hardware-
+  // thread CI this exercises the serial fallback; on multicore hosts the
+  // team-parallel reduction.)
+  ThreadPool pool(4);
+  const CsrMatrix a = laplacian_2d(10, 10);
+  const std::vector<double> x_star = random_vector(a.rows(), 6);
+  const std::vector<double> b = rhs_from_solution(a, x_star);
+  double residual_1 = -1.0;
+  for (int workers : {1, 4}) {
+    std::vector<double> x(a.rows(), 0.0);
+    AsyncRgsOptions opt;
+    opt.sweeps = 25;
+    opt.seed = 77;
+    opt.workers = workers;
+    opt.sync = SyncMode::kBarrierPerSweep;
+    opt.track_history = true;
+    const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
+    ASSERT_EQ(rep.residual_history.size(),
+              static_cast<std::size_t>(rep.sweeps_done));
+    // Different worker counts interleave updates differently, so compare
+    // each report against its own iterate, not across runs.
+    std::vector<double> r(a.rows());
+    a.multiply(x.data(), r.data());
+    double num = 0.0, den = 0.0;
+    for (index_t i = 0; i < a.rows(); ++i) {
+      const double ri = b[i] - r[i];
+      num += ri * ri;
+      den += b[i] * b[i];
+    }
+    const double expect = std::sqrt(num) / std::sqrt(den);
+    EXPECT_NEAR(rep.final_relative_residual, expect, 1e-12 + 1e-9 * expect)
+        << "workers=" << workers;
+    if (workers == 1) residual_1 = rep.final_relative_residual;
+  }
+  EXPECT_GE(residual_1, 0.0);
 }
 
 }  // namespace

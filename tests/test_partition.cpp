@@ -454,7 +454,6 @@ TEST(LaplacianOverflow, TwoDGridProductThrowsAtAllWidths) {
   const index_t big = index_t{1} << 32;  // big * big wraps int64 to 0
   EXPECT_THROW((void)(laplacian_2d_as<std::int64_t, double>(big, big)), Error);
   EXPECT_THROW((void)(laplacian_2d_as<std::int32_t, double>(big, big)), Error);
-  EXPECT_THROW((void)(laplacian_2d_as<std::int32_t, float>(big, big)), Error);
   EXPECT_THROW((void)laplacian_2d(big, big), Error);
 }
 
@@ -463,8 +462,6 @@ TEST(LaplacianOverflow, ThreeDGridProductThrowsAtAllWidths) {
   EXPECT_THROW((void)(laplacian_3d_as<std::int64_t, double>(big, big, big)),
                Error);
   EXPECT_THROW((void)(laplacian_3d_as<std::int32_t, double>(big, big, big)),
-               Error);
-  EXPECT_THROW((void)(laplacian_3d_as<std::int32_t, float>(big, big, big)),
                Error);
   EXPECT_THROW((void)laplacian_3d(big, big, big), Error);
 }

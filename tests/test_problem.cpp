@@ -1,6 +1,6 @@
 // Prepared-solver handle suite (PR 4): SpdProblem / LsqProblem pay matrix
 // analysis once and solve many times, with results bit-identical to the
-// one-shot free functions under the pinned scan at equal seed.
+// one-shot free functions at equal seed.
 //
 //  (a) Handle solves equal the free functions bit for bit: at 1 worker in
 //      the shared scope for all three sync modes, and at 1/2/4 workers for
@@ -12,9 +12,8 @@
 //      once per problem (not per solve), the LSQ transpose is built once
 //      and shared through the CsrMatrix cache, and a repeat solve performs
 //      no new scratch allocations.
-//  (c) The unified SolveOutcome: status semantics, the block solver's
-//      pinned-scan downgrade surfaced in scan_executed / the report, and
-//      the thread-safety contract (concurrent solve() on distinct x).
+//  (c) The unified SolveOutcome: status semantics and the thread-safety
+//      contract (concurrent solve() on distinct x).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -321,63 +320,6 @@ TEST(SolveOutcomeStatus, ConvergedToleranceMissedAndBudgetCompleted) {
   out = problem.solve(b, x, controls);
   EXPECT_EQ(out.status, SolveStatus::kBudgetCompleted);
   EXPECT_EQ(std::string(to_string(out.status)), "budget-completed");
-}
-
-TEST(BlockScanMode, SmallBlocksHonourReassociatedWiderBlocksDowngrade) {
-  ThreadPool pool(2);
-  const CsrMatrix a = laplacian_2d(6, 6);
-  SpdProblem problem(pool, a);
-
-  SolveControls controls;
-  controls.sweeps = 4;
-  controls.workers = 1;
-  controls.scan = ScanMode::kReassociated;
-
-  // k <= 4: the register-resident small-K kernel honours the request.
-  {
-    const MultiVector b = random_multivector(a.rows(), 3, 5);
-    MultiVector x(a.rows(), 3);
-    const SolveOutcome out = problem.solve(b, x, controls);
-    EXPECT_EQ(out.scan_requested, ScanMode::kReassociated);
-    EXPECT_EQ(out.scan_executed, ScanMode::kReassociated);
-    EXPECT_EQ(out.description.find("pinned"), std::string::npos)
-        << out.description;
-
-    // The legacy report surfaces the same honoured request, bit-identically.
-    AsyncRgsOptions opt;
-    opt.sweeps = 4;
-    opt.workers = 1;
-    opt.scan = ScanMode::kReassociated;
-    MultiVector x_free(a.rows(), 3);
-    const AsyncRgsReport block_report =
-        async_rgs_solve_block(pool, a, b, x_free, opt);
-    EXPECT_EQ(block_report.scan_used, ScanMode::kReassociated);
-    for (std::size_t i = 0; i < x.size(); ++i)
-      ASSERT_EQ(x.data()[i], x_free.data()[i]) << "i=" << i;
-  }
-
-  // k > 4: gamma no longer fits in registers; the pinned column-parallel
-  // kernel runs and the downgrade is surfaced.
-  {
-    const MultiVector b = random_multivector(a.rows(), 5, 5);
-    MultiVector x(a.rows(), 5);
-    const SolveOutcome out = problem.solve(b, x, controls);
-    EXPECT_EQ(out.scan_requested, ScanMode::kReassociated);
-    EXPECT_EQ(out.scan_executed, ScanMode::kPinned);
-    EXPECT_NE(out.description.find("pinned"), std::string::npos)
-        << out.description;
-  }
-
-  // The single-RHS kernels honour the request as before.
-  AsyncRgsOptions opt;
-  opt.sweeps = 4;
-  opt.workers = 1;
-  opt.scan = ScanMode::kReassociated;
-  const std::vector<double> b1 = random_vector(a.rows(), 6);
-  std::vector<double> x1(a.rows(), 0.0);
-  const AsyncRgsReport single_report =
-      async_rgs_solve(pool, a, b1, x1, opt);
-  EXPECT_EQ(single_report.scan_used, ScanMode::kReassociated);
 }
 
 TEST(PreparedSpd, ConcurrentSolvesOnDistinctIteratesAreSerializedSafely) {

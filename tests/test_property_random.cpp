@@ -185,8 +185,7 @@ TEST_P(SeededTest, BernoulliExtremesMatchReferenceModels) {
 
 TEST_P(SeededTest, SolveControlsRoundTripIsLossless) {
   // to_async_rgs_options / to_controls must be mutually lossless on every
-  // field the two structs share — including ScanMode — for arbitrary
-  // random option values, so handle-API and free-function callers can
+  // field the two structs share for arbitrary random option values, so handle-API and free-function callers can
   // migrate in either direction without silently dropping a knob.
   const std::uint64_t seed = GetParam();
   Xoshiro256 rng(seed * 1000003);
@@ -204,8 +203,6 @@ TEST_P(SeededTest, SolveControlsRoundTripIsLossless) {
     }
     o.scope = uniform_real(rng) < 0.5 ? RandomizationScope::kShared
                                       : RandomizationScope::kOwnerComputes;
-    o.scan = uniform_real(rng) < 0.5 ? ScanMode::kPinned
-                                     : ScanMode::kReassociated;
     o.sync_interval_seconds = 0.001 + uniform_real(rng);
     o.track_history = uniform_real(rng) < 0.5;
     o.rel_tol = uniform_real(rng) < 0.5 ? 0.0 : uniform_real(rng);
@@ -218,7 +215,6 @@ TEST_P(SeededTest, SolveControlsRoundTripIsLossless) {
     EXPECT_EQ(back.atomic_writes, o.atomic_writes);
     EXPECT_EQ(back.sync, o.sync);
     EXPECT_EQ(back.scope, o.scope);
-    EXPECT_EQ(back.scan, o.scan);
     EXPECT_EQ(back.sync_interval_seconds, o.sync_interval_seconds);
     EXPECT_EQ(back.track_history, o.track_history);
     EXPECT_EQ(back.rel_tol, o.rel_tol);
@@ -235,50 +231,9 @@ TEST_P(SeededTest, SolveControlsRoundTripIsLossless) {
     EXPECT_EQ(round.atomic_writes, c.atomic_writes);
     EXPECT_EQ(round.sync, c.sync);
     EXPECT_EQ(round.scope, c.scope);
-    EXPECT_EQ(round.scan, c.scan);
     EXPECT_EQ(round.sync_interval_seconds, c.sync_interval_seconds);
     EXPECT_EQ(round.track_history, c.track_history);
     EXPECT_EQ(round.rel_tol, c.rel_tol);
-  }
-}
-
-TEST_P(SeededTest, BlockScanExecutionSurfacedForRandomControls) {
-  // For random controls, scan_requested must echo the request and
-  // scan_executed must report the executed reality — which at k = 2 (<= 4)
-  // is the request itself, now that the small-K block kernel honours
-  // reassociation; the single-RHS path must honour the same request — for
-  // any sync mode.
-  const std::uint64_t seed = GetParam();
-  ThreadPool pool(2);
-  const CsrMatrix a = laplacian_2d(5, 5);
-  const MultiVector bm = random_multivector(a.rows(), 2, seed + 29);
-  const std::vector<double> b = random_vector(a.rows(), seed + 31);
-  SpdProblem problem(pool, a);
-
-  Xoshiro256 rng(seed * 7919 + 1);
-  for (int trial = 0; trial < 4; ++trial) {
-    SolveControls controls;
-    controls.sweeps = 1 + static_cast<int>(uniform_index(rng, 3));
-    controls.seed = rng();
-    controls.workers = 1 + static_cast<int>(uniform_index(rng, 2));
-    controls.scan = uniform_real(rng) < 0.5 ? ScanMode::kPinned
-                                            : ScanMode::kReassociated;
-    switch (uniform_index(rng, 3)) {
-      case 0: controls.sync = SyncMode::kFreeRunning; break;
-      case 1: controls.sync = SyncMode::kBarrierPerSweep; break;
-      default: controls.sync = SyncMode::kTimedBarrier; break;
-    }
-    controls.sync_interval_seconds = 0.002;
-
-    MultiVector x(a.rows(), 2);
-    const SolveOutcome block_out = problem.solve(bm, x, controls);
-    EXPECT_EQ(block_out.scan_requested, controls.scan);
-    EXPECT_EQ(block_out.scan_executed, controls.scan);
-
-    std::vector<double> xs(a.rows(), 0.0);
-    const SolveOutcome single_out = problem.solve(b, xs, controls);
-    EXPECT_EQ(single_out.scan_requested, controls.scan);
-    EXPECT_EQ(single_out.scan_executed, controls.scan);
   }
 }
 

@@ -28,11 +28,12 @@
 //
 // This suite (with test_problem, test_serve_metrics, and test_thread_pool)
 // is the TSan CI gate — keep it free of intentional races: multi-worker
-// requests stay on atomic writes and the pinned scan.
+// requests stay on atomic writes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -737,6 +738,34 @@ TEST(SolverService, WarmStartValidatesIterateShapeEagerly) {
   EXPECT_THROW(service.submit(b, std::vector<double>(3, 0.0)), Error);
   EXPECT_THROW(
       service.submit_least_squares(b, std::vector<double>(3, 0.0)), Error);
+}
+
+TEST(SolverService, NonFiniteInputsThrowEagerlyAtSubmit) {
+  // One NaN or infinity would poison every iterate it reaches and burn the
+  // request's whole budget to a NaN residual on a shard; submit refuses it
+  // on the caller's thread like any other malformed request.
+  const CsrMatrix a = laplacian_2d(6, 6);
+  ServiceOptions options;
+  options.shards = 1;
+  options.prepare_lsq = true;
+  SolverService service(a, options);
+  const std::vector<double> b = random_vector(a.rows(), 7);
+  std::vector<double> b_nan = b;
+  b_nan[5] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> x0_inf(b.size(), 0.0);
+  x0_inf[2] = -std::numeric_limits<double>::infinity();
+  MultiVector block(a.rows(), 2);
+  block.at(3, 1) = std::numeric_limits<double>::infinity();
+
+  EXPECT_THROW(service.submit(b_nan), Error);
+  EXPECT_THROW(service.submit(b, x0_inf), Error);
+  EXPECT_THROW(service.submit(b_nan, std::vector<double>(b.size(), 0.0)),
+               Error);
+  EXPECT_THROW(service.submit_block(block), Error);
+  EXPECT_THROW(service.submit_least_squares(b_nan), Error);
+  EXPECT_THROW(service.submit_least_squares(b, x0_inf), Error);
+  // None of them was admitted: malformed requests are not tickets.
+  EXPECT_EQ(service.stats().submitted, 0);
 }
 
 // --- (g) observability -------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/sparse/coo.hpp"
@@ -80,6 +81,29 @@ TEST(Csr, ValidatesStructure) {
   EXPECT_THROW(CsrMatrix(1, 3, {0, 2}, {1, 1}, {1.0, 2.0}), Error);
   // value/col size mismatch
   EXPECT_THROW(CsrMatrix(1, 2, {0, 1}, {0}, {1.0, 2.0}), Error);
+}
+
+TEST(Csr, RejectsNonFiniteValues) {
+  // An infinite ||A||_inf would make SpdProblem's symmetry tolerance
+  // infinite, and a NaN column norm reads as a "zero column" in
+  // LsqProblem, so every matrix refuses non-finite values at construction.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(CsrMatrix(2, 2, {0, 1, 2}, {0, 1}, {1.0, nan}), Error);
+  EXPECT_THROW(CsrMatrix(2, 2, {0, 1, 2}, {0, 1}, {inf, 1.0}), Error);
+  EXPECT_THROW(CsrMatrix32(2, 2, {0, 1, 2}, {0, 1}, {1.0, -inf}), Error);
+  EXPECT_NO_THROW(CsrMatrix(2, 2, {0, 1, 2}, {0, 1}, {1.0, 1e308}));
+}
+
+TEST(Coo, RejectsDuplicatesSummingToInfinity) {
+  CooBuilder b(3, 3);
+  b.add(0, 0, 4.0);
+  b.add(0, 1, 1e308);
+  b.add(0, 1, 1e308);  // folds to +inf
+  b.add(1, 0, 1.0);
+  b.add(1, 1, 4.0);
+  b.add(2, 2, 4.0);
+  EXPECT_THROW((void)b.to_csr(), Error);
 }
 
 TEST(Csr, RowAccessAndDot) {

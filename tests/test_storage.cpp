@@ -1,22 +1,18 @@
-// Compact CSR storage policy suite (PR 7): int32 column indices and
-// mixed-precision values, resolved at handle preparation and plumbed
-// through every kernel.
+// Compact CSR storage policy suite: int32 column indices, resolved at
+// handle preparation and plumbed through every kernel.
 //
-//  (a) Golden bit-exactness: deterministic pinned-scan solves through the
-//      default CsrMatrix interface hash to the exact values captured on the
+//  (a) Golden bit-exactness: deterministic solves through the default
+//      CsrMatrix interface hash to the exact values captured on the
 //      pre-refactor code — the automatic kAuto -> int32 narrowing changes
 //      no double and no association, across 1/2/4 workers x sync modes.
 //  (b) The overflow guard, by shape arithmetic alone: resolve_storage_policy
-//      at a > 2^31 widest coordinate, convert_storage's throw, and the
-//      Matrix Market loader's declared-dimension check — none of which
-//      require materializing a multi-gigabyte operator.
+//      at a > 2^31 widest coordinate or nonzero count, convert_storage's
+//      throw, and the Matrix Market loader's declared-dimension check —
+//      none of which require materializing a multi-gigabyte operator.
 //  (c) Policy equivalence and surfacing: int32/double storage reproduces
 //      full-width solves bit for bit and reports itself in
 //      SolveOutcome::storage_used / ProblemStats::storage / description;
 //      the Krylov outer methods stay full width.
-//  (d) Mixed precision: float values on both social-Gram conditioning
-//      regimes converge to within a bounded factor of the double solve —
-//      the storage trade never changes the accumulation type.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +25,6 @@
 #include "asyrgs/gen/gram.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/rhs.hpp"
-#include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/problem.hpp"
 #include "asyrgs/sparse/coo.hpp"
 #include "asyrgs/sparse/io.hpp"
@@ -142,42 +137,17 @@ constexpr index_t kTooWide = (index_t{1} << 31) + 10;  // > int32 range
 
 constexpr nnz_t kSmallNnz = 1000;  // well within every guard
 
-TEST(StorageOverflow, ResolvePolicyFallsBackAboveInt32Range) {
-  bool fell_back = true;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kAuto, kTooWide, kSmallNnz,
-                                   &fell_back),
+TEST(StorageOverflow, ResolvePolicyStaysWideAboveInt32Range) {
+  EXPECT_EQ(resolve_storage_policy(StorageMode::kAuto, kTooWide, kSmallNnz),
             StoragePolicy::kInt64Double);
-  EXPECT_FALSE(fell_back) << "kAuto staying wide is not a fallback";
-
-  fell_back = false;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Double, kTooWide,
-                                   kSmallNnz, &fell_back),
-            StoragePolicy::kInt64Double);
-  EXPECT_TRUE(fell_back);
-
-  fell_back = false;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Mixed, kTooWide,
-                                   kSmallNnz, &fell_back),
-            StoragePolicy::kInt64Double);
-  EXPECT_TRUE(fell_back);
-
-  fell_back = true;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt64Double, kTooWide,
-                                   kSmallNnz, &fell_back),
-            StoragePolicy::kInt64Double);
-  EXPECT_FALSE(fell_back);
+  EXPECT_EQ(
+      resolve_storage_policy(StorageMode::kInt64Double, kTooWide, kSmallNnz),
+      StoragePolicy::kInt64Double);
 }
 
 TEST(StorageOverflow, ResolvePolicyNarrowsWhenShapeFits) {
-  bool fell_back = true;
-  EXPECT_EQ(
-      resolve_storage_policy(StorageMode::kAuto, 1000, kSmallNnz, &fell_back),
-      StoragePolicy::kInt32Double);
-  EXPECT_FALSE(fell_back);
-  // kAuto never picks mixed — float values change the arithmetic and must
-  // be an explicit request.
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Mixed, 1000, kSmallNnz),
-            StoragePolicy::kInt32Mixed);
+  EXPECT_EQ(resolve_storage_policy(StorageMode::kAuto, 1000, kSmallNnz),
+            StoragePolicy::kInt32Double);
   EXPECT_EQ(resolve_storage_policy(StorageMode::kInt64Double, 1000, kSmallNnz),
             StoragePolicy::kInt64Double);
   // Boundary: int32 admits exactly 2^31 columns (indices 0 .. 2^31 - 1).
@@ -194,35 +164,12 @@ TEST(StorageOverflow, ResolvePolicyGuardsNnzAtTheInt32Edge) {
   // nonzero count overflows it — nnz-derived arithmetic on the compact
   // copy stays inside 32 bits only up to 2^31 - 1 entries.
   constexpr nnz_t kEdge = (nnz_t{1} << 31) - 1;  // last admissible count
-  bool fell_back = true;
-  EXPECT_EQ(
-      resolve_storage_policy(StorageMode::kAuto, 1000, kEdge, &fell_back),
-      StoragePolicy::kInt32Double);
-  EXPECT_FALSE(fell_back);
-
-  fell_back = true;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kAuto, 1000, kEdge + 1,
-                                   &fell_back),
+  EXPECT_EQ(resolve_storage_policy(StorageMode::kAuto, 1000, kEdge),
+            StoragePolicy::kInt32Double);
+  EXPECT_EQ(resolve_storage_policy(StorageMode::kAuto, 1000, kEdge + 1),
             StoragePolicy::kInt64Double);
-  EXPECT_FALSE(fell_back) << "kAuto staying wide is not a fallback";
-
-  fell_back = false;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Double, 1000, kEdge + 1,
-                                   &fell_back),
+  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt64Double, 1000, kEdge),
             StoragePolicy::kInt64Double);
-  EXPECT_TRUE(fell_back);
-
-  fell_back = false;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Mixed, 1000, kEdge + 1,
-                                   &fell_back),
-            StoragePolicy::kInt64Double);
-  EXPECT_TRUE(fell_back);
-
-  fell_back = true;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt64Double, 1000, kEdge + 1,
-                                   &fell_back),
-            StoragePolicy::kInt64Double);
-  EXPECT_FALSE(fell_back);
 }
 
 TEST(StorageOverflow, ConvertStorageThrowsBeyondIndexWidth) {
@@ -230,7 +177,6 @@ TEST(StorageOverflow, ConvertStorageThrowsBeyondIndexWidth) {
   // arithmetic makes the shape wide while the arrays stay tiny.
   const CsrMatrix wide(2, kTooWide, {0, 1, 2}, {0, 5}, {1.0, 2.0});
   EXPECT_THROW((convert_storage<std::int32_t, double>(wide)), Error);
-  EXPECT_THROW((convert_storage<std::int32_t, float>(wide)), Error);
   // Full width accepts the same shape.
   const CsrMatrix same = convert_storage<std::int64_t, double>(wide);
   EXPECT_EQ(same.cols(), kTooWide);
@@ -265,7 +211,6 @@ TEST(StoragePolicyTest, AutoNarrowsAndSurfacesEverywhere) {
   SpdProblem problem(pool, a);
   EXPECT_EQ(problem.storage(), StoragePolicy::kInt32Double);
   EXPECT_EQ(problem.stats().storage, StoragePolicy::kInt32Double);
-  EXPECT_EQ(problem.stats().storage_fallbacks, 0);
 
   const std::vector<double> b = random_vector(a.rows(), 11);
   std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
@@ -300,7 +245,8 @@ TEST(StoragePolicyTest, Int32SolveBitIdenticalToFullWidth) {
   const CsrMatrix a = block_diag_tridiagonal(4, 12);
   const std::vector<double> b = random_vector(a.rows(), 7);
   SpdProblem wide(pool, a, true, StorageMode::kInt64Double);
-  SpdProblem narrow(pool, a, true, StorageMode::kInt32Double);
+  SpdProblem narrow(pool, a);  // kAuto -> int32
+  ASSERT_EQ(narrow.storage(), StoragePolicy::kInt32Double);
   for (int workers : {1, 2, 4}) {
     SolveControls controls;
     controls.sweeps = 20;
@@ -334,7 +280,7 @@ TEST(StoragePolicyTest, BlockSolveRunsNarrowStorage) {
   ThreadPool pool(2);
   const CsrMatrix a = block_diag_tridiagonal(4, 12);
   SpdProblem wide(pool, a, true, StorageMode::kInt64Double);
-  SpdProblem narrow(pool, a, true, StorageMode::kInt32Double);
+  SpdProblem narrow(pool, a);  // kAuto -> int32
   MultiVector ones(a.rows(), 3);
   ones.fill(1.0);
   const MultiVector b = rhs_from_solution(a, ones);
@@ -342,17 +288,15 @@ TEST(StoragePolicyTest, BlockSolveRunsNarrowStorage) {
   controls.sweeps = 25;
   controls.seed = 31;
   controls.workers = 1;
-  controls.scan = ScanMode::kReassociated;  // k = 3 <= 4: honored
   MultiVector x_wide(a.rows(), 3);
   MultiVector x_narrow(a.rows(), 3);
   const SolveOutcome out_wide = wide.solve(b, x_wide, controls);
   const SolveOutcome out_narrow = narrow.solve(b, x_narrow, controls);
-  EXPECT_EQ(out_wide.scan_executed, ScanMode::kReassociated);
-  EXPECT_EQ(out_narrow.scan_executed, ScanMode::kReassociated);
+  EXPECT_EQ(out_wide.storage_used, StoragePolicy::kInt64Double);
   EXPECT_EQ(out_narrow.storage_used, StoragePolicy::kInt32Double);
   for (index_t k = 0; k < 3; ++k)
     for (index_t i = 0; i < a.rows(); ++i)
-      EXPECT_DOUBLE_EQ(x_wide.at(i, k), x_narrow.at(i, k));
+      EXPECT_EQ(x_wide.at(i, k), x_narrow.at(i, k));
 }
 
 TEST(StoragePolicyTest, LsqHandleNarrowsBothFactors) {
@@ -384,16 +328,12 @@ TEST(StoragePolicyTest, LsqHandleNarrowsBothFactors) {
 TEST(StoragePolicyTest, GeneratorsEmitIdenticalStructureAtEveryWidth) {
   const CsrMatrix wide = laplacian_2d(7, 5);
   const CsrMatrix32 narrow = laplacian_2d_as<std::int32_t, double>(7, 5);
-  const CsrMatrixMixed mixed = laplacian_2d_as<std::int32_t, float>(7, 5);
   ASSERT_EQ(wide.nnz(), narrow.nnz());
-  ASSERT_EQ(wide.nnz(), mixed.nnz());
   EXPECT_EQ(wide.row_ptr(), narrow.row_ptr());
   for (std::size_t t = 0; t < wide.col_idx().size(); ++t) {
     EXPECT_EQ(wide.col_idx()[t],
               static_cast<index_t>(narrow.col_idx()[t]));
     EXPECT_EQ(wide.values()[t], narrow.values()[t]);
-    // Stencil coefficients are small integers: exact in float.
-    EXPECT_EQ(wide.values()[t], static_cast<double>(mixed.values()[t]));
   }
 }
 
@@ -409,83 +349,6 @@ TEST(StoragePolicyTest, LoaderRoundTripsNarrowWidths) {
     EXPECT_EQ(static_cast<index_t>(a32.col_idx()[t]), a.col_idx()[t]);
     EXPECT_EQ(a32.values()[t], a.values()[t]);
   }
-}
-
-// ---------------------------------------------------------------------------
-// (d) Mixed precision on both Gram conditioning regimes
-// ---------------------------------------------------------------------------
-//
-// Float storage perturbs each matrix entry by at most one half-ulp of
-// float (relative 2^-24), so the solved system is A + dA with
-// ||dA|| / ||A|| ~ 1e-7 and the attainable relative residual degrades by
-// a conditioning-dependent factor.  The test pins a generous envelope:
-// mixed must track the double solve within 3 orders of magnitude and
-// still make real progress on its own.
-
-void expect_mixed_tracks_double(const SocialGramOptions& opt, double floor) {
-  ThreadPool pool(4);
-  const SocialGram sys = make_social_gram(opt);
-  SpdProblem exact(pool, sys.gram, /*check_input=*/false,
-                   StorageMode::kInt64Double);
-  SpdProblem mixed(pool, sys.gram, /*check_input=*/false,
-                   StorageMode::kInt32Mixed);
-  EXPECT_EQ(mixed.storage(), StoragePolicy::kInt32Mixed);
-
-  const std::vector<double> b = random_vector(sys.gram.rows(), 37);
-  SolveControls controls;
-  controls.sweeps = 40;
-  controls.sync = SyncMode::kBarrierPerSweep;
-  controls.workers = 2;
-  controls.seed = 41;
-
-  std::vector<double> x_exact(static_cast<std::size_t>(sys.gram.rows()), 0.0);
-  std::vector<double> x_mixed = x_exact;
-  const SolveOutcome out_exact = exact.solve(b, x_exact, controls);
-  const SolveOutcome out_mixed = mixed.solve(b, x_mixed, controls);
-  EXPECT_EQ(out_mixed.storage_used, StoragePolicy::kInt32Mixed);
-  EXPECT_NE(out_mixed.description.find("int32_mixed storage"),
-            std::string::npos);
-
-  const double r_exact = relative_residual(sys.gram, b, x_exact);
-  const double r_mixed = relative_residual(sys.gram, b, x_mixed);
-  // Real progress on its own terms...
-  EXPECT_LT(r_mixed, floor);
-  // ...and within the envelope of the double run (which may itself be
-  // near the float-perturbation floor, hence the additive term).
-  EXPECT_LT(r_mixed, 1e3 * r_exact + 1e-5);
-}
-
-TEST(StorageMixed, TracksDoubleOnWellConditionedGram) {
-  SocialGramOptions opt;
-  opt.terms = 256;
-  opt.documents = 2048;
-  opt.topics = 0;  // near-orthogonal columns: well-conditioned
-  expect_mixed_tracks_double(opt, 1e-3);
-}
-
-TEST(StorageMixed, TracksDoubleOnIllConditionedGram) {
-  SocialGramOptions opt;
-  opt.terms = 256;
-  opt.documents = 2048;
-  opt.topics = 16;  // topical correlation: ill-conditioned regime
-  expect_mixed_tracks_double(opt, 1e-1);
-}
-
-TEST(StorageMixed, ExplicitRequestSurvivesServicelessClone) {
-  ThreadPool pool_a(2);
-  ThreadPool pool_b(2);
-  const CsrMatrix a = laplacian_2d(8, 8);
-  SpdProblem original(pool_a, a, true, StorageMode::kInt32Mixed);
-  SpdProblem clone(pool_b, original);
-  EXPECT_EQ(clone.storage(), StoragePolicy::kInt32Mixed);
-  EXPECT_EQ(clone.stats().storage, StoragePolicy::kInt32Mixed);
-
-  const std::vector<double> b = random_vector(a.rows(), 43);
-  std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
-  SolveControls controls;
-  controls.sweeps = 15;
-  const SolveOutcome out = clone.solve(b, x, controls);
-  EXPECT_EQ(out.storage_used, StoragePolicy::kInt32Mixed);
 }
 
 }  // namespace

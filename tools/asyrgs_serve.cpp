@@ -109,8 +109,7 @@ int main(int argc, char** argv) {
       "trace", "", "write one JSON trace line per request to this file");
   auto storage = cli.add_string(
       "storage", "auto",
-      "CSR storage policy for the prepared handles: auto | int64 | int32 | "
-      "mixed");
+      "CSR storage policy for the prepared handles: auto | int64");
   auto arrival_rate = cli.add_double(
       "arrival-rate", 0.0, "open-loop arrivals per second (0 = closed loop)");
   auto duration = cli.add_double(
@@ -145,16 +144,10 @@ int main(int argc, char** argv) {
     options.prepare_spd = want_spd;
     options.prepare_lsq = want_lsq;
     options.max_queue = static_cast<int>(*max_queue);
-    if (*storage == "auto")
-      options.storage = StorageMode::kAuto;
-    else if (*storage == "int64")
+    if (*storage == "int64")
       options.storage = StorageMode::kInt64Double;
-    else if (*storage == "int32")
-      options.storage = StorageMode::kInt32Double;
-    else if (*storage == "mixed")
-      options.storage = StorageMode::kInt32Mixed;
-    else
-      throw Error("unknown --storage (want auto|int64|int32|mixed)");
+    else if (*storage != "auto")
+      throw Error("unknown --storage (want auto|int64)");
     if (!trace_path.value().empty()) {
       trace_file.open(*trace_path);
       require(trace_file.good(), "--trace: cannot open output file");

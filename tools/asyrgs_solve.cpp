@@ -2,8 +2,8 @@
 //
 //   asyrgs_solve --matrix A.mtx [--rhs b.mtx] [--out x.mtx]
 //                [--method auto|asyrgs|fcg|cg|kaczmarz] [--tol 1e-8]
-//                [--threads 0] [--scan pinned|reassociated] [--repeat 1]
-//                [--shards 1] [--storage auto|int64|int32|mixed]
+//                [--threads 0] [--repeat 1] [--shards 1]
+//                [--storage auto|int64]
 //                [--sampling uniform|weighted|residual] [--resample 8]
 //                [--partitions 0] [--steal 0.0]
 //
@@ -19,7 +19,7 @@
 // size differently at the default --threads 0 (global pool capacity vs
 // per-shard capacity), and multi-worker asynchronous runs are not
 // bit-reproducible; byte-identical output across the two paths requires
-// an explicit --threads 1 under the pinned scan.
+// an explicit --threads 1.
 //
 // --method kaczmarz routes through an LsqProblem handle (the row-action
 // method needs no symmetry), so it also serves rectangular .mtx inputs;
@@ -53,14 +53,10 @@ int main(int argc, char** argv) {
                             "SolverService pool shards; > 1 submits the "
                             "repeats concurrently to the sharded serving "
                             "front-end");
-  auto scan = cli.add_string(
-      "scan", "pinned",
-      "row-scan FP association: pinned (bit-reproducible) | reassociated "
-      "(fast-math SIMD; see docs/TUNING.md)");
   auto storage = cli.add_string(
       "storage", "auto",
-      "CSR storage policy: auto | int64 | int32 | mixed (int32 indices + "
-      "f32 values, double accumulation; see docs/TUNING.md)");
+      "CSR storage policy: auto (int32 indices when the shape fits) | int64 "
+      "(see docs/TUNING.md)");
   auto sampling = cli.add_string(
       "sampling", "uniform",
       "direction-draw distribution for the asynchronous methods: uniform | "
@@ -123,23 +119,11 @@ int main(int argc, char** argv) {
       controls.method = SpdMethod::kAsyncKaczmarz;
     else
       throw Error("unknown --method (want auto|asyrgs|fcg|cg|kaczmarz)");
-    if (*scan == "pinned")
-      controls.scan = ScanMode::kPinned;
-    else if (*scan == "reassociated")
-      controls.scan = ScanMode::kReassociated;
-    else
-      throw Error("unknown --scan (want pinned|reassociated)");
     StorageMode storage_mode = StorageMode::kAuto;
-    if (*storage == "auto")
-      storage_mode = StorageMode::kAuto;
-    else if (*storage == "int64")
+    if (*storage == "int64")
       storage_mode = StorageMode::kInt64Double;
-    else if (*storage == "int32")
-      storage_mode = StorageMode::kInt32Double;
-    else if (*storage == "mixed")
-      storage_mode = StorageMode::kInt32Mixed;
-    else
-      throw Error("unknown --storage (want auto|int64|int32|mixed)");
+    else if (*storage != "auto")
+      throw Error("unknown --storage (want auto|int64)");
     if (*sampling == "uniform")
       controls.sampling = SamplingPolicy::kUniform;
     else if (*sampling == "weighted")
