@@ -1,7 +1,7 @@
 #include "asyrgs/gen/partition.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <variant>
 #include <utility>
 
 namespace asyrgs {
@@ -77,12 +77,22 @@ std::vector<index_t> rcm_order(const CsrMatrix& a) {
   std::vector<index_t> order;
   order.reserve(static_cast<std::size_t>(n));
   std::vector<index_t> scratch;
+  std::vector<index_t> probe_order;
+  // A probe BFS marks only vertices of the current component, all of them
+  // unvisited before it, so unmarking what it appended restores `visited`
+  // in O(component) — no per-component copy of the whole array.
+  const auto probe = [&](index_t from) {
+    probe_order.clear();
+    const BfsResult res = cm_bfs(a, deg, from, visited, probe_order, scratch);
+    for (const index_t v : probe_order)
+      visited[static_cast<std::size_t>(v)] = 0;
+    return res;
+  };
 
   for (index_t seed = 0; seed < n; ++seed) {
     if (visited[static_cast<std::size_t>(seed)]) continue;
     if (deg[static_cast<std::size_t>(seed)] == 0) {
-      // Isolated vertex: no probing needed (and a diagonal-heavy matrix
-      // would otherwise pay two O(n) visited-copies per singleton).
+      // Isolated vertex: nothing to probe.
       visited[static_cast<std::size_t>(seed)] = 1;
       order.push_back(seed);
       continue;
@@ -91,16 +101,10 @@ std::vector<index_t> rcm_order(const CsrMatrix& a) {
     // unvisited vertex, then restart from the farthest vertex found — two
     // passes get within a level or two of the true diameter, which is all
     // the bandwidth profile needs.
-    std::vector<char> probe = visited;
-    std::vector<index_t> probe_order;
-    const BfsResult pass1 =
-        cm_bfs(a, deg, seed, probe, probe_order, scratch);
+    const BfsResult pass1 = probe(seed);
     index_t start = pass1.far_vertex;
     if (start != seed) {
-      probe = visited;
-      probe_order.clear();
-      const BfsResult pass2 =
-          cm_bfs(a, deg, start, probe, probe_order, scratch);
+      const BfsResult pass2 = probe(start);
       if (pass2.levels > pass1.levels) start = pass2.far_vertex;
     }
     cm_bfs(a, deg, start, visited, order, scratch);
@@ -112,12 +116,15 @@ std::vector<index_t> rcm_order(const CsrMatrix& a) {
   return order;
 }
 
-CsrMatrix permute_symmetric(const CsrMatrix& a,
-                            const std::vector<index_t>& perm) {
+template <class Index>
+CsrMatrixT<Index, double> permute_symmetric(const CsrMatrix& a,
+                                            const std::vector<index_t>& perm) {
   require(a.square(), "permute_symmetric: matrix must be square");
   const index_t n = a.rows();
   require(static_cast<index_t>(perm.size()) == n,
           "permute_symmetric: perm size must match the matrix dimension");
+  require(index_width_fits<Index>(n),
+          "permute_symmetric: dimension exceeds the index width");
   std::vector<index_t> inv(static_cast<std::size_t>(n), -1);
   for (index_t i = 0; i < n; ++i) {
     const index_t o = perm[static_cast<std::size_t>(i)];
@@ -132,9 +139,9 @@ CsrMatrix permute_symmetric(const CsrMatrix& a,
         row_ptr[static_cast<std::size_t>(i)] +
         static_cast<nnz_t>(a.row_cols(perm[static_cast<std::size_t>(i)]).size());
   const std::size_t nnz = static_cast<std::size_t>(row_ptr.back());
-  std::vector<index_t> col_idx(nnz);
+  std::vector<Index> col_idx(nnz);
   std::vector<double> values(nnz);
-  std::vector<std::pair<index_t, double>> entries;
+  std::vector<std::pair<Index, double>> entries;
   for (index_t i = 0; i < n; ++i) {
     const index_t o = perm[static_cast<std::size_t>(i)];
     const auto cols = a.row_cols(o);
@@ -143,7 +150,8 @@ CsrMatrix permute_symmetric(const CsrMatrix& a,
     entries.reserve(cols.size());
     for (std::size_t s = 0; s < cols.size(); ++s)
       entries.emplace_back(
-          inv[static_cast<std::size_t>(static_cast<index_t>(cols[s]))],
+          static_cast<Index>(
+              inv[static_cast<std::size_t>(static_cast<index_t>(cols[s]))]),
           vals[s]);
     std::sort(entries.begin(), entries.end());
     const std::size_t base =
@@ -153,11 +161,17 @@ CsrMatrix permute_symmetric(const CsrMatrix& a,
       values[base + s] = entries[s].second;
     }
   }
-  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+  return CsrMatrixT<Index, double>(n, n, std::move(row_ptr),
+                                   std::move(col_idx), std::move(values));
 }
 
-GraphPartition cut_rows(const CsrMatrix& permuted, int count) {
+template CsrMatrix permute_symmetric<std::int64_t>(
+    const CsrMatrix&, const std::vector<index_t>&);
+template CsrMatrix32 permute_symmetric<std::int32_t>(
+    const CsrMatrix&, const std::vector<index_t>&);
+
+template <class Index>
+GraphPartition cut_rows(const CsrMatrixT<Index, double>& permuted, int count) {
   const index_t n = permuted.rows();
   if (count < 1) count = 1;
   if (static_cast<index_t>(count) > n) count = static_cast<int>(n);
@@ -206,10 +220,15 @@ GraphPartition cut_rows(const CsrMatrix& permuted, int count) {
   return part;
 }
 
-PartitionAnalysis::PartitionAnalysis(const CsrMatrix& a)
-    : perm_(rcm_order(a)),
-      inv_perm_(static_cast<std::size_t>(a.rows())),
-      permuted_(permute_symmetric(a, perm_)) {
+template GraphPartition cut_rows(const CsrMatrix&, int);
+template GraphPartition cut_rows(const CsrMatrix32&, int);
+
+PartitionAnalysis::PartitionAnalysis(const CsrMatrix& a, StoragePolicy storage)
+    : perm_(rcm_order(a)), inv_perm_(static_cast<std::size_t>(a.rows())) {
+  if (storage == StoragePolicy::kInt32Double)
+    permuted_ = permute_symmetric<std::int32_t>(a, perm_);
+  else
+    permuted_ = permute_symmetric(a, perm_);
   for (index_t i = 0; i < a.rows(); ++i)
     inv_perm_[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
         i;
@@ -217,12 +236,14 @@ PartitionAnalysis::PartitionAnalysis(const CsrMatrix& a)
 
 std::shared_ptr<const GraphPartition> PartitionAnalysis::cut(int count) const {
   if (count < 1) count = 1;
-  if (static_cast<index_t>(count) > permuted_.rows())
-    count = static_cast<int>(permuted_.rows());
+  const index_t n = static_cast<index_t>(perm_.size());
+  if (static_cast<index_t>(count) > n) count = static_cast<int>(n);
   const std::scoped_lock lock(mutex_);
   auto it = cuts_.find(count);
   if (it != cuts_.end()) return it->second;
-  auto cut = std::make_shared<const GraphPartition>(cut_rows(permuted_, count));
+  auto cut = std::make_shared<const GraphPartition>(std::visit(
+      [count](const auto& permuted) { return cut_rows(permuted, count); },
+      permuted_));
   cuts_.emplace(count, cut);
   return cut;
 }

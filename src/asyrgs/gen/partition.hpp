@@ -20,9 +20,11 @@
 // SpdProblem, the only consumer, validates symmetry already.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <variant>
 #include <vector>
 
 #include "asyrgs/sparse/csr.hpp"
@@ -40,9 +42,13 @@ namespace asyrgs {
 
 /// Symmetric permutation P A P^T: new row i is old row perm[i] with columns
 /// remapped through the inverse permutation and re-sorted.  `perm` must be a
-/// permutation of [0, a.rows()); `a` must be square.
-[[nodiscard]] CsrMatrix permute_symmetric(const CsrMatrix& a,
-                                          const std::vector<index_t>& perm);
+/// permutation of [0, a.rows()); `a` must be square.  The result is built
+/// straight at index width `Index` (int64 or int32), so a narrow consumer
+/// never materializes a full-width twin first; throws asyrgs::Error when
+/// the dimension exceeds that width.
+template <class Index = std::int64_t>
+[[nodiscard]] CsrMatrixT<Index, double> permute_symmetric(
+    const CsrMatrix& a, const std::vector<index_t>& perm);
 
 /// Rows per cache line of doubles: partition boundaries are rounded to this
 /// multiple so no two partitions' owned slices of the iterate share a cache
@@ -77,17 +83,23 @@ struct GraphPartition {
 /// kPartitionAlignRows, and computes the halos.  count is clamped to
 /// [1, rows]; partitions may come out empty when count exceeds
 /// rows / kPartitionAlignRows (their streams simply never draw).
-[[nodiscard]] GraphPartition cut_rows(const CsrMatrix& permuted, int count);
+template <class Index>
+[[nodiscard]] GraphPartition cut_rows(const CsrMatrixT<Index, double>& permuted,
+                                      int count);
 
 /// Prepare-time partition analysis of one matrix: the RCM permutation, the
-/// permuted operator, and a per-count cut cache.  Immutable after
-/// construction except for the cache, which is internally synchronized —
-/// one analysis may be shared (shared_ptr) by every clone of a prepared
-/// handle, exactly like the transpose cache.
+/// permuted operator (held once, at one index width), and a per-count cut
+/// cache.  Immutable after construction except for the cache, which is
+/// internally synchronized — one analysis may be shared (shared_ptr) by
+/// every clone of a prepared handle.
 class PartitionAnalysis {
  public:
-  /// Orders `a` by RCM and materializes P A P^T.  O(nnz log nnz).
-  explicit PartitionAnalysis(const CsrMatrix& a);
+  /// Orders `a` by RCM and materializes P A P^T at the index width of
+  /// `storage` — a prepared handle passes its resolved policy, so the
+  /// permuted operator is the one its partitioned solves run.
+  /// O(nnz log nnz).
+  explicit PartitionAnalysis(
+      const CsrMatrix& a, StoragePolicy storage = StoragePolicy::kInt64Double);
 
   /// perm()[new_row] = old_row.
   [[nodiscard]] const std::vector<index_t>& perm() const noexcept {
@@ -97,10 +109,21 @@ class PartitionAnalysis {
   [[nodiscard]] const std::vector<index_t>& inv_perm() const noexcept {
     return inv_perm_;
   }
-  /// The RCM-permuted operator (full width; consumers narrow it themselves
-  /// when their storage policy asks for it).
-  [[nodiscard]] const CsrMatrix& permuted() const noexcept {
-    return permuted_;
+  /// The index width the permuted operator was built at.
+  [[nodiscard]] StoragePolicy storage() const noexcept {
+    return std::holds_alternative<CsrMatrix32>(permuted_)
+               ? StoragePolicy::kInt32Double
+               : StoragePolicy::kInt64Double;
+  }
+  /// The RCM-permuted operator.  `Index` must be the width storage() names;
+  /// throws asyrgs::Error otherwise (there is no copy at the other width).
+  template <class Index = std::int64_t>
+  [[nodiscard]] const CsrMatrixT<Index, double>& permuted() const {
+    const auto* held = std::get_if<CsrMatrixT<Index, double>>(&permuted_);
+    require(held != nullptr,
+            "PartitionAnalysis::permuted: the operator is held at another "
+            "index width");
+    return *held;
   }
 
   /// The cut for `count` partitions, built on first request and cached.
@@ -111,7 +134,7 @@ class PartitionAnalysis {
  private:
   std::vector<index_t> perm_;
   std::vector<index_t> inv_perm_;
-  CsrMatrix permuted_;
+  std::variant<CsrMatrix, CsrMatrix32> permuted_;
   mutable std::mutex mutex_;
   mutable std::map<int, std::shared_ptr<const GraphPartition>> cuts_;
 };

@@ -33,25 +33,24 @@ struct ProblemScratch {
   std::vector<double> bp;
 };
 
-/// Prepare-time partition analysis for SpdProblem: the RCM analysis (order +
-/// permuted operator), the reciprocals of the permuted diagonal, and — when
-/// the handle's storage policy narrows — a compact copy of the permuted
-/// operator, so partitioned solves run the same storage the unpartitioned
-/// path does.  Immutable once constructed; clones alias it via shared_ptr
-/// exactly like the compact storage copy.
+/// Prepare-time partition analysis for SpdProblem: the RCM analysis, whose
+/// permuted operator is built at the handle's storage width (so partitioned
+/// solves run the same storage the unpartitioned path does, from the one
+/// permuted copy), and the handle's diagonal reciprocals in RCM order.
+/// Immutable once constructed; clones alias it via shared_ptr exactly like
+/// the compact storage copy.
 struct SpdPartitionState {
   PartitionAnalysis analysis;
   std::vector<double> inv_diag;  ///< 1/diag in permuted (RCM) order
-  std::shared_ptr<const CsrMatrix32> a32;
 
-  SpdPartitionState(const CsrMatrix& a, StoragePolicy policy) : analysis(a) {
-    // The symmetric permutation maps diagonal to diagonal, so the handle's
-    // strict-positivity validation covers these reciprocals too.
-    inv_diag = analysis.permuted().diagonal();
-    for (double& d : inv_diag) d = 1.0 / d;
-    if (policy == StoragePolicy::kInt32Double)
-      a32 = std::make_shared<const CsrMatrix32>(
-          convert_storage<std::int32_t, double>(analysis.permuted()));
+  SpdPartitionState(const CsrMatrix& a, StoragePolicy policy,
+                    const std::vector<double>& handle_inv_diag)
+      : analysis(a, policy), inv_diag(handle_inv_diag.size()) {
+    // The symmetric permutation maps diagonal to diagonal (new row i holds
+    // old row perm[i]'s), so these are the handle's validated reciprocals.
+    for (std::size_t i = 0; i < inv_diag.size(); ++i)
+      inv_diag[i] =
+          handle_inv_diag[static_cast<std::size_t>(analysis.perm()[i])];
   }
 };
 
@@ -319,16 +318,11 @@ SpdProblem::SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input,
     d = 1.0 / d;
   }
   ++stats_.validation_passes;
-  if (check_input) {
-    // Symmetry check through the matrix's shared transpose cache: the
-    // transpose this builds is reused by later handles (and by any
-    // least-squares use of the same matrix) instead of being rebuilt.
-    bool built_now = false;
-    const std::shared_ptr<const CsrMatrix> at = a.transpose_shared(&built_now);
-    if (built_now) ++stats_.transpose_builds;
-    require(a.equals(*at, 1e-12 * inf_norm(a)),
+  // The symmetry check merges each entry with its mirror in place; no SPD
+  // kernel reads A^T, so none is built.
+  if (check_input)
+    require(is_symmetric(a, 1e-12 * inf_norm(a)),
             "SpdProblem: matrix is not symmetric");
-  }
   // Narrowing happens last, after validation passed, so a rejected matrix
   // never pays the compact copy.
   storage_ = resolve_storage_policy(storage, a.cols(), a.nnz());
@@ -360,8 +354,8 @@ SpdProblem::~SpdProblem() = default;
 
 const detail::SpdPartitionState& SpdProblem::partition_state() {
   if (!partition_) {
-    partition_ =
-        std::make_shared<const detail::SpdPartitionState>(a_, storage_);
+    partition_ = std::make_shared<const detail::SpdPartitionState>(
+        a_, storage_, inv_diag_);
     ++stats_.partition_builds;
   }
   return *partition_;
@@ -504,9 +498,11 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
 SolveOutcome SpdProblem::solve_async_partitioned(
     const std::vector<double>& b, std::vector<double>& x,
     const SolveControls& controls) {
-  const detail::SpdPartitionState& st = partition_state();
-  if (st.a32) return solve_async_partitioned_on(*st.a32, b, x, controls);
-  return solve_async_partitioned_on(st.analysis.permuted(), b, x, controls);
+  const PartitionAnalysis& analysis = partition_state().analysis;
+  if (analysis.storage() == StoragePolicy::kInt32Double)
+    return solve_async_partitioned_on(analysis.permuted<std::int32_t>(), b, x,
+                                      controls);
+  return solve_async_partitioned_on(analysis.permuted(), b, x, controls);
 }
 
 template <class Matrix>

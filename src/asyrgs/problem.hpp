@@ -4,9 +4,9 @@
 // fixes the matrix and varies only the right-hand side, worker count, and
 // synchronization regime.  A server answering many solves against one
 // operator should therefore pay per-matrix costs — symmetry/diagonal
-// validation, transpose materialization, diagonal reciprocals, column-norm
-// denominators, per-worker scratch — exactly once.  This header provides
-// that split:
+// validation, compact storage and partition analysis (SPD), the transpose
+// (least squares), diagonal reciprocals, column-norm denominators,
+// per-worker scratch — exactly once.  This header provides that split:
 //
 //   SpdProblem / LsqProblem   per-problem state: matrix + attached pool +
 //                             cached analysis + reusable solver scratch
@@ -217,8 +217,8 @@ namespace detail {
 /// public header.
 struct ProblemScratch;
 
-/// Prepare-time partition analysis for SpdProblem (RCM permutation, the
-/// permuted operator — narrowed per the handle's storage policy — and its
+/// Prepare-time partition analysis for SpdProblem (RCM permutation, the one
+/// permuted operator — built at the handle's storage width — and the
 /// permuted diagonal reciprocals); defined in problem.cpp.  Immutable once
 /// built, shared between clones like the compact storage copies.
 struct SpdPartitionState;
@@ -228,7 +228,10 @@ struct SpdPartitionState;
 /// monitoring) assert that analysis is paid once per problem, not per solve.
 struct ProblemStats {
   int validation_passes = 0;  ///< symmetry/diagonal/rank checks performed
-  int transpose_builds = 0;   ///< explicit A^T constructions triggered
+  /// Explicit A^T constructions triggered.  Only LsqProblem builds one (its
+  /// column kernels read A^T); SpdProblem's symmetry check needs none, so
+  /// an SPD handle always reports 0.
+  int transpose_builds = 0;
   /// Completed solve() calls, counting inner preconditioner applications:
   /// one kFcgAsyRgs solve contributes 1 + (outer iterations), because each
   /// preconditioner application re-enters solve() on this handle.  The
@@ -254,8 +257,11 @@ struct ProblemStats {
 ///
 /// Construction performs all per-matrix analysis: the strictly-positive-
 /// diagonal check and reciprocal precomputation always; the symmetry
-/// validation (one cached transpose + entrywise compare) when `check_input`
-/// is set.  solve() then pays only per-call work.
+/// validation (is_symmetric: one merge of each entry with its mirror, no
+/// transpose) when `check_input` is set; the compact int32 copy when the
+/// storage policy narrows.  The RCM partition analysis follows on the first
+/// partitioned solve or prepare_partitions().  solve() then pays only
+/// per-call work.
 class SpdProblem {
  public:
   /// Binds `a` (kept by reference; must outlive the handle) and `pool`.
@@ -272,7 +278,7 @@ class SpdProblem {
   /// when already built — the partition analysis) instead of re-validating —
   /// the per-shard construction path of SolverService, where N pools serve
   /// one analyzed matrix.  O(n), no O(nnz) work; the clone's ProblemStats
-  /// start at zero validation passes / transpose / partition builds.
+  /// start at zero validation passes / partition builds.
   /// `other` must be fully constructed; cloning is safe concurrently with
   /// solves on `other` (the lazily built caches are read under its lock).
   SpdProblem(ThreadPool& pool, const SpdProblem& other);

@@ -17,12 +17,13 @@
 // Architecture: the service owns `shards` ThreadPools; each shard carries
 // its own prepared SpdProblem / LsqProblem handle, shard-cloned from shard
 // 0's so the per-matrix analysis (symmetry validation, diagonal
-// reciprocals, the cached transpose, column-norm denominators) is paid
+// reciprocals, compact storage, the partition analysis, and for least
+// squares the cached transpose and column-norm denominators) is paid
 // exactly once for the whole service (ProblemStats on the clones stay at
-// zero validation passes / transpose builds).  Requests enter per-priority
-// FIFO queues; every free shard pulls the oldest request of the most
-// urgent non-empty class, so work always lands on a least-loaded (idle)
-// shard and queues only when all shards are busy.
+// zero validation passes / transpose / partition builds).  Requests enter
+// per-priority FIFO queues; every free shard pulls the oldest request of
+// the most urgent non-empty class, so work always lands on a least-loaded
+// (idle) shard and queues only when all shards are busy.
 //
 // Admission and shedding: the queue is bounded by ServiceOptions::max_queue.
 // A request that cannot be admitted — queue full, or submit racing
@@ -119,10 +120,11 @@ struct ServiceOptions {
   /// shard 0 only — clones inherit the analysis like the compact storage
   /// copies), so requests with SolveControls::partitions != 0 never pay the
   /// O(nnz log nnz) analysis on the serving path.  Off by default: it
-  /// materializes a permuted copy of the operator.  Without it, the first
-  /// partitioned request on each service still triggers the analysis
-  /// lazily — but on shard 0's prototype it lands per-shard, so enable
-  /// this whenever partitioned requests are expected.
+  /// materializes a permuted copy of the operator (one, at the resolved
+  /// storage width).  Without it, the first partitioned request on each
+  /// service still triggers the analysis lazily — but on shard 0's
+  /// prototype it lands per-shard, so enable this whenever partitioned
+  /// requests are expected.
   bool prepare_partitions = false;
   /// Optional per-request trace sink (one structured event per completed or
   /// rejected request); shared so one sink can serve several services.
@@ -226,9 +228,10 @@ struct ServiceStats {
   /// shard-0 construction count (1 per prepared family) because clones
   /// re-validate nothing.
   int validation_passes = 0;
-  /// Transpose builds summed over every shard's handles — at most 1 (and 0
-  /// when the matrix cache was already warm), shared via
-  /// CsrMatrix::transpose_shared().
+  /// Transpose builds summed over every shard's handles — at most 1, from
+  /// the LSQ handle (0 without prepare_lsq, or when the matrix cache was
+  /// already warm), shared via CsrMatrix::transpose_shared().  The SPD
+  /// symmetry check builds none.
   int transpose_builds = 0;
   std::vector<ShardStats> shards;
 };

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace asyrgs {
 
@@ -54,8 +56,26 @@ double rho2(const CsrMatrix& a) {
 
 bool is_symmetric(const CsrMatrix& a, double tol) {
   if (!a.square()) return false;
-  const CsrMatrix at = a.transpose();
-  return a.equals(at, tol);
+  // Visiting rows in order asks row j for its entries in increasing column
+  // order (entry (i, j) wants its mirror (j, i), and i only grows), so one
+  // cursor per row finds every mirror without building A^T.  Each matched
+  // mirror advances its cursor; nnz successful matches consume every entry,
+  // so no entry can be left without a partner.
+  const std::vector<nnz_t>& row_ptr = a.row_ptr();
+  const std::vector<std::int64_t>& col_idx = a.col_idx();
+  const std::vector<double>& values = a.values();
+  std::vector<nnz_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (nnz_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
+      const index_t j = col_idx[t];
+      nnz_t& mirror = cursor[j];
+      if (mirror == row_ptr[j + 1] || col_idx[mirror] != i) return false;
+      // Same pair, same order of subtraction as a.equals(a.transpose(), tol).
+      if (std::abs(values[t] - values[mirror]) > tol) return false;
+      ++mirror;
+    }
+  }
+  return true;
 }
 
 bool is_strictly_diagonally_dominant(const CsrMatrix& a) {

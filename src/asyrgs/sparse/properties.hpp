@@ -38,7 +38,9 @@ struct RowNnzStats {
 /// rho2 = max_l (1/n) sum_r A_lr^2 (Theorem 4).  Requires a square matrix.
 [[nodiscard]] double rho2(const CsrMatrix& a);
 
-/// True when A equals its transpose entrywise within `tol`.
+/// True when A equals its transpose entrywise within `tol`: the verdict of
+/// a.equals(a.transpose(), tol), from one merge over the sorted rows with
+/// n cursors of scratch instead of an O(nnz) transpose.
 [[nodiscard]] bool is_symmetric(const CsrMatrix& a, double tol = 0.0);
 
 /// True when A is strictly (row) diagonally dominant:

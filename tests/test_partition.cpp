@@ -29,6 +29,7 @@
 #include "asyrgs/core/engine.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/partition.hpp"
+#include "asyrgs/gen/random_spd.hpp"
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/problem.hpp"
@@ -97,6 +98,24 @@ TEST(RcmOrder, HandlesIsolatedVertices) {
   EXPECT_TRUE(is_permutation_of_range(rcm_order(a), 6));
 }
 
+TEST(RcmOrder, PinnedOnSeveralMultiVertexComponents) {
+  // Five components with interleaved labels: a 5-vertex path, a triangle
+  // with a tail, an edge, an isolated vertex and a 3-leaf star.  Every
+  // multi-vertex component runs both pseudo-peripheral probes, so this pins
+  // the probe bookkeeping across components (expected order captured before
+  // the probes stopped copying the visited array).
+  CooBuilder b(16, 16);
+  for (index_t i = 0; i < 16; ++i) b.add(i, i, 4.0);
+  const index_t edges[][2] = {{0, 3},  {3, 7},  {7, 9},  {9, 12},   // path
+                              {1, 5},  {5, 10}, {10, 1}, {10, 13},  // tri
+                              {2, 11},                              // edge
+                              {8, 6},  {8, 14}, {8, 15}};           // star
+  for (const auto& e : edges) b.add_symmetric(e[0], e[1], -1.0);
+  const std::vector<index_t> expected = {15, 6, 8,  14, 4, 2, 11, 5,
+                                         1,  10, 13, 0, 3, 7, 9,  12};
+  EXPECT_EQ(rcm_order(b.to_csr()), expected);
+}
+
 TEST(PermuteSymmetric, AppliesPAPTransposeEntrywise) {
   const CsrMatrix a = laplacian_2d(4, 3, 1.0, 2.5);
   std::vector<index_t> perm(static_cast<std::size_t>(a.rows()));
@@ -110,6 +129,35 @@ TEST(PermuteSymmetric, AppliesPAPTransposeEntrywise) {
       ASSERT_EQ(p.at(i, j), a.at(perm[static_cast<std::size_t>(i)],
                                  perm[static_cast<std::size_t>(j)]))
           << i << "," << j;
+}
+
+TEST(PermuteSymmetric, NarrowAnalysisHoldsTheConvertedWideOperator) {
+  // A narrow analysis builds P A P^T straight at int32; it must equal the
+  // full-width permutation narrowed afterwards, array for array, and it is
+  // the only permuted operator the analysis holds.
+  RandomSpdOptions spd;
+  spd.n = 300;
+  spd.seed = 5;
+  for (const CsrMatrix& a : {laplacian_2d(40, 40), random_spd_product(spd)}) {
+    const PartitionAnalysis narrow(a, StoragePolicy::kInt32Double);
+    ASSERT_EQ(narrow.storage(), StoragePolicy::kInt32Double);
+    const CsrMatrix32 reference = convert_storage<std::int32_t, double>(
+        permute_symmetric(a, narrow.perm()));
+    const CsrMatrix32& held = narrow.permuted<std::int32_t>();
+    EXPECT_EQ(held.row_ptr(), reference.row_ptr());
+    EXPECT_EQ(held.col_idx(), reference.col_idx());
+    EXPECT_EQ(held.values(), reference.values());
+    EXPECT_THROW((void)narrow.permuted(), Error);  // no full-width twin
+
+    const PartitionAnalysis wide(a);
+    ASSERT_EQ(wide.storage(), StoragePolicy::kInt64Double);
+    EXPECT_EQ(wide.perm(), narrow.perm());
+    EXPECT_THROW((void)wide.permuted<std::int32_t>(), Error);
+    const std::shared_ptr<const GraphPartition> wide_cut = wide.cut(8);
+    const std::shared_ptr<const GraphPartition> narrow_cut = narrow.cut(8);
+    EXPECT_EQ(wide_cut->lo, narrow_cut->lo);
+    EXPECT_EQ(wide_cut->halo, narrow_cut->halo);
+  }
 }
 
 // --- (b) cut_rows: coverage, alignment, halos --------------------------------

@@ -212,6 +212,25 @@ TEST(PreparedSpd, ValidationRunsOncePerProblemNotPerSolve) {
   EXPECT_EQ(stats.solves, 2);
 }
 
+TEST(PreparedSpd, SymmetryCheckBuildsNoTranspose) {
+  // The SPD check merges each entry with its mirror in place; no SPD kernel
+  // reads A^T, so the handle must not leave one behind in the matrix cache.
+  ThreadPool pool(1);
+  const CsrMatrix a = laplacian_2d(7, 7);
+  SpdProblem problem(pool, a, /*check_input=*/true);
+  EXPECT_FALSE(a.transpose_cached());
+  EXPECT_EQ(problem.stats().transpose_builds, 0);
+  EXPECT_EQ(problem.stats().validation_passes, 1);
+
+  // The check still rejects a one-sided entry, and still builds nothing.
+  CooBuilder builder(3, 3);
+  for (index_t i = 0; i < 3; ++i) builder.add(i, i, 2.0);
+  builder.add(0, 2, -1.0);
+  const CsrMatrix lopsided = builder.to_csr();
+  EXPECT_THROW(SpdProblem(pool, lopsided, /*check_input=*/true), Error);
+  EXPECT_FALSE(lopsided.transpose_cached());
+}
+
 TEST(PreparedSpd, RepeatSolvePerformsNoNewScratchAllocations) {
   ThreadPool pool(2);
   const CsrMatrix a = laplacian_2d(8, 8);

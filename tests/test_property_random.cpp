@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "asyrgs/asyrgs.hpp"
 
@@ -27,6 +30,93 @@ class SeededTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SeededTest, TransposeIsInvolution) {
   const CsrMatrix a = random_sparse(83, GetParam());
   EXPECT_TRUE(a.transpose().transpose().equals(a, 0.0));
+}
+
+TEST_P(SeededTest, SymmetryCheckMatchesTransposeReference) {
+  // is_symmetric merges each entry with its mirror in one pass over the
+  // rows; the reference compares A with an explicit A^T.  Both must give
+  // the same verdict on symmetric matrices and on every single mutation.
+  using Entries = std::map<std::pair<index_t, index_t>, double>;
+  const std::uint64_t seed = GetParam();
+  Xoshiro256 rng(seed);
+  const index_t n = 37;
+  Entries base;
+  for (index_t i = 0; i < n; ++i) base[{i, i}] = 4.0 + uniform_real(rng);
+  for (int t = 0; t < 90; ++t) {
+    const index_t i = uniform_index(rng, n);
+    const index_t j = uniform_index(rng, n);
+    if (i == j) continue;
+    const double v = normal(rng);
+    base[{i, j}] = v;
+    base[{j, i}] = v;
+  }
+  const auto build = [](index_t rows, index_t cols, const Entries& entries) {
+    CooBuilder b(rows, cols);
+    for (const auto& [ij, v] : entries) b.add(ij.first, ij.second, v);
+    return b.to_csr();
+  };
+  const auto agree = [](const CsrMatrix& a, double tol, const char* what) {
+    const bool reference = a.square() && a.equals(a.transpose(), tol);
+    EXPECT_EQ(is_symmetric(a, tol), reference) << what << ", tol " << tol;
+    return reference;
+  };
+  // An off-diagonal entry (i, j) of the base, drawn afresh per mutation.
+  const auto pick_offdiag = [&]() {
+    for (;;) {
+      auto it = base.begin();
+      std::advance(it, static_cast<long>(uniform_index(
+                           rng, static_cast<index_t>(base.size()))));
+      if (it->first.first != it->first.second) return it->first;
+    }
+  };
+  const double tol = 1e-9;
+
+  EXPECT_TRUE(agree(build(n, n, base), 0.0, "symmetric"));
+  EXPECT_TRUE(agree(build(n, n, base), tol, "symmetric"));
+
+  {  // one value nudged past tol: asymmetric at tol, symmetric at 4 tol
+    Entries m = base;
+    m[pick_offdiag()] += 2.0 * tol;
+    const CsrMatrix a = build(n, n, m);
+    EXPECT_FALSE(agree(a, tol, "nudged past tol"));
+    EXPECT_TRUE(agree(a, 4.0 * tol, "nudged past tol"));
+  }
+  {  // one value off by exactly the tolerance: accepted at it, not below
+    Entries m = base;
+    const auto ij = pick_offdiag();
+    const double mirror = m.at({ij.second, ij.first});
+    m[ij] = mirror + 0.5;
+    const double exact = std::abs(m[ij] - mirror);
+    const CsrMatrix a = build(n, n, m);
+    EXPECT_TRUE(agree(a, exact, "off by exactly tol"));
+    EXPECT_FALSE(agree(a, std::nextafter(exact, 0.0), "off by exactly tol"));
+  }
+  {  // a dropped mirror entry
+    Entries m = base;
+    const auto ij = pick_offdiag();
+    m.erase({ij.second, ij.first});
+    EXPECT_FALSE(agree(build(n, n, m), tol, "dropped mirror"));
+    EXPECT_FALSE(agree(build(n, n, m), 1e300, "dropped mirror"));
+  }
+  {  // an extra one-sided entry, in each triangle
+    for (const bool upper : {true, false}) {
+      Entries m = base;
+      index_t i = 0, j = 0;
+      do {
+        i = uniform_index(rng, n);
+        j = uniform_index(rng, n);
+      } while (i == j || (upper != (i < j)) || m.count({i, j}) != 0);
+      m[{i, j}] = 0.25;
+      EXPECT_FALSE(agree(build(n, n, m), tol, "extra one-sided entry"));
+    }
+  }
+  {  // a non-square shape with a symmetric leading block
+    Entries m = base;
+    m[{n - 1, n}] = 1.0;
+    EXPECT_FALSE(agree(build(n, n + 1, m), tol, "non-square"));
+  }
+  // A general random matrix (almost surely unsymmetric).
+  agree(random_sparse(41, seed), tol, "random unsymmetric");
 }
 
 TEST_P(SeededTest, SpmvIsLinear) {

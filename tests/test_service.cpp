@@ -278,7 +278,8 @@ TEST(SolverService, OwnerComputesMultiWorkerTeamsStayDeterministic) {
 
 TEST(SolverService, ShardClonesPayNoRevalidation) {
   // Fresh matrix: the transpose cache starts cold, so the service's own
-  // construction is what pays the one transpose build.
+  // construction is what pays the one transpose build — the LSQ handle's
+  // (the SPD symmetry check builds none).
   const CsrMatrix a = laplacian_2d(8, 8);
   ASSERT_FALSE(a.transpose_cached());
 
@@ -290,8 +291,8 @@ TEST(SolverService, ShardClonesPayNoRevalidation) {
   ASSERT_EQ(stats.shards.size(), 4u);
   // One symmetry/diagonal pass (SPD) + one rank pass (LSQ), both on shard 0.
   EXPECT_EQ(stats.validation_passes, 2);
-  // One transpose for the whole service (SPD symmetry check builds it; the
-  // LSQ handle and every clone share it through the matrix cache).
+  // One transpose for the whole service (the LSQ handle builds it; every
+  // clone shares it through the matrix cache).
   EXPECT_EQ(stats.transpose_builds, 1);
   EXPECT_TRUE(a.transpose_cached());
   for (std::size_t s = 1; s < stats.shards.size(); ++s) {
@@ -316,6 +317,23 @@ TEST(SolverService, ShardClonesPayNoRevalidation) {
   stats = service.stats();
   EXPECT_EQ(stats.validation_passes, 2);
   EXPECT_EQ(stats.transpose_builds, 1);
+}
+
+TEST(SolverService, SpdOnlyServiceBuildsNoTranspose) {
+  // No SPD kernel reads A^T, and the symmetry check merges in place: a
+  // service without least-squares handles never materializes one, even with
+  // the partition analysis prepared.
+  const CsrMatrix a = laplacian_2d(8, 8);
+  ServiceOptions options = two_shard_options();
+  options.prepare_lsq = false;
+  options.prepare_partitions = true;
+  SolverService service(a, options);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.validation_passes, 1);
+  EXPECT_EQ(stats.transpose_builds, 0);
+  EXPECT_FALSE(a.transpose_cached());
+  EXPECT_EQ(stats.shards[0].spd.partition_builds, 1);
+  EXPECT_EQ(stats.shards[1].spd.partition_builds, 0);
 }
 
 TEST(SolverService, CloneConstructorsMatchFullValidationBitForBit) {

@@ -129,6 +129,36 @@ TEST(StorageGolden, OwnerComputesMultiWorkerMatchesPreRefactor) {
   }
 }
 
+TEST(StorageGolden, PartitionedSingleWorkerPinnedAtEveryWidth) {
+  // Partitioned solves run on the RCM-permuted operator held at the handle's
+  // index width.  At one worker the iterate is a function of the recipe
+  // alone; the hash was captured before the permuted operator was built
+  // straight at int32, and both widths must reproduce it bit for bit.
+  constexpr std::uint64_t kGolden = 0xba6e70890ae85ee5ull;
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(64, 64);
+  const std::vector<double> b = random_vector(a.rows(), 7);
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncRgs;
+  controls.sweeps = 12;
+  controls.seed = 29;
+  controls.workers = 1;
+  controls.sync = SyncMode::kBarrierPerSweep;
+  controls.partitions = 8;
+  controls.steal_rate = 0.05;
+  for (const StorageMode mode :
+       {StorageMode::kAuto, StorageMode::kInt64Double}) {
+    SpdProblem problem(pool, a, /*check_input=*/true, mode);
+    std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
+    const SolveOutcome outcome = problem.solve(b, x, controls);
+    EXPECT_EQ(outcome.partitions_used, 8);
+    EXPECT_EQ(outcome.storage_used, mode == StorageMode::kAuto
+                                        ? StoragePolicy::kInt32Double
+                                        : StoragePolicy::kInt64Double);
+    EXPECT_EQ(fnv1a(x), kGolden) << "storage mode " << to_string(mode);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // (b) Overflow guard by shape arithmetic
 // ---------------------------------------------------------------------------

@@ -190,11 +190,13 @@ int main(int argc, char** argv) {
                     << " s\n";
       }
     } else {
-      // Prepare once (symmetry + diagonal validation, cached transpose,
-      // scratch), then solve --repeat times against the handle.
+      // Prepare once (symmetry + diagonal validation, compact storage,
+      // and with --partitions the RCM analysis), then solve --repeat times
+      // against the handle.
       WallTimer prepare_timer;
       SpdProblem problem(ThreadPool::global(), a, /*check_input=*/true,
                          storage_mode);
+      if (controls.partitions != 0) problem.prepare_partitions();
       std::cerr << "prepared handle in " << prepare_timer.seconds()
                 << " s (storage: " << to_string(problem.storage()) << ")\n";
 
