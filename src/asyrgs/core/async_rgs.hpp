@@ -89,6 +89,9 @@ struct AsyncRgsOptions {
   double sync_interval_seconds = 0.05;
   /// With kBarrierPerSweep/kTimedBarrier: track the relative residual at
   /// each synchronization and stop early when it reaches rel_tol (> 0).
+  /// Without track_history, kBarrierPerSweep checks the tolerance on a
+  /// predicted schedule of sweeps, not after every sweep
+  /// (detail::next_check_sweep in core/engine.hpp).
   bool track_history = false;
   double rel_tol = 0.0;
 };

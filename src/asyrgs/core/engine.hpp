@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -584,6 +585,36 @@ struct EngineSampling {
   std::function<void()> refresh;
 };
 
+/// Longest run of sweeps a tolerance-stopped kBarrierPerSweep solve goes
+/// without an exact residual check.  A constant rather than an option: it
+/// only bounds how far a mispredicted crossing can overshoot, and the
+/// measured overshoot stays far below it (docs/TUNING.md "When a solve
+/// checks convergence").
+inline constexpr int kMaxCheckGap = 16;
+
+/// Sweep of the next exact residual check of a tolerance-stopped
+/// kBarrierPerSweep run, after the check at `sweep` (>= 2 sweeps done)
+/// measured `rel`, the first check (sweep 1) measured `first`, and neither
+/// reached `rel_tol`.  Fits one contraction factor per sweep from the first
+/// check to this one and lands on the predicted crossing of rel_tol, at
+/// least 1 and at most kMaxCheckGap sweeps ahead and never past the budget
+/// `sweeps`, so the budget's last sweep is always checked.  The fit anchors
+/// at the first check, not the last two, because the 2-norm residual is not
+/// monotone sweep to sweep: on the perfbench operators a fit over the last
+/// two checks overshot by up to 15 sweeps.  A residual that does not shrink
+/// (or is not finite) waits the full gap.  The result depends on residual
+/// values only, so a 1-worker run stays bit-reproducible, and the arithmetic
+/// cannot overflow for any budget up to INT_MAX.
+[[nodiscard]] inline int next_check_sweep(int sweep, double rel, double first,
+                                          double rel_tol, int sweeps) noexcept {
+  double gap = kMaxCheckGap;
+  // Natural log of the fitted per-sweep contraction.
+  const double rate = std::log(rel / first) / static_cast<double>(sweep - 1);
+  if (rate < 0.0)
+    gap = std::clamp(std::ceil(std::log(rel_tol / rel) / rate), 1.0, gap);
+  return sweep + std::min(static_cast<int>(gap), sweeps - sweep);
+}
+
 /// Generic execution engine shared by the single-RHS, block, and
 /// least-squares asynchronous solvers.
 ///
@@ -594,7 +625,10 @@ struct EngineSampling {
 /// team)` evaluates the convergence metric at synchronization points; it is
 /// called by *every* rendezvoused worker (team-parallel reduction — see
 /// TeamReduce) and only worker 0's return value is used.  The engine calls
-/// it only when options request history tracking or a tolerance.
+/// it only when options request history tracking or a tolerance: every
+/// sweep under track_history, on the next_check_sweep schedule for a
+/// tolerance alone, once per round in kTimedBarrier, and once on x0 for a
+/// zero budget.
 ///
 /// The thread pool may shrink a team to 1 on nested calls; the engine then
 /// builds the matching single-worker plan lazily (make_plan(team)) instead
@@ -675,10 +709,29 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
   }
 
   if (options.sync == SyncMode::kBarrierPerSweep) {
+    if (sweeps == 0) {
+      // The returned iterate is x0: report its residual, as the timed
+      // loop's one empty round does.
+      if (check_enabled) {
+        report.final_relative_residual = residual(0, 1);
+        report.converged = options.rel_tol > 0.0 &&
+                           report.final_relative_residual <= options.rel_tol;
+      }
+      report.sweeps_done = 0;
+      report.updates = 0;
+      return;
+    }
     const Plan plan = make_plan(workers);
     SpinBarrier barrier(workers);
     std::atomic<bool> stop{false};
     std::atomic<int> sweeps_done{0};
+    // Exact-check schedule: every sweep under track_history, else sweeps 1
+    // and 2 and then next_check_sweep.  Worker 0 writes next_check between
+    // the two barriers and every worker reads it before the next sweep's
+    // first barrier, so the barriers order the hand-off and the whole team
+    // agrees on entering the residual's reduction.
+    int next_check = 1;
+    double first_rel = 0.0;
     pool.run_team(workers, [&](int id, int team) {
       const bool full_team = (team == workers && team > 1);
       std::optional<Plan> shrunk;
@@ -704,16 +757,25 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
             update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
           t += static_cast<index_t>(chunk);
         }
+        const int done = sweep + 1;
+        const bool check =
+            check_enabled && (options.track_history || done == next_check);
         if (full_team) barrier.arrive_and_wait();
-        const double rel = check_enabled ? residual(id, team) : 0.0;
+        const double rel = check ? residual(id, team) : 0.0;
         if (id == 0) {
-          sweeps_done.store(sweep + 1, std::memory_order_relaxed);
-          if (check_enabled) {
+          sweeps_done.store(done, std::memory_order_relaxed);
+          if (check) {
             report.final_relative_residual = rel;
             if (options.track_history) report.residual_history.push_back(rel);
             if (options.rel_tol > 0.0 && rel <= options.rel_tol) {
               report.converged = true;
               stop.store(true, std::memory_order_release);
+            } else if (done == 1) {
+              first_rel = rel;
+              next_check = 2;
+            } else {
+              next_check = next_check_sweep(done, rel, first_rel,
+                                            options.rel_tol, sweeps);
             }
           }
           // Residual-policy table refresh: the team is parked at the next

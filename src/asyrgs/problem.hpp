@@ -176,10 +176,18 @@ struct SolveOutcome {
   /// Resolved strategy (SpdProblem methods; for LsqProblem kAsyncRgs =
   /// coordinate descent, kAsyncKaczmarz = row action).
   SpdMethod method_used = SpdMethod::kAuto;
-  int iterations = 0;        ///< sweeps or outer iterations, per method
+  /// Sweeps or outer iterations, per method.  A tolerance-stopped
+  /// kBarrierPerSweep solve checks its exact residual at scheduled
+  /// rendezvous only (docs/API.md, SyncMode), so this can exceed the first
+  /// sweep below rel_tol by the schedule's overshoot.
+  int iterations = 0;
   long long updates = 0;     ///< coordinate updates (asynchronous methods)
   int workers = 0;           ///< actual team size used
-  double relative_residual = 0.0;  ///< when a tolerance/history was active
+  /// Asynchronous methods with a tolerance or history under a synchronizing
+  /// mode: the exact convergence metric at the returned iterate, and
+  /// kConverged means it is <= rel_tol.  Krylov methods: the final
+  /// residual their iteration reports.
+  double relative_residual = 0.0;
   double seconds = 0.0;      ///< iteration-loop wall time
   /// CSR storage policy the kernels actually ran against — the handle's
   /// resolved policy for the asynchronous methods, kInt64Double for the

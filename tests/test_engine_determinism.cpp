@@ -11,13 +11,17 @@
 //  (c) the templated atomic/racy kernels produce bit-identical
 //      single-worker results vs. the sequential reference (the old path's
 //      observable contract).
-//  Plus the oversubscription heuristic for team-parallel residuals.
+//  Plus the exact-check schedule of tolerance-stopped barrier runs, driven
+//  with a synthetic residual, and the oversubscription heuristic for
+//  team-parallel residuals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "asyrgs/core/engine.hpp"
@@ -331,6 +335,141 @@ TEST(KernelBitExactness, BlockSingleWorkerEqualsSequentialBlock) {
   for (index_t i = 0; i < a.rows(); ++i)
     for (index_t c = 0; c < 3; ++c)
       ASSERT_EQ(x_seq.at(i, c), x_async.at(i, c)) << i << "," << c;
+}
+
+// --- exact-check schedule of tolerance-stopped barrier runs ------------------
+
+/// Counts updates, so a synthetic residual can read the sweep off them.
+struct CountingUpdate {
+  long long* updates;
+  void operator()(int, index_t, index_t) const { ++*updates; }
+};
+
+/// A 1-worker kBarrierPerSweep engine run whose residual after sweep s is
+/// value(s), with the sweep of every residual call recorded.
+struct SyntheticRun {
+  AsyncRgsReport report;
+  std::vector<int> checked;
+};
+
+template <typename Value>
+SyntheticRun run_synthetic(AsyncRgsOptions opt, Value value) {
+  ThreadPool pool(1);
+  const index_t n = 8;
+  opt.sync = SyncMode::kBarrierPerSweep;
+  opt.workers = 1;
+  long long updates = 0;
+  SyntheticRun run;
+  auto residual = [&](int, int) {
+    const int sweep = static_cast<int>(updates / n);
+    run.checked.push_back(sweep);
+    return value(sweep);
+  };
+  detail::run_engine(pool, opt, n, 1, CountingUpdate{&updates}, residual,
+                     run.report);
+  return run;
+}
+
+/// First sweep s >= 1 with q^s <= tol.
+int first_crossing(double q, double tol) {
+  int s = 1;
+  while (std::pow(q, s) > tol) ++s;
+  return s;
+}
+
+TEST(CheckSchedule, StopsOnTheFirstSweepBelowToleranceWithFewChecks) {
+  struct Case {
+    double q, tol;
+  };
+  for (const Case c : {Case{0.5, 1e-6}, Case{0.8, 1e-3}, Case{0.9, 1e-3},
+                       Case{0.97, 1e-6}}) {
+    AsyncRgsOptions opt;
+    opt.sweeps = 100000;
+    opt.rel_tol = c.tol;
+    const SyntheticRun run =
+        run_synthetic(opt, [&](int s) { return std::pow(c.q, s); });
+    const int crossing = first_crossing(c.q, c.tol);
+    EXPECT_TRUE(run.report.converged) << "q=" << c.q;
+    EXPECT_EQ(run.report.sweeps_done, crossing) << "q=" << c.q;
+    EXPECT_EQ(run.report.final_relative_residual, std::pow(c.q, crossing));
+    ASSERT_GE(run.checked.size(), 2u);
+    EXPECT_EQ(run.checked[0], 1);
+    EXPECT_EQ(run.checked[1], 2);
+    EXPECT_EQ(run.checked.back(), crossing);
+    EXPECT_LE(run.checked.size() * 4, static_cast<std::size_t>(crossing))
+        << "q=" << c.q << " checks=" << run.checked.size();
+  }
+}
+
+TEST(CheckSchedule, TrackHistoryChecksEverySweep) {
+  AsyncRgsOptions opt;
+  opt.sweeps = 100000;
+  opt.rel_tol = 1e-3;
+  opt.track_history = true;
+  const SyntheticRun run =
+      run_synthetic(opt, [](int s) { return std::pow(0.9, s); });
+  const int crossing = first_crossing(0.9, 1e-3);
+  EXPECT_TRUE(run.report.converged);
+  EXPECT_EQ(run.report.sweeps_done, crossing);
+  ASSERT_EQ(run.report.residual_history.size(),
+            static_cast<std::size_t>(run.report.sweeps_done));
+  ASSERT_EQ(run.checked.size(), static_cast<std::size_t>(crossing));
+  for (int s = 1; s <= crossing; ++s) {
+    EXPECT_EQ(run.checked[static_cast<std::size_t>(s - 1)], s);
+    EXPECT_EQ(run.report.residual_history[static_cast<std::size_t>(s - 1)],
+              std::pow(0.9, s));
+  }
+}
+
+TEST(CheckSchedule, NonShrinkingResidualWaitsAtMostTheGapAndChecksTheLastSweep) {
+  const std::vector<std::pair<const char*, double (*)(int)>> shapes = {
+      {"flat", [](int) { return 1.0; }},
+      {"rising", [](int s) { return std::pow(1.01, s); }},
+      {"nan", [](int) { return std::nan(""); }}};
+  for (const auto& [name, value] : shapes) {
+    for (int sweeps : {1, 2, 3, 19, 100}) {
+      AsyncRgsOptions opt;
+      opt.sweeps = sweeps;
+      opt.rel_tol = 1e-3;
+      const SyntheticRun run = run_synthetic(opt, value);
+      EXPECT_FALSE(run.report.converged) << name;
+      EXPECT_EQ(run.report.sweeps_done, sweeps) << name;
+      ASSERT_FALSE(run.checked.empty()) << name;
+      EXPECT_EQ(run.checked.front(), 1) << name;
+      EXPECT_EQ(run.checked.back(), sweeps) << name << " sweeps=" << sweeps;
+      for (std::size_t i = 1; i < run.checked.size(); ++i) {
+        EXPECT_GT(run.checked[i], run.checked[i - 1]) << name;
+        EXPECT_LE(run.checked[i] - run.checked[i - 1], detail::kMaxCheckGap)
+            << name << " sweeps=" << sweeps;
+      }
+    }
+  }
+}
+
+TEST(CheckSchedule, PredictionPastTheBudgetChecksTheLastSweep) {
+  AsyncRgsOptions opt;
+  opt.sweeps = 10;
+  opt.rel_tol = 1e-3;  // crossed at sweep 66, past the budget
+  const SyntheticRun run =
+      run_synthetic(opt, [](int s) { return std::pow(0.9, s); });
+  EXPECT_FALSE(run.report.converged);
+  EXPECT_EQ(run.checked, (std::vector<int>{1, 2, 10}));
+  EXPECT_EQ(run.report.final_relative_residual, std::pow(0.9, 10));
+}
+
+TEST(CheckSchedule, IntMaxBudgetSchedulesWithoutOverflow) {
+  // The next-check arithmetic must stay inside int next to an INT_MAX
+  // budget (the UBSan job runs this).
+  AsyncRgsOptions opt;
+  opt.sweeps = std::numeric_limits<int>::max();
+  opt.rel_tol = 1e-3;
+  const SyntheticRun run =
+      run_synthetic(opt, [](int s) { return std::pow(0.9, s); });
+  EXPECT_TRUE(run.report.converged);
+  EXPECT_EQ(run.report.sweeps_done, first_crossing(0.9, 1e-3));
+  EXPECT_EQ(detail::next_check_sweep(std::numeric_limits<int>::max() - 3, 0.5,
+                                     1.0, 1e-300, opt.sweeps),
+            std::numeric_limits<int>::max());
 }
 
 // --- team-residual oversubscription heuristic --------------------------------

@@ -14,8 +14,12 @@
 //      no new scratch allocations.
 //  (c) The unified SolveOutcome: status semantics and the thread-safety
 //      contract (concurrent solve() on distinct x).
+//  (d) Exact stopping on the predicted check schedule: on every
+//      kBarrierPerSweep path the reported residual is the exact metric at
+//      the returned iterate, and kConverged means it is <= rel_tol.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +30,7 @@
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/iter/precond.hpp"
 #include "asyrgs/linalg/norms.hpp"
+#include "asyrgs/linalg/vector_ops.hpp"
 #include "asyrgs/problem.hpp"
 #include "asyrgs/solve.hpp"
 #include "asyrgs/sparse/coo.hpp"
@@ -341,6 +346,39 @@ TEST(SolveOutcomeStatus, ConvergedToleranceMissedAndBudgetCompleted) {
   EXPECT_EQ(std::string(to_string(out.status)), "budget-completed");
 }
 
+TEST(SolveOutcomeStatus, ZeroSweepBudgetReportsTheResidualOfX0) {
+  // Both synchronizing modes return x0 untouched and report its residual.
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(8, 8);
+  const std::vector<double> x_star = random_vector(a.rows(), 9);
+  const std::vector<double> b = rhs_from_solution(a, x_star);
+  SpdProblem problem(pool, a);
+  for (SyncMode sync : {SyncMode::kBarrierPerSweep, SyncMode::kTimedBarrier}) {
+    for (int workers : {1, 2}) {
+      SolveControls controls;
+      controls.method = SpdMethod::kAsyncRgs;
+      controls.workers = workers;
+      controls.sweeps = 0;
+      controls.rel_tol = 1e-3;
+      controls.sync = sync;
+      std::vector<double> x(a.rows(), 0.0);
+      SolveOutcome out = problem.solve(b, x, controls);
+      EXPECT_EQ(out.status, SolveStatus::kToleranceNotReached);
+      EXPECT_EQ(out.iterations, 0);
+      EXPECT_EQ(out.updates, 0);
+      EXPECT_NEAR(out.relative_residual, 1.0, 1e-14)
+          << "sync=" << static_cast<int>(sync) << " workers=" << workers;
+      EXPECT_EQ(x, std::vector<double>(a.rows(), 0.0));
+
+      // Started at the solution, a zero budget has already converged.
+      x = x_star;
+      out = problem.solve(b, x, controls);
+      EXPECT_EQ(out.status, SolveStatus::kConverged);
+      EXPECT_LE(out.relative_residual, 1e-12);
+    }
+  }
+}
+
 TEST(PreparedSpd, ConcurrentSolvesOnDistinctIteratesAreSerializedSafely) {
   // The documented contract: concurrent solve() calls on one handle are
   // safe (internally serialized) and produce the same results as running
@@ -419,6 +457,192 @@ TEST(PreparedSpd, BorrowedPreconditionerStaysVariable) {
   pc.apply(r, z2);
   EXPECT_NE(z1, z2);  // fresh random directions per application
   EXPECT_EQ(problem.stats().solves, solves_before + 2);
+}
+
+// --- (d) exact stopping on the predicted check schedule ----------------------
+
+enum class CheckedPath { kSingle, kPartitioned, kBlock, kLsq, kKaczmarz };
+
+const char* path_name(CheckedPath path) {
+  constexpr const char* kNames[] = {"single", "partitioned", "block",
+                                    "least-squares", "kaczmarz"};
+  return kNames[static_cast<int>(path)];
+}
+
+// Serial recomputations of each path's metric at an iterate.  They form
+// every residual entry in the association the engine's residual functors
+// use (core/kernels.hpp), so they differ from a reported value only by the
+// team reduction's summation order, even where b - A x cancels to a few
+// significant digits.
+
+/// b - A x, subtracting each row's terms from b_i in column order.
+std::vector<double> residual_vector(const CsrMatrix& a,
+                                    const std::vector<double>& b,
+                                    const std::vector<double>& x) {
+  std::vector<double> r(b.size());
+  for (index_t i = 0; i < a.rows(); ++i) {
+    double ri = b[static_cast<std::size_t>(i)];
+    const auto cols = a.row_cols(i);
+    const auto vals = a.row_vals(i);
+    for (std::size_t s = 0; s < cols.size(); ++s)
+      ri -= vals[s] * x[static_cast<std::size_t>(cols[s])];
+    r[static_cast<std::size_t>(i)] = ri;
+  }
+  return r;
+}
+
+/// ||A^T (b - A x)|| / ||A^T b||, the least-squares paths' metric.
+double normal_equations_residual(const CsrMatrix& a,
+                                 const std::vector<double>& b,
+                                 const std::vector<double>& x) {
+  const std::vector<double> r = residual_vector(a, b, x);
+  std::vector<double> g(static_cast<std::size_t>(a.cols()));
+  std::vector<double> g0(g.size());
+  a.multiply_transpose(r.data(), g.data());
+  a.multiply_transpose(b.data(), g0.data());
+  return nrm2(g) / nrm2(g0);
+}
+
+/// ||B - A X||_F / ||B||_F, the block path's metric: each row's A X terms
+/// are summed before B's entry is subtracted, as the block kernel does.
+double block_residual(const CsrMatrix& a, const MultiVector& b,
+                      const MultiVector& x) {
+  double num = 0.0;
+  double den = 0.0;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto cols = a.row_cols(i);
+    const auto vals = a.row_vals(i);
+    for (index_t c = 0; c < b.cols(); ++c) {
+      double ax = 0.0;
+      for (std::size_t s = 0; s < cols.size(); ++s)
+        ax += vals[s] * x.at(cols[s], c);
+      const double r = b.at(i, c) - ax;
+      num += r * r;
+      den += b.at(i, c) * b.at(i, c);
+    }
+  }
+  return std::sqrt(num) / std::sqrt(den);
+}
+
+/// Tall full-column-rank matrix with four nonzeros per row, coupled enough
+/// that neither least-squares method finishes in the two fitting sweeps.
+CsrMatrix coupled_tall_matrix(index_t rows, index_t cols,
+                              std::uint64_t seed) {
+  CooBuilder builder(rows, cols);
+  Xoshiro256 rng(seed);
+  for (index_t i = 0; i < rows; ++i) {
+    builder.add(i, i % cols, 1.0);
+    for (int t = 0; t < 3; ++t)
+      builder.add(i, uniform_index(rng, cols), normal(rng));
+  }
+  return builder.to_csr();
+}
+
+struct CheckedSolve {
+  SolveOutcome out;
+  double recomputed = 0.0;  ///< the path's metric, serially, at the iterate
+  std::vector<double> x;    ///< the returned iterate (block: row-major)
+};
+
+/// One kBarrierPerSweep solve from x0 = 0 on `path`, on a fresh handle.
+CheckedSolve solve_checked(CheckedPath path, ThreadPool& pool,
+                           SolveControls controls) {
+  controls.sync = SyncMode::kBarrierPerSweep;
+  CheckedSolve s;
+  if (path == CheckedPath::kLsq || path == CheckedPath::kKaczmarz) {
+    // Consistent, so Kaczmarz converges in the normal-equations metric too.
+    const CsrMatrix a = coupled_tall_matrix(240, 60, 5);
+    const std::vector<double> b =
+        rhs_from_solution(a, random_vector(a.cols(), 7));
+    LsqProblem problem(pool, a);
+    controls.method = path == CheckedPath::kKaczmarz ? SpdMethod::kAsyncKaczmarz
+                                                     : SpdMethod::kAsyncRgs;
+    s.x.assign(static_cast<std::size_t>(a.cols()), 0.0);
+    s.out = problem.solve(b, s.x, controls);
+    s.recomputed = normal_equations_residual(a, b, s.x);
+    return s;
+  }
+  const CsrMatrix a = laplacian_2d(12, 12);
+  SpdProblem problem(pool, a);
+  controls.method = SpdMethod::kAsyncRgs;
+  if (path == CheckedPath::kBlock) {
+    const MultiVector b = random_multivector(a.rows(), 3, 11);
+    MultiVector x(a.rows(), 3);
+    s.out = problem.solve(b, x, controls);
+    s.recomputed = block_residual(a, b, x);
+    s.x.assign(x.data(), x.data() + x.size());
+    return s;
+  }
+  if (path == CheckedPath::kPartitioned) {
+    controls.partitions = 4;
+    controls.steal_rate = 0.05;
+  }
+  const std::vector<double> b =
+      rhs_from_solution(a, random_vector(a.rows(), 9));
+  s.x.assign(static_cast<std::size_t>(a.rows()), 0.0);
+  s.out = problem.solve(b, s.x, controls);
+  s.recomputed = nrm2(residual_vector(a, b, s.x)) / nrm2(b);
+  return s;
+}
+
+constexpr CheckedPath kCheckedPaths[] = {
+    CheckedPath::kSingle, CheckedPath::kPartitioned, CheckedPath::kBlock,
+    CheckedPath::kLsq, CheckedPath::kKaczmarz};
+
+TEST(ExactChecks, ReportedResidualIsExactAtTheReturnedIterate) {
+  ThreadPool pool(2);
+  for (CheckedPath path : kCheckedPaths) {
+    for (int workers : {1, 2}) {
+      const std::string label = std::string(path_name(path)) +
+                                " workers=" + std::to_string(workers);
+      SolveControls controls;
+      controls.workers = workers;
+      controls.seed = 3;
+
+      // Converged: the stop is an exact check at or below rel_tol, past
+      // the two fitting checks.
+      controls.sweeps = 5000;
+      controls.rel_tol = 1e-3;
+      CheckedSolve s = solve_checked(path, pool, controls);
+      EXPECT_EQ(s.out.status, SolveStatus::kConverged) << label;
+      EXPECT_GT(s.out.iterations, 2) << label;
+      EXPECT_NEAR(s.out.relative_residual, s.recomputed,
+                  1e-12 * s.recomputed)
+          << label;
+      EXPECT_LE(s.out.relative_residual, controls.rel_tol) << label;
+
+      // Not reached: 23 sweeps fall between the scheduled checks (1, 2,
+      // then at most 16 apart), so the budget's last sweep must be checked
+      // for the report to match the iterate.
+      controls.sweeps = 23;
+      controls.rel_tol = 1e-14;
+      s = solve_checked(path, pool, controls);
+      EXPECT_EQ(s.out.status, SolveStatus::kToleranceNotReached) << label;
+      EXPECT_EQ(s.out.iterations, 23) << label;
+      EXPECT_NEAR(s.out.relative_residual, s.recomputed,
+                  1e-12 * s.recomputed)
+          << label;
+      EXPECT_GT(s.out.relative_residual, controls.rel_tol) << label;
+    }
+  }
+}
+
+TEST(ExactChecks, OneWorkerToleranceRunRepeatsBitForBit) {
+  ThreadPool pool(2);
+  SolveControls controls;
+  controls.workers = 1;
+  controls.seed = 17;
+  controls.sweeps = 5000;
+  controls.rel_tol = 1e-3;
+  for (CheckedPath path : kCheckedPaths) {
+    const CheckedSolve first = solve_checked(path, pool, controls);
+    const CheckedSolve again = solve_checked(path, pool, controls);
+    EXPECT_EQ(first.out.status, SolveStatus::kConverged) << path_name(path);
+    EXPECT_EQ(first.out.iterations, again.out.iterations) << path_name(path);
+    EXPECT_EQ(first.out.relative_residual, again.out.relative_residual)
+        << path_name(path);
+    EXPECT_EQ(first.x, again.x) << path_name(path);
+  }
 }
 
 }  // namespace
