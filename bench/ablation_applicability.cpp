@@ -58,11 +58,12 @@ double run_residual(ThreadPool& pool, const CsrMatrix& a,
                     int workers) {
   std::vector<double> x(a.rows(), 0.0);
   if (use_rgs) {
-    AsyncRgsOptions opt;
+    SolveControls opt;
+    opt.method = SpdMethod::kAsyncRgs;
     opt.sweeps = sweeps;
     opt.workers = workers;
     opt.seed = 1;
-    async_rgs_solve(pool, a, b, x, opt);
+    SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
   } else {
     AsyncJacobiOptions opt;
     opt.sweeps = sweeps;

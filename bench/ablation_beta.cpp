@@ -47,12 +47,13 @@ int main(int argc, char** argv) {
   std::sort(betas.begin(), betas.end());
   for (double beta : betas) {
     std::vector<double> x(a.rows(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
+    opt.method = SpdMethod::kAsyncRgs;
     opt.sweeps = static_cast<int>(*sweeps);
     opt.seed = 1;
     opt.workers = workers;
     opt.step_size = beta;
-    async_rgs_solve(pool, a, b, x, opt);
+    SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
     const double nu = beta <= 1.0 ? nu_tau(rho_val, tau_est, beta) : 0.0;
     table.add_row({fmt_fixed(beta, 4),
                    fmt_sci(relative_residual(a, b, x)),

@@ -64,12 +64,14 @@ int main(int argc, char** argv) {
       double residual = 0.0;
       for (int rep = 0; rep < *repeats; ++rep) {
         std::vector<double> x(c.matrix.rows(), 0.0);
-        AsyncRgsOptions opt;
+        SolveControls opt;
+        opt.method = SpdMethod::kAsyncRgs;
         opt.sweeps = static_cast<int>(*sweeps);
         opt.workers = workers;
         opt.seed = 1;
         opt.scope = scope;
-        const AsyncRgsReport r = async_rgs_solve(pool, c.matrix, b, x, opt);
+        const SolveOutcome r =
+            SpdProblem(pool, c.matrix, /*check_input=*/false).solve(b, x, opt);
         best = std::min(best, r.seconds);
         residual = relative_residual(c.matrix, b, x);
       }

@@ -53,8 +53,8 @@ inline void update_coordinate(const CsrMatrix& a, const double* b, double* x,
 /// Pre-PR2 direction schedule: one full Philox evaluation per pick().
 class DirectionPlan {
  public:
-  DirectionPlan(const AsyncRgsOptions& options, index_t n, int team)
-      : n_(n), team_(team), shared_(options.seed) {}
+  DirectionPlan(std::uint64_t seed, index_t n, int team)
+      : n_(n), team_(team), shared_(seed) {}
 
   [[nodiscard]] index_t per_sweep(int w) const {
     return (n_ - 1 - static_cast<index_t>(w)) / team_ + 1;
@@ -91,10 +91,10 @@ class DirectionPlan {
 };
 
 /// Pre-PR2 free-running engine (shared randomization scope).
-AsyncRgsReport solve_free_running(ThreadPool& pool, const CsrMatrix& a,
-                                  const std::vector<double>& b,
-                                  std::vector<double>& x,
-                                  const AsyncRgsOptions& options) {
+SolveOutcome solve_free_running(ThreadPool& pool, const CsrMatrix& a,
+                                const std::vector<double>& b,
+                                std::vector<double>& x,
+                                const SolveControls& options) {
   const index_t n = a.rows();
   std::vector<double> inv_diag = a.diagonal();
   for (double& d : inv_diag) d = 1.0 / d;
@@ -102,13 +102,13 @@ AsyncRgsReport solve_free_running(ThreadPool& pool, const CsrMatrix& a,
   int workers = options.workers > 0 ? options.workers : pool.size();
   if (workers > pool.size()) workers = pool.size();
 
-  AsyncRgsReport report;
+  SolveOutcome report;
   report.workers = workers;
   WallTimer timer;
-  const DirectionPlan plan(options, n, workers);
+  const DirectionPlan plan(options.seed, n, workers);
   pool.run_team(workers, [&](int id, int team) {
     const DirectionPlan* my_plan = &plan;
-    DirectionPlan fallback(options, n, team);  // unconditional, as before
+    DirectionPlan fallback(options.seed, n, team);  // unconditional, as before
     if (team != workers) my_plan = &fallback;
     const std::uint64_t my_total = my_plan->total_updates(id, options.sweeps);
     const std::uint64_t stride = static_cast<std::uint64_t>(
@@ -120,7 +120,7 @@ AsyncRgsReport solve_free_running(ThreadPool& pool, const CsrMatrix& a,
       if (team > 1 && (k + 1) % stride == 0) std::this_thread::yield();
     }
   });
-  report.sweeps_done = options.sweeps;
+  report.iterations = options.sweeps;
   report.updates = static_cast<long long>(options.sweeps) *
                    static_cast<long long>(n);
   report.seconds = timer.seconds();
@@ -128,10 +128,10 @@ AsyncRgsReport solve_free_running(ThreadPool& pool, const CsrMatrix& a,
 }
 
 /// Pre-PR2 barrier-per-sweep engine with the serial worker-0 residual.
-AsyncRgsReport solve_barrier(ThreadPool& pool, const CsrMatrix& a,
-                             const std::vector<double>& b,
-                             std::vector<double>& x,
-                             const AsyncRgsOptions& options) {
+SolveOutcome solve_barrier(ThreadPool& pool, const CsrMatrix& a,
+                           const std::vector<double>& b,
+                           std::vector<double>& x,
+                           const SolveControls& options) {
   const index_t n = a.rows();
   std::vector<double> inv_diag = a.diagonal();
   for (double& d : inv_diag) d = 1.0 / d;
@@ -140,17 +140,17 @@ AsyncRgsReport solve_barrier(ThreadPool& pool, const CsrMatrix& a,
   if (workers > pool.size()) workers = pool.size();
   const bool check_enabled = options.track_history || options.rel_tol > 0.0;
 
-  AsyncRgsReport report;
+  SolveOutcome report;
   report.workers = workers;
   WallTimer timer;
-  const DirectionPlan plan(options, n, workers);
+  const DirectionPlan plan(options.seed, n, workers);
   SpinBarrier barrier(workers);
   std::atomic<bool> stop{false};
   std::atomic<int> sweeps_done{0};
   pool.run_team(workers, [&](int id, int team) {
     const bool use_barrier = (team == workers && team > 1);
     const DirectionPlan* my_plan = &plan;
-    DirectionPlan fallback(options, n, team);
+    DirectionPlan fallback(options.seed, n, team);
     if (team != workers) my_plan = &fallback;
     const index_t mine = my_plan->per_sweep(id);
     for (int sweep = 0; sweep < options.sweeps; ++sweep) {
@@ -164,10 +164,10 @@ AsyncRgsReport solve_barrier(ThreadPool& pool, const CsrMatrix& a,
         sweeps_done.store(sweep + 1, std::memory_order_relaxed);
         if (check_enabled) {
           const double rel = relative_residual(a, b, x);  // serial
-          report.final_relative_residual = rel;
+          report.relative_residual = rel;
           if (options.track_history) report.residual_history.push_back(rel);
           if (options.rel_tol > 0.0 && rel <= options.rel_tol) {
-            report.converged = true;
+            report.status = SolveStatus::kConverged;
             stop.store(true, std::memory_order_release);
           }
         }
@@ -176,8 +176,8 @@ AsyncRgsReport solve_barrier(ThreadPool& pool, const CsrMatrix& a,
       if (stop.load(std::memory_order_acquire)) break;
     }
   });
-  report.sweeps_done = sweeps_done.load(std::memory_order_relaxed);
-  report.updates = static_cast<long long>(report.sweeps_done) *
+  report.iterations = sweeps_done.load(std::memory_order_relaxed);
+  report.updates = static_cast<long long>(report.iterations) *
                    static_cast<long long>(n);
   report.seconds = timer.seconds();
   return report;
@@ -411,6 +411,11 @@ int main(int argc, char** argv) {
     const char* const auto_storage = to_string(
         resolve_storage_policy(StorageMode::kAuto, a.cols(), a.nnz()));
 
+    // The current engine, run as a one-shot caller runs it.
+    const auto current_solve = [&](std::vector<double>& x,
+                                   const SolveControls& controls) {
+      return SpdProblem(pool, a, /*check_input=*/false).solve(b, x, controls);
+    };
     const auto time_run = [&](auto&& fn) {
       double best = 1e300;
       for (int rep = 0; rep < n_repeats; ++rep) {
@@ -421,7 +426,8 @@ int main(int argc, char** argv) {
     };
 
     for (int workers : worker_sweep) {
-      AsyncRgsOptions opt;
+      SolveControls opt;
+      opt.method = SpdMethod::kAsyncRgs;
       opt.sweeps = n_sweeps;
       opt.seed = 1;
       opt.workers = workers;
@@ -430,11 +436,11 @@ int main(int argc, char** argv) {
       // Two rows per worker count: the pre-PR2 legacy engine and the
       // current engine.
       for (bool current : {false, true}) {
-        AsyncRgsOptions run_opt = opt;
+        SolveControls run_opt = opt;
         run_opt.sync = SyncMode::kFreeRunning;
         const double secs = time_run([&](std::vector<double>& x) {
-          const AsyncRgsReport r =
-              current ? async_rgs_solve(pool, a, b, x, run_opt)
+          const SolveOutcome r =
+              current ? current_solve(x, run_opt)
                       : legacy::solve_free_running(pool, a, b, x, run_opt);
           return r.seconds;
         });
@@ -459,19 +465,19 @@ int main(int argc, char** argv) {
       // is what each sweep pays for the residual (serial on worker 0 in the
       // legacy engine, team-parallel in the current one).
       for (bool current : {false, true}) {
-        AsyncRgsOptions plain = opt;
+        SolveControls plain = opt;
         plain.sync = SyncMode::kBarrierPerSweep;
-        AsyncRgsOptions tracked = plain;
+        SolveControls tracked = plain;
         tracked.track_history = true;
         const double secs_plain = time_run([&](std::vector<double>& x) {
-          const AsyncRgsReport r =
-              current ? async_rgs_solve(pool, a, b, x, plain)
+          const SolveOutcome r =
+              current ? current_solve(x, plain)
                       : legacy::solve_barrier(pool, a, b, x, plain);
           return r.seconds;
         });
         const double secs_tracked = time_run([&](std::vector<double>& x) {
-          const AsyncRgsReport r =
-              current ? async_rgs_solve(pool, a, b, x, tracked)
+          const SolveOutcome r =
+              current ? current_solve(x, tracked)
                       : legacy::solve_barrier(pool, a, b, x, tracked);
           return r.seconds;
         });

@@ -74,11 +74,13 @@ int main(int argc, char** argv) {
     MultiVector x_async(a.rows(), k);
     for (int rep = 0; rep < *repeats; ++rep) {
       x_async.fill(0.0);
-      AsyncRgsOptions opt;
+      SolveControls opt;
+      opt.method = SpdMethod::kAsyncRgs;
       opt.sweeps = n_sweeps;
       opt.seed = 1;
       opt.workers = threads;
-      const AsyncRgsReport r = async_rgs_solve_block(pool, a, b, x_async, opt);
+      const SolveOutcome r =
+          SpdProblem(pool, a, /*check_input=*/false).solve(b, x_async, opt);
       asy_time = std::min(asy_time, r.seconds);
     }
     const double res_async = relative_residual_block(pool, a, b, x_async);
@@ -98,12 +100,13 @@ int main(int argc, char** argv) {
     // ---- center panel: non-atomic variant ---------------------------------
     MultiVector x_nonatomic(a.rows(), k);
     {
-      AsyncRgsOptions opt;
+      SolveControls opt;
+      opt.method = SpdMethod::kAsyncRgs;
       opt.sweeps = n_sweeps;
       opt.seed = 1;
       opt.workers = threads;
       opt.atomic_writes = false;
-      async_rgs_solve_block(pool, a, b, x_nonatomic, opt);
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x_nonatomic, opt);
     }
     const double res_nonatomic =
         relative_residual_block(pool, a, b, x_nonatomic);
@@ -118,11 +121,13 @@ int main(int argc, char** argv) {
     double asy1_time = 1e300;
     for (int rep = 0; rep < *repeats; ++rep) {
       std::fill(xs_async.begin(), xs_async.end(), 0.0);
-      AsyncRgsOptions opt;
+      SolveControls opt;
+      opt.method = SpdMethod::kAsyncRgs;
       opt.sweeps = n_sweeps;
       opt.seed = 1;
       opt.workers = threads;
-      const AsyncRgsReport r = async_rgs_solve(pool, a, b_known, xs_async, opt);
+      const SolveOutcome r = SpdProblem(pool, a, /*check_input=*/false)
+                                 .solve(b_known, xs_async, opt);
       asy1_time = std::min(asy1_time, r.seconds);
     }
     const double err_async =

@@ -103,13 +103,14 @@ int main(int argc, char** argv) {
   // Async LSQ across threads (iteration (21)).
   for (int threads : thread_sweep_from(*threads_opt)) {
     std::vector<double> x(f.cols(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
+    opt.method = SpdMethod::kAsyncRgs;
     opt.sweeps = s;
     opt.step_size = 0.95;
     opt.workers = threads;
     opt.seed = 1;
     WallTimer t;
-    async_lsq_solve(pool, f, ft, labels, x, opt);
+    LsqProblem(pool, f, ft).solve(labels, x, opt);
     const double secs = t.seconds();
     // Normal-equations residual of the final iterate.
     std::vector<double> r(labels.size());

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   // 4. Solve again — a different right-hand side, a different seed — on the
   //    same prepared handle.  No validation, no analysis, no allocation is
   //    repeated; this is the serving pattern for many requests against one
-  //    operator (and what the legacy one-shot async_rgs_solve now wraps).
+  //    operator.  A one-shot solve is the same two steps, run once.
   const std::vector<double> b2 = random_vector(a.rows(), /*seed=*/7);
   controls.seed = 2;
   std::vector<double> x2(a.rows(), 0.0);

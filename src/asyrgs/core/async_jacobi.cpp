@@ -9,10 +9,10 @@
 
 namespace asyrgs {
 
-AsyncRgsReport async_jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
-                                  const std::vector<double>& b,
-                                  std::vector<double>& x,
-                                  const AsyncJacobiOptions& options) {
+SolveOutcome async_jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
+                                const std::vector<double>& b,
+                                std::vector<double>& x,
+                                const AsyncJacobiOptions& options) {
   require(a.square(), "async_jacobi: matrix must be square");
   require(static_cast<index_t>(b.size()) == a.rows() && x.size() == b.size(),
           "async_jacobi: shape mismatch");
@@ -42,8 +42,9 @@ AsyncRgsReport async_jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
   int workers = options.workers > 0 ? options.workers : pool.size();
   if (workers > pool.size()) workers = pool.size();
 
-  AsyncRgsReport report;
-  report.workers = workers;
+  SolveOutcome out;
+  out.status = SolveStatus::kBudgetCompleted;
+  out.workers = workers;
   const double omega = options.damping;
 
   WallTimer timer;
@@ -90,11 +91,11 @@ AsyncRgsReport async_jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
       if (team > 1) std::this_thread::yield();
     }
   });
-  report.sweeps_done = options.sweeps;
-  report.updates = static_cast<long long>(options.sweeps) *
+  out.iterations = options.sweeps;
+  out.updates = static_cast<long long>(options.sweeps) *
                    static_cast<long long>(n);
-  report.seconds = timer.seconds();
-  return report;
+  out.seconds = timer.seconds();
+  return out;
 }
 
 }  // namespace asyrgs

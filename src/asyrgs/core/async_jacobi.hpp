@@ -13,7 +13,7 @@
 // deterministic coordinate order, no randomization.
 #pragma once
 
-#include "asyrgs/core/async_rgs.hpp"
+#include "asyrgs/problem.hpp"
 #include "asyrgs/sparse/csr.hpp"
 #include "asyrgs/support/thread_pool.hpp"
 
@@ -36,10 +36,12 @@ struct AsyncJacobiOptions {
 };
 
 /// Runs asynchronous Jacobi on A x = b starting from `x` (in place).
-/// Reuses AsyncRgsReport for uniform benchmarking.
-AsyncRgsReport async_jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
-                                  const std::vector<double>& b,
-                                  std::vector<double>& x,
-                                  const AsyncJacobiOptions& options = {});
+/// Reports in the handles' SolveOutcome shape for uniform benchmarking: a
+/// fixed budget with no residual check, so the status is always
+/// kBudgetCompleted and relative_residual stays 0.
+SolveOutcome async_jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
+                                const std::vector<double>& b,
+                                std::vector<double>& x,
+                                const AsyncJacobiOptions& options = {});
 
 }  // namespace asyrgs

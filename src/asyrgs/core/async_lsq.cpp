@@ -1,6 +1,5 @@
-// Sequential randomized coordinate descent for least squares, plus the
-// one-shot asynchronous entry points as thin wrappers over a temporary
-// LsqProblem handle (asyrgs/problem.hpp) — the asynchronous kernels live in
+// Sequential randomized coordinate descent for least squares.  The
+// asynchronous form is LsqProblem (asyrgs/problem.hpp); its kernels live in
 // core/kernels.hpp and the engine invocation in problem.cpp.
 #include "asyrgs/core/async_lsq.hpp"
 
@@ -10,7 +9,6 @@
 #include "asyrgs/core/engine.hpp"
 #include "asyrgs/core/kernels.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
-#include "asyrgs/problem.hpp"
 #include "asyrgs/support/prng.hpp"
 #include "asyrgs/support/timer.hpp"
 
@@ -45,7 +43,7 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
   // Local transpose on purpose: this sequential one-shot path makes no
   // amortization promise, and the shared cache would pin ~nnz extra memory
   // to the caller's matrix for its lifetime.  Repeat-solve users should
-  // hold an LsqProblem (or pass `at` to async_lsq_solve) instead.
+  // hold an LsqProblem instead.
   const CsrMatrix at = a.transpose();
   const std::vector<double> col_sq = detail::column_sq_norms(at);
   for (double s : col_sq)
@@ -103,28 +101,6 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
   }
   report.seconds = timer.seconds();
   return report;
-}
-
-AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const CsrMatrix& at,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options) {
-  LsqProblem problem(pool, a, at);
-  return detail::report_from_outcome(
-      problem.solve(b, x, to_controls(options)));
-}
-
-AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options) {
-  // The prepared handle materializes A^T through the matrix's shared
-  // transpose cache, so repeated convenience-overload calls against one
-  // matrix build the transpose exactly once.
-  LsqProblem problem(pool, a);
-  return detail::report_from_outcome(
-      problem.solve(b, x, to_controls(options)));
 }
 
 }  // namespace asyrgs

@@ -17,14 +17,15 @@
 // touched rows of A, costing O(sum of row sizes over the column's rows).
 // Theorem 5 transfers the Theorem 4 bound with X = A^T A, kappa(A)^2 in
 // place of kappa.
+//
+// The asynchronous form runs through the prepared handle LsqProblem
+// (asyrgs/problem.hpp), which pays the transpose and the column norms once;
+// its kernels live in core/kernels.hpp.  This header keeps the sequential
+// reference solver.
 #pragma once
 
-#include <cstdint>
-
-#include "asyrgs/core/async_rgs.hpp"
 #include "asyrgs/core/rgs.hpp"
 #include "asyrgs/sparse/csr.hpp"
-#include "asyrgs/support/thread_pool.hpp"
 
 namespace asyrgs {
 
@@ -33,29 +34,5 @@ namespace asyrgs {
 /// n column updates.  Convergence metric: ||A^T r|| / ||A^T b||.
 RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
                         std::vector<double>& x, const RgsOptions& options = {});
-
-/// Asynchronous randomized least-squares solver (iteration (21)).
-/// `at` must be the transpose of `a` (built once by the caller; it gives the
-/// solver CSR access to the columns of A).  Options/report types are shared
-/// with AsyRGS; `step_size` must be < 1 for the Theorem 5 guarantee.
-/// `scope` partitions the *columns* (the least-squares coordinates) under
-/// RandomizationScope::kOwnerComputes.  Thread-safety matches
-/// async_rgs_solve: matrices and b are read-only, `x` is written
-/// concurrently until the call returns.
-AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const CsrMatrix& at,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options = {});
-
-/// Convenience overload that materializes the transpose internally, through
-/// the matrix's shared transpose cache (CsrMatrix::transpose_shared) — so
-/// repeated calls against one matrix build A^T exactly once.  For the full
-/// prepare-once / solve-many split (column norms, rank validation, scratch),
-/// use asyrgs::LsqProblem (asyrgs/problem.hpp), which this wraps.
-AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options = {});
 
 }  // namespace asyrgs

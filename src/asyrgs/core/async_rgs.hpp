@@ -33,14 +33,13 @@
 // the very reads the method tries to overlap.  The bounded-delay simulator
 // (simulate/async_sim.hpp) provides the consistent-read model for theorem
 // validation.
+//
+// The method runs through the prepared handle: SpdProblem::solve with
+// SpdMethod::kAsyncRgs (asyrgs/problem.hpp), on the shared engine in
+// core/engine.hpp and the update kernels in core/kernels.hpp.  This header
+// holds the two enums its knobs select from, shared by every asynchronous
+// path.
 #pragma once
-
-#include <cstdint>
-
-#include "asyrgs/core/rgs.hpp"
-#include "asyrgs/linalg/multivector.hpp"
-#include "asyrgs/sparse/csr.hpp"
-#include "asyrgs/support/thread_pool.hpp"
 
 namespace asyrgs {
 
@@ -75,55 +74,5 @@ enum class RandomizationScope {
   /// sweeps, or when iterating to a residual tolerance, the scope is safe.
   kOwnerComputes,
 };
-
-/// Options for the asynchronous solver.
-struct AsyncRgsOptions {
-  int sweeps = 10;           ///< total updates = sweeps * n across all workers
-  double step_size = 1.0;    ///< beta; Theorems 3-4 need beta < 1 for bounds
-  std::uint64_t seed = 1;    ///< keys the shared Philox direction stream
-  int workers = 0;           ///< team size; 0 = pool capacity
-  bool atomic_writes = true; ///< false = racy "non atomic" variant
-  SyncMode sync = SyncMode::kFreeRunning;
-  RandomizationScope scope = RandomizationScope::kShared;
-  /// kTimedBarrier only: seconds between rendezvous points.
-  double sync_interval_seconds = 0.05;
-  /// With kBarrierPerSweep/kTimedBarrier: track the relative residual at
-  /// each synchronization and stop early when it reaches rel_tol (> 0).
-  /// Without track_history, kBarrierPerSweep checks the tolerance on a
-  /// predicted schedule of sweeps, not after every sweep
-  /// (detail::next_check_sweep in core/engine.hpp).
-  bool track_history = false;
-  double rel_tol = 0.0;
-};
-
-/// Outcome of an AsyRGS run.
-struct AsyncRgsReport {
-  int sweeps_done = 0;
-  long long updates = 0;
-  int workers = 0;
-  double seconds = 0.0;  ///< wall time of the iteration loop only
-  bool converged = false;
-  double final_relative_residual = 0.0;  ///< when history/tolerance active
-  std::vector<double> residual_history;  ///< per sweep (barrier mode only)
-};
-
-/// Runs AsyRGS on SPD A x = b starting from `x` (updated in place).
-/// Requires a strictly positive diagonal (iteration (3) of the paper).
-///
-/// Thread-safety: `a` and `b` are read-only and may be shared; `x` is
-/// written concurrently by the worker team for the duration of the call —
-/// do not read it from other threads until the function returns.  The pool
-/// hosts one team at a time; a nested call from inside a running team
-/// shrinks to a single worker instead of deadlocking.
-AsyncRgsReport async_rgs_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options = {});
-
-/// Block variant: each coordinate update applies to all columns of X (the
-/// paper's 51-right-hand-side experiment).  Atomicity is per scalar entry.
-AsyncRgsReport async_rgs_solve_block(ThreadPool& pool, const CsrMatrix& a,
-                                     const MultiVector& b, MultiVector& x,
-                                     const AsyncRgsOptions& options = {});
 
 }  // namespace asyrgs

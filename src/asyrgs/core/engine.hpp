@@ -1,12 +1,15 @@
 // Shared asynchronous execution engine (internal).
 //
-// The hot loop common to async_rgs, async_rgs_block, and async_lsq:
-// direction planning, the three synchronization modes, and team-parallel
-// residual evaluation at synchronization points.  Everything here is an
-// implementation detail of the core solvers — the header exists so that the
-// solvers share one engine and so that the determinism test suite and the
-// kernel micro-benchmarks can exercise the pieces in isolation.  No symbol
-// in asyrgs::detail is a stable public API.
+// The hot loop common to every asynchronous solve path of the prepared
+// handles (asyrgs/problem.hpp): direction planning, the three
+// synchronization modes, and team-parallel residual evaluation at
+// synchronization points.  The engine reads the caller's SolveControls and
+// fills the run's fields of its SolveOutcome, so the outcome status is
+// decided here, once.  Everything here is an implementation detail of the
+// handles — the header exists so that the solve paths share one engine and
+// so that the determinism test suite and the kernel micro-benchmarks can
+// exercise the pieces in isolation.  No symbol in asyrgs::detail is a
+// stable public API.
 //
 // Performance notes (the properties the PR-2 overhaul established; keep
 // them when editing):
@@ -34,8 +37,8 @@
 #include <utility>
 #include <vector>
 
-#include "asyrgs/core/async_rgs.hpp"
 #include "asyrgs/gen/partition.hpp"
+#include "asyrgs/problem.hpp"
 #include "asyrgs/sampling/direction_sampler.hpp"
 #include "asyrgs/support/aligned.hpp"
 #include "asyrgs/support/barrier.hpp"
@@ -57,7 +60,8 @@ inline constexpr std::size_t kDirectionChunk = 1024;
 /// arrays; measured best in the 2-8 range, flat beyond.
 inline constexpr std::size_t kPrefetchDistance = 4;
 
-/// Per-worker direction schedule honouring the randomization scope.
+/// Per-worker direction schedule honouring the randomization scope, keyed by
+/// `seed` like PartitionedDirectionPlan.
 ///
 /// kShared: one Philox stream over global indices; worker w consumes
 /// positions {w, w+P, ...} (free-running/timed) or the per-sweep split
@@ -88,9 +92,9 @@ inline constexpr std::size_t kPrefetchDistance = 4;
 /// index space and have no global distribution to weight).
 class DirectionPlan {
  public:
-  DirectionPlan(const AsyncRgsOptions& options, index_t n, int team,
-                const DirectionSampler* sampler = nullptr)
-      : scope_(options.scope), n_(n), team_(team), shared_(options.seed),
+  DirectionPlan(std::uint64_t seed, RandomizationScope scope, index_t n,
+                int team, const DirectionSampler* sampler = nullptr)
+      : scope_(scope), n_(n), team_(team), shared_(seed),
         sampler_(sampler != nullptr && sampler->weighted_draws() ? sampler
                                                                  : nullptr) {
     ASYRGS_ASSERT(sampler_ == nullptr ||
@@ -109,8 +113,8 @@ class DirectionPlan {
         size_[static_cast<std::size_t>(w)] = size;
         lo += size;
         streams_.emplace_back(
-            splitmix64(options.seed + 0x9E3779B97F4A7C15ull *
-                                          static_cast<std::uint64_t>(w + 1)));
+            splitmix64(seed + 0x9E3779B97F4A7C15ull *
+                                  static_cast<std::uint64_t>(w + 1)));
       }
     }
   }
@@ -398,12 +402,12 @@ class PartitionedDirectionPlan {
   std::vector<std::vector<index_t>> cum_;
 };
 
-/// Maps the runtime atomic_writes option onto the compile-time kernel
-/// specialization: invokes fn.operator()<kAtomicWrites>().  Shared by every
-/// asynchronous solve path so the dispatch lives in one place.
+/// Maps the runtime SolveControls::atomic_writes flag onto the compile-time
+/// kernel specialization: invokes fn.operator()<kAtomicWrites>().  Shared by
+/// every asynchronous solve path so the dispatch lives in one place.
 template <typename Fn>
-void dispatch_atomic(const AsyncRgsOptions& options, Fn&& fn) {
-  if (options.atomic_writes)
+void dispatch_atomic(bool atomic_writes, Fn&& fn) {
+  if (atomic_writes)
     fn.template operator()<true>();
   else
     fn.template operator()<false>();
@@ -493,7 +497,7 @@ class TeamReduce {
 /// (block gamma scratch), and a dense double buffer (least-squares residual).
 /// A prepared problem handle (asyrgs/problem.hpp) owns one of these and hands
 /// it to every solve so repeated solves against one matrix re-use the
-/// allocations; the free-function wrappers create a throwaway instance.
+/// allocations; an engine run given none makes a throwaway instance.
 ///
 /// Thread-safety inside a run: prepare() must be called before the team
 /// starts; after that each worker touches only its own dirs(w, ...) slot, so
@@ -615,8 +619,8 @@ inline constexpr int kMaxCheckGap = 16;
   return sweep + std::min(static_cast<int>(gap), sweeps - sweep);
 }
 
-/// Generic execution engine shared by the single-RHS, block, and
-/// least-squares asynchronous solvers.
+/// Generic execution engine shared by the single-RHS, block, least-squares
+/// and Kaczmarz asynchronous solve paths.
 ///
 /// `update(worker, r, r_ahead)` performs one coordinate update on direction
 /// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
@@ -625,58 +629,72 @@ inline constexpr int kMaxCheckGap = 16;
 /// team)` evaluates the convergence metric at synchronization points; it is
 /// called by *every* rendezvoused worker (team-parallel reduction — see
 /// TeamReduce) and only worker 0's return value is used.  The engine calls
-/// it only when options request history tracking or a tolerance: every
+/// it only when the controls request history tracking or a tolerance: every
 /// sweep under track_history, on the next_check_sweep schedule for a
 /// tolerance alone, once per round in kTimedBarrier, and once on x0 for a
 /// zero budget.
 ///
-/// The thread pool may shrink a team to 1 on nested calls; the engine then
-/// builds the matching single-worker plan lazily (make_plan(team)) instead
-/// of paying for a throwaway fallback plan in every worker.
+/// The engine reads `controls` (sweeps, sync, sync_interval_seconds,
+/// track_history, rel_tol) and sets the run's fields of `out`: status,
+/// iterations, updates, workers, relative_residual and residual_history.
+/// The caller sets the rest.  The status rule:
+///  * kConverged when a residual check met rel_tol;
+///  * kToleranceNotReached when rel_tol > 0 under a synchronizing mode;
+///  * kBudgetCompleted otherwise (free-running runs never check residuals).
+///
+/// The thread pool may shrink a team to 1 on nested calls.  The engine then
+/// builds the matching single-worker plan (make_plan(team)) inside the team
+/// instead of paying for a throwaway fallback plan in every worker, and
+/// `out.workers` reports the team worker 0 actually ran in.
 ///
 /// `scratch` (optional) supplies reusable per-worker direction buffers; a
 /// prepared handle passes its own so repeated solves skip the allocations,
-/// while one-shot callers leave it null and pay a local scratch per call.
+/// while callers without one leave it null and pay a local scratch per run.
 ///
 /// This is the plan-generic core: `make_plan(team)` builds the direction
 /// schedule (DirectionPlan or PartitionedDirectionPlan — any type with the
-/// shared per_sweep/total_updates/fill/fill_in_sweep interface) for a given
-/// team size, so the three synchronization-mode bodies exist once.
+/// shared per_sweep/total_updates/fill/fill_in_sweep/team interface) for a
+/// given team size, so the three synchronization-mode bodies exist once.
 /// run_engine_sampled below instantiates it with DirectionPlan and is the
 /// entry point for everything unpartitioned; the partitioned solve path
 /// (problem.cpp) passes a PartitionedDirectionPlan factory.  `refresh` is
 /// the EngineSampling rendezvous callback (empty = none).
 template <typename PlanFactory, typename UpdateFn, typename ResidualFn>
-void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
+void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
                           index_t n, int workers, PlanFactory&& make_plan,
                           const std::function<void()>& refresh,
                           UpdateFn&& update, ResidualFn&& residual,
-                          AsyncRgsReport& report,
+                          SolveOutcome& out,
                           EngineScratch* scratch = nullptr) {
   using Plan = std::decay_t<decltype(make_plan(1))>;
   EngineScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   scratch->prepare(workers);
-  const bool check_enabled = options.track_history || options.rel_tol > 0.0;
-  const int sweeps = options.sweeps;
+  const bool check_enabled = controls.track_history || controls.rel_tol > 0.0;
+  const int sweeps = controls.sweeps;
   const long long total_target =
       static_cast<long long>(sweeps) * static_cast<long long>(n);
 
-  if (options.sync == SyncMode::kFreeRunning) {
-    const Plan plan = make_plan(workers);
+  // One plan for the requested team.  A worker whose team the pool shrank
+  // (a nested call) builds the plan for its actual team into `shrunk`; the
+  // common team == workers case pays nothing.
+  const Plan plan = make_plan(workers);
+  const auto plan_for = [&](int team,
+                            std::optional<Plan>& shrunk) -> const Plan& {
+    return team == workers ? plan : shrunk.emplace(make_plan(team));
+  };
+  // Written by worker 0 only (the calling thread).
+  int team_used = workers;
+  bool converged = false;
+
+  if (controls.sync == SyncMode::kFreeRunning) {
     pool.run_team(workers, [&](int id, int team) {
-      // The pool may shrink the team on nested calls; rebuild the plan so
-      // the partitioning matches the actual team (lazily — the common
-      // team == workers case pays nothing).
       std::optional<Plan> shrunk;
-      const Plan* my_plan = &plan;
-      if (team != workers) {
-        shrunk.emplace(make_plan(team));
-        my_plan = &*shrunk;
-      }
-      const std::uint64_t my_total = my_plan->total_updates(id, sweeps);
-      const std::uint64_t per_sweep =
-          static_cast<std::uint64_t>(std::max<index_t>(my_plan->per_sweep(id), 1));
+      const Plan& my_plan = plan_for(team, shrunk);
+      if (id == 0) team_used = team;
+      const std::uint64_t my_total = my_plan.total_updates(id, sweeps);
+      const std::uint64_t per_sweep = static_cast<std::uint64_t>(
+          std::max<index_t>(my_plan.per_sweep(id), 1));
       // Yield once per sweep-equivalent, checked only at refill boundaries
       // (no per-update counter work).  On oversubscribed hosts a worker
       // would otherwise burn its whole budget in a few scheduling quanta,
@@ -691,7 +709,7 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
       while (k < my_total) {
         const std::size_t chunk = static_cast<std::size_t>(
             std::min<std::uint64_t>(chunk_cap, my_total - k));
-        my_plan->fill(id, k, chunk, dirs);
+        my_plan.fill(id, k, chunk, dirs);
         const index_t* d = dirs;
         for (std::size_t i = 0; i < chunk; ++i)
           update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
@@ -703,25 +721,19 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
         }
       }
     });
-    report.sweeps_done = sweeps;
-    report.updates = total_target;
-    return;
-  }
-
-  if (options.sync == SyncMode::kBarrierPerSweep) {
-    if (sweeps == 0) {
-      // The returned iterate is x0: report its residual, as the timed
-      // loop's one empty round does.
-      if (check_enabled) {
-        report.final_relative_residual = residual(0, 1);
-        report.converged = options.rel_tol > 0.0 &&
-                           report.final_relative_residual <= options.rel_tol;
-      }
-      report.sweeps_done = 0;
-      report.updates = 0;
-      return;
+    out.iterations = sweeps;
+    out.updates = total_target;
+  } else if (controls.sync == SyncMode::kBarrierPerSweep && sweeps == 0) {
+    // The returned iterate is x0: report its residual, as the timed loop's
+    // one empty round does.  No team runs.
+    if (check_enabled) {
+      out.relative_residual = residual(0, 1);
+      converged = controls.rel_tol > 0.0 &&
+                  out.relative_residual <= controls.rel_tol;
     }
-    const Plan plan = make_plan(workers);
+    out.iterations = 0;
+    out.updates = 0;
+  } else if (controls.sync == SyncMode::kBarrierPerSweep) {
     SpinBarrier barrier(workers);
     std::atomic<bool> stop{false};
     std::atomic<int> sweeps_done{0};
@@ -735,12 +747,9 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
     pool.run_team(workers, [&](int id, int team) {
       const bool full_team = (team == workers && team > 1);
       std::optional<Plan> shrunk;
-      const Plan* my_plan = &plan;
-      if (team != workers) {
-        shrunk.emplace(make_plan(team));
-        my_plan = &*shrunk;
-      }
-      const index_t mine = my_plan->per_sweep(id);
+      const Plan& my_plan = plan_for(team, shrunk);
+      if (id == 0) team_used = team;
+      const index_t mine = my_plan.per_sweep(id);
       const index_t chunk_cap =
           std::min<index_t>(static_cast<index_t>(kDirectionChunk),
                             std::max<index_t>(mine, 1));
@@ -751,7 +760,7 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
         while (t < mine) {
           const std::size_t chunk =
               static_cast<std::size_t>(std::min<index_t>(chunk_cap, mine - t));
-          my_plan->fill_in_sweep(id, sweep, t, chunk, dirs);
+          my_plan.fill_in_sweep(id, sweep, t, chunk, dirs);
           const index_t* d = dirs;
           for (std::size_t i = 0; i < chunk; ++i)
             update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
@@ -759,23 +768,23 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
         }
         const int done = sweep + 1;
         const bool check =
-            check_enabled && (options.track_history || done == next_check);
+            check_enabled && (controls.track_history || done == next_check);
         if (full_team) barrier.arrive_and_wait();
         const double rel = check ? residual(id, team) : 0.0;
         if (id == 0) {
           sweeps_done.store(done, std::memory_order_relaxed);
           if (check) {
-            report.final_relative_residual = rel;
-            if (options.track_history) report.residual_history.push_back(rel);
-            if (options.rel_tol > 0.0 && rel <= options.rel_tol) {
-              report.converged = true;
+            out.relative_residual = rel;
+            if (controls.track_history) out.residual_history.push_back(rel);
+            if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
+              converged = true;
               stop.store(true, std::memory_order_release);
             } else if (done == 1) {
               first_rel = rel;
               next_check = 2;
             } else {
               next_check = next_check_sweep(done, rel, first_rel,
-                                            options.rel_tol, sweeps);
+                                            controls.rel_tol, sweeps);
             }
           }
           // Residual-policy table refresh: the team is parked at the next
@@ -787,126 +796,117 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
         if (stop.load(std::memory_order_acquire)) break;
       }
     });
-    report.sweeps_done = sweeps_done.load(std::memory_order_relaxed);
-    report.updates = static_cast<long long>(report.sweeps_done) *
-                     static_cast<long long>(n);
-    return;
+    out.iterations = sweeps_done.load(std::memory_order_relaxed);
+    out.updates =
+        static_cast<long long>(out.iterations) * static_cast<long long>(n);
+  } else {
+    // kTimedBarrier: rounds of `sync_interval_seconds` of free iteration
+    // followed by a rendezvous.  Each worker runs on its own clock, so all
+    // arrive at the barrier at nearly the same moment regardless of load
+    // imbalance (the Section 5 "time based scheme").  The clock is consulted
+    // once per direction-buffer refill — at most kDirectionChunk (and at
+    // most one sweep-equivalent) of updates between checks.
+    SpinBarrier barrier(workers);
+    std::atomic<bool> stop{false};
+    std::atomic<long long> updates_done{0};
+    pool.run_team(workers, [&](int id, int team) {
+      const bool full_team = (team == workers && team > 1);
+      std::optional<Plan> shrunk;
+      const Plan& my_plan = plan_for(team, shrunk);
+      if (id == 0) team_used = team;
+      const std::uint64_t my_total = my_plan.total_updates(id, sweeps);
+      const std::uint64_t per_sweep = static_cast<std::uint64_t>(
+          std::max<index_t>(my_plan.per_sweep(id), 1));
+      const std::size_t chunk_cap = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kDirectionChunk, per_sweep));
+      index_t* const dirs = scratch->dirs(id, chunk_cap);
+      std::uint64_t k = 0;
+      std::uint64_t since_yield = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        WallTimer round_timer;
+        std::uint64_t done_this_round = 0;
+        while (k < my_total) {
+          const std::size_t chunk = static_cast<std::size_t>(
+              std::min<std::uint64_t>(chunk_cap, my_total - k));
+          my_plan.fill(id, k, chunk, dirs);
+          const index_t* d = dirs;
+          for (std::size_t i = 0; i < chunk; ++i)
+            update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
+          k += chunk;
+          done_this_round += chunk;
+          // Refill boundary: yield once per sweep-equivalent so the
+          // scheduler rotates the team, then check whether this round's time
+          // budget is spent (clock consulted per refill, not per update).
+          since_yield += chunk;
+          if (team > 1 && since_yield >= per_sweep) {
+            since_yield = 0;
+            std::this_thread::yield();
+          }
+          if (round_timer.seconds() >= controls.sync_interval_seconds) break;
+        }
+        updates_done.fetch_add(static_cast<long long>(done_this_round),
+                               std::memory_order_relaxed);
+        if (full_team) barrier.arrive_and_wait();
+        const double rel = check_enabled ? residual(id, team) : 0.0;
+        if (id == 0) {
+          bool should_stop =
+              updates_done.load(std::memory_order_relaxed) >= total_target;
+          if (check_enabled) {
+            out.relative_residual = rel;
+            if (controls.track_history) out.residual_history.push_back(rel);
+            if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
+              converged = true;
+              should_stop = true;
+            }
+          }
+          // Same rendezvous-refresh contract as kBarrierPerSweep above.
+          if (refresh && !should_stop) refresh();
+          if (should_stop) stop.store(true, std::memory_order_release);
+        }
+        if (full_team) barrier.arrive_and_wait();
+      }
+    });
+    out.updates = updates_done.load(std::memory_order_relaxed);
+    out.iterations = static_cast<int>(out.updates / std::max<index_t>(n, 1));
   }
 
-  // kTimedBarrier: rounds of `sync_interval_seconds` of free iteration
-  // followed by a rendezvous.  Each worker runs on its own clock, so all
-  // arrive at the barrier at nearly the same moment regardless of load
-  // imbalance (the Section 5 "time based scheme").  The clock is consulted
-  // once per direction-buffer refill — at most kDirectionChunk (and at most
-  // one sweep-equivalent) of updates between checks.
-  const Plan plan = make_plan(workers);
-  SpinBarrier barrier(workers);
-  std::atomic<bool> stop{false};
-  std::atomic<long long> updates_done{0};
-  pool.run_team(workers, [&](int id, int team) {
-    const bool full_team = (team == workers && team > 1);
-    std::optional<Plan> shrunk;
-    const Plan* my_plan = &plan;
-    if (team != workers) {
-      shrunk.emplace(make_plan(team));
-      my_plan = &*shrunk;
-    }
-    const std::uint64_t my_total = my_plan->total_updates(id, sweeps);
-    const std::uint64_t per_sweep = static_cast<std::uint64_t>(
-        std::max<index_t>(my_plan->per_sweep(id), 1));
-    const std::size_t chunk_cap = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kDirectionChunk, per_sweep));
-    index_t* const dirs = scratch->dirs(id, chunk_cap);
-    std::uint64_t k = 0;
-    std::uint64_t since_yield = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      WallTimer round_timer;
-      std::uint64_t done_this_round = 0;
-      while (k < my_total) {
-        const std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk_cap, my_total - k));
-        my_plan->fill(id, k, chunk, dirs);
-        const index_t* d = dirs;
-        for (std::size_t i = 0; i < chunk; ++i)
-          update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
-        k += chunk;
-        done_this_round += chunk;
-        // Refill boundary: yield once per sweep-equivalent so the scheduler
-        // rotates the team, then check whether this round's time budget is
-        // spent (clock consulted per refill, not per update).
-        since_yield += chunk;
-        if (team > 1 && since_yield >= per_sweep) {
-          since_yield = 0;
-          std::this_thread::yield();
-        }
-        if (round_timer.seconds() >= options.sync_interval_seconds) break;
-      }
-      updates_done.fetch_add(static_cast<long long>(done_this_round),
-                             std::memory_order_relaxed);
-      if (full_team) barrier.arrive_and_wait();
-      const double rel = check_enabled ? residual(id, team) : 0.0;
-      if (id == 0) {
-        bool should_stop =
-            updates_done.load(std::memory_order_relaxed) >= total_target;
-        if (check_enabled) {
-          report.final_relative_residual = rel;
-          if (options.track_history) report.residual_history.push_back(rel);
-          if (options.rel_tol > 0.0 && rel <= options.rel_tol) {
-            report.converged = true;
-            should_stop = true;
-          }
-        }
-        // Same rendezvous-refresh contract as kBarrierPerSweep above.
-        if (refresh && !should_stop) refresh();
-        if (should_stop) stop.store(true, std::memory_order_release);
-      }
-      if (full_team) barrier.arrive_and_wait();
-    }
-  });
-  report.updates = updates_done.load(std::memory_order_relaxed);
-  report.sweeps_done =
-      static_cast<int>(report.updates / std::max<index_t>(n, 1));
+  out.workers = team_used;
+  const bool tolerance_active =
+      controls.rel_tol > 0.0 && controls.sync != SyncMode::kFreeRunning;
+  out.status = converged          ? SolveStatus::kConverged
+               : tolerance_active ? SolveStatus::kToleranceNotReached
+                                  : SolveStatus::kBudgetCompleted;
 }
 
 /// Sampled engine run over the shared/owner-computes DirectionPlan — the
 /// entry point for every unpartitioned solve.  Validates the sampling
 /// contract, then delegates to run_engine_with_plan with a DirectionPlan
-/// factory (byte-identical to the historical inline bodies).
+/// factory.  A default-constructed EngineSampling is the uniform engine.
 template <typename UpdateFn, typename ResidualFn>
-void run_engine_sampled(ThreadPool& pool, const AsyncRgsOptions& options,
+void run_engine_sampled(ThreadPool& pool, const SolveControls& controls,
                         index_t n, int workers,
                         const EngineSampling& sampling, UpdateFn&& update,
-                        ResidualFn&& residual, AsyncRgsReport& report,
+                        ResidualFn&& residual, SolveOutcome& out,
                         EngineScratch* scratch = nullptr) {
   if (sampling.sampler != nullptr && sampling.sampler->weighted_draws()) {
-    require(options.scope == RandomizationScope::kShared,
-            "run_engine: weighted direction sampling requires the shared "
-            "randomization scope");
+    require(controls.scope == RandomizationScope::kShared,
+            "run_engine_sampled: weighted direction sampling requires the "
+            "shared randomization scope");
     require(sampling.sampler->directions() == n,
-            "run_engine: sampler direction count must match the engine");
+            "run_engine_sampled: sampler direction count must match the "
+            "engine");
   }
-  require(!sampling.refresh || options.sync != SyncMode::kFreeRunning,
-          "run_engine: sampler refresh needs synchronization points; "
+  require(!sampling.refresh || controls.sync != SyncMode::kFreeRunning,
+          "run_engine_sampled: sampler refresh needs synchronization points; "
           "kFreeRunning has none");
   run_engine_with_plan(
-      pool, options, n, workers,
+      pool, controls, n, workers,
       [&](int team) {
-        return DirectionPlan(options, n, team, sampling.sampler);
+        return DirectionPlan(controls.seed, controls.scope, n, team,
+                             sampling.sampler);
       },
       sampling.refresh, std::forward<UpdateFn>(update),
-      std::forward<ResidualFn>(residual), report, scratch);
-}
-
-/// Uniform-sampling engine run — the historical entry point.  Delegates
-/// with a default EngineSampling, which compiles to the exact pre-sampling
-/// draw path (null sampler, no refresh).
-template <typename UpdateFn, typename ResidualFn>
-void run_engine(ThreadPool& pool, const AsyncRgsOptions& options, index_t n,
-                int workers, UpdateFn&& update, ResidualFn&& residual,
-                AsyncRgsReport& report, EngineScratch* scratch = nullptr) {
-  run_engine_sampled(pool, options, n, workers, EngineSampling{},
-                     std::forward<UpdateFn>(update),
-                     std::forward<ResidualFn>(residual), report, scratch);
+      std::forward<ResidualFn>(residual), out, scratch);
 }
 
 }  // namespace asyrgs::detail

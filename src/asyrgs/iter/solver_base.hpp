@@ -1,9 +1,10 @@
 // Shared option/report types for all solvers (classic and randomized).
 //
 // Both structs are plain values: copy them freely, no solver retains a
-// reference past the call.  The asynchronous solvers use the richer
-// AsyncRgsOptions/AsyncRgsReport in core/async_rgs.hpp, which add the
-// worker/synchronization/scan knobs this baseline set does not need.
+// reference past the call.  The asynchronous methods take the prepared
+// handles' SolveControls/SolveOutcome (asyrgs/problem.hpp) instead, which
+// add the worker/synchronization/sampling knobs this baseline set does not
+// need.
 #pragma once
 
 #include <string>

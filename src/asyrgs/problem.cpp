@@ -1,6 +1,7 @@
 #include "asyrgs/problem.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -58,16 +59,25 @@ struct SpdPartitionState {
 
 namespace {
 
-void validate_async_controls(const AsyncRgsOptions& options, const char* who) {
+/// Preconditions every handle solve checks first, whatever the method: a
+/// control no path can honour is an error, never a silent default (a NaN
+/// rel_tol would otherwise skip every check, and a negative count would
+/// fall back to the pool capacity or the Krylov default).
+void validate_controls(const SolveControls& controls, const char* who) {
   // One message per violated precondition; `who` names the entry point.
   auto fail = [&](const char* what) {
     throw Error(std::string(who) + ": " + what);
   };
-  if (options.sweeps < 0) fail("sweeps must be non-negative");
-  if (!(options.step_size > 0.0 && options.step_size < 2.0))
+  if (controls.sweeps < 0) fail("sweeps must be non-negative");
+  if (controls.max_iterations < 0)
+    fail("max_iterations must be non-negative (0 = auto)");
+  if (controls.workers < 0)
+    fail("workers must be non-negative (0 = pool capacity)");
+  if (!(controls.step_size > 0.0 && controls.step_size < 2.0))
     fail("step size must be in (0, 2)");
-  if (options.rel_tol < 0.0) fail("rel_tol must be non-negative");
-  if (!(options.sync_interval_seconds > 0.0))
+  if (!(std::isfinite(controls.rel_tol) && controls.rel_tol >= 0.0))
+    fail("rel_tol must be finite and non-negative");
+  if (!(controls.sync_interval_seconds > 0.0))
     fail("sync interval must be positive");
 }
 
@@ -194,46 +204,18 @@ int clamp_workers(int requested, const ThreadPool& pool) {
   return workers;
 }
 
-/// Maps an engine report onto the unified outcome.  `tolerance_active` says
-/// whether a tolerance could actually stop the run (rel_tol > 0 under a
-/// synchronizing mode) — free-running runs never evaluate residuals, so for
-/// them an unmet rel_tol is kBudgetCompleted, not kToleranceNotReached.
-SolveOutcome outcome_from_report(AsyncRgsReport&& report,
-                                 const AsyncRgsOptions& options,
-                                 std::string description) {
-  SolveOutcome out;
-  const bool tolerance_active =
-      options.rel_tol > 0.0 && options.sync != SyncMode::kFreeRunning;
-  out.status = report.converged ? SolveStatus::kConverged
-               : tolerance_active ? SolveStatus::kToleranceNotReached
-                                  : SolveStatus::kBudgetCompleted;
-  out.iterations = report.sweeps_done;
-  out.updates = report.updates;
-  out.workers = report.workers;
-  out.relative_residual = report.final_relative_residual;
-  out.seconds = report.seconds;
-  out.residual_history = std::move(report.residual_history);
-  out.description = std::move(description);
-  return out;
+/// "<head>, <P> threads, <mode>[, <storage> storage]": the description of an
+/// asynchronous run, naming the team it actually ran on (out.workers, set by
+/// the engine).
+void describe_async(SolveOutcome& out, const char* head,
+                    const std::string& mode, StoragePolicy storage) {
+  out.description = std::string(head) + ", " + std::to_string(out.workers) +
+                    " threads, " + mode;
+  if (storage != StoragePolicy::kInt64Double)
+    out.description += std::string(", ") + to_string(storage) + " storage";
 }
 
 }  // namespace
-
-namespace detail {
-
-AsyncRgsReport report_from_outcome(SolveOutcome&& out) {
-  AsyncRgsReport report;
-  report.sweeps_done = out.iterations;
-  report.updates = out.updates;
-  report.workers = out.workers;
-  report.seconds = out.seconds;
-  report.converged = out.status == SolveStatus::kConverged;
-  report.final_relative_residual = out.relative_residual;
-  report.residual_history = std::move(out.residual_history);
-  return report;
-}
-
-}  // namespace detail
 
 const char* to_string(SolveStatus status) noexcept {
   switch (status) {
@@ -270,37 +252,6 @@ StoragePolicy resolve_storage_policy(StorageMode mode, index_t max_index,
       index_width_fits<std::int32_t>(max_index) &&
       nnz <= static_cast<nnz_t>(std::numeric_limits<std::int32_t>::max());
   return fits ? StoragePolicy::kInt32Double : StoragePolicy::kInt64Double;
-}
-
-SolveControls to_controls(const AsyncRgsOptions& options) {
-  SolveControls c;
-  c.method = SpdMethod::kAsyncRgs;
-  c.sweeps = options.sweeps;
-  c.step_size = options.step_size;
-  c.seed = options.seed;
-  c.workers = options.workers;
-  c.atomic_writes = options.atomic_writes;
-  c.sync = options.sync;
-  c.scope = options.scope;
-  c.sync_interval_seconds = options.sync_interval_seconds;
-  c.track_history = options.track_history;
-  c.rel_tol = options.rel_tol;
-  return c;
-}
-
-AsyncRgsOptions to_async_rgs_options(const SolveControls& controls) {
-  AsyncRgsOptions o;
-  o.sweeps = controls.sweeps;
-  o.step_size = controls.step_size;
-  o.seed = controls.seed;
-  o.workers = controls.workers;
-  o.atomic_writes = controls.atomic_writes;
-  o.sync = controls.sync;
-  o.scope = controls.scope;
-  o.sync_interval_seconds = controls.sync_interval_seconds;
-  o.track_history = controls.track_history;
-  o.rel_tol = controls.rel_tol;
-  return o;
 }
 
 // --- SpdProblem --------------------------------------------------------------
@@ -379,13 +330,14 @@ SolveOutcome SpdProblem::solve(const std::vector<double>& b,
   const std::scoped_lock lock(mutex_);
   require(static_cast<index_t>(b.size()) == a_.rows() && x.size() == b.size(),
           "SpdProblem::solve: shape mismatch");
+  validate_controls(controls, "SpdProblem::solve");
   SpdMethod method = controls.method;
   require(method != SpdMethod::kAsyncKaczmarz,
           "SpdProblem::solve: the Kaczmarz row-action method is served by "
           "LsqProblem (it needs no symmetry and covers rectangular and "
           "inconsistent systems)");
   if (method == SpdMethod::kAuto) {
-    // The solve_spd guidance: basic asynchronous iterations in the
+    // The paper's Section 9 guidance: basic asynchronous iterations in the
     // low-accuracy regime, AsyRGS-preconditioned flexible CG when high
     // accuracy is sought.
     method = (controls.rel_tol <= 0.0 || controls.rel_tol >= 1e-4)
@@ -425,15 +377,9 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
                                                std::vector<double>& x,
                                                const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "SpdProblem::solve");
   validate_sampling_controls(controls, "SpdProblem::solve");
   const index_t n = a.rows();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
-
-  AsyncRgsReport report;
-  report.workers = workers;
+  const int workers = clamp_workers(controls.workers, pool_);
 
   detail::pack_rhs_diag(b, inv_diag_, scratch_->rhs_diag);
   detail::SingleRhsResidual residual(a, b, x.data(), workers,
@@ -470,26 +416,22 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
     };
   }
 
+  SolveOutcome out;
   WallTimer timer;
-  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::SingleRhsUpdate<kAtomic, Index> update{
         a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
-        scratch_->rhs_diag.data(), x.data(),           beta};
-    detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                               residual, report, &scratch_->engine);
+        scratch_->rhs_diag.data(), x.data(),           controls.step_size};
+    detail::run_engine_sampled(pool_, controls, n, workers, sampling, update,
+                               residual, out, &scratch_->engine);
   });
-  report.seconds = timer.seconds();
+  out.seconds = timer.seconds();
   if (residual_sampler)
     stats_.sampler_builds += residual_sampler->rebuilds();
 
-  std::string description = std::string("AsyRGS, ") +
-                            std::to_string(workers) + " threads, " +
-                            sync_name(options.sync) + sampling_note(controls);
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
+  describe_async(out, "AsyRGS",
+                 sync_name(controls.sync) + sampling_note(controls),
+                 Matrix::kStorage);
   out.storage_used = Matrix::kStorage;
   out.sampling_used = controls.sampling;
   return out;
@@ -511,20 +453,14 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
     const SolveControls& controls) {
   using Index = typename Matrix::index_type;
   const detail::SpdPartitionState& st = *partition_;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "SpdProblem::solve");
   const index_t n = a.rows();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
+  const int workers = clamp_workers(controls.workers, pool_);
 
   // The cut is partition-count-keyed and cached on the analysis; the clamp
   // to [1, n] happens inside and is surfaced via partitions_used.
   const std::shared_ptr<const GraphPartition> cut =
       st.analysis.cut(controls.partitions);
   const int partitions = cut->count();
-
-  AsyncRgsReport report;
-  report.workers = workers;
 
   // Permute the problem into RCM space: xp[i] = x[perm[i]], bp likewise.
   // The engine then runs entirely on the permuted operator, with the
@@ -549,21 +485,22 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
   detail::SingleRhsResidual residual(a, bp, xp.data(), workers,
                                      scratch_->engine.reduce(workers));
 
+  SolveOutcome out;
   WallTimer timer;
-  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::SingleRhsUpdate<kAtomic, Index> update{
         a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
-        scratch_->rhs_diag.data(), xp.data(),          beta};
+        scratch_->rhs_diag.data(), xp.data(),          controls.step_size};
     detail::run_engine_with_plan(
-        pool_, options, n, workers,
+        pool_, controls, n, workers,
         [&](int team) {
-          return detail::PartitionedDirectionPlan(options.seed, *cut,
+          return detail::PartitionedDirectionPlan(controls.seed, *cut,
                                                   controls.steal_rate, team);
         },
-        /*refresh=*/std::function<void()>{}, update, residual, report,
+        /*refresh=*/std::function<void()>{}, update, residual, out,
         &scratch_->engine);
   });
-  report.seconds = timer.seconds();
+  out.seconds = timer.seconds();
 
   for (std::size_t i = 0; i < b.size(); ++i)
     x[static_cast<std::size_t>(perm[i])] = xp[i];
@@ -572,15 +509,11 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
   // Trim to the informative digits (to_string pads to 6 decimals).
   while (steal.size() > 1 && steal.back() == '0') steal.pop_back();
   if (!steal.empty() && steal.back() == '.') steal.pop_back();
-  std::string description =
-      std::string("AsyRGS, ") + std::to_string(workers) + " threads, " +
-      sync_name(options.sync) + ", " + std::to_string(partitions) +
-      " partitions (RCM, steal " + steal + ")";
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
+  describe_async(out, "AsyRGS",
+                 std::string(sync_name(controls.sync)) + ", " +
+                     std::to_string(partitions) + " partitions (RCM, steal " +
+                     steal + ")",
+                 Matrix::kStorage);
   out.storage_used = Matrix::kStorage;
   out.sampling_used = controls.sampling;
   out.partitions_used = partitions;
@@ -641,6 +574,7 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
   require(b.rows() == a_.rows() && x.rows() == a_.rows() &&
               b.cols() == x.cols(),
           "SpdProblem::solve(block): shape mismatch");
+  validate_controls(controls, "SpdProblem::solve(block)");
   require(controls.method == SpdMethod::kAuto ||
               controls.method == SpdMethod::kAsyncRgs,
           "SpdProblem::solve(block): only the asynchronous method supports "
@@ -663,15 +597,9 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
                                         MultiVector& x,
                                         const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "SpdProblem::solve(block)");
   const index_t n = a.rows();
   const index_t k = b.cols();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
-
-  AsyncRgsReport report;
-  report.workers = workers;
+  const int workers = clamp_workers(controls.workers, pool_);
 
   detail::BlockResidual residual(a, b, x, workers,
                                  scratch_->engine.reduce(workers));
@@ -686,6 +614,7 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
     sampling.sampler = &*weighted_sampler_;
   }
 
+  SolveOutcome out;
   WallTimer timer;
   // Per-worker gamma scratch in one aligned slab, strided to whole cache
   // lines with a guard line between workers: adjacent heap allocations here
@@ -697,23 +626,18 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
           doubles_per_line +
       doubles_per_line;
   double* const gamma = scratch_->engine.slab(workers, stride);
-  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::BlockRhsUpdate<kAtomic, Index> update{
-        &a, &b, &x, inv_diag_.data(), beta, gamma, stride};
-    detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                               residual, report, &scratch_->engine);
+        &a, &b, &x, inv_diag_.data(), controls.step_size, gamma, stride};
+    detail::run_engine_sampled(pool_, controls, n, workers, sampling, update,
+                               residual, out, &scratch_->engine);
   });
-  report.seconds = timer.seconds();
+  out.seconds = timer.seconds();
 
-  std::string description = std::string("AsyRGS block, ") +
-                            std::to_string(workers) + " threads, " +
-                            std::to_string(k) + " rhs, " +
-                            sync_name(options.sync) + sampling_note(controls);
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
+  describe_async(out, "AsyRGS block",
+                 std::to_string(k) + " rhs, " + sync_name(controls.sync) +
+                     sampling_note(controls),
+                 Matrix::kStorage);
   out.storage_used = Matrix::kStorage;
   out.sampling_used = controls.sampling;
   return out;
@@ -826,6 +750,7 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
   require(static_cast<index_t>(b.size()) == a_.rows() &&
               static_cast<index_t>(x.size()) == a_.cols(),
           "LsqProblem::solve: shape mismatch");
+  validate_controls(controls, "LsqProblem::solve");
   require(controls.method == SpdMethod::kAuto ||
               controls.method == SpdMethod::kAsyncRgs ||
               controls.method == SpdMethod::kAsyncKaczmarz,
@@ -856,17 +781,11 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
                                   std::vector<double>& x,
                                   const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "LsqProblem::solve");
   validate_sampling_controls(controls, "LsqProblem::solve");
   const index_t n = a.cols();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
+  const int workers = clamp_workers(controls.workers, pool_);
 
-  AsyncRgsReport report;
-  report.workers = workers;
-
-  const bool check = options.track_history || options.rel_tol > 0.0;
+  const bool check = controls.track_history || controls.rel_tol > 0.0;
   double* const r =
       check ? scratch_->engine.dense(static_cast<std::size_t>(a.rows()))
             : nullptr;
@@ -900,25 +819,21 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
     };
   }
 
+  SolveOutcome out;
   WallTimer timer;
-  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::LsqUpdate<kAtomic, Index> update{
-        &a, &at, b.data(), col_sq_.data(), x.data(), beta};
-    detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                               residual, report, &scratch_->engine);
+        &a, &at, b.data(), col_sq_.data(), x.data(), controls.step_size};
+    detail::run_engine_sampled(pool_, controls, n, workers, sampling, update,
+                               residual, out, &scratch_->engine);
   });
-  report.seconds = timer.seconds();
+  out.seconds = timer.seconds();
   if (residual_sampler)
     stats_.sampler_builds += residual_sampler->rebuilds();
 
-  std::string description = std::string("AsyRCD least squares, ") +
-                            std::to_string(workers) + " threads, " +
-                            sync_name(options.sync) + sampling_note(controls);
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
+  describe_async(out, "AsyRCD least squares",
+                 sync_name(controls.sync) + sampling_note(controls),
+                 Matrix::kStorage);
   out.storage_used = Matrix::kStorage;
   out.sampling_used = controls.sampling;
   return out;
@@ -930,22 +845,16 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
                                            std::vector<double>& x,
                                            const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "LsqProblem::solve(kaczmarz)");
   validate_sampling_controls(controls, "LsqProblem::solve(kaczmarz)");
   // Directions are the ROWS of A (one sweep = m row projections), unlike
   // coordinate descent whose directions are columns.
   const index_t m = a.rows();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
-
-  AsyncRgsReport report;
-  report.workers = workers;
+  const int workers = clamp_workers(controls.workers, pool_);
 
   // Same normal-equations metric as coordinate descent, so outcomes of the
   // two methods are directly comparable (and inconsistent systems — where
   // ||b - Ax|| cannot reach zero — still report a meaningful residual).
-  const bool check = options.track_history || options.rel_tol > 0.0;
+  const bool check = controls.track_history || controls.rel_tol > 0.0;
   double* const r =
       check ? scratch_->engine.dense(static_cast<std::size_t>(a.rows()))
             : nullptr;
@@ -978,26 +887,22 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
     };
   }
 
+  SolveOutcome out;
   WallTimer timer;
-  detail::dispatch_atomic(options, [&]<bool kAtomic>() {
+  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::KaczmarzUpdate<kAtomic, Index> update{
         a.row_ptr().data(), a.col_idx().data(), a.values().data(), b.data(),
-        inv_row_sq_.data(), x.data(),           beta};
-    detail::run_engine_sampled(pool_, options, m, workers, sampling, update,
-                               residual, report, &scratch_->engine);
+        inv_row_sq_.data(), x.data(),           controls.step_size};
+    detail::run_engine_sampled(pool_, controls, m, workers, sampling, update,
+                               residual, out, &scratch_->engine);
   });
-  report.seconds = timer.seconds();
+  out.seconds = timer.seconds();
   if (residual_sampler)
     stats_.sampler_builds += residual_sampler->rebuilds();
 
-  std::string description = std::string("AsyKaczmarz least squares, ") +
-                            std::to_string(workers) + " threads, " +
-                            sync_name(options.sync) + sampling_note(controls);
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
+  describe_async(out, "AsyKaczmarz least squares",
+                 sync_name(controls.sync) + sampling_note(controls),
+                 Matrix::kStorage);
   out.storage_used = Matrix::kStorage;
   out.sampling_used = controls.sampling;
   return out;

@@ -15,10 +15,9 @@
 //   SolveOutcome              unified structured result (SolveStatus enum
 //                             instead of per-solver bool/string shapes)
 //
-// The legacy free functions (async_rgs_solve, async_lsq_solve, solve_spd,
-// ...) remain available and are thin wrappers constructing a temporary
-// handle — identical arithmetic, so equal-seed runs through either
-// interface are bit-identical.
+// These are the library's only request shape: a one-shot solve constructs
+// a handle and calls solve() once.  Every solve validates its controls
+// first (SpdProblem::solve documents the rules), for every method.
 //
 // Thread-safety: a handle's prepared state is immutable after construction
 // and its mutable scratch is guarded by an internal (recursive) mutex —
@@ -114,8 +113,12 @@ enum class StorageMode {
 
 /// Per-call knobs for a prepared handle, deliberately separated from the
 /// per-problem state (matrix, pool, validation policy) bound at handle
-/// construction.  Field-for-field compatible with AsyncRgsOptions for the
-/// asynchronous methods — see to_controls / to_async_rgs_options.
+/// construction.  The asynchronous engine (core/engine.hpp) reads them
+/// directly.  Defaults: kAuto resolves to FCG when 0 < rel_tol < 1e-4, so a
+/// caller who wants the asynchronous method at a tight tolerance sets
+/// method = kAsyncRgs; the 10-sweep kFreeRunning default never checks a
+/// tolerance, so tolerance-stopped solves pick a synchronizing mode and a
+/// budget to match.
 struct SolveControls {
   /// Solution strategy.  LsqProblem accepts kAuto/kAsyncRgs (randomized
   /// coordinate descent) and kAsyncKaczmarz (row action); SpdProblem
@@ -182,7 +185,10 @@ struct SolveOutcome {
   /// sweep below rel_tol by the schedule's overshoot.
   int iterations = 0;
   long long updates = 0;     ///< coordinate updates (asynchronous methods)
-  int workers = 0;           ///< actual team size used
+  /// Team size the run actually used: the requested team clamped to the
+  /// pool, or 1 for a solve issued from inside a running team of the same
+  /// pool (the pool runs such a nested team inline, on one worker).
+  int workers = 0;
   /// Asynchronous methods with a tolerance or history under a synchronizing
   /// mode: the exact convergence metric at the returned iterate, and
   /// kConverged means it is <= rel_tol.  Krylov methods: the final
@@ -209,17 +215,7 @@ struct SolveOutcome {
   }
 };
 
-/// Lossless translation between the legacy per-call option struct and
-/// SolveControls (the free-function wrappers use these; handy for migration).
-[[nodiscard]] SolveControls to_controls(const AsyncRgsOptions& options);
-[[nodiscard]] AsyncRgsOptions to_async_rgs_options(
-    const SolveControls& controls);
-
 namespace detail {
-/// Translates a handle outcome back to the legacy AsyncRgsReport shape; used
-/// by the free-function wrappers so both report forms stay in lockstep.
-[[nodiscard]] AsyncRgsReport report_from_outcome(SolveOutcome&& out);
-
 /// Reusable per-handle solver scratch (rhs packing, engine buffers); defined
 /// in problem.cpp so the unstable engine/kernel internals never enter this
 /// public header.
@@ -298,6 +294,11 @@ class SpdProblem {
   /// Solves A x = b starting from `x` (in place) with per-call `controls`.
   /// With SpdMethod::kAuto the method is AsyRGS when rel_tol == 0 or
   /// rel_tol >= 1e-4 (the low-accuracy regime) and FCG+AsyRGS otherwise.
+  ///
+  /// Every solve, of every method and on both handles, first rejects
+  /// controls it cannot honour (throws Error): sweeps, workers and
+  /// max_iterations must be >= 0, rel_tol finite and >= 0, step_size in
+  /// (0, 2) and sync_interval_seconds > 0.
   SolveOutcome solve(const std::vector<double>& b, std::vector<double>& x,
                      const SolveControls& controls = {});
 
@@ -377,13 +378,13 @@ class SpdProblem {
 /// one matrix (asynchronous randomized coordinate descent, Section 8).
 ///
 /// Construction materializes (or borrows) A^T, precomputes the column
-/// squared-norm denominators, and validates full column rank — all costs the
-/// one-shot API used to pay per call.
+/// squared-norm denominators, and validates full column rank, so solves pay
+/// none of it.
 class LsqProblem {
  public:
   /// Binds `a` and builds A^T through the matrix's shared transpose cache
-  /// (so several handles — or the convenience free function — against one
-  /// matrix construct the transpose a single time).  `storage` narrows both
+  /// (so several handles against one matrix construct the transpose a
+  /// single time).  `storage` narrows both
   /// A and A^T; because the transpose's column indices are row indices,
   /// narrowing requires max(rows, cols) to fit the index width (see
   /// resolve_storage_policy).
@@ -412,7 +413,8 @@ class LsqProblem {
   /// kAsyncKaczmarz runs the row-action method — directions are rows, each
   /// update projects x onto its row's hyperplane with the 1/||A_i||^2
   /// denominators precomputed at preparation (zero rows no-op).  The
-  /// Krylov methods are rejected.  Convergence metric for both:
+  /// Krylov methods are rejected, and the controls are validated as
+  /// SpdProblem::solve documents.  Convergence metric for both:
   /// ||A^T(b - Ax)|| / ||A^T b|| — for inconsistent systems the Kaczmarz
   /// iterate converges to a neighbourhood of the least-squares solution
   /// (radius shrinking with beta), so pair it with a modest rel_tol.

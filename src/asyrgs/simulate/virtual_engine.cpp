@@ -66,10 +66,8 @@ class VirtualEngine {
     // exactly as the threaded engine's workers do.
     require(sampler == nullptr || sampler->directions() == a.rows(),
             "virtual_engine: sampler size must match the matrix");
-    AsyncRgsOptions plan_options;
-    plan_options.seed = options.seed;
-    plan_options.scope = RandomizationScope::kShared;
-    plan_.emplace(plan_options, a.rows(), /*team=*/1, sampler);
+    plan_.emplace(options.seed, RandomizationScope::kShared, a.rows(),
+                  /*team=*/1, sampler);
     window_rows_.resize(static_cast<std::size_t>(tau) + 1, 0);
     window_deltas_.resize(static_cast<std::size_t>(tau) + 1, 0.0);
     dirs_.resize(detail::kDirectionChunk);

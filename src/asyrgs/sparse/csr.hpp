@@ -294,9 +294,9 @@ class CsrMatrixT {
   /// immutable, so the cached value can never go stale).  Thread-safe:
   /// concurrent first calls build exactly one instance; later calls are a
   /// shared_ptr copy.  Copies of the matrix share the cache.  This is the
-  /// amortization path behind the prepared-solver handles and the
-  /// `async_lsq_solve` convenience overload — repeated solves against one
-  /// matrix pay the O(nnz) transpose a single time.  The cached transpose
+  /// amortization path behind the prepared least-squares handles — every
+  /// LsqProblem against one matrix shares the O(nnz) transpose, built a
+  /// single time.  The cached transpose
   /// stays resident for the matrix's lifetime (~nnz extra memory); callers
   /// that need A^T exactly once and care about footprint should call
   /// transpose() instead.  `built_now` (optional) is set to whether THIS

@@ -27,8 +27,9 @@ TEST(AsyncJacobi, ConvergesOnStrictlyDominantSystem) {
   AsyncJacobiOptions jopt;
   jopt.sweeps = 300;
   jopt.workers = 8;
-  const AsyncRgsReport rep = async_jacobi_solve(pool, a, b, x, jopt);
-  EXPECT_EQ(rep.sweeps_done, 300);
+  const SolveOutcome rep = async_jacobi_solve(pool, a, b, x, jopt);
+  EXPECT_EQ(rep.iterations, 300);
+  EXPECT_EQ(rep.status, SolveStatus::kBudgetCompleted);
   EXPECT_LT(relative_residual(a, b, x), 1e-8);
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-6);
 }

@@ -1,17 +1,19 @@
 // AsyRGS tests: single-worker equivalence with the sequential solver,
 // multi-threaded convergence, atomic vs non-atomic writes, sync modes,
-// block variant, and the fixed-direction-multiset methodology.
+// block variant, and the fixed-direction-multiset methodology.  Each solve
+// runs as a one-shot caller writes it: SpdMethod::kAsyncRgs on a fresh,
+// unvalidated SpdProblem.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "asyrgs/core/async_rgs.hpp"
 #include "asyrgs/core/rgs.hpp"
 #include "asyrgs/gen/gram.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
+#include "asyrgs/problem.hpp"
 #include "asyrgs/sparse/scale.hpp"
 #include "asyrgs/support/prng.hpp"
 
@@ -33,11 +35,12 @@ TEST(AsyncRgs, OneWorkerFreeRunningMatchesSequentialBitwise) {
   rgs_solve(a, b, x_seq, seq);
 
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 5;
   opt.seed = 11;
   opt.workers = 1;
-  async_rgs_solve(pool, a, b, x_async, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b, x_async, opt);
 
   EXPECT_EQ(x_seq, x_async);
 }
@@ -54,12 +57,13 @@ TEST(AsyncRgs, OneWorkerBarrierModeAlsoMatches) {
   rgs_solve(a, b, x_seq, seq);
 
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 4;
   opt.seed = 23;
   opt.workers = 1;
   opt.sync = SyncMode::kBarrierPerSweep;
-  async_rgs_solve(pool, a, b, x_async, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b, x_async, opt);
 
   EXPECT_EQ(x_seq, x_async);
 }
@@ -74,14 +78,16 @@ TEST_P(AsyncRgsThreadsTest, ConvergesWithManyWorkers) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 3000;
   opt.seed = 31;
   opt.workers = workers;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged) << "workers=" << workers;
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged()) << "workers=" << workers;
   EXPECT_LT(relative_residual(a, b, x), 1e-7);
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-5);
 }
@@ -105,11 +111,13 @@ TEST_P(AsyncRgsThreadsTest, FreeRunningReachesSyncComparableResidual) {
   const double res_sync = relative_residual(a, b, x_sync);
 
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = sweeps;
   opt.seed = 43;
   opt.workers = workers;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x_async, opt);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x_async, opt);
   EXPECT_EQ(rep.workers, workers);
   const double res_async = relative_residual(a, b, x_async);
 
@@ -129,15 +137,17 @@ TEST(AsyncRgs, NonAtomicVariantStillConverges) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 2000;
   opt.seed = 53;
   opt.workers = 8;
   opt.atomic_writes = false;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-7;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged());
 }
 
 TEST(AsyncRgs, StepSizeDampensOnHostileDelay) {
@@ -147,15 +157,17 @@ TEST(AsyncRgs, StepSizeDampensOnHostileDelay) {
   const std::vector<double> b = random_vector(a.rows(), 57);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 4000;
   opt.seed = 59;
   opt.workers = 8;
   opt.step_size = 0.5;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-7;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged());
 }
 
 TEST(AsyncRgs, BarrierModeTracksHistory) {
@@ -163,13 +175,15 @@ TEST(AsyncRgs, BarrierModeTracksHistory) {
   const CsrMatrix a = laplacian_2d(8, 8);
   const std::vector<double> b = random_vector(a.rows(), 61);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 10;
   opt.workers = 4;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.track_history = true;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_EQ(rep.sweeps_done, 10);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_EQ(rep.iterations, 10);
   EXPECT_EQ(rep.residual_history.size(), 10u);
   // Residuals should broadly decrease over sweeps.
   EXPECT_LT(rep.residual_history.back(), rep.residual_history.front());
@@ -181,14 +195,16 @@ TEST(AsyncRgs, EarlyStopOnTolerance) {
   const std::vector<double> x_star = random_vector(a.rows(), 67);
   const std::vector<double> b = rhs_from_solution(a, x_star);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 100000;
   opt.workers = 4;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-6;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_LT(rep.sweeps_done, 100000);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged());
+  EXPECT_LT(rep.iterations, 100000);
 }
 
 TEST(AsyncRgs, BlockOneColumnMatchesSingle) {
@@ -197,16 +213,17 @@ TEST(AsyncRgs, BlockOneColumnMatchesSingle) {
   const std::vector<double> b = random_vector(a.rows(), 71);
 
   std::vector<double> x_single(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 6;
   opt.seed = 73;
   opt.workers = 1;
-  async_rgs_solve(pool, a, b, x_single, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b, x_single, opt);
 
   MultiVector b_block(a.rows(), 1);
   b_block.set_column(0, b);
   MultiVector x_block(a.rows(), 1);
-  async_rgs_solve_block(pool, a, b_block, x_block, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b_block, x_block, opt);
 
   for (index_t i = 0; i < a.rows(); ++i)
     EXPECT_DOUBLE_EQ(x_single[i], x_block.at(i, 0));
@@ -226,13 +243,15 @@ TEST(AsyncRgs, BlockMultiThreadedSolvesSkewedGram) {
   const MultiVector b = rhs_from_solution(a, x_star);
 
   MultiVector x(a.rows(), 4);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 400;
   opt.workers = 8;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-6;
-  const AsyncRgsReport rep = async_rgs_solve_block(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged());
 }
 
 TEST(AsyncRgs, DirectionMultisetIsThreadCountInvariant) {
@@ -262,12 +281,14 @@ TEST(AsyncRgs, RejectsBadOptions) {
   const CsrMatrix a = laplacian_1d(10);
   const std::vector<double> b = random_vector(10, 1);
   std::vector<double> x(10, 0.0);
-  AsyncRgsOptions opt;
+  SpdProblem problem(pool, a, /*check_input=*/false);
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.step_size = 2.5;
-  EXPECT_THROW(async_rgs_solve(pool, a, b, x, opt), Error);
+  EXPECT_THROW(problem.solve(b, x, opt), Error);
   opt.step_size = 1.0;
   opt.sweeps = -1;
-  EXPECT_THROW(async_rgs_solve(pool, a, b, x, opt), Error);
+  EXPECT_THROW(problem.solve(b, x, opt), Error);
 }
 
 }  // namespace

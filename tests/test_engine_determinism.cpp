@@ -28,6 +28,7 @@
 #include "asyrgs/core/rgs.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/rhs.hpp"
+#include "asyrgs/problem.hpp"
 #include "asyrgs/support/prng.hpp"
 
 namespace asyrgs {
@@ -102,11 +103,10 @@ TEST(PhiloxFill, ChunkedRefillsEqualOneShot) {
 // --- DirectionPlan batched fills == per-pick specification ------------------
 
 TEST(DirectionPlan, FillMatchesPickSharedScope) {
-  AsyncRgsOptions opt;
-  opt.seed = 9;
   const index_t n = 97;
   for (int team : {1, 2, 3, 4, 8}) {
-    const detail::DirectionPlan plan(opt, n, team);
+    const detail::DirectionPlan plan(/*seed=*/9, RandomizationScope::kShared,
+                                     n, team);
     for (int w = 0; w < team; ++w) {
       std::vector<index_t> got(700);
       plan.fill(w, 3, got.size(), got.data());
@@ -122,12 +122,10 @@ TEST(DirectionPlan, FillMatchesPickSharedScope) {
 }
 
 TEST(DirectionPlan, FillMatchesPickOwnerComputes) {
-  AsyncRgsOptions opt;
-  opt.seed = 13;
-  opt.scope = RandomizationScope::kOwnerComputes;
   const index_t n = 101;
   for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan plan(opt, n, team);
+    const detail::DirectionPlan plan(
+        /*seed=*/13, RandomizationScope::kOwnerComputes, n, team);
     for (int w = 0; w < team; ++w) {
       std::vector<index_t> got(300);
       plan.fill(w, 0, got.size(), got.data());
@@ -151,17 +149,16 @@ std::vector<index_t> sequential_multiset(std::uint64_t seed, index_t n,
 }
 
 TEST(DirectionMultiset, PlanTilesTheSequentialStream) {
-  AsyncRgsOptions opt;
-  opt.seed = 21;
-  opt.sweeps = 50;
+  const std::uint64_t seed = 21;
+  const int sweeps = 50;
   const index_t n = 97;
-  const std::vector<index_t> expected =
-      sequential_multiset(opt.seed, n, opt.sweeps);
+  const std::vector<index_t> expected = sequential_multiset(seed, n, sweeps);
   for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan plan(opt, n, team);
+    const detail::DirectionPlan plan(seed, RandomizationScope::kShared, n,
+                                     team);
     std::vector<index_t> all;
     for (int w = 0; w < team; ++w) {
-      const std::uint64_t mine = plan.total_updates(w, opt.sweeps);
+      const std::uint64_t mine = plan.total_updates(w, sweeps);
       std::vector<index_t> picks(static_cast<std::size_t>(mine));
       plan.fill(w, 0, picks.size(), picks.data());
       all.insert(all.end(), picks.begin(), picks.end());
@@ -175,12 +172,12 @@ TEST(DirectionMultiset, BarrierSplitTilesWhenWorkersExceedRows) {
   // Regression: with more workers than rows, the shared-scope per-sweep
   // formula used to hand workers w >= n one update each, consuming stream
   // positions owned by the next sweep twice.
-  AsyncRgsOptions opt;
-  opt.seed = 5;
+  const std::uint64_t seed = 5;
   const index_t n = 3;
-  const Philox4x32 dirs(opt.seed);
+  const Philox4x32 dirs(seed);
   for (int team : {4, 5, 8}) {
-    const detail::DirectionPlan plan(opt, n, team);
+    const detail::DirectionPlan plan(seed, RandomizationScope::kShared, n,
+                                     team);
     index_t total = 0;
     for (int w = 0; w < team; ++w) {
       if (w >= n) {
@@ -220,7 +217,7 @@ struct RecordingUpdate {
 TEST(DirectionMultiset, EngineConsumptionMatchesSequentialAllModes) {
   ThreadPool pool(4);
   const index_t n = 97;
-  AsyncRgsOptions base;
+  SolveControls base;
   base.seed = 33;
   base.sweeps = 50;
   base.sync_interval_seconds = 0.005;
@@ -230,15 +227,16 @@ TEST(DirectionMultiset, EngineConsumptionMatchesSequentialAllModes) {
   for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
                         SyncMode::kTimedBarrier}) {
     for (int workers : {1, 2, 4}) {
-      AsyncRgsOptions opt = base;
-      opt.sync = sync;
-      opt.workers = workers;
+      SolveControls controls = base;
+      controls.sync = sync;
+      controls.workers = workers;
       std::vector<std::vector<index_t>> per_worker(
           static_cast<std::size_t>(workers));
-      AsyncRgsReport report;
+      SolveOutcome out;
       auto residual = [](int, int) { return 0.0; };
-      detail::run_engine(pool, opt, n, workers,
-                         RecordingUpdate{&per_worker}, residual, report);
+      detail::run_engine_sampled(pool, controls, n, workers,
+                                 detail::EngineSampling{},
+                                 RecordingUpdate{&per_worker}, residual, out);
       std::vector<index_t> all;
       for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
       std::sort(all.begin(), all.end());
@@ -251,19 +249,19 @@ TEST(DirectionMultiset, EngineConsumptionMatchesSequentialAllModes) {
 TEST(DirectionMultiset, EngineHandlesMoreWorkersThanRows) {
   ThreadPool pool(8);
   const index_t n = 3;
-  AsyncRgsOptions opt;
-  opt.seed = 41;
-  opt.sweeps = 20;
-  opt.workers = 5;
+  SolveControls controls;
+  controls.seed = 41;
+  controls.sweeps = 20;
+  controls.workers = 5;
   const std::vector<index_t> expected =
-      sequential_multiset(opt.seed, n, opt.sweeps);
+      sequential_multiset(controls.seed, n, controls.sweeps);
   for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
-    opt.sync = sync;
+    controls.sync = sync;
     std::vector<std::vector<index_t>> per_worker(5);
-    AsyncRgsReport report;
+    SolveOutcome out;
     auto residual = [](int, int) { return 0.0; };
-    detail::run_engine(pool, opt, n, 5, RecordingUpdate{&per_worker}, residual,
-                       report);
+    detail::run_engine_sampled(pool, controls, n, 5, detail::EngineSampling{},
+                               RecordingUpdate{&per_worker}, residual, out);
     std::vector<index_t> all;
     for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
     std::sort(all.begin(), all.end());
@@ -286,12 +284,13 @@ TEST(KernelBitExactness, AtomicSingleWorkerEqualsSequential) {
 
   for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
     std::vector<double> x_async(a.rows(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
+    opt.method = SpdMethod::kAsyncRgs;
     opt.sweeps = 40;
     opt.seed = 123;
     opt.workers = 1;
     opt.sync = sync;
-    async_rgs_solve(pool, a, b, x_async, opt);
+    SpdProblem(pool, a, /*check_input=*/false).solve(b, x_async, opt);
     EXPECT_EQ(x_seq, x_async) << "sync=" << static_cast<int>(sync);
   }
 }
@@ -304,13 +303,14 @@ TEST(KernelBitExactness, RacySingleWorkerEqualsAtomicSingleWorker) {
   const std::vector<double> b = random_vector(a.rows(), 5);
   std::vector<double> x_atomic(a.rows(), 0.0);
   std::vector<double> x_racy(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 30;
   opt.seed = 7;
   opt.workers = 1;
-  async_rgs_solve(pool, a, b, x_atomic, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b, x_atomic, opt);
   opt.atomic_writes = false;
-  async_rgs_solve(pool, a, b, x_racy, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b, x_racy, opt);
   EXPECT_EQ(x_atomic, x_racy);
 }
 
@@ -326,11 +326,12 @@ TEST(KernelBitExactness, BlockSingleWorkerEqualsSequentialBlock) {
   rgs_solve_block(a, b, x_seq, seq);
 
   MultiVector x_async(a.rows(), 3);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 25;
   opt.seed = 77;
   opt.workers = 1;
-  async_rgs_solve_block(pool, a, b, x_async, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b, x_async, opt);
 
   for (index_t i = 0; i < a.rows(); ++i)
     for (index_t c = 0; c < 3; ++c)
@@ -348,16 +349,16 @@ struct CountingUpdate {
 /// A 1-worker kBarrierPerSweep engine run whose residual after sweep s is
 /// value(s), with the sweep of every residual call recorded.
 struct SyntheticRun {
-  AsyncRgsReport report;
+  SolveOutcome report;
   std::vector<int> checked;
 };
 
 template <typename Value>
-SyntheticRun run_synthetic(AsyncRgsOptions opt, Value value) {
+SyntheticRun run_synthetic(SolveControls controls, Value value) {
   ThreadPool pool(1);
   const index_t n = 8;
-  opt.sync = SyncMode::kBarrierPerSweep;
-  opt.workers = 1;
+  controls.sync = SyncMode::kBarrierPerSweep;
+  controls.workers = 1;
   long long updates = 0;
   SyntheticRun run;
   auto residual = [&](int, int) {
@@ -365,8 +366,8 @@ SyntheticRun run_synthetic(AsyncRgsOptions opt, Value value) {
     run.checked.push_back(sweep);
     return value(sweep);
   };
-  detail::run_engine(pool, opt, n, 1, CountingUpdate{&updates}, residual,
-                     run.report);
+  detail::run_engine_sampled(pool, controls, n, 1, detail::EngineSampling{},
+                             CountingUpdate{&updates}, residual, run.report);
   return run;
 }
 
@@ -383,15 +384,15 @@ TEST(CheckSchedule, StopsOnTheFirstSweepBelowToleranceWithFewChecks) {
   };
   for (const Case c : {Case{0.5, 1e-6}, Case{0.8, 1e-3}, Case{0.9, 1e-3},
                        Case{0.97, 1e-6}}) {
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = 100000;
     opt.rel_tol = c.tol;
     const SyntheticRun run =
         run_synthetic(opt, [&](int s) { return std::pow(c.q, s); });
     const int crossing = first_crossing(c.q, c.tol);
-    EXPECT_TRUE(run.report.converged) << "q=" << c.q;
-    EXPECT_EQ(run.report.sweeps_done, crossing) << "q=" << c.q;
-    EXPECT_EQ(run.report.final_relative_residual, std::pow(c.q, crossing));
+    EXPECT_TRUE(run.report.converged()) << "q=" << c.q;
+    EXPECT_EQ(run.report.iterations, crossing) << "q=" << c.q;
+    EXPECT_EQ(run.report.relative_residual, std::pow(c.q, crossing));
     ASSERT_GE(run.checked.size(), 2u);
     EXPECT_EQ(run.checked[0], 1);
     EXPECT_EQ(run.checked[1], 2);
@@ -402,17 +403,17 @@ TEST(CheckSchedule, StopsOnTheFirstSweepBelowToleranceWithFewChecks) {
 }
 
 TEST(CheckSchedule, TrackHistoryChecksEverySweep) {
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 100000;
   opt.rel_tol = 1e-3;
   opt.track_history = true;
   const SyntheticRun run =
       run_synthetic(opt, [](int s) { return std::pow(0.9, s); });
   const int crossing = first_crossing(0.9, 1e-3);
-  EXPECT_TRUE(run.report.converged);
-  EXPECT_EQ(run.report.sweeps_done, crossing);
+  EXPECT_TRUE(run.report.converged());
+  EXPECT_EQ(run.report.iterations, crossing);
   ASSERT_EQ(run.report.residual_history.size(),
-            static_cast<std::size_t>(run.report.sweeps_done));
+            static_cast<std::size_t>(run.report.iterations));
   ASSERT_EQ(run.checked.size(), static_cast<std::size_t>(crossing));
   for (int s = 1; s <= crossing; ++s) {
     EXPECT_EQ(run.checked[static_cast<std::size_t>(s - 1)], s);
@@ -428,12 +429,12 @@ TEST(CheckSchedule, NonShrinkingResidualWaitsAtMostTheGapAndChecksTheLastSweep) 
       {"nan", [](int) { return std::nan(""); }}};
   for (const auto& [name, value] : shapes) {
     for (int sweeps : {1, 2, 3, 19, 100}) {
-      AsyncRgsOptions opt;
+      SolveControls opt;
       opt.sweeps = sweeps;
       opt.rel_tol = 1e-3;
       const SyntheticRun run = run_synthetic(opt, value);
-      EXPECT_FALSE(run.report.converged) << name;
-      EXPECT_EQ(run.report.sweeps_done, sweeps) << name;
+      EXPECT_FALSE(run.report.converged()) << name;
+      EXPECT_EQ(run.report.iterations, sweeps) << name;
       ASSERT_FALSE(run.checked.empty()) << name;
       EXPECT_EQ(run.checked.front(), 1) << name;
       EXPECT_EQ(run.checked.back(), sweeps) << name << " sweeps=" << sweeps;
@@ -447,26 +448,26 @@ TEST(CheckSchedule, NonShrinkingResidualWaitsAtMostTheGapAndChecksTheLastSweep) 
 }
 
 TEST(CheckSchedule, PredictionPastTheBudgetChecksTheLastSweep) {
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 10;
   opt.rel_tol = 1e-3;  // crossed at sweep 66, past the budget
   const SyntheticRun run =
       run_synthetic(opt, [](int s) { return std::pow(0.9, s); });
-  EXPECT_FALSE(run.report.converged);
+  EXPECT_FALSE(run.report.converged());
   EXPECT_EQ(run.checked, (std::vector<int>{1, 2, 10}));
-  EXPECT_EQ(run.report.final_relative_residual, std::pow(0.9, 10));
+  EXPECT_EQ(run.report.relative_residual, std::pow(0.9, 10));
 }
 
 TEST(CheckSchedule, IntMaxBudgetSchedulesWithoutOverflow) {
   // The next-check arithmetic must stay inside int next to an INT_MAX
   // budget (the UBSan job runs this).
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = std::numeric_limits<int>::max();
   opt.rel_tol = 1e-3;
   const SyntheticRun run =
       run_synthetic(opt, [](int s) { return std::pow(0.9, s); });
-  EXPECT_TRUE(run.report.converged);
-  EXPECT_EQ(run.report.sweeps_done, first_crossing(0.9, 1e-3));
+  EXPECT_TRUE(run.report.converged());
+  EXPECT_EQ(run.report.iterations, first_crossing(0.9, 1e-3));
   EXPECT_EQ(detail::next_check_sweep(std::numeric_limits<int>::max() - 3, 0.5,
                                      1.0, 1e-300, opt.sweeps),
             std::numeric_limits<int>::max());
@@ -501,15 +502,17 @@ TEST(TeamResidualHeuristic, ResidualValuesAgreeAcrossWorkerCounts) {
   double residual_1 = -1.0;
   for (int workers : {1, 4}) {
     std::vector<double> x(a.rows(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
+    opt.method = SpdMethod::kAsyncRgs;
     opt.sweeps = 25;
     opt.seed = 77;
     opt.workers = workers;
     opt.sync = SyncMode::kBarrierPerSweep;
     opt.track_history = true;
-    const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
+    const SolveOutcome rep =
+        SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
     ASSERT_EQ(rep.residual_history.size(),
-              static_cast<std::size_t>(rep.sweeps_done));
+              static_cast<std::size_t>(rep.iterations));
     // Different worker counts interleave updates differently, so compare
     // each report against its own iterate, not across runs.
     std::vector<double> r(a.rows());
@@ -521,9 +524,9 @@ TEST(TeamResidualHeuristic, ResidualValuesAgreeAcrossWorkerCounts) {
       den += b[i] * b[i];
     }
     const double expect = std::sqrt(num) / std::sqrt(den);
-    EXPECT_NEAR(rep.final_relative_residual, expect, 1e-12 + 1e-9 * expect)
+    EXPECT_NEAR(rep.relative_residual, expect, 1e-12 + 1e-9 * expect)
         << "workers=" << workers;
-    if (workers == 1) residual_1 = rep.final_relative_residual;
+    if (workers == 1) residual_1 = rep.relative_residual;
   }
   EXPECT_GE(residual_1, 0.0);
 }

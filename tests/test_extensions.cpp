@@ -21,14 +21,16 @@ TEST(OwnerComputes, ConvergesAndRespectsPartitions) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 4000;
   opt.workers = 8;
   opt.scope = RandomizationScope::kOwnerComputes;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged());
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-5);
 }
 
@@ -38,13 +40,15 @@ TEST(OwnerComputes, SingleWorkerStillSolves) {
   const std::vector<double> x_star = random_vector(a.rows(), 5);
   const std::vector<double> b = rhs_from_solution(a, x_star);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 3000;
   opt.workers = 1;
   opt.scope = RandomizationScope::kOwnerComputes;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  EXPECT_TRUE(async_rgs_solve(pool, a, b, x, opt).converged);
+  EXPECT_TRUE(
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt).converged());
 }
 
 TEST(OwnerComputes, BarrierBlockVariantWorks) {
@@ -56,12 +60,13 @@ TEST(OwnerComputes, BarrierBlockVariantWorks) {
   const MultiVector x_star = random_multivector(a.rows(), 3, 7);
   const MultiVector b = rhs_from_solution(a, x_star);
   MultiVector x(a.rows(), 3);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 3000;
   opt.workers = 4;
   opt.scope = RandomizationScope::kOwnerComputes;
   opt.sync = SyncMode::kBarrierPerSweep;
-  async_rgs_solve_block(pool, a, b, x, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
   const auto diffs = column_diff_norms(x, x_star);
   const auto norms = column_norms(x_star);
   for (index_t c = 0; c < 3; ++c) EXPECT_LT(diffs[c] / norms[c], 1e-4);
@@ -76,15 +81,17 @@ TEST(TimedBarrier, SolvesToToleranceAndStopsEarly) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 1000000;  // budget far beyond need: must stop on tolerance
   opt.workers = 8;
   opt.sync = SyncMode::kTimedBarrier;
   opt.sync_interval_seconds = 0.002;
   opt.rel_tol = 1e-8;
   opt.track_history = true;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged());
   EXPECT_LT(relative_residual(a, b, x), 1e-7);
   EXPECT_FALSE(rep.residual_history.empty());
   EXPECT_LT(rep.updates,
@@ -97,12 +104,14 @@ TEST(TimedBarrier, ExhaustsBudgetWithoutTolerance) {
   const CsrMatrix a = laplacian_2d(8, 8);
   const std::vector<double> b = random_vector(a.rows(), 11);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 50;
   opt.workers = 4;
   opt.sync = SyncMode::kTimedBarrier;
   opt.sync_interval_seconds = 0.001;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
   EXPECT_EQ(rep.updates,
             static_cast<long long>(50) * static_cast<long long>(a.rows()));
 }
@@ -112,10 +121,12 @@ TEST(TimedBarrier, RejectsNonPositiveInterval) {
   const CsrMatrix a = laplacian_1d(10);
   const std::vector<double> b = random_vector(10, 1);
   std::vector<double> x(10, 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sync = SyncMode::kTimedBarrier;
   opt.sync_interval_seconds = 0.0;
-  EXPECT_THROW(async_rgs_solve(pool, a, b, x, opt), Error);
+  SpdProblem problem(pool, a, /*check_input=*/false);
+  EXPECT_THROW(problem.solve(b, x, opt), Error);
 }
 
 // --- event-driven schedule ---------------------------------------------------------
@@ -225,48 +236,56 @@ TEST(EventSim, RejectsBadOptions) {
   EXPECT_THROW(EventDrivenSchedule::build(a, opt), Error);
 }
 
-// --- high-level solve API ------------------------------------------------------------
+// --- accuracy-driven requests on the SPD handle ------------------------------
 
-TEST(SolveSpd, AutoPicksAsyncRgsAtLowAccuracy) {
+/// A request that names only its accuracy target: the method left to kAuto,
+/// occasional synchronization so the tolerance is checked, and a budget
+/// large enough that the tolerance, not the budget, ends the solve.
+SolveControls accuracy_request(double rel_tol) {
+  SolveControls controls;
+  controls.rel_tol = rel_tol;
+  controls.sync = SyncMode::kBarrierPerSweep;
+  controls.sweeps = 100000;
+  return controls;
+}
+
+TEST(SpdAccuracyRequest, AutoPicksAsyncRgsAtLowAccuracy) {
   ThreadPool pool(8);
   const CsrMatrix a = laplacian_2d(12, 12);
   const std::vector<double> b = random_vector(a.rows(), 3);
   std::vector<double> x(a.rows(), 0.0);
-  SpdSolveOptions opt;
-  opt.rel_tol = 1e-3;
-  const SpdSolveSummary s = solve_spd(pool, a, b, x, opt);
+  const SolveOutcome s =
+      SpdProblem(pool, a).solve(b, x, accuracy_request(1e-3));
   EXPECT_EQ(s.method_used, SpdMethod::kAsyncRgs);
-  EXPECT_TRUE(s.converged);
+  EXPECT_TRUE(s.converged());
   EXPECT_LE(s.relative_residual, 1e-3);
 }
 
-TEST(SolveSpd, AutoPicksFcgAtHighAccuracy) {
+TEST(SpdAccuracyRequest, AutoPicksFcgAtHighAccuracy) {
   ThreadPool pool(8);
   const CsrMatrix a = laplacian_2d(12, 12);
   const std::vector<double> b = random_vector(a.rows(), 5);
   std::vector<double> x(a.rows(), 0.0);
-  SpdSolveOptions opt;
-  opt.rel_tol = 1e-10;
-  const SpdSolveSummary s = solve_spd(pool, a, b, x, opt);
+  const SolveOutcome s =
+      SpdProblem(pool, a).solve(b, x, accuracy_request(1e-10));
   EXPECT_EQ(s.method_used, SpdMethod::kFcgAsyRgs);
-  EXPECT_TRUE(s.converged);
+  EXPECT_TRUE(s.converged());
   EXPECT_LT(relative_residual(a, b, x), 1e-9);
 }
 
-TEST(SolveSpd, ExplicitCgWorks) {
+TEST(SpdAccuracyRequest, ExplicitCgWorks) {
   ThreadPool pool(4);
   const CsrMatrix a = laplacian_2d(10, 10);
   const std::vector<double> b = random_vector(a.rows(), 7);
   std::vector<double> x(a.rows(), 0.0);
-  SpdSolveOptions opt;
-  opt.method = SpdMethod::kCg;
-  opt.rel_tol = 1e-10;
-  const SpdSolveSummary s = solve_spd(pool, a, b, x, opt);
-  EXPECT_TRUE(s.converged);
+  SolveControls controls = accuracy_request(1e-10);
+  controls.method = SpdMethod::kCg;
+  const SolveOutcome s = SpdProblem(pool, a).solve(b, x, controls);
+  EXPECT_TRUE(s.converged());
   EXPECT_NE(s.description.find("conjugate"), std::string::npos);
 }
 
-TEST(SolveSpd, HandlesNonUnitDiagonalTransparently) {
+TEST(SpdAccuracyRequest, HandlesNonUnitDiagonalTransparently) {
   ThreadPool pool(4);
   RandomBandedOptions gopt;
   gopt.n = 400;
@@ -275,14 +294,13 @@ TEST(SolveSpd, HandlesNonUnitDiagonalTransparently) {
   const std::vector<double> x_star = random_vector(a.rows(), 13);
   const std::vector<double> b = rhs_from_solution(a, x_star);
   std::vector<double> x(a.rows(), 0.0);
-  SpdSolveOptions opt;
-  opt.rel_tol = 1e-9;
-  const SpdSolveSummary s = solve_spd(pool, a, b, x, opt);
-  EXPECT_TRUE(s.converged);
+  const SolveOutcome s =
+      SpdProblem(pool, a).solve(b, x, accuracy_request(1e-9));
+  EXPECT_TRUE(s.converged());
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-7);
 }
 
-TEST(SolveSpd, RejectsUnsymmetricInputWhenChecking) {
+TEST(SpdAccuracyRequest, RejectsUnsymmetricInputWhenChecking) {
   ThreadPool pool(2);
   CooBuilder builder(2, 2);
   builder.add(0, 0, 1.0);
@@ -290,12 +308,10 @@ TEST(SolveSpd, RejectsUnsymmetricInputWhenChecking) {
   builder.add(0, 1, 0.5);  // no mirror
   const CsrMatrix a = builder.to_csr();
   std::vector<double> b(2, 1.0), x(2, 0.0);
-  EXPECT_THROW(solve_spd(pool, a, b, x), Error);
-  SpdSolveOptions opt;
-  opt.check_input = false;
-  opt.rel_tol = 1e-2;
-  opt.max_iterations = 5;  // permitted, though convergence is not expected
-  (void)solve_spd(pool, a, b, x, opt);
+  EXPECT_THROW(SpdProblem(pool, a), Error);
+  SolveControls controls = accuracy_request(1e-2);
+  controls.sweeps = 5;  // permitted, though convergence is not expected
+  (void)SpdProblem(pool, a, /*check_input=*/false).solve(b, x, controls);
 }
 
 // --- new generators / utilities -----------------------------------------------------

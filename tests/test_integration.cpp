@@ -61,14 +61,15 @@ TEST_F(SocialPipelineTest, FourSolversAgreeOnTheSolution) {
 
   // 3. AsyRGS with occasional synchronization.
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncRgsOptions async_opt;
+  SolveControls async_opt;
+  async_opt.method = SpdMethod::kAsyncRgs;
   async_opt.sweeps = 4000;
   async_opt.workers = 8;
   async_opt.sync = SyncMode::kBarrierPerSweep;
   async_opt.rel_tol = tol;
-  const AsyncRgsReport async_rep =
-      async_rgs_solve(pool, a, b_, x_async, async_opt);
-  ASSERT_TRUE(async_rep.converged);
+  const SolveOutcome async_rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b_, x_async, async_opt);
+  ASSERT_TRUE(async_rep.converged());
 
   // 4. FCG preconditioned by AsyRGS.
   std::vector<double> x_fcg(a.rows(), 0.0);
@@ -96,13 +97,15 @@ TEST_F(SocialPipelineTest, ScaledSolveMapsBackToOriginalSystem) {
   const std::vector<double> dz = scaling.scale_rhs(b_);
   std::vector<double> x(a.rows(), 0.0);
   ThreadPool pool(8);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 6000;
   opt.workers = 8;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-9;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, dz, x, opt);
-  ASSERT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(dz, x, opt);
+  ASSERT_TRUE(rep.converged());
 
   const std::vector<double> y = scaling.unscale_solution(x);
   EXPECT_LT(relative_residual(b_mat, b_, y), 1e-7);
@@ -125,13 +128,15 @@ TEST_F(SocialPipelineTest, MultiRhsRegressionLikeThePaper) {
   ASSERT_TRUE(bcg.all_converged(k));
 
   MultiVector x_async(a.rows(), k);
-  AsyncRgsOptions ao;
+  SolveControls ao;
+  ao.method = SpdMethod::kAsyncRgs;
   ao.sweeps = 6000;
   ao.workers = 8;
   ao.sync = SyncMode::kBarrierPerSweep;
   ao.rel_tol = 1e-9;
-  const AsyncRgsReport rep = async_rgs_solve_block(pool, a, rhs, x_async, ao);
-  ASSERT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(rhs, x_async, ao);
+  ASSERT_TRUE(rep.converged());
 
   const auto diffs = column_diff_norms(x_bcg, x_async);
   const auto norms = column_norms(x_bcg);
@@ -151,14 +156,15 @@ TEST_F(SocialPipelineTest, LeastSquaresOnTheRawFactor) {
   std::vector<double> labels = rhs_from_solution(f, coeffs);
 
   std::vector<double> x_async(f.cols(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 4000;
   opt.workers = 8;
   opt.step_size = 0.9;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_lsq_solve(pool, f, labels, x_async, opt);
-  ASSERT_TRUE(rep.converged);
+  const SolveOutcome rep = LsqProblem(pool, f).solve(labels, x_async, opt);
+  ASSERT_TRUE(rep.converged());
 
   std::vector<double> x_cgnr(f.cols(), 0.0);
   SolveOptions so;
@@ -183,13 +189,15 @@ TEST(Integration, MatrixMarketRoundTripThroughSolver) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
   std::vector<double> x(a.rows(), 0.0);
   ThreadPool pool(4);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 3000;
   opt.workers = 4;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-9;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged());
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-6);
 }
 

@@ -8,6 +8,7 @@
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/iter/kaczmarz.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
+#include "asyrgs/problem.hpp"
 #include "asyrgs/sparse/coo.hpp"
 #include "asyrgs/support/prng.hpp"
 
@@ -89,12 +90,13 @@ TEST(AsyncLsq, OneWorkerTracksSequentialClosely) {
   rcd_lsq_solve(p.a, p.b, x_seq, sopt);
 
   std::vector<double> x_async(100, 0.0);
-  AsyncRgsOptions aopt;
+  SolveControls aopt;
+  aopt.method = SpdMethod::kAsyncRgs;
   aopt.sweeps = 20;
   aopt.seed = 17;
   aopt.step_size = 0.9;
   aopt.workers = 1;
-  async_lsq_solve(pool, p.a, p.b, x_async, aopt);
+  LsqProblem(pool, p.a).solve(p.b, x_async, aopt);
 
   EXPECT_LT(nrm2(subtract(x_seq, x_async)),
             1e-8 * std::max(1.0, nrm2(x_seq)));
@@ -108,15 +110,16 @@ TEST_P(AsyncLsqThreadsTest, ConvergesMultithreaded) {
   LsqFixture p = consistent_problem(800, 250, 19);
 
   std::vector<double> x(250, 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 6000;
   opt.seed = 23;
   opt.step_size = 0.9;  // Theorem 5 wants beta < 1
   opt.workers = workers;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_lsq_solve(pool, p.a, p.b, x, opt);
-  EXPECT_TRUE(rep.converged) << "workers=" << workers;
+  const SolveOutcome rep = LsqProblem(pool, p.a).solve(p.b, x, opt);
+  EXPECT_TRUE(rep.converged()) << "workers=" << workers;
   EXPECT_LT(nrm2(subtract(x, p.x_star)) / nrm2(p.x_star), 1e-5);
 }
 
@@ -132,7 +135,8 @@ TEST(AsyncLsq, OwnerComputesScopeConverges) {
     ThreadPool pool(workers);
     LsqFixture p = consistent_problem(700, 220, 37);
     std::vector<double> x(220, 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
+    opt.method = SpdMethod::kAsyncRgs;
     opt.sweeps = 6000;
     opt.seed = 41;
     opt.step_size = 0.9;
@@ -140,9 +144,9 @@ TEST(AsyncLsq, OwnerComputesScopeConverges) {
     opt.scope = RandomizationScope::kOwnerComputes;
     opt.sync = SyncMode::kBarrierPerSweep;
     opt.rel_tol = 1e-8;
-    const AsyncRgsReport rep = async_lsq_solve(pool, p.a, p.b, x, opt);
-    EXPECT_TRUE(rep.converged) << "workers=" << workers;
-    EXPECT_LE(rep.final_relative_residual, 1e-8) << "workers=" << workers;
+    const SolveOutcome rep = LsqProblem(pool, p.a).solve(p.b, x, opt);
+    EXPECT_TRUE(rep.converged()) << "workers=" << workers;
+    EXPECT_LE(rep.relative_residual, 1e-8) << "workers=" << workers;
     EXPECT_LT(nrm2(subtract(x, p.x_star)) / nrm2(p.x_star), 1e-5)
         << "workers=" << workers;
   }
@@ -156,7 +160,8 @@ TEST(AsyncLsq, TimedBarrierSyncsAndStopsAtTolerance) {
   ThreadPool pool(2);
   LsqFixture p = consistent_problem(500, 160, 43);
   std::vector<double> x(160, 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 200000;
   opt.seed = 47;
   opt.step_size = 0.9;
@@ -165,36 +170,19 @@ TEST(AsyncLsq, TimedBarrierSyncsAndStopsAtTolerance) {
   opt.sync_interval_seconds = 0.002;
   opt.track_history = true;
   opt.rel_tol = 1e-6;
-  const AsyncRgsReport rep = async_lsq_solve(pool, p.a, p.b, x, opt);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_LE(rep.final_relative_residual, 1e-6);
+  const SolveOutcome rep = LsqProblem(pool, p.a).solve(p.b, x, opt);
+  EXPECT_TRUE(rep.converged());
+  EXPECT_LE(rep.relative_residual, 1e-6);
   EXPECT_FALSE(rep.residual_history.empty());
   EXPECT_LT(rep.updates,
             static_cast<long long>(opt.sweeps) * p.a.cols());
-}
-
-TEST(AsyncLsq, ExplicitTransposeOverloadAgrees) {
-  ThreadPool pool(2);
-  LsqFixture p = consistent_problem(200, 80, 29);
-  const CsrMatrix at = p.a.transpose();
-
-  std::vector<double> x1(80, 0.0), x2(80, 0.0);
-  AsyncRgsOptions opt;
-  opt.sweeps = 10;
-  opt.seed = 31;
-  opt.workers = 1;
-  async_lsq_solve(pool, p.a, p.b, x1, opt);
-  async_lsq_solve(pool, p.a, at, p.b, x2, opt);
-  EXPECT_EQ(x1, x2);
 }
 
 TEST(AsyncLsq, RejectsMismatchedTranspose) {
   ThreadPool pool(2);
   LsqFixture p = consistent_problem(100, 40, 37);
   const CsrMatrix wrong = random_tall_matrix(40, 90, 38);
-  std::vector<double> x(40, 0.0);
-  EXPECT_THROW(async_lsq_solve(pool, p.a, wrong, p.b, x, AsyncRgsOptions{}),
-               Error);
+  EXPECT_THROW(LsqProblem(pool, p.a, wrong), Error);
 }
 
 TEST(AsyncLsq, RejectsZeroColumn) {
@@ -204,8 +192,7 @@ TEST(AsyncLsq, RejectsZeroColumn) {
   builder.add(1, 0, 2.0);
   builder.add(2, 0, 3.0);  // column 1 is structurally... present but empty
   const CsrMatrix a = builder.to_csr();
-  std::vector<double> b(3, 1.0), x(2, 0.0);
-  EXPECT_THROW(async_lsq_solve(pool, a, b, x, AsyncRgsOptions{}), Error);
+  EXPECT_THROW(LsqProblem(pool, a), Error);
 }
 
 // --- baselines -----------------------------------------------------------------

@@ -21,7 +21,8 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 6000;
   opt.workers = 8;
   opt.sync = sync;
@@ -29,7 +30,8 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
   opt.sync_interval_seconds = 0.002;
   // Free-running mode cannot stop early; give it a fixed budget instead.
   if (sync != SyncMode::kFreeRunning) opt.rel_tol = 1e-7;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
 
   if (sync == SyncMode::kFreeRunning &&
       scope == RandomizationScope::kOwnerComputes) {
@@ -42,7 +44,7 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
     return;
   }
   if (sync != SyncMode::kFreeRunning) {
-    EXPECT_TRUE(rep.converged);
+    EXPECT_TRUE(rep.converged());
   }
   EXPECT_LT(relative_residual(a, b, x), 1e-6);
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-4);
@@ -56,14 +58,15 @@ TEST_P(ModeComboTest, BlockSolvesUnderEveryCombination) {
   const MultiVector b = rhs_from_solution(a, x_star);
 
   MultiVector x(a.rows(), 3);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 6000;
   opt.workers = 8;
   opt.sync = sync;
   opt.scope = scope;
   opt.sync_interval_seconds = 0.002;
   if (sync != SyncMode::kFreeRunning) opt.rel_tol = 1e-7;
-  async_rgs_solve_block(pool, a, b, x, opt);
+  SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
 
   const auto diffs = column_diff_norms(x, x_star);
   const auto norms = column_norms(x_star);
@@ -93,28 +96,31 @@ TEST(ModeCombo, NonAtomicComposesWithOwnerComputes) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 4000;
   opt.workers = 8;
   opt.scope = RandomizationScope::kOwnerComputes;
   opt.atomic_writes = false;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep =
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
+  EXPECT_TRUE(rep.converged());
 }
 
-TEST(ModeCombo, SolveSpdHonoursIterationCap) {
+TEST(ModeCombo, ToleranceSolveHonoursSweepCap) {
   ThreadPool pool(4);
   const CsrMatrix a = laplacian_2d(16, 16);  // too hard for 3 sweeps
   const std::vector<double> b = random_vector(a.rows(), 9);
   std::vector<double> x(a.rows(), 0.0);
-  SpdSolveOptions opt;
-  opt.method = SpdMethod::kAsyncRgs;
-  opt.rel_tol = 1e-12;
-  opt.max_iterations = 3;
-  const SpdSolveSummary s = solve_spd(pool, a, b, x, opt);
-  EXPECT_FALSE(s.converged);
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncRgs;
+  controls.rel_tol = 1e-12;
+  controls.sweeps = 3;
+  controls.sync = SyncMode::kBarrierPerSweep;
+  const SolveOutcome s = SpdProblem(pool, a).solve(b, x, controls);
+  EXPECT_EQ(s.status, SolveStatus::kToleranceNotReached);
   EXPECT_LE(s.iterations, 3);
 }
 
@@ -129,14 +135,15 @@ TEST(ModeCombo, LsqComposesWithTimedBarrier) {
   const std::vector<double> labels = rhs_from_solution(f, coeffs);
 
   std::vector<double> x(f.cols(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncRgs;
   opt.sweeps = 4000;
   opt.workers = 8;
   opt.step_size = 0.9;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_lsq_solve(pool, f, labels, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep = LsqProblem(pool, f).solve(labels, x, opt);
+  EXPECT_TRUE(rep.converged());
   EXPECT_LT(nrm2(subtract(x, coeffs)) / nrm2(coeffs), 1e-5);
 }
 

@@ -1,38 +1,41 @@
-// Prepared-solver handle suite (PR 4): SpdProblem / LsqProblem pay matrix
-// analysis once and solve many times, with results bit-identical to the
-// one-shot free functions at equal seed.
+// Prepared-solver handle suite: SpdProblem / LsqProblem pay matrix analysis
+// once and solve many times, with results bit-identical to a fresh
+// one-shot handle at equal seed.
 //
-//  (a) Handle solves equal the free functions bit for bit: at 1 worker in
-//      the shared scope for all three sync modes, and at 1/2/4 workers for
-//      all three sync modes under owner-computes randomization on a
-//      block-diagonal matrix whose blocks align with every tested worker
-//      partition (no cross-partition reads -> every interleaving produces
-//      the same iterate, so multi-worker runs are deterministic).
+//  (a) Reused-handle solves equal fresh-handle solves bit for bit: at 1
+//      worker in the shared scope for all three sync modes, and at 1/2/4
+//      workers for all three sync modes under owner-computes randomization
+//      on a block-diagonal matrix whose blocks align with every tested
+//      worker partition (no cross-partition reads -> every interleaving
+//      produces the same iterate, so multi-worker runs are deterministic).
+//      A solve nested inside a running team of the same pool runs on one
+//      worker, equals the 1-worker solve, and says so.
 //  (b) Preparation is amortized: symmetry/diagonal/rank validation runs
 //      once per problem (not per solve), the LSQ transpose is built once
 //      and shared through the CsrMatrix cache, and a repeat solve performs
 //      no new scratch allocations.
-//  (c) The unified SolveOutcome: status semantics and the thread-safety
-//      contract (concurrent solve() on distinct x).
+//  (c) The unified SolveOutcome: the engine's status rule on every
+//      asynchronous path and sync mode, rejection of malformed controls on
+//      every method, and the thread-safety contract (concurrent solve() on
+//      distinct x).
 //  (d) Exact stopping on the predicted check schedule: on every
 //      kBarrierPerSweep path the reported residual is the exact metric at
 //      the returned iterate, and kConverged means it is <= rel_tol.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "asyrgs/core/async_lsq.hpp"
-#include "asyrgs/core/async_rgs.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/iter/precond.hpp"
 #include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
 #include "asyrgs/problem.hpp"
-#include "asyrgs/solve.hpp"
 #include "asyrgs/sparse/coo.hpp"
 #include "asyrgs/support/prng.hpp"
 
@@ -73,36 +76,38 @@ CsrMatrix tall_matrix(index_t rows, index_t cols, std::uint64_t seed) {
   return builder.to_csr();
 }
 
-SolveControls async_controls(const AsyncRgsOptions& opt) {
-  return to_controls(opt);
-}
+constexpr SyncMode kSyncModes[] = {SyncMode::kFreeRunning,
+                                   SyncMode::kBarrierPerSweep,
+                                   SyncMode::kTimedBarrier};
 
-// --- (a) bit-identity with the free functions --------------------------------
+// --- (a) bit-identity of fresh and reused handles ----------------------------
 
-TEST(PreparedSpd, SecondSolveBitIdenticalToFreeFunctionOneWorker) {
+TEST(PreparedSpd, SecondSolveBitIdenticalToFreshHandleOneWorker) {
   ThreadPool pool(2);
   const CsrMatrix a = laplacian_2d(9, 9);
   const std::vector<double> b = random_vector(a.rows(), 3);
 
-  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
-                        SyncMode::kTimedBarrier}) {
-    AsyncRgsOptions opt;
-    opt.sweeps = 25;
-    opt.seed = 17;
-    opt.workers = 1;
-    opt.sync = sync;
-    opt.sync_interval_seconds = 0.002;
+  for (SyncMode sync : kSyncModes) {
+    SolveControls controls;
+    controls.method = SpdMethod::kAsyncRgs;
+    controls.sweeps = 25;
+    controls.seed = 17;
+    controls.workers = 1;
+    controls.sync = sync;
+    controls.sync_interval_seconds = 0.002;
 
-    std::vector<double> x_free(a.rows(), 0.0);
-    async_rgs_solve(pool, a, b, x_free, opt);
+    // A one-shot solve on a fresh, unvalidated handle...
+    std::vector<double> x_fresh(a.rows(), 0.0);
+    SpdProblem(pool, a, /*check_input=*/false).solve(b, x_fresh, controls);
 
+    // ...equals every solve on a validated handle that is reused.
     SpdProblem problem(pool, a);
     std::vector<double> x1(a.rows(), 0.0);
     std::vector<double> x2(a.rows(), 0.0);
-    const SolveOutcome out1 = problem.solve(b, x1, async_controls(opt));
-    const SolveOutcome out2 = problem.solve(b, x2, async_controls(opt));
-    EXPECT_EQ(x_free, x1) << "sync=" << static_cast<int>(sync);
-    EXPECT_EQ(x_free, x2) << "sync=" << static_cast<int>(sync);
+    const SolveOutcome out1 = problem.solve(b, x1, controls);
+    const SolveOutcome out2 = problem.solve(b, x2, controls);
+    EXPECT_EQ(x_fresh, x1) << "sync=" << static_cast<int>(sync);
+    EXPECT_EQ(x_fresh, x2) << "sync=" << static_cast<int>(sync);
     EXPECT_EQ(out1.method_used, SpdMethod::kAsyncRgs);
     EXPECT_EQ(out2.workers, 1);
   }
@@ -111,89 +116,113 @@ TEST(PreparedSpd, SecondSolveBitIdenticalToFreeFunctionOneWorker) {
 TEST(PreparedSpd, OwnerComputesBitIdenticalAcrossWorkersAndSyncModes) {
   // Block-diagonal + owner-computes: partitions at 1/2/4 workers align with
   // block boundaries, so multi-worker runs are fully deterministic and the
-  // handle/free-function comparison is exact even on a racy shared iterate.
+  // fresh/reused-handle comparison is exact even on a racy shared iterate.
   ThreadPool pool(4);
   const CsrMatrix a = block_diag_tridiagonal(/*blocks=*/4, /*block_size=*/12);
   const std::vector<double> b = random_vector(a.rows(), 5);
 
   SpdProblem problem(pool, a);
-  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
-                        SyncMode::kTimedBarrier}) {
+  for (SyncMode sync : kSyncModes) {
     for (int workers : {1, 2, 4}) {
-      AsyncRgsOptions opt;
-      opt.sweeps = 30;
-      opt.seed = 23;
-      opt.workers = workers;
-      opt.sync = sync;
-      opt.scope = RandomizationScope::kOwnerComputes;
-      opt.sync_interval_seconds = 0.002;
+      SolveControls controls;
+      controls.method = SpdMethod::kAsyncRgs;
+      controls.sweeps = 30;
+      controls.seed = 23;
+      controls.workers = workers;
+      controls.sync = sync;
+      controls.scope = RandomizationScope::kOwnerComputes;
+      controls.sync_interval_seconds = 0.002;
 
-      std::vector<double> x_free(a.rows(), 0.0);
-      async_rgs_solve(pool, a, b, x_free, opt);
+      std::vector<double> x_fresh(a.rows(), 0.0);
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x_fresh, controls);
 
       std::vector<double> x1(a.rows(), 0.0);
       std::vector<double> x2(a.rows(), 0.0);
-      problem.solve(b, x1, async_controls(opt));
-      problem.solve(b, x2, async_controls(opt));
-      EXPECT_EQ(x_free, x1)
+      problem.solve(b, x1, controls);
+      problem.solve(b, x2, controls);
+      EXPECT_EQ(x_fresh, x1)
           << "sync=" << static_cast<int>(sync) << " workers=" << workers;
-      EXPECT_EQ(x_free, x2)
+      EXPECT_EQ(x_fresh, x2)
           << "sync=" << static_cast<int>(sync) << " workers=" << workers;
     }
   }
 }
 
-TEST(PreparedSpd, SolveSpdWrapperMatchesHandle) {
-  ThreadPool pool(2);
-  const CsrMatrix a = laplacian_2d(8, 8);
-  const std::vector<double> x_star = random_vector(a.rows(), 7);
-  const std::vector<double> b = rhs_from_solution(a, x_star);
-
-  SpdSolveOptions sopt;
-  sopt.method = SpdMethod::kAsyncRgs;
-  sopt.rel_tol = 1e-8;
-  sopt.threads = 1;
-  sopt.max_iterations = 4000;
-  std::vector<double> x_wrapper(a.rows(), 0.0);
-  const SpdSolveSummary summary = solve_spd(pool, a, b, x_wrapper, sopt);
-
-  SpdProblem problem(pool, a);
-  SolveControls controls;
-  controls.method = SpdMethod::kAsyncRgs;
-  controls.sweeps = 4000;
-  controls.rel_tol = 1e-8;
-  controls.workers = 1;
-  controls.sync = SyncMode::kBarrierPerSweep;
-  std::vector<double> x_handle(a.rows(), 0.0);
-  const SolveOutcome out = problem.solve(b, x_handle, controls);
-
-  EXPECT_EQ(x_wrapper, x_handle);
-  EXPECT_EQ(summary.converged, out.converged());
-  EXPECT_EQ(summary.status, out.status);
-  EXPECT_EQ(summary.iterations, out.iterations);
-}
-
-TEST(PreparedLsq, SecondSolveBitIdenticalToFreeFunction) {
+TEST(PreparedLsq, SecondSolveBitIdenticalToFreshHandle) {
+  // A fresh handle over a caller-built transpose equals every solve of a
+  // reused handle over the matrix's cached transpose.
   ThreadPool pool(2);
   const CsrMatrix a = tall_matrix(160, 50, 11);
   const std::vector<double> b = random_vector(a.rows(), 13);
 
-  AsyncRgsOptions opt;
-  opt.sweeps = 20;
-  opt.seed = 31;
-  opt.workers = 1;
-  opt.step_size = 0.9;
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncRgs;
+  controls.sweeps = 20;
+  controls.seed = 31;
+  controls.workers = 1;
+  controls.step_size = 0.9;
 
-  std::vector<double> x_free(static_cast<std::size_t>(a.cols()), 0.0);
-  async_lsq_solve(pool, a, b, x_free, opt);
+  const CsrMatrix at = a.transpose();
+  std::vector<double> x_fresh(static_cast<std::size_t>(a.cols()), 0.0);
+  LsqProblem(pool, a, at).solve(b, x_fresh, controls);
 
   LsqProblem problem(pool, a);
   std::vector<double> x1(static_cast<std::size_t>(a.cols()), 0.0);
   std::vector<double> x2(static_cast<std::size_t>(a.cols()), 0.0);
-  problem.solve(b, x1, async_controls(opt));
-  problem.solve(b, x2, async_controls(opt));
-  EXPECT_EQ(x_free, x1);
-  EXPECT_EQ(x_free, x2);
+  problem.solve(b, x1, controls);
+  problem.solve(b, x2, controls);
+  EXPECT_EQ(x_fresh, x1);
+  EXPECT_EQ(x_fresh, x2);
+}
+
+TEST(PreparedSpd, NestedSolveRunsOnOneWorkerAndReportsIt) {
+  // A solve issued from inside a running team of the same pool runs on a
+  // team of one.  Its iterate must equal the 1-worker solve bit for bit in
+  // every sync mode and scope, and its outcome must report that one worker
+  // rather than the team it asked for.
+  ThreadPool pool(4);
+  const CsrMatrix a = laplacian_2d(16, 16);
+  const std::vector<double> b = random_vector(a.rows(), 29);
+  SpdProblem problem(pool, a);
+
+  struct Scope {
+    const char* name;
+    RandomizationScope scope;
+    int partitions;
+  };
+  const Scope scopes[] = {
+      {"shared", RandomizationScope::kShared, 0},
+      {"owner", RandomizationScope::kOwnerComputes, 0},
+      {"6 partitions", RandomizationScope::kShared, 6}};
+  for (const Scope& sc : scopes) {
+    for (SyncMode sync : kSyncModes) {
+      const std::string label = std::string(sc.name) + " sync=" +
+                                std::to_string(static_cast<int>(sync));
+      SolveControls controls;
+      controls.method = SpdMethod::kAsyncRgs;
+      controls.sweeps = 20;
+      controls.seed = 37;
+      controls.sync = sync;
+      controls.scope = sc.scope;
+      controls.partitions = sc.partitions;
+      controls.sync_interval_seconds = 0.002;
+
+      controls.workers = 1;
+      std::vector<double> x_one(a.rows(), 0.0);
+      problem.solve(b, x_one, controls);
+
+      controls.workers = 4;
+      std::vector<double> x_nested(a.rows(), 0.0);
+      SolveOutcome nested;
+      pool.run_team(2, [&](int id, int) {
+        if (id == 0) nested = problem.solve(b, x_nested, controls);
+      });
+      EXPECT_EQ(x_nested, x_one) << label;
+      EXPECT_EQ(nested.workers, 1) << label;
+      EXPECT_NE(nested.description.find("1 threads"), std::string::npos)
+          << label << ": " << nested.description;
+    }
+  }
 }
 
 // --- (b) analysis amortization -----------------------------------------------
@@ -206,12 +235,13 @@ TEST(PreparedSpd, ValidationRunsOncePerProblemNotPerSolve) {
   SpdProblem problem(pool, a, /*check_input=*/true);
   EXPECT_EQ(problem.stats().validation_passes, 1);
 
-  AsyncRgsOptions opt;
-  opt.sweeps = 5;
-  opt.workers = 1;
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncRgs;
+  controls.sweeps = 5;
+  controls.workers = 1;
   std::vector<double> x(a.rows(), 0.0);
-  problem.solve(b, x, async_controls(opt));
-  problem.solve(b, x, async_controls(opt));
+  problem.solve(b, x, controls);
+  problem.solve(b, x, controls);
   const ProblemStats stats = problem.stats();
   EXPECT_EQ(stats.validation_passes, 1);  // not re-run per solve
   EXPECT_EQ(stats.solves, 2);
@@ -242,17 +272,18 @@ TEST(PreparedSpd, RepeatSolvePerformsNoNewScratchAllocations) {
   const std::vector<double> b = random_vector(a.rows(), 4);
 
   SpdProblem problem(pool, a);
-  AsyncRgsOptions opt;
-  opt.sweeps = 8;
-  opt.workers = 2;
-  opt.sync = SyncMode::kBarrierPerSweep;
-  opt.track_history = true;
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncRgs;
+  controls.sweeps = 8;
+  controls.workers = 2;
+  controls.sync = SyncMode::kBarrierPerSweep;
+  controls.track_history = true;
   std::vector<double> x(a.rows(), 0.0);
-  problem.solve(b, x, async_controls(opt));
+  problem.solve(b, x, controls);
   const long long after_first = problem.stats().scratch_allocations;
   EXPECT_GT(after_first, 0);
-  problem.solve(b, x, async_controls(opt));
-  problem.solve(b, x, async_controls(opt));
+  problem.solve(b, x, controls);
+  problem.solve(b, x, controls);
   EXPECT_EQ(problem.stats().scratch_allocations, after_first);
 }
 
@@ -273,36 +304,14 @@ TEST(PreparedLsq, TransposeBuiltOncePerMatrix) {
   // Repeat solves build nothing further.
   const std::vector<double> b = random_vector(a.rows(), 21);
   std::vector<double> x(static_cast<std::size_t>(a.cols()), 0.0);
-  AsyncRgsOptions opt;
-  opt.sweeps = 5;
-  opt.workers = 1;
-  opt.step_size = 0.9;
-  first.solve(b, x, async_controls(opt));
-  first.solve(b, x, async_controls(opt));
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncRgs;
+  controls.sweeps = 5;
+  controls.workers = 1;
+  controls.step_size = 0.9;
+  first.solve(b, x, controls);
+  first.solve(b, x, controls);
   EXPECT_EQ(first.stats().transpose_builds, 1);
-}
-
-TEST(PreparedLsq, ConvenienceOverloadUsesSharedTransposeCache) {
-  // The async_lsq_solve overload that materializes A^T internally now goes
-  // through the matrix's cache: repeated calls build the transpose once.
-  ThreadPool pool(2);
-  const CsrMatrix a = tall_matrix(120, 40, 23);
-  const std::vector<double> b = random_vector(a.rows(), 8);
-  AsyncRgsOptions opt;
-  opt.sweeps = 5;
-  opt.workers = 1;
-  opt.step_size = 0.9;
-
-  EXPECT_FALSE(a.transpose_cached());
-  std::vector<double> x1(static_cast<std::size_t>(a.cols()), 0.0);
-  async_lsq_solve(pool, a, b, x1, opt);
-  EXPECT_TRUE(a.transpose_cached());
-  const CsrMatrix* cached = a.transpose_shared().get();
-
-  std::vector<double> x2(static_cast<std::size_t>(a.cols()), 0.0);
-  async_lsq_solve(pool, a, b, x2, opt);
-  EXPECT_EQ(a.transpose_shared().get(), cached);  // same instance, not rebuilt
-  EXPECT_EQ(x1, x2);
 }
 
 // --- (c) unified outcome and contracts ---------------------------------------
@@ -379,6 +388,106 @@ TEST(SolveOutcomeStatus, ZeroSweepBudgetReportsTheResidualOfX0) {
   }
 }
 
+// Each case below is accepted by no handle solve, whatever the method: the
+// handle validates its controls before it resolves the method or starts a
+// team, so the iterate is left untouched.
+
+/// Expects every listed method of an SPD handle to reject `controls`.
+void expect_spd_rejects(SpdProblem& problem, SolveControls controls,
+                        std::initializer_list<SpdMethod> methods,
+                        const char* label) {
+  const std::vector<double> b = random_vector(problem.dimension(), 3);
+  for (SpdMethod method : methods) {
+    controls.method = method;
+    std::vector<double> x(b.size(), 0.0);
+    EXPECT_THROW(problem.solve(b, x, controls), Error)
+        << label << " method=" << static_cast<int>(method);
+    EXPECT_EQ(x, std::vector<double>(b.size(), 0.0)) << label;
+  }
+}
+
+SolveControls barrier_controls() {
+  SolveControls controls;
+  controls.workers = 1;
+  controls.sync = SyncMode::kBarrierPerSweep;
+  controls.sweeps = 200;
+  return controls;
+}
+
+TEST(ControlsValidation, NanToleranceRejectedByTheAsynchronousPaths) {
+  // A NaN rel_tol fails every `rel <= rel_tol` check, so a run would spend
+  // its whole budget and report a residual no check ever measured.
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(16, 16);
+  SpdProblem problem(pool, a);
+  SolveControls controls = barrier_controls();
+  controls.rel_tol = std::nan("");
+  expect_spd_rejects(problem, controls, {SpdMethod::kAsyncRgs}, "single");
+
+  controls.method = SpdMethod::kAsyncRgs;
+  const MultiVector bb = random_multivector(a.rows(), 2, 5);
+  MultiVector xb(a.rows(), 2);
+  EXPECT_THROW(problem.solve(bb, xb, controls), Error);
+
+  const CsrMatrix tall = tall_matrix(120, 40, 3);
+  LsqProblem lsq(pool, tall);
+  const std::vector<double> b = random_vector(tall.rows(), 4);
+  for (SpdMethod method : {SpdMethod::kAsyncRgs, SpdMethod::kAsyncKaczmarz}) {
+    controls.method = method;
+    std::vector<double> x(static_cast<std::size_t>(tall.cols()), 0.0);
+    EXPECT_THROW(lsq.solve(b, x, controls), Error)
+        << "method=" << static_cast<int>(method);
+  }
+}
+
+TEST(ControlsValidation, NanToleranceRejectedByTheKrylovMethods) {
+  // kAuto would resolve a NaN to FCG, and the Krylov methods would swap it
+  // for their 1e-8 default.
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(16, 16);
+  SpdProblem problem(pool, a);
+  SolveControls controls = barrier_controls();
+  controls.rel_tol = std::nan("");
+  expect_spd_rejects(problem, controls,
+                     {SpdMethod::kAuto, SpdMethod::kFcgAsyRgs, SpdMethod::kCg},
+                     "nan");
+  controls.rel_tol = std::numeric_limits<double>::infinity();
+  expect_spd_rejects(problem, controls,
+                     {SpdMethod::kAsyncRgs, SpdMethod::kCg}, "inf");
+}
+
+TEST(ControlsValidation, NegativeWorkersRejected) {
+  // workers = -3 would otherwise run on the pool's full capacity.
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(16, 16);
+  SpdProblem problem(pool, a);
+  SolveControls controls = barrier_controls();
+  controls.workers = -3;
+  expect_spd_rejects(problem, controls,
+                     {SpdMethod::kAsyncRgs, SpdMethod::kFcgAsyRgs,
+                      SpdMethod::kCg},
+                     "workers");
+  const CsrMatrix tall = tall_matrix(120, 40, 3);
+  LsqProblem lsq(pool, tall);
+  const std::vector<double> b = random_vector(tall.rows(), 4);
+  std::vector<double> x(static_cast<std::size_t>(tall.cols()), 0.0);
+  EXPECT_THROW(lsq.solve(b, x, controls), Error);
+}
+
+TEST(ControlsValidation, NegativeIterationCapRejected) {
+  // max_iterations = -5 would otherwise fall back to the 10000 default.
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(16, 16);
+  SpdProblem problem(pool, a);
+  SolveControls controls = barrier_controls();
+  controls.max_iterations = -5;
+  controls.rel_tol = 1e-8;
+  expect_spd_rejects(problem, controls,
+                     {SpdMethod::kCg, SpdMethod::kFcgAsyRgs,
+                      SpdMethod::kAsyncRgs},
+                     "max_iterations");
+}
+
 TEST(PreparedSpd, ConcurrentSolvesOnDistinctIteratesAreSerializedSafely) {
   // The documented contract: concurrent solve() calls on one handle are
   // safe (internally serialized) and produce the same results as running
@@ -389,20 +498,21 @@ TEST(PreparedSpd, ConcurrentSolvesOnDistinctIteratesAreSerializedSafely) {
   const std::vector<double> b2 = random_vector(a.rows(), 43);
   SpdProblem problem(pool, a);
 
-  AsyncRgsOptions opt;
-  opt.sweeps = 20;
-  opt.workers = 1;
-  opt.seed = 3;
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncRgs;
+  controls.sweeps = 20;
+  controls.workers = 1;
+  controls.seed = 3;
 
   std::vector<double> ref1(a.rows(), 0.0);
   std::vector<double> ref2(a.rows(), 0.0);
-  problem.solve(b1, ref1, async_controls(opt));
-  problem.solve(b2, ref2, async_controls(opt));
+  problem.solve(b1, ref1, controls);
+  problem.solve(b2, ref2, controls);
 
   std::vector<double> x1(a.rows(), 0.0);
   std::vector<double> x2(a.rows(), 0.0);
-  std::thread t1([&] { problem.solve(b1, x1, async_controls(opt)); });
-  std::thread t2([&] { problem.solve(b2, x2, async_controls(opt)); });
+  std::thread t1([&] { problem.solve(b1, x1, controls); });
+  std::thread t2([&] { problem.solve(b2, x2, controls); });
   t1.join();
   t2.join();
   EXPECT_EQ(ref1, x1);
@@ -429,18 +539,6 @@ TEST(PreparedSpd, FcgMethodReusesThePreparedHandle) {
   // Inner preconditioner applications run through this same handle, so the
   // per-matrix validation stayed at construction-time count.
   EXPECT_EQ(problem.stats().validation_passes, 1);
-
-  // Bit-identical to the one-shot wrapper at equal seed and one worker.
-  SpdSolveOptions sopt;
-  sopt.method = SpdMethod::kFcgAsyRgs;
-  sopt.rel_tol = 1e-8;
-  sopt.threads = 1;
-  sopt.inner_sweeps = 2;
-  sopt.seed = 1;
-  std::vector<double> x_wrapper(a.rows(), 0.0);
-  const SpdSolveSummary summary = solve_spd(pool, a, b, x_wrapper, sopt);
-  EXPECT_TRUE(summary.converged);
-  EXPECT_EQ(x, x_wrapper);
 }
 
 TEST(PreparedSpd, BorrowedPreconditionerStaysVariable) {
@@ -544,10 +642,10 @@ struct CheckedSolve {
   std::vector<double> x;    ///< the returned iterate (block: row-major)
 };
 
-/// One kBarrierPerSweep solve from x0 = 0 on `path`, on a fresh handle.
+/// One solve from x0 = 0 on `path`, on a fresh handle, in the sync mode
+/// `controls` names.
 CheckedSolve solve_checked(CheckedPath path, ThreadPool& pool,
                            SolveControls controls) {
-  controls.sync = SyncMode::kBarrierPerSweep;
   CheckedSolve s;
   if (path == CheckedPath::kLsq || path == CheckedPath::kKaczmarz) {
     // Consistent, so Kaczmarz converges in the normal-equations metric too.
@@ -598,6 +696,7 @@ TEST(ExactChecks, ReportedResidualIsExactAtTheReturnedIterate) {
       SolveControls controls;
       controls.workers = workers;
       controls.seed = 3;
+      controls.sync = SyncMode::kBarrierPerSweep;
 
       // Converged: the stop is an exact check at or below rel_tol, past
       // the two fitting checks.
@@ -634,6 +733,7 @@ TEST(ExactChecks, OneWorkerToleranceRunRepeatsBitForBit) {
   controls.seed = 17;
   controls.sweeps = 5000;
   controls.rel_tol = 1e-3;
+  controls.sync = SyncMode::kBarrierPerSweep;
   for (CheckedPath path : kCheckedPaths) {
     const CheckedSolve first = solve_checked(path, pool, controls);
     const CheckedSolve again = solve_checked(path, pool, controls);
@@ -642,6 +742,50 @@ TEST(ExactChecks, OneWorkerToleranceRunRepeatsBitForBit) {
     EXPECT_EQ(first.out.relative_residual, again.out.relative_residual)
         << path_name(path);
     EXPECT_EQ(first.x, again.x) << path_name(path);
+  }
+}
+
+TEST(StatusRule, EveryAsynchronousPathAndSyncMode) {
+  // The engine decides the status once, for every path: kConverged when a
+  // check met rel_tol, kToleranceNotReached when rel_tol > 0 under a
+  // synchronizing mode, kBudgetCompleted otherwise — in particular for
+  // rel_tol > 0 under free running, which never checks.
+  struct Case {
+    const char* name;
+    int sweeps;
+    double rel_tol;
+    SolveStatus synchronized;  ///< expected under both synchronizing modes
+  };
+  constexpr Case kCases[] = {
+      {"met", 5000, 1e-3, SolveStatus::kConverged},
+      {"missed", 23, 1e-14, SolveStatus::kToleranceNotReached},
+      {"none", 23, 0.0, SolveStatus::kBudgetCompleted}};
+  ThreadPool pool(2);
+  for (CheckedPath path : kCheckedPaths) {
+    for (SyncMode sync : kSyncModes) {
+      for (const Case& c : kCases) {
+        const std::string label = std::string(path_name(path)) + " sync=" +
+                                  std::to_string(static_cast<int>(sync)) +
+                                  " " + c.name;
+        SolveControls controls;
+        controls.workers = 2;
+        controls.seed = 5;
+        controls.sync = sync;
+        controls.sync_interval_seconds = 0.002;
+        controls.sweeps = c.sweeps;
+        controls.rel_tol = c.rel_tol;
+        const CheckedSolve s = solve_checked(path, pool, controls);
+        const SolveStatus expected = sync == SyncMode::kFreeRunning
+                                         ? SolveStatus::kBudgetCompleted
+                                         : c.synchronized;
+        EXPECT_EQ(s.out.status, expected)
+            << label << ": " << to_string(s.out.status);
+        EXPECT_EQ(s.out.workers, 2) << label;
+        if (expected != SolveStatus::kConverged) {
+          EXPECT_EQ(s.out.iterations, c.sweeps) << label;
+        }
+      }
+    }
   }
 }
 

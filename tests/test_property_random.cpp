@@ -193,11 +193,12 @@ TEST_P(SeededTest, SolversLeaveExactSolutionFixed) {
   {
     ThreadPool pool(4);
     std::vector<double> x = x_star;
-    AsyncRgsOptions ao;
+    SolveControls ao;
+    ao.method = SpdMethod::kAsyncRgs;
     ao.sweeps = 3;
     ao.workers = 4;
     ao.seed = seed;
-    async_rgs_solve(pool, a, b, x, ao);
+    SpdProblem(pool, a, /*check_input=*/false).solve(b, x, ao);
     EXPECT_LT(residual_norm(a, b, x), 1e-10 * scale);
   }
   {
@@ -271,60 +272,6 @@ TEST_P(SeededTest, BernoulliExtremesMatchReferenceModels) {
   const SimResult r_excl = simulate_inconsistent(a, b, x0, x_star, excl, opt);
   for (std::size_t i = 0; i < r_none.x.size(); ++i)
     EXPECT_DOUBLE_EQ(r_none.x[i], r_excl.x[i]);
-}
-
-TEST_P(SeededTest, SolveControlsRoundTripIsLossless) {
-  // to_async_rgs_options / to_controls must be mutually lossless on every
-  // field the two structs share for arbitrary random option values, so handle-API and free-function callers can
-  // migrate in either direction without silently dropping a knob.
-  const std::uint64_t seed = GetParam();
-  Xoshiro256 rng(seed * 1000003);
-  for (int trial = 0; trial < 32; ++trial) {
-    AsyncRgsOptions o;
-    o.sweeps = static_cast<int>(uniform_index(rng, 500));
-    o.step_size = 0.05 + 1.9 * uniform_real(rng);
-    o.seed = rng();
-    o.workers = static_cast<int>(uniform_index(rng, 9));
-    o.atomic_writes = uniform_real(rng) < 0.5;
-    switch (uniform_index(rng, 3)) {
-      case 0: o.sync = SyncMode::kFreeRunning; break;
-      case 1: o.sync = SyncMode::kBarrierPerSweep; break;
-      default: o.sync = SyncMode::kTimedBarrier; break;
-    }
-    o.scope = uniform_real(rng) < 0.5 ? RandomizationScope::kShared
-                                      : RandomizationScope::kOwnerComputes;
-    o.sync_interval_seconds = 0.001 + uniform_real(rng);
-    o.track_history = uniform_real(rng) < 0.5;
-    o.rel_tol = uniform_real(rng) < 0.5 ? 0.0 : uniform_real(rng);
-
-    const AsyncRgsOptions back = to_async_rgs_options(to_controls(o));
-    EXPECT_EQ(back.sweeps, o.sweeps);
-    EXPECT_EQ(back.step_size, o.step_size);
-    EXPECT_EQ(back.seed, o.seed);
-    EXPECT_EQ(back.workers, o.workers);
-    EXPECT_EQ(back.atomic_writes, o.atomic_writes);
-    EXPECT_EQ(back.sync, o.sync);
-    EXPECT_EQ(back.scope, o.scope);
-    EXPECT_EQ(back.sync_interval_seconds, o.sync_interval_seconds);
-    EXPECT_EQ(back.track_history, o.track_history);
-    EXPECT_EQ(back.rel_tol, o.rel_tol);
-
-    // And the other direction, through SolveControls (the async-shared
-    // fields; method/max_iterations/inner_sweeps have no AsyncRgsOptions
-    // counterpart and are per-call-only knobs of the Krylov paths).
-    SolveControls c = to_controls(o);
-    const SolveControls round = to_controls(to_async_rgs_options(c));
-    EXPECT_EQ(round.sweeps, c.sweeps);
-    EXPECT_EQ(round.step_size, c.step_size);
-    EXPECT_EQ(round.seed, c.seed);
-    EXPECT_EQ(round.workers, c.workers);
-    EXPECT_EQ(round.atomic_writes, c.atomic_writes);
-    EXPECT_EQ(round.sync, c.sync);
-    EXPECT_EQ(round.scope, c.scope);
-    EXPECT_EQ(round.sync_interval_seconds, c.sync_interval_seconds);
-    EXPECT_EQ(round.track_history, c.track_history);
-    EXPECT_EQ(round.rel_tol, c.rel_tol);
-  }
 }
 
 TEST_P(SeededTest, FcgDirectionsAreAConjugate) {

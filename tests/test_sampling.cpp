@@ -162,13 +162,14 @@ TEST(DirectionSampler, RebuildCountsAndChangesTheTable) {
 // --- DirectionPlan with a sampler -------------------------------------------
 
 TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
-  AsyncRgsOptions opt;
-  opt.seed = 17;
+  const std::uint64_t seed = 17;
   const index_t n = 53;
   const DirectionSampler uniform = DirectionSampler::uniform(n);
   for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan bare(opt, n, team);
-    const detail::DirectionPlan sampled(opt, n, team, &uniform);
+    const detail::DirectionPlan bare(seed, RandomizationScope::kShared, n,
+                                     team);
+    const detail::DirectionPlan sampled(seed, RandomizationScope::kShared, n,
+                                        team, &uniform);
     for (int w = 0; w < team; ++w) {
       std::vector<index_t> a(400), b(400);
       bare.fill(w, 0, a.size(), a.data());
@@ -181,16 +182,16 @@ TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
 }
 
 TEST(DirectionPlan, WeightedFillMatchesPickAndMapsTheSharedStream) {
-  AsyncRgsOptions opt;
-  opt.seed = 29;
+  const std::uint64_t seed = 29;
   const index_t n = 41;
   std::vector<double> w(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 7);
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), n);
-  const Philox4x32 raw(opt.seed);
+  const Philox4x32 raw(seed);
   for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan plan(opt, n, team, &sampler);
+    const detail::DirectionPlan plan(seed, RandomizationScope::kShared, n,
+                                     team, &sampler);
     for (int wk = 0; wk < team; ++wk) {
       std::vector<index_t> got(300);
       plan.fill(wk, 2, got.size(), got.data());
@@ -217,17 +218,17 @@ struct RecordingUpdate {
 };
 
 std::vector<index_t> engine_multiset(ThreadPool& pool,
-                                     const AsyncRgsOptions& base, index_t n,
+                                     const SolveControls& base, index_t n,
                                      int workers,
                                      const detail::EngineSampling& sampling) {
-  AsyncRgsOptions opt = base;
-  opt.workers = workers;
+  SolveControls controls = base;
+  controls.workers = workers;
   std::vector<std::vector<index_t>> per_worker(
       static_cast<std::size_t>(workers));
-  AsyncRgsReport report;
+  SolveOutcome out;
   auto residual = [](int, int) { return 0.0; };
-  detail::run_engine_sampled(pool, opt, n, workers, sampling,
-                             RecordingUpdate{&per_worker}, residual, report);
+  detail::run_engine_sampled(pool, controls, n, workers, sampling,
+                             RecordingUpdate{&per_worker}, residual, out);
   std::vector<index_t> all;
   for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
@@ -237,7 +238,7 @@ std::vector<index_t> engine_multiset(ThreadPool& pool,
 TEST(SampledEngine, MultisetInvariantAcrossWorkerCountsPerPolicy) {
   ThreadPool pool(4);
   const index_t n = 61;
-  AsyncRgsOptions base;
+  SolveControls base;
   base.seed = 57;
   base.sweeps = 30;
   base.sync = SyncMode::kBarrierPerSweep;
@@ -270,7 +271,7 @@ TEST(SampledEngine, ResidualRefreshIsDeterministicAndWorkerCountInvariant) {
   // boundaries (sweep ends) for every team size.
   ThreadPool pool(4);
   const index_t n = 37;
-  AsyncRgsOptions base;
+  SolveControls base;
   base.seed = 91;
   base.sweeps = 24;
   base.sync = SyncMode::kBarrierPerSweep;
@@ -321,7 +322,7 @@ TEST(SampledEngine, WeightedDrawsFollowTheTable) {
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), n);
   detail::EngineSampling sampling;
   sampling.sampler = &sampler;
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 3;
   opt.sweeps = 5;
   opt.sync = SyncMode::kBarrierPerSweep;
@@ -342,16 +343,16 @@ TEST(SampledEngine, RejectsRefreshUnderFreeRunning) {
   detail::EngineSampling sampling;
   sampling.sampler = &sampler;
   sampling.refresh = [] {};
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 1;
   opt.sweeps = 2;
   opt.sync = SyncMode::kFreeRunning;
   std::vector<std::vector<index_t>> per_worker(1);
-  AsyncRgsReport report;
+  SolveOutcome out;
   auto residual = [](int, int) { return 0.0; };
   EXPECT_THROW(detail::run_engine_sampled(pool, opt, n, 1, sampling,
                                           RecordingUpdate{&per_worker},
-                                          residual, report),
+                                          residual, out),
                Error);
 }
 
@@ -361,16 +362,16 @@ TEST(SampledEngine, RejectsSamplerSizeMismatch) {
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), 8);
   detail::EngineSampling sampling;
   sampling.sampler = &sampler;
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 1;
   opt.sweeps = 2;
   opt.sync = SyncMode::kBarrierPerSweep;
   std::vector<std::vector<index_t>> per_worker(1);
-  AsyncRgsReport report;
+  SolveOutcome out;
   auto residual = [](int, int) { return 0.0; };
   EXPECT_THROW(detail::run_engine_sampled(pool, opt, /*n=*/9, 1, sampling,
                                           RecordingUpdate{&per_worker},
-                                          residual, report),
+                                          residual, out),
                Error);
 }
 

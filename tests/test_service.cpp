@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -384,6 +385,13 @@ TEST(SolverService, SolveErrorsRethrownAtWait) {
   EXPECT_THROW(static_cast<void>(t.solution()), Error);  // on every access
   EXPECT_TRUE(t.done());
 
+  // A NaN tolerance is rejected the same way, not run to budget-completed.
+  SolveControls nan_tol;
+  nan_tol.sync = SyncMode::kBarrierPerSweep;
+  nan_tol.rel_tol = std::nan("");
+  SolveTicket t_nan = service.submit(random_vector(a.rows(), 3), nan_tol);
+  EXPECT_THROW(t_nan.wait(), Error);
+
   // Submit-side validation is eager.
   EXPECT_THROW(service.submit(std::vector<double>(3, 0.0)), Error);
   EXPECT_THROW(
@@ -397,7 +405,7 @@ TEST(SolverService, SolveErrorsRethrownAtWait) {
   SolveTicket ok = service.submit(random_vector(a.rows(), 2), good);
   EXPECT_EQ(ok.wait().status, SolveStatus::kBudgetCompleted);
   service.drain();
-  EXPECT_EQ(service.stats().completed, 2);
+  EXPECT_EQ(service.stats().completed, 3);
 }
 
 TEST(SolverService, TicketBasics) {

@@ -21,7 +21,6 @@
 #include <sstream>
 #include <vector>
 
-#include "asyrgs/core/async_rgs.hpp"
 #include "asyrgs/gen/gram.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/rhs.hpp"
@@ -78,10 +77,10 @@ const SyncMode kSyncModes[] = {SyncMode::kFreeRunning,
 //
 // The hashes were captured by running exactly these recipes on the commit
 // preceding the storage refactor (full-width CsrMatrix, no narrowing).
-// Today the same free-function calls route through an SpdProblem handle
-// whose kAuto policy narrows to int32/double — the test is the gate that
-// the narrowing is invisible: same indices addressed, same doubles, same
-// association, so the iterate is byte-identical.
+// Today the same solves run on a fresh SpdProblem handle whose kAuto policy
+// narrows to int32/double — the test is the gate that the narrowing is
+// invisible: same indices addressed, same doubles, same association, so the
+// iterate is byte-identical.
 
 TEST(StorageGolden, SharedScopeSingleWorkerMatchesPreRefactor) {
   constexpr std::uint64_t kGolden = 0x6578521c82f8302dull;
@@ -89,14 +88,15 @@ TEST(StorageGolden, SharedScopeSingleWorkerMatchesPreRefactor) {
   const CsrMatrix a = laplacian_2d(9, 9);
   const std::vector<double> b = random_vector(a.rows(), 3);
   for (SyncMode sync : kSyncModes) {
-    AsyncRgsOptions opt;
+    SolveControls opt;
+    opt.method = SpdMethod::kAsyncRgs;
     opt.sweeps = 25;
     opt.seed = 17;
     opt.workers = 1;
     opt.sync = sync;
     opt.sync_interval_seconds = 0.002;
     std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
-    async_rgs_solve(pool, a, b, x, opt);
+    SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
     EXPECT_EQ(fnv1a(x), kGolden) << "sync mode " << static_cast<int>(sync);
   }
 }
@@ -114,7 +114,8 @@ TEST(StorageGolden, OwnerComputesMultiWorkerMatchesPreRefactor) {
   const std::vector<double> b = random_vector(a.rows(), 5);
   for (SyncMode sync : kSyncModes) {
     for (const Case& c : cases) {
-      AsyncRgsOptions opt;
+      SolveControls opt;
+      opt.method = SpdMethod::kAsyncRgs;
       opt.sweeps = 30;
       opt.seed = 23;
       opt.workers = c.workers;
@@ -122,7 +123,7 @@ TEST(StorageGolden, OwnerComputesMultiWorkerMatchesPreRefactor) {
       opt.scope = RandomizationScope::kOwnerComputes;
       opt.sync_interval_seconds = 0.002;
       std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
-      async_rgs_solve(pool, a, b, x, opt);
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
       EXPECT_EQ(fnv1a(x), c.hash)
           << "workers " << c.workers << " sync " << static_cast<int>(sync);
     }
