@@ -31,9 +31,9 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -60,69 +60,106 @@ inline constexpr std::size_t kDirectionChunk = 1024;
 /// arrays; measured best in the 2-8 range, flat beyond.
 inline constexpr std::size_t kPrefetchDistance = 4;
 
-/// Per-worker direction schedule honouring the randomization scope, keyed by
-/// `seed` like PartitionedDirectionPlan.
+/// Splits [0, n) into `team` contiguous chunks (first n%team chunks one
+/// longer) and returns worker w's [lo, hi) — the owner-computes ranges and
+/// the partitioning used for team-parallel residual reductions.
+struct RowChunk {
+  index_t lo;
+  index_t hi;
+};
+[[nodiscard]] inline RowChunk chunk_of(index_t n, int w, int team) noexcept {
+  const index_t base = n / team;
+  const index_t extra = n % team;
+  const index_t lo = base * w + std::min<index_t>(w, extra);
+  return {lo, lo + base + (w < extra ? 1 : 0)};
+}
+
+/// Per-worker direction schedule, keyed by `seed`.  It has one of two
+/// shapes.
 ///
-/// kShared: one Philox stream over global indices; worker w consumes
-/// positions {w, w+P, ...} (free-running/timed) or the per-sweep split
-/// (barrier mode) — all modes consume the identical direction multiset.
+/// The shared stream (RandomizationScope::kShared): one Philox stream over
+/// global indices; worker w consumes positions {w, w+P, ...}
+/// (free-running/timed) or the per-sweep split (barrier mode) — all modes
+/// consume the identical direction multiset.  The deterministic virtual
+/// engine (simulate/virtual_engine.hpp) consumes this shape too: a team-1
+/// plan enumerates the stream in global order, which the virtual engine
+/// replays on a single thread, so its direction multiset (and, at P = 1,
+/// the exact sequence) matches every real team size.  An optional
+/// DirectionSampler generalizes WHAT each stream position draws
+/// (sampling/direction_sampler.hpp): a null or kUniform sampler keeps the
+/// exact pre-sampling code path (same fill_indices_strided calls,
+/// byte-identical draws); a weighted sampler pulls the raw 64-bit words at
+/// the SAME stream positions and maps each through its alias table, so the
+/// position multiset — and with it the cross-worker-count invariance — is
+/// untouched.  Weighted draws require this shape (validated by
+/// run_engine_sampled; owned ranges have no global distribution to weight).
 ///
-/// kOwnerComputes: worker w owns the contiguous partition
-/// [w*n/P-ish, ...) and draws uniformly from it via a worker-keyed stream.
+/// Owned ranges: the rows are cut into contiguous ranges (a GraphPartition,
+/// gen/partition.hpp), and worker w of a team of T executes ranges
+/// {w, w+T, w+2T, ...} round-robin.  Range p draws from its OWN Philox
+/// stream keyed splitmix64(seed + 0x9E3779B97F4A7C15 * (p+1)), and the
+/// position of sweep s's t-th draw in that stream is s * size_p + t —
+/// independent of which worker executes it.  The direction multiset for a
+/// fixed (seed, cut, steal_rate) is therefore invariant across team sizes
+/// (tests/test_partition.cpp).  Two schedules take this shape:
+///  * owner-computes (RandomizationScope::kOwnerComputes, the paper's
+///    Section 10 restricted randomization): `team` identity cuts
+///    chunk_of(n, w, team) with no halo, so worker w owns exactly range w;
+///  * partitioned scheduling (SolveControls::partitions): the RCM cut of a
+///    PartitionAnalysis, with stochastic halo stealing at `steal_rate`.
+/// A steal-free plan (steal threshold 0: every owner-computes plan, and
+/// steal_rate 0) reduces each draw's full 64-bit word to its range
+/// (Philox4x32::index_at plus the range's first row).  A stealing plan
+/// splits the word: the high 32 bits decide owned range vs halo against a
+/// fixed threshold (round(steal_rate * 2^32)), and the low 32 bits select
+/// the index inside the chosen set by 32-bit multiply reduction (bias <=
+/// set_size / 2^32, negligible at cache-line-sized partitions).  Using
+/// disjoint halves keeps the steal decision from biasing the within-set
+/// position.  A range with an empty halo never steals.
 ///
 /// `pick`/`pick_in_sweep` evaluate one direction (kept for tests and as the
 /// executable specification); the `fill*` APIs produce the same draws in
 /// batches and are what the engine uses.
-///
-/// The deterministic virtual engine (simulate/virtual_engine.hpp) consumes
-/// this planner too: because the shared scope tiles ONE global Philox stream
-/// across workers (worker w owns positions {w, w+P, ...}), a team-1 plan
-/// enumerates the identical stream in global order — the virtual engine
-/// replays that global order on a single thread, so its direction multiset
-/// (and, at P = 1, the exact sequence) matches every real team size.
-///
-/// An optional DirectionSampler generalizes WHAT each stream position
-/// draws (sampling/direction_sampler.hpp): a null or kUniform sampler
-/// keeps the exact pre-sampling code path (same fill_indices_strided
-/// calls, byte-identical draws); a weighted sampler pulls the raw 64-bit
-/// words at the SAME stream positions and maps each through its alias
-/// table, so the position multiset — and with it the cross-worker-count
-/// invariance — is untouched.  Weighted draws require the shared scope
-/// (validated by run_engine_sampled; owner-computes streams partition the
-/// index space and have no global distribution to weight).
 class DirectionPlan {
  public:
+  /// The shared stream over [0, n) (kShared), or owner-computes over
+  /// `team` identity cuts of [0, n) (kOwnerComputes).
   DirectionPlan(std::uint64_t seed, RandomizationScope scope, index_t n,
                 int team, const DirectionSampler* sampler = nullptr)
-      : scope_(scope), n_(n), team_(team), shared_(seed),
+      : seed_(seed), n_(n), team_(team), shared_(seed),
         sampler_(sampler != nullptr && sampler->weighted_draws() ? sampler
-                                                                 : nullptr) {
+                                                                 : nullptr),
+        identity_cuts_(scope == RandomizationScope::kOwnerComputes) {
     ASYRGS_ASSERT(sampler_ == nullptr ||
-                  (scope_ == RandomizationScope::kShared &&
+                  (scope == RandomizationScope::kShared &&
                    sampler_->directions() == n));
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      lo_.resize(static_cast<std::size_t>(team));
-      size_.resize(static_cast<std::size_t>(team));
-      streams_.reserve(static_cast<std::size_t>(team));
-      const index_t base = n / team;
-      const index_t extra = n % team;
-      index_t lo = 0;
-      for (int w = 0; w < team; ++w) {
-        const index_t size = base + (w < extra ? 1 : 0);
-        lo_[static_cast<std::size_t>(w)] = lo;
-        size_[static_cast<std::size_t>(w)] = size;
-        lo += size;
-        streams_.emplace_back(
-            splitmix64(seed + 0x9E3779B97F4A7C15ull *
-                                  static_cast<std::uint64_t>(w + 1)));
-      }
-    }
+    if (identity_cuts_) own(identity_cuts(n, team));
   }
 
-  /// Updates worker w performs per sweep.
+  /// Partitioned scheduling over the ranges of `partition`, stealing from
+  /// each range's halo at `steal_rate`.
+  DirectionPlan(std::uint64_t seed,
+                std::shared_ptr<const GraphPartition> partition,
+                double steal_rate, int team)
+      : seed_(seed), n_(partition->lo.back()), team_(team), shared_(seed),
+        threshold_(steal_threshold(steal_rate)) {
+    own(std::move(partition));
+  }
+
+  /// The same schedule for a team of `team` workers: the engine's fallback
+  /// when the pool shrinks a nested call's team.  Owner-computes cuts
+  /// follow the team; a partition's ranges and the shared stream do not.
+  [[nodiscard]] DirectionPlan for_team(int team) const {
+    DirectionPlan plan = *this;
+    plan.team_ = team;
+    if (part_ != nullptr)
+      plan.own(identity_cuts_ ? identity_cuts(n_, team) : part_);
+    return plan;
+  }
+
+  /// Updates worker w performs per sweep (the team-wide sum is n).
   [[nodiscard]] index_t per_sweep(int w) const {
-    if (scope_ == RandomizationScope::kOwnerComputes)
-      return size_[static_cast<std::size_t>(w)];
+    if (part_ != nullptr) return cum_[static_cast<std::size_t>(w)].back();
     // Count of global indices congruent to w modulo team in [0, n); zero
     // when w >= n (more workers than rows: the formula below would round
     // the negative numerator up to 1 and steal a position from the next
@@ -132,14 +169,14 @@ class DirectionPlan {
   }
 
   /// Total updates worker w performs over `sweeps` sweeps in free-running /
-  /// timed numbering.  For the shared scope this counts the global indices
+  /// timed numbering.  For the shared stream this counts the global indices
   /// congruent to w modulo team in [0, sweeps*n) — exactly tiling the
   /// global stream so the direction multiset is identical to the
   /// sequential run.
   [[nodiscard]] std::uint64_t total_updates(int w, int sweeps) const {
-    if (scope_ == RandomizationScope::kOwnerComputes)
+    if (part_ != nullptr)
       return static_cast<std::uint64_t>(sweeps) *
-             static_cast<std::uint64_t>(size_[static_cast<std::size_t>(w)]);
+             static_cast<std::uint64_t>(per_sweep(w));
     const std::uint64_t total = static_cast<std::uint64_t>(sweeps) *
                                 static_cast<std::uint64_t>(n_);
     if (static_cast<std::uint64_t>(w) >= total) return 0;
@@ -149,10 +186,14 @@ class DirectionPlan {
   }
 
   /// Direction for worker w's k-th update (free-running/timed numbering).
+  /// Owned ranges number sweep-major (sweep k / per_sweep, step
+  /// k % per_sweep) and require per_sweep(w) > 0 — the engine never asks a
+  /// worker with no owned rows for a direction (its total is 0).
   [[nodiscard]] index_t pick(int w, std::uint64_t k) const {
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      return lo_[sw] + streams_[sw].index_at(k, size_[sw]);
+    if (part_ != nullptr) {
+      const std::uint64_t mine = static_cast<std::uint64_t>(per_sweep(w));
+      return pick_in_sweep(w, static_cast<int>(k / mine),
+                           static_cast<index_t>(k % mine));
     }
     const std::uint64_t j =
         static_cast<std::uint64_t>(w) + k * static_cast<std::uint64_t>(team_);
@@ -162,12 +203,17 @@ class DirectionPlan {
 
   /// Direction for worker w's t-th update of sweep `sweep` (barrier mode).
   [[nodiscard]] index_t pick_in_sweep(int w, int sweep, index_t t) const {
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      const std::uint64_t k = static_cast<std::uint64_t>(sweep) *
-                                  static_cast<std::uint64_t>(size_[sw]) +
-                              static_cast<std::uint64_t>(t);
-      return lo_[sw] + streams_[sw].index_at(k, size_[sw]);
+    if (part_ != nullptr) {
+      const std::vector<index_t>& cum = cum_[static_cast<std::size_t>(w)];
+      const std::size_t j = segment_of(cum, t);
+      const int p = w + static_cast<int>(j) * team_;
+      const index_t size = part_->size_of(p);
+      const std::uint64_t k =
+          static_cast<std::uint64_t>(sweep) * static_cast<std::uint64_t>(size) +
+          static_cast<std::uint64_t>(t - cum[j]);
+      const Philox4x32& stream = streams_[static_cast<std::size_t>(p)];
+      if (threshold_ == 0) return part_->lo_of(p) + stream.index_at(k, size);
+      return map_draw(stream.at(k), p);
     }
     const std::uint64_t j = static_cast<std::uint64_t>(sweep) *
                                 static_cast<std::uint64_t>(n_) +
@@ -178,14 +224,23 @@ class DirectionPlan {
     return shared_.index_at(j, n_);
   }
 
-  /// out[i] = pick(w, k0 + i) for i in [0, count), batched.
+  /// out[i] = pick(w, k0 + i) for i in [0, count), batched.  For owned
+  /// ranges a chunk may span sweep boundaries.
   void fill(int w, std::uint64_t k0, std::size_t count, index_t* out) const {
     if (count == 0) return;
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      streams_[sw].fill_indices(k0, count, size_[sw], out);
-      const index_t lo = lo_[sw];
-      for (std::size_t i = 0; i < count; ++i) out[i] += lo;
+    if (part_ != nullptr) {
+      const std::uint64_t mine = static_cast<std::uint64_t>(per_sweep(w));
+      std::size_t written = 0;
+      while (written < count) {
+        const std::uint64_t k = k0 + static_cast<std::uint64_t>(written);
+        const index_t t = static_cast<index_t>(k % mine);
+        const std::size_t seg =
+            static_cast<std::size_t>(std::min<std::uint64_t>(
+                mine - static_cast<std::uint64_t>(t),
+                static_cast<std::uint64_t>(count - written)));
+        fill_in_sweep(w, static_cast<int>(k / mine), t, seg, out + written);
+        written += seg;
+      }
       return;
     }
     const std::uint64_t first =
@@ -202,18 +257,29 @@ class DirectionPlan {
                                  count, n_, out);
   }
 
-  /// out[i] = pick_in_sweep(w, sweep, t0 + i) for i in [0, count), batched.
+  /// out[i] = pick_in_sweep(w, sweep, t0 + i) for i in [0, count), batched:
+  /// for owned ranges, bulk Philox draws per range segment.  t0 + count
+  /// stays within per_sweep(w).
   void fill_in_sweep(int w, int sweep, index_t t0, std::size_t count,
                      index_t* out) const {
     if (count == 0) return;
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      const std::uint64_t k0 = static_cast<std::uint64_t>(sweep) *
-                                   static_cast<std::uint64_t>(size_[sw]) +
-                               static_cast<std::uint64_t>(t0);
-      streams_[sw].fill_indices(k0, count, size_[sw], out);
-      const index_t lo = lo_[sw];
-      for (std::size_t i = 0; i < count; ++i) out[i] += lo;
+    if (part_ != nullptr) {
+      const std::vector<index_t>& cum = cum_[static_cast<std::size_t>(w)];
+      index_t t = t0;
+      std::size_t written = 0;
+      while (written < count) {
+        const std::size_t j = segment_of(cum, t);
+        const int p = w + static_cast<int>(j) * team_;
+        const std::size_t seg = static_cast<std::size_t>(std::min<index_t>(
+            cum[j + 1] - t, static_cast<index_t>(count - written)));
+        const std::uint64_t k0 = static_cast<std::uint64_t>(sweep) *
+                                     static_cast<std::uint64_t>(
+                                         part_->size_of(p)) +
+                                 static_cast<std::uint64_t>(t - cum[j]);
+        fill_range(p, k0, seg, out + written);
+        written += seg;
+        t += static_cast<index_t>(seg);
+      }
       return;
     }
     const std::uint64_t first = static_cast<std::uint64_t>(sweep) *
@@ -232,142 +298,18 @@ class DirectionPlan {
   }
 
   [[nodiscard]] int team() const noexcept { return team_; }
+  /// Size of the index space the plan draws from: the engine's n.
+  [[nodiscard]] index_t directions() const noexcept { return n_; }
 
  private:
-  RandomizationScope scope_;
-  index_t n_;
-  int team_;
-  Philox4x32 shared_;
-  const DirectionSampler* sampler_;
-  std::vector<index_t> lo_;
-  std::vector<index_t> size_;
-  std::vector<Philox4x32> streams_;
-};
-
-/// Topology-aware per-worker schedule over a GraphPartition
-/// (gen/partition.hpp) with stochastic boundary stealing — the partitioned
-/// alternative to DirectionPlan, sharing its interface so the engine bodies
-/// serve both (run_engine_with_plan).
-///
-/// Worker w of a team of T executes partitions {w, w+T, w+2T, ...}
-/// round-robin; partition p draws from its OWN Philox stream (keyed by seed
-/// and p), and the position of sweep s's t-th draw in that stream is
-/// s * size_p + t — independent of which worker executes it.  The direction
-/// multiset for a fixed (seed, partition, steal_rate) is therefore
-/// invariant across team sizes: the partitioned analogue of the shared
-/// scope's stream-tiling invariance, with the same test obligations
-/// (tests/test_partition.cpp).
-///
-/// Each draw consumes one 64-bit word: the high 32 bits decide owned-range
-/// vs halo against a fixed threshold (round(steal_rate * 2^32)); the low 32
-/// bits select the index inside the chosen set by 32-bit multiply reduction
-/// (bias <= set_size / 2^32, negligible at cache-line-sized partitions).
-/// Using disjoint halves keeps the steal decision from biasing the
-/// within-set position.  A partition with an empty halo never steals.
-///
-/// The borrowed GraphPartition must outlive the plan (the engine run borrows
-/// it from the prepared handle's partition analysis).
-class PartitionedDirectionPlan {
- public:
-  PartitionedDirectionPlan(std::uint64_t seed, const GraphPartition& partition,
-                           double steal_rate, int team)
-      : part_(&partition),
-        team_(team),
-        threshold_(steal_threshold(steal_rate)) {
-    const int count = partition.count();
-    streams_.reserve(static_cast<std::size_t>(count));
-    for (int p = 0; p < count; ++p)
-      streams_.emplace_back(splitmix64(
-          seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(p + 1)));
-    // Prefix sums of the owned-partition sizes per worker: cum_[w][j] is
-    // the first within-sweep position of worker w's j-th partition
-    // (partition id w + j*T).
-    cum_.resize(static_cast<std::size_t>(team));
-    for (int w = 0; w < team; ++w) {
-      std::vector<index_t>& cum = cum_[static_cast<std::size_t>(w)];
-      cum.push_back(0);
-      for (int p = w; p < count; p += team)
-        cum.push_back(cum.back() + partition.size_of(p));
-    }
+  [[nodiscard]] static std::shared_ptr<const GraphPartition> identity_cuts(
+      index_t n, int team) {
+    auto cut = std::make_shared<GraphPartition>();
+    for (int w = 0; w <= team; ++w) cut->lo.push_back(chunk_of(n, w, team).lo);
+    cut->halo.resize(static_cast<std::size_t>(team));
+    return cut;
   }
 
-  /// Updates worker w performs per sweep (the total size of its owned
-  /// partitions; the team-wide sum is n).
-  [[nodiscard]] index_t per_sweep(int w) const {
-    return cum_[static_cast<std::size_t>(w)].back();
-  }
-
-  [[nodiscard]] std::uint64_t total_updates(int w, int sweeps) const {
-    return static_cast<std::uint64_t>(sweeps) *
-           static_cast<std::uint64_t>(per_sweep(w));
-  }
-
-  /// Direction for worker w's t-th update of sweep `sweep` (barrier mode).
-  [[nodiscard]] index_t pick_in_sweep(int w, int sweep, index_t t) const {
-    const std::vector<index_t>& cum = cum_[static_cast<std::size_t>(w)];
-    const std::size_t j = segment_of(cum, t);
-    const int p = w + static_cast<int>(j) * team_;
-    const std::uint64_t k =
-        static_cast<std::uint64_t>(sweep) *
-            static_cast<std::uint64_t>(part_->size_of(p)) +
-        static_cast<std::uint64_t>(t - cum[j]);
-    return map_draw(streams_[static_cast<std::size_t>(p)].at(k), p);
-  }
-
-  /// Direction for worker w's k-th update in free-running/timed numbering
-  /// (sweep-major: sweep k / per_sweep, step k % per_sweep).  Requires
-  /// per_sweep(w) > 0 — the engine never asks a worker with no owned rows
-  /// for a direction (its total is 0).
-  [[nodiscard]] index_t pick(int w, std::uint64_t k) const {
-    const std::uint64_t mine = static_cast<std::uint64_t>(per_sweep(w));
-    return pick_in_sweep(w, static_cast<int>(k / mine),
-                         static_cast<index_t>(k % mine));
-  }
-
-  /// out[i] = pick_in_sweep(w, sweep, t0 + i), batched: bulk Philox words
-  /// per partition segment, then the steal/reduce map in place.
-  void fill_in_sweep(int w, int sweep, index_t t0, std::size_t count,
-                     index_t* out) const {
-    const std::vector<index_t>& cum = cum_[static_cast<std::size_t>(w)];
-    index_t t = t0;
-    std::size_t written = 0;
-    while (written < count) {
-      const std::size_t j = segment_of(cum, t);
-      const int p = w + static_cast<int>(j) * team_;
-      const index_t size = part_->size_of(p);
-      const std::size_t seg = static_cast<std::size_t>(std::min<index_t>(
-          cum[j + 1] - t, static_cast<index_t>(count - written)));
-      const std::uint64_t k0 = static_cast<std::uint64_t>(sweep) *
-                                   static_cast<std::uint64_t>(size) +
-                               static_cast<std::uint64_t>(t - cum[j]);
-      std::uint64_t* const words =
-          reinterpret_cast<std::uint64_t*>(out + written);
-      streams_[static_cast<std::size_t>(p)].fill_at(k0, seg, words);
-      for (std::size_t i = 0; i < seg; ++i)
-        out[written + i] = map_draw(words[i], p);
-      written += seg;
-      t += static_cast<index_t>(seg);
-    }
-  }
-
-  /// out[i] = pick(w, k0 + i); a chunk may span sweep boundaries.
-  void fill(int w, std::uint64_t k0, std::size_t count, index_t* out) const {
-    const std::uint64_t mine = static_cast<std::uint64_t>(per_sweep(w));
-    std::size_t written = 0;
-    while (written < count) {
-      const std::uint64_t k = k0 + static_cast<std::uint64_t>(written);
-      const index_t t = static_cast<index_t>(k % mine);
-      const std::size_t seg = static_cast<std::size_t>(std::min<std::uint64_t>(
-          mine - static_cast<std::uint64_t>(t),
-          static_cast<std::uint64_t>(count - written)));
-      fill_in_sweep(w, static_cast<int>(k / mine), t, seg, out + written);
-      written += seg;
-    }
-  }
-
-  [[nodiscard]] int team() const noexcept { return team_; }
-
- private:
   [[nodiscard]] static std::uint32_t steal_threshold(double rate) noexcept {
     if (rate <= 0.0) return 0;
     const double scaled = rate * 4294967296.0;  // 2^32
@@ -375,13 +317,49 @@ class PartitionedDirectionPlan {
                                   : static_cast<std::uint32_t>(scaled);
   }
 
-  /// Index j with cum[j] <= t < cum[j+1], skipping empty partitions (cum is
-  /// short: ceil(partitions/team) entries, a linear walk beats a search).
+  /// Adopts the owned ranges of `part` for the current team: one stream per
+  /// range, and prefix sums of the owned range sizes per worker — cum_[w][j]
+  /// is the first within-sweep position of worker w's j-th range (range id
+  /// w + j*T).
+  void own(std::shared_ptr<const GraphPartition> part) {
+    part_ = std::move(part);
+    const int count = part_->count();
+    streams_.clear();
+    streams_.reserve(static_cast<std::size_t>(count));
+    for (int p = 0; p < count; ++p)
+      streams_.emplace_back(splitmix64(
+          seed_ + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(p + 1)));
+    cum_.assign(static_cast<std::size_t>(team_), std::vector<index_t>{0});
+    for (int w = 0; w < team_; ++w) {
+      std::vector<index_t>& cum = cum_[static_cast<std::size_t>(w)];
+      for (int p = w; p < count; p += team_)
+        cum.push_back(cum.back() + part_->size_of(p));
+    }
+  }
+
+  /// Index j with cum[j] <= t < cum[j+1], skipping empty ranges (cum is
+  /// short: ceil(ranges/team) entries, a linear walk beats a search).
   [[nodiscard]] static std::size_t segment_of(const std::vector<index_t>& cum,
                                               index_t t) noexcept {
     std::size_t j = 0;
     while (cum[j + 1] <= t) ++j;
     return j;
+  }
+
+  /// out[i] = range p's draw at stream position k0 + i, for i in
+  /// [0, count): the bulk form of pick_in_sweep's per-range draw.
+  void fill_range(int p, std::uint64_t k0, std::size_t count,
+                  index_t* out) const {
+    const Philox4x32& stream = streams_[static_cast<std::size_t>(p)];
+    if (threshold_ == 0) {
+      stream.fill_indices(k0, count, part_->size_of(p), out);
+      const index_t lo = part_->lo_of(p);
+      for (std::size_t i = 0; i < count; ++i) out[i] += lo;
+      return;
+    }
+    std::uint64_t* const words = reinterpret_cast<std::uint64_t*>(out);
+    stream.fill_at(k0, count, words);
+    for (std::size_t i = 0; i < count; ++i) out[i] = map_draw(words[i], p);
   }
 
   [[nodiscard]] index_t map_draw(std::uint64_t u, int p) const noexcept {
@@ -395,9 +373,16 @@ class PartitionedDirectionPlan {
                (lo32 * static_cast<std::uint64_t>(part_->size_of(p))) >> 32);
   }
 
-  const GraphPartition* part_;
+  std::uint64_t seed_;
+  index_t n_;
   int team_;
-  std::uint32_t threshold_;
+  // The shared stream and its optional sampler.
+  Philox4x32 shared_;
+  const DirectionSampler* sampler_ = nullptr;
+  // Owned ranges (null part_: the shared stream).
+  std::shared_ptr<const GraphPartition> part_;
+  bool identity_cuts_ = false;
+  std::uint32_t threshold_ = 0;
   std::vector<Philox4x32> streams_;
   std::vector<std::vector<index_t>> cum_;
 };
@@ -431,20 +416,6 @@ void dispatch_atomic(bool atomic_writes, Fn&& fn) {
 [[nodiscard]] inline bool team_residual_profitable(int workers) noexcept {
   return team_residual_profitable(workers,
                                   std::thread::hardware_concurrency());
-}
-
-/// Splits [0, n) into `team` contiguous chunks (first n%team chunks one
-/// longer) and returns worker w's [lo, hi) — the partitioning used for
-/// team-parallel residual reductions.
-struct RowChunk {
-  index_t lo;
-  index_t hi;
-};
-[[nodiscard]] inline RowChunk chunk_of(index_t n, int w, int team) noexcept {
-  const index_t base = n / team;
-  const index_t extra = n % team;
-  const index_t lo = base * w + std::min<index_t>(w, extra);
-  return {lo, lo + base + (w < extra ? 1 : 0)};
 }
 
 /// Team-wide sum reduction for residual checks at synchronization points.
@@ -620,7 +591,8 @@ inline constexpr int kMaxCheckGap = 16;
 }
 
 /// Generic execution engine shared by the single-RHS, block, least-squares
-/// and Kaczmarz asynchronous solve paths.
+/// and Kaczmarz asynchronous solve paths, over any DirectionPlan (shared
+/// stream, owner-computes or partitioned).
 ///
 /// `update(worker, r, r_ahead)` performs one coordinate update on direction
 /// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
@@ -642,31 +614,26 @@ inline constexpr int kMaxCheckGap = 16;
 ///  * kToleranceNotReached when rel_tol > 0 under a synchronizing mode;
 ///  * kBudgetCompleted otherwise (free-running runs never check residuals).
 ///
-/// The thread pool may shrink a team to 1 on nested calls.  The engine then
-/// builds the matching single-worker plan (make_plan(team)) inside the team
-/// instead of paying for a throwaway fallback plan in every worker, and
-/// `out.workers` reports the team worker 0 actually ran in.
+/// The team is `plan.team()` workers over `plan.directions()` rows.  The
+/// thread pool may shrink a team to 1 on nested calls.  The engine then
+/// re-plans for that team (plan.for_team) inside the team instead of paying
+/// for a throwaway fallback plan in every worker, and `out.workers` reports
+/// the team worker 0 actually ran in.
 ///
 /// `scratch` (optional) supplies reusable per-worker direction buffers; a
 /// prepared handle passes its own so repeated solves skip the allocations,
 /// while callers without one leave it null and pay a local scratch per run.
 ///
-/// This is the plan-generic core: `make_plan(team)` builds the direction
-/// schedule (DirectionPlan or PartitionedDirectionPlan — any type with the
-/// shared per_sweep/total_updates/fill/fill_in_sweep/team interface) for a
-/// given team size, so the three synchronization-mode bodies exist once.
-/// run_engine_sampled below instantiates it with DirectionPlan and is the
-/// entry point for everything unpartitioned; the partitioned solve path
-/// (problem.cpp) passes a PartitionedDirectionPlan factory.  `refresh` is
-/// the EngineSampling rendezvous callback (empty = none).
-template <typename PlanFactory, typename UpdateFn, typename ResidualFn>
-void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
-                          index_t n, int workers, PlanFactory&& make_plan,
-                          const std::function<void()>& refresh,
-                          UpdateFn&& update, ResidualFn&& residual,
-                          SolveOutcome& out,
-                          EngineScratch* scratch = nullptr) {
-  using Plan = std::decay_t<decltype(make_plan(1))>;
+/// The partitioned solve path (problem.cpp) calls this directly; everything
+/// unpartitioned enters through run_engine_sampled below.  `refresh` is the
+/// EngineSampling rendezvous callback (empty = none).
+template <typename UpdateFn, typename ResidualFn>
+void run_engine(ThreadPool& pool, const SolveControls& controls,
+                const DirectionPlan& plan, const std::function<void()>& refresh,
+                UpdateFn&& update, ResidualFn&& residual, SolveOutcome& out,
+                EngineScratch* scratch = nullptr) {
+  const int workers = plan.team();
+  const index_t n = plan.directions();
   EngineScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   scratch->prepare(workers);
@@ -675,55 +642,17 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
   const long long total_target =
       static_cast<long long>(sweeps) * static_cast<long long>(n);
 
-  // One plan for the requested team.  A worker whose team the pool shrank
-  // (a nested call) builds the plan for its actual team into `shrunk`; the
-  // common team == workers case pays nothing.
-  const Plan plan = make_plan(workers);
-  const auto plan_for = [&](int team,
-                            std::optional<Plan>& shrunk) -> const Plan& {
-    return team == workers ? plan : shrunk.emplace(make_plan(team));
+  // A worker whose team the pool shrank (a nested call) re-plans for its
+  // actual team into `shrunk`; the common team == workers case pays nothing.
+  const auto plan_for = [&](int team, std::optional<DirectionPlan>& shrunk)
+      -> const DirectionPlan& {
+    return team == workers ? plan : shrunk.emplace(plan.for_team(team));
   };
   // Written by worker 0 only (the calling thread).
   int team_used = workers;
   bool converged = false;
 
-  if (controls.sync == SyncMode::kFreeRunning) {
-    pool.run_team(workers, [&](int id, int team) {
-      std::optional<Plan> shrunk;
-      const Plan& my_plan = plan_for(team, shrunk);
-      if (id == 0) team_used = team;
-      const std::uint64_t my_total = my_plan.total_updates(id, sweeps);
-      const std::uint64_t per_sweep = static_cast<std::uint64_t>(
-          std::max<index_t>(my_plan.per_sweep(id), 1));
-      // Yield once per sweep-equivalent, checked only at refill boundaries
-      // (no per-update counter work).  On oversubscribed hosts a worker
-      // would otherwise burn its whole budget in a few scheduling quanta,
-      // making the effective delay tau unbounded and stalling owner-computes
-      // partitions; on dedicated hosts the yield stays one syscall per
-      // sweep-equivalent, never one per refill.
-      const std::size_t chunk_cap = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kDirectionChunk, per_sweep));
-      index_t* const dirs = scratch->dirs(id, chunk_cap);
-      std::uint64_t k = 0;
-      std::uint64_t since_yield = 0;
-      while (k < my_total) {
-        const std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk_cap, my_total - k));
-        my_plan.fill(id, k, chunk, dirs);
-        const index_t* d = dirs;
-        for (std::size_t i = 0; i < chunk; ++i)
-          update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
-        k += chunk;
-        since_yield += chunk;
-        if (team > 1 && since_yield >= per_sweep) {
-          since_yield = 0;
-          std::this_thread::yield();
-        }
-      }
-    });
-    out.iterations = sweeps;
-    out.updates = total_target;
-  } else if (controls.sync == SyncMode::kBarrierPerSweep && sweeps == 0) {
+  if (controls.sync == SyncMode::kBarrierPerSweep && sweeps == 0) {
     // The returned iterate is x0: report its residual, as the timed loop's
     // one empty round does.  No team runs.
     if (check_enabled) {
@@ -746,8 +675,8 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
     double first_rel = 0.0;
     pool.run_team(workers, [&](int id, int team) {
       const bool full_team = (team == workers && team > 1);
-      std::optional<Plan> shrunk;
-      const Plan& my_plan = plan_for(team, shrunk);
+      std::optional<DirectionPlan> shrunk;
+      const DirectionPlan& my_plan = plan_for(team, shrunk);
       if (id == 0) team_used = team;
       const index_t mine = my_plan.per_sweep(id);
       const index_t chunk_cap =
@@ -805,14 +734,17 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
     // arrive at the barrier at nearly the same moment regardless of load
     // imbalance (the Section 5 "time based scheme").  The clock is consulted
     // once per direction-buffer refill — at most kDirectionChunk (and at
-    // most one sweep-equivalent) of updates between checks.
+    // most one sweep-equivalent) of updates between checks.  kFreeRunning
+    // is one round with no deadline and no rendezvous: each worker drains
+    // its whole budget and leaves, and no residual is ever evaluated.
+    const bool timed = controls.sync == SyncMode::kTimedBarrier;
     SpinBarrier barrier(workers);
     std::atomic<bool> stop{false};
     std::atomic<long long> updates_done{0};
     pool.run_team(workers, [&](int id, int team) {
       const bool full_team = (team == workers && team > 1);
-      std::optional<Plan> shrunk;
-      const Plan& my_plan = plan_for(team, shrunk);
+      std::optional<DirectionPlan> shrunk;
+      const DirectionPlan& my_plan = plan_for(team, shrunk);
       if (id == 0) team_used = team;
       const std::uint64_t my_total = my_plan.total_updates(id, sweeps);
       const std::uint64_t per_sweep = static_cast<std::uint64_t>(
@@ -835,17 +767,23 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
           k += chunk;
           done_this_round += chunk;
           // Refill boundary: yield once per sweep-equivalent so the
-          // scheduler rotates the team, then check whether this round's time
-          // budget is spent (clock consulted per refill, not per update).
+          // scheduler rotates the team — on oversubscribed hosts a worker
+          // would otherwise burn its whole budget in a few scheduling
+          // quanta, leaving tau unbounded and owned ranges stalled — then,
+          // in a timed round, check whether its time budget is spent
+          // (clock consulted per refill, not per update).
           since_yield += chunk;
           if (team > 1 && since_yield >= per_sweep) {
             since_yield = 0;
             std::this_thread::yield();
           }
-          if (round_timer.seconds() >= controls.sync_interval_seconds) break;
+          if (timed &&
+              round_timer.seconds() >= controls.sync_interval_seconds)
+            break;
         }
         updates_done.fetch_add(static_cast<long long>(done_this_round),
                                std::memory_order_relaxed);
+        if (!timed) break;
         if (full_team) barrier.arrive_and_wait();
         const double rel = check_enabled ? residual(id, team) : 0.0;
         if (id == 0) {
@@ -878,10 +816,11 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
                                   : SolveStatus::kBudgetCompleted;
 }
 
-/// Sampled engine run over the shared/owner-computes DirectionPlan — the
-/// entry point for every unpartitioned solve.  Validates the sampling
-/// contract, then delegates to run_engine_with_plan with a DirectionPlan
-/// factory.  A default-constructed EngineSampling is the uniform engine.
+/// Sampled engine run over the shared-stream or owner-computes DirectionPlan
+/// that `controls.scope` names — the entry point for every unpartitioned
+/// solve.  Validates the sampling contract, builds the plan for `workers`
+/// and delegates to run_engine.  A default-constructed EngineSampling is
+/// the uniform engine.
 template <typename UpdateFn, typename ResidualFn>
 void run_engine_sampled(ThreadPool& pool, const SolveControls& controls,
                         index_t n, int workers,
@@ -899,14 +838,11 @@ void run_engine_sampled(ThreadPool& pool, const SolveControls& controls,
   require(!sampling.refresh || controls.sync != SyncMode::kFreeRunning,
           "run_engine_sampled: sampler refresh needs synchronization points; "
           "kFreeRunning has none");
-  run_engine_with_plan(
-      pool, controls, n, workers,
-      [&](int team) {
-        return DirectionPlan(controls.seed, controls.scope, n, team,
-                             sampling.sampler);
-      },
-      sampling.refresh, std::forward<UpdateFn>(update),
-      std::forward<ResidualFn>(residual), out, scratch);
+  run_engine(pool, controls,
+             DirectionPlan(controls.seed, controls.scope, n, workers,
+                           sampling.sampler),
+             sampling.refresh, std::forward<UpdateFn>(update),
+             std::forward<ResidualFn>(residual), out, scratch);
 }
 
 }  // namespace asyrgs::detail

@@ -8,16 +8,19 @@
 // by reverse Cuthill-McKee so neighbourhoods become contiguous, cut the
 // ordered rows into cache-line-aligned partitions balanced by nonzeros, and
 // expose each partition's halo (the boundary rows owned by neighbours) as
-// the stochastic-steal set the partitioned direction plan draws from
-// (core/engine.hpp).
+// the stochastic-steal set the direction plan draws from (core/engine.hpp).
+// The plan's owned-range schedule reads a GraphPartition; owner-computes
+// (RandomizationScope::kOwnerComputes) is the same schedule over identity
+// cuts — one even contiguous range per worker, no halo — built by the plan
+// without any of the analysis below.
 //
 // The RCM ordering is a property of the matrix graph alone — it does not
 // depend on the partition count — so a prepared handle computes it once
 // (PartitionAnalysis) and serves cuts for any requested count from the same
 // analysis.  Cuts are O(nnz) and cached per count.
 //
-// All of this assumes a structurally symmetric matrix (an undirected graph);
-// SpdProblem, the only consumer, validates symmetry already.
+// The analysis assumes a structurally symmetric matrix (an undirected
+// graph); SpdProblem, its only consumer, validates symmetry already.
 #pragma once
 
 #include <cstdint>

@@ -453,7 +453,6 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
     const SolveControls& controls) {
   using Index = typename Matrix::index_type;
   const detail::SpdPartitionState& st = *partition_;
-  const index_t n = a.rows();
   const int workers = clamp_workers(controls.workers, pool_);
 
   // The cut is partition-count-keyed and cached on the analysis; the clamp
@@ -487,18 +486,14 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
 
   SolveOutcome out;
   WallTimer timer;
+  const detail::DirectionPlan plan(controls.seed, cut, controls.steal_rate,
+                                   workers);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::SingleRhsUpdate<kAtomic, Index> update{
         a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
         scratch_->rhs_diag.data(), xp.data(),          controls.step_size};
-    detail::run_engine_with_plan(
-        pool_, controls, n, workers,
-        [&](int team) {
-          return detail::PartitionedDirectionPlan(controls.seed, *cut,
-                                                  controls.steal_rate, team);
-        },
-        /*refresh=*/std::function<void()>{}, update, residual, out,
-        &scratch_->engine);
+    detail::run_engine(pool_, controls, plan, /*refresh=*/{}, update,
+                       residual, out, &scratch_->engine);
   });
   out.seconds = timer.seconds();
 

@@ -104,10 +104,10 @@ class AliasTable {
 
 /// A sampling policy bound to a direction count, ready for the engine.
 ///
-/// Ownership/threading contract: the engine (DirectionPlan /
-/// run_engine_sampled) holds a const pointer and calls only
-/// `map`/`map_in_place` from worker threads.  `rebuild` may be called
-/// exclusively between the engine's synchronization barriers (worker 0,
+/// Ownership/threading contract: the engine (the shared-stream
+/// DirectionPlan, built by run_engine_sampled) holds a const pointer and
+/// calls only `map`/`map_in_place` from worker threads.  `rebuild` may be
+/// called exclusively between the engine's synchronization barriers (worker 0,
 /// team parked) — the barriers order the writes against every later draw,
 /// so the draw path stays lock-free.
 /// A kUniform sampler (or a null pointer) leaves the engine's draw path

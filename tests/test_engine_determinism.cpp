@@ -11,16 +11,20 @@
 //  (c) the templated atomic/racy kernels produce bit-identical
 //      single-worker results vs. the sequential reference (the old path's
 //      observable contract).
-//  Plus the exact-check schedule of tolerance-stopped barrier runs, driven
-//  with a synthetic residual, and the oversubscription heuristic for
-//  team-parallel residuals.
+//  Plus the owner-computes stream written out, the free-running contract
+//  (one untimed round: no residual call, the whole budget reported), the
+//  exact-check schedule of tolerance-stopped barrier runs, driven with a
+//  synthetic residual, and the oversubscription heuristic for team-parallel
+//  residuals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -121,17 +125,50 @@ TEST(DirectionPlan, FillMatchesPickSharedScope) {
   }
 }
 
-TEST(DirectionPlan, FillMatchesPickOwnerComputes) {
+TEST(DirectionPlan, OwnerComputesDrawsFullWordsFromIdentityCuts) {
+  // Owner-computes is the owned-range schedule over `team` identity cuts
+  // with no halo: worker w owns chunk_of(n, w, team) and reads its own
+  // stream, keyed by w, at position sweep * size + t, reduced by the full
+  // 64-bit word.  This writes the stream out, next to the golden hashes.
   const index_t n = 101;
-  for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan plan(
-        /*seed=*/13, RandomizationScope::kOwnerComputes, n, team);
+  const std::uint64_t seed = 13;
+  for (int team : {1, 2, 4, 128}) {
+    const detail::DirectionPlan plan(seed, RandomizationScope::kOwnerComputes,
+                                     n, team);
     for (int w = 0; w < team; ++w) {
+      const detail::RowChunk range = detail::chunk_of(n, w, team);
+      const index_t size = range.hi - range.lo;
+      ASSERT_EQ(plan.per_sweep(w), size) << "team=" << team << " w=" << w;
+      if (w >= n) {
+        ASSERT_EQ(size, 0) << "team=" << team << " w=" << w;
+      }
+      if (size == 0) continue;
+      const Philox4x32 stream(
+          splitmix64(seed + 0x9E3779B97F4A7C15ull *
+                                static_cast<std::uint64_t>(w + 1)));
       std::vector<index_t> got(300);
       plan.fill(w, 0, got.size(), got.data());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], plan.pick(w, i))
-            << "team=" << team << " w=" << w << " i=" << i;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_GE(got[k], range.lo) << "team=" << team << " w=" << w;
+        ASSERT_LT(got[k], range.hi) << "team=" << team << " w=" << w;
+        ASSERT_EQ(got[k], plan.pick(w, k)) << "team=" << team << " w=" << w;
+        ASSERT_EQ(got[k], range.lo + stream.index_at(k, size))
+            << "team=" << team << " w=" << w << " k=" << k;
+      }
+      const int sweep = 2;
+      std::vector<index_t> in_sweep(static_cast<std::size_t>(size));
+      plan.fill_in_sweep(w, sweep, 0, in_sweep.size(), in_sweep.data());
+      for (index_t t = 0; t < size; ++t) {
+        const index_t r = in_sweep[static_cast<std::size_t>(t)];
+        ASSERT_GE(r, range.lo) << "team=" << team << " w=" << w;
+        ASSERT_LT(r, range.hi) << "team=" << team << " w=" << w;
+        ASSERT_EQ(r, plan.pick_in_sweep(w, sweep, t))
+            << "team=" << team << " w=" << w;
+        ASSERT_EQ(r, range.lo + stream.index_at(static_cast<std::uint64_t>(
+                                                    sweep * size + t),
+                                                size))
+            << "team=" << team << " w=" << w << " t=" << t;
+      }
     }
   }
 }
@@ -266,6 +303,59 @@ TEST(DirectionMultiset, EngineHandlesMoreWorkersThanRows) {
     for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
     std::sort(all.begin(), all.end());
     EXPECT_EQ(all, expected) << "sync=" << static_cast<int>(sync);
+  }
+}
+
+// --- free running: one untimed round, no rendezvous ------------------------
+
+TEST(FreeRunning, NeverChecksAndReportsTheWholeBudget) {
+  // kFreeRunning has no synchronization point, so even with a tolerance and
+  // history tracking requested the engine never evaluates a residual.  It
+  // runs every worker's whole budget and reports exactly that.
+  ThreadPool pool(8);
+  struct Case {
+    index_t n;
+    int workers;
+    int sweeps;
+  };
+  for (const Case c : {Case{97, 1, 20}, Case{97, 3, 20}, Case{97, 3, 0},
+                       Case{3, 5, 20}}) {
+    for (RandomizationScope scope :
+         {RandomizationScope::kShared, RandomizationScope::kOwnerComputes}) {
+      SolveControls controls;
+      controls.seed = 17;
+      controls.sweeps = c.sweeps;
+      controls.sync = SyncMode::kFreeRunning;
+      controls.scope = scope;
+      controls.rel_tol = 1e-3;
+      controls.track_history = true;
+      std::atomic<long long> updates{0};
+      std::atomic<int> residual_calls{0};
+      auto update = [&](int, index_t, index_t) {
+        updates.fetch_add(1, std::memory_order_relaxed);
+      };
+      auto residual = [&](int, int) {
+        residual_calls.fetch_add(1, std::memory_order_relaxed);
+        return 0.0;
+      };
+      SolveOutcome out;
+      detail::run_engine_sampled(pool, controls, c.n, c.workers,
+                                 detail::EngineSampling{}, update, residual,
+                                 out);
+      const long long budget = static_cast<long long>(c.sweeps) * c.n;
+      const std::string label = "n=" + std::to_string(c.n) +
+                                " workers=" + std::to_string(c.workers) +
+                                " sweeps=" + std::to_string(c.sweeps) +
+                                " scope=" +
+                                std::to_string(static_cast<int>(scope));
+      EXPECT_EQ(residual_calls.load(), 0) << label;
+      EXPECT_TRUE(out.residual_history.empty()) << label;
+      EXPECT_EQ(out.status, SolveStatus::kBudgetCompleted) << label;
+      EXPECT_EQ(out.iterations, c.sweeps) << label;
+      EXPECT_EQ(out.updates, budget) << label;
+      EXPECT_EQ(updates.load(), budget) << label;
+      EXPECT_EQ(out.workers, c.workers) << label;
+    }
   }
 }
 

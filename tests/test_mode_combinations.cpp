@@ -140,7 +140,8 @@ TEST(ModeCombo, LsqComposesWithTimedBarrier) {
   opt.sweeps = 4000;
   opt.workers = 8;
   opt.step_size = 0.9;
-  opt.sync = SyncMode::kBarrierPerSweep;
+  opt.sync = SyncMode::kTimedBarrier;
+  opt.sync_interval_seconds = 0.002;
   opt.rel_tol = 1e-8;
   const SolveOutcome rep = LsqProblem(pool, f).solve(labels, x, opt);
   EXPECT_TRUE(rep.converged());

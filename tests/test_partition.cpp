@@ -7,7 +7,7 @@
 //      permute_symmetric applies it faithfully;
 //  (b) cut_rows covers every row exactly once, aligns interior boundaries
 //      to kPartitionAlignRows, and computes exact halos;
-//  (c) PartitionedDirectionPlan mirrors the unpartitioned plan's
+//  (c) the partitioned DirectionPlan keeps the shared stream's
 //      obligations: bulk fills reproduce the per-pick primitives, and the
 //      direction multiset for a fixed (seed, partition, steal_rate) is
 //      invariant across team sizes (the test_engine_determinism analogue);
@@ -231,14 +231,14 @@ TEST(CutRows, TinyMatrixClampsCountAndAllowsEmptyPartitions) {
   EXPECT_EQ(clamped->lo.back(), 16);
 }
 
-// --- (c) PartitionedDirectionPlan: fills, multiset invariance ----------------
+// --- (c) partitioned DirectionPlan: fills, multiset invariance --------------
 
 TEST(PartitionedPlan, FillMatchesPick) {
   const PartitionAnalysis analysis(laplacian_2d(16, 16));
   const std::shared_ptr<const GraphPartition> cut = analysis.cut(4);
   for (double steal : {0.0, 0.25}) {
     for (int team : {1, 2, 3, 4}) {
-      const detail::PartitionedDirectionPlan plan(91, *cut, steal, team);
+      const detail::DirectionPlan plan(91, cut, steal, team);
       for (int w = 0; w < team; ++w) {
         if (plan.per_sweep(w) == 0) continue;
         std::vector<index_t> got(500);
@@ -265,7 +265,7 @@ TEST(PartitionedPlan, PerSweepTilesTheDimension) {
   for (int count : {1, 3, 4}) {
     const std::shared_ptr<const GraphPartition> cut = analysis.cut(count);
     for (int team : {1, 2, 3, 4, 5}) {
-      const detail::PartitionedDirectionPlan plan(7, *cut, 0.0, team);
+      const detail::DirectionPlan plan(7, cut, 0.0, team);
       index_t total = 0;
       for (int w = 0; w < team; ++w) total += plan.per_sweep(w);
       EXPECT_EQ(total, analysis.permuted().rows())
@@ -284,7 +284,7 @@ TEST(PartitionedPlan, DirectionMultisetInvariantAcrossTeamSizes) {
   for (double steal : {0.0, 0.25}) {
     std::vector<index_t> reference;
     for (int team : {1, 2, 4}) {
-      const detail::PartitionedDirectionPlan plan(33, *cut, steal, team);
+      const detail::DirectionPlan plan(33, cut, steal, team);
       std::vector<index_t> all;
       for (int w = 0; w < team; ++w) {
         const std::uint64_t mine = plan.total_updates(w, sweeps);
@@ -309,7 +309,7 @@ TEST(PartitionedPlan, ZeroStealNeverLeavesTheOwnedRange) {
   const PartitionAnalysis analysis(laplacian_2d(16, 16));
   const std::shared_ptr<const GraphPartition> cut = analysis.cut(4);
   // team == count: worker w owns exactly partition w.
-  const detail::PartitionedDirectionPlan plan(5, *cut, 0.0, 4);
+  const detail::DirectionPlan plan(5, cut, 0.0, 4);
   for (int w = 0; w < 4; ++w) {
     const index_t lo = cut->lo_of(w);
     const index_t hi = lo + cut->size_of(w);
@@ -325,7 +325,7 @@ TEST(PartitionedPlan, ZeroStealNeverLeavesTheOwnedRange) {
 TEST(PartitionedPlan, StolenDrawsComeFromTheHalo) {
   const PartitionAnalysis analysis(laplacian_2d(16, 16));
   const std::shared_ptr<const GraphPartition> cut = analysis.cut(4);
-  const detail::PartitionedDirectionPlan plan(5, *cut, 0.5, 4);
+  const detail::DirectionPlan plan(5, cut, 0.5, 4);
   int stolen = 0;
   for (int w = 0; w < 4; ++w) {
     const index_t lo = cut->lo_of(w);
