@@ -75,7 +75,7 @@ struct RowChunk {
 }
 
 /// Per-worker direction schedule, keyed by `seed`.  It has one of two
-/// shapes.
+/// shapes, drawn at random or (cyclic(), below) in a fixed order.
 ///
 /// The shared stream (RandomizationScope::kShared): one Philox stream over
 /// global indices; worker w consumes positions {w, w+P, ...}
@@ -117,6 +117,12 @@ struct RowChunk {
 /// disjoint halves keeps the steal decision from biasing the within-set
 /// position.  A range with an empty halo never steals.
 ///
+/// Cyclic order (chaotic relaxation, SpdMethod::kAsyncJacobi): worker w's
+/// t-th update of every sweep is its t-th owned row — rows {w, w+P, ...} in
+/// the shared shape, chunk_of(n, w, P) in the owner-computes shape.  Every
+/// sync mode numbers the updates sweep-major, so each row keeps one writer
+/// even when P does not divide n, and no Philox stream is read.
+///
 /// `pick`/`pick_in_sweep` evaluate one direction (kept for tests and as the
 /// executable specification); the `fill*` APIs produce the same draws in
 /// batches and are what the engine uses.
@@ -146,9 +152,18 @@ class DirectionPlan {
     own(std::move(partition));
   }
 
+  /// The cyclic order (above) over `scope`'s row ownership.
+  [[nodiscard]] static DirectionPlan cyclic(RandomizationScope scope,
+                                            index_t n, int team) {
+    DirectionPlan plan(/*seed=*/0, scope, n, team);
+    plan.cyclic_ = true;
+    return plan;
+  }
+
   /// The same schedule for a team of `team` workers: the engine's fallback
-  /// when the pool shrinks a nested call's team.  Owner-computes cuts
-  /// follow the team; a partition's ranges and the shared stream do not.
+  /// when the pool shrinks a nested call's team.  Owner-computes cuts and
+  /// cyclic rows follow the team; a partition's ranges and the shared
+  /// stream do not.
   [[nodiscard]] DirectionPlan for_team(int team) const {
     DirectionPlan plan = *this;
     plan.team_ = team;
@@ -174,7 +189,7 @@ class DirectionPlan {
   /// global stream so the direction multiset is identical to the
   /// sequential run.
   [[nodiscard]] std::uint64_t total_updates(int w, int sweeps) const {
-    if (part_ != nullptr)
+    if (sweep_major())
       return static_cast<std::uint64_t>(sweeps) *
              static_cast<std::uint64_t>(per_sweep(w));
     const std::uint64_t total = static_cast<std::uint64_t>(sweeps) *
@@ -186,11 +201,11 @@ class DirectionPlan {
   }
 
   /// Direction for worker w's k-th update (free-running/timed numbering).
-  /// Owned ranges number sweep-major (sweep k / per_sweep, step
-  /// k % per_sweep) and require per_sweep(w) > 0 — the engine never asks a
-  /// worker with no owned rows for a direction (its total is 0).
+  /// Owned ranges and cyclic plans number sweep-major (sweep k / per_sweep,
+  /// step k % per_sweep) and require per_sweep(w) > 0 — the engine never
+  /// asks a worker with no owned rows for a direction (its total is 0).
   [[nodiscard]] index_t pick(int w, std::uint64_t k) const {
-    if (part_ != nullptr) {
+    if (sweep_major()) {
       const std::uint64_t mine = static_cast<std::uint64_t>(per_sweep(w));
       return pick_in_sweep(w, static_cast<int>(k / mine),
                            static_cast<index_t>(k % mine));
@@ -203,6 +218,7 @@ class DirectionPlan {
 
   /// Direction for worker w's t-th update of sweep `sweep` (barrier mode).
   [[nodiscard]] index_t pick_in_sweep(int w, int sweep, index_t t) const {
+    if (cyclic_) return cyclic_row(w, t);
     if (part_ != nullptr) {
       const std::vector<index_t>& cum = cum_[static_cast<std::size_t>(w)];
       const std::size_t j = segment_of(cum, t);
@@ -225,10 +241,10 @@ class DirectionPlan {
   }
 
   /// out[i] = pick(w, k0 + i) for i in [0, count), batched.  For owned
-  /// ranges a chunk may span sweep boundaries.
+  /// ranges and cyclic plans a chunk may span sweep boundaries.
   void fill(int w, std::uint64_t k0, std::size_t count, index_t* out) const {
     if (count == 0) return;
-    if (part_ != nullptr) {
+    if (sweep_major()) {
       const std::uint64_t mine = static_cast<std::uint64_t>(per_sweep(w));
       std::size_t written = 0;
       while (written < count) {
@@ -262,6 +278,11 @@ class DirectionPlan {
   /// stays within per_sweep(w).
   void fill_in_sweep(int w, int sweep, index_t t0, std::size_t count,
                      index_t* out) const {
+    if (cyclic_) {
+      for (std::size_t i = 0; i < count; ++i)
+        out[i] = cyclic_row(w, t0 + static_cast<index_t>(i));
+      return;
+    }
     if (count == 0) return;
     if (part_ != nullptr) {
       const std::vector<index_t>& cum = cum_[static_cast<std::size_t>(w)];
@@ -302,6 +323,17 @@ class DirectionPlan {
   [[nodiscard]] index_t directions() const noexcept { return n_; }
 
  private:
+  /// Whether free-running numbering is sweep-major (see pick).
+  [[nodiscard]] bool sweep_major() const noexcept {
+    return part_ != nullptr || cyclic_;
+  }
+
+  /// Worker w's t-th owned row of a cyclic plan.
+  [[nodiscard]] index_t cyclic_row(int w, index_t t) const noexcept {
+    if (part_ != nullptr) return part_->lo_of(w) + t;
+    return static_cast<index_t>(w) + t * static_cast<index_t>(team_);
+  }
+
   [[nodiscard]] static std::shared_ptr<const GraphPartition> identity_cuts(
       index_t n, int team) {
     auto cut = std::make_shared<GraphPartition>();
@@ -382,6 +414,7 @@ class DirectionPlan {
   // Owned ranges (null part_: the shared stream).
   std::shared_ptr<const GraphPartition> part_;
   bool identity_cuts_ = false;
+  bool cyclic_ = false;
   std::uint32_t threshold_ = 0;
   std::vector<Philox4x32> streams_;
   std::vector<std::vector<index_t>> cum_;
@@ -590,9 +623,9 @@ inline constexpr int kMaxCheckGap = 16;
   return sweep + std::min(static_cast<int>(gap), sweeps - sweep);
 }
 
-/// Generic execution engine shared by the single-RHS, block, least-squares
-/// and Kaczmarz asynchronous solve paths, over any DirectionPlan (shared
-/// stream, owner-computes or partitioned).
+/// Generic execution engine shared by the single-RHS, block, least-squares,
+/// Kaczmarz and chaotic-relaxation solve paths, over any DirectionPlan
+/// (shared stream, owner-computes, partitioned or cyclic).
 ///
 /// `update(worker, r, r_ahead)` performs one coordinate update on direction
 /// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
@@ -624,9 +657,10 @@ inline constexpr int kMaxCheckGap = 16;
 /// prepared handle passes its own so repeated solves skip the allocations,
 /// while callers without one leave it null and pay a local scratch per run.
 ///
-/// The partitioned solve path (problem.cpp) calls this directly; everything
-/// unpartitioned enters through run_engine_sampled below.  `refresh` is the
-/// EngineSampling rendezvous callback (empty = none).
+/// The partitioned and chaotic-relaxation solve paths (problem.cpp) call
+/// this directly with their own plan; every random unpartitioned draw
+/// enters through run_engine_sampled below.  `refresh` is the EngineSampling
+/// rendezvous callback (empty = none).
 template <typename UpdateFn, typename ResidualFn>
 void run_engine(ThreadPool& pool, const SolveControls& controls,
                 const DirectionPlan& plan, const std::function<void()>& refresh,
@@ -818,9 +852,10 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
 
 /// Sampled engine run over the shared-stream or owner-computes DirectionPlan
 /// that `controls.scope` names — the entry point for every unpartitioned
-/// solve.  Validates the sampling contract, builds the plan for `workers`
-/// and delegates to run_engine.  A default-constructed EngineSampling is
-/// the uniform engine.
+/// random solve (chaotic relaxation's cyclic plan draws nothing to sample).
+/// Validates the sampling contract, builds the plan for `workers` and
+/// delegates to run_engine.  A default-constructed EngineSampling is the
+/// uniform engine.
 template <typename UpdateFn, typename ResidualFn>
 void run_engine_sampled(ThreadPool& pool, const SolveControls& controls,
                         index_t n, int workers,

@@ -38,14 +38,12 @@ SolveReport gauss_seidel_solve(const CsrMatrix& a, const std::vector<double>& b,
   for (int it = 1; it <= options.max_iterations; ++it) {
     sor_sweep(a, b, x, omega);
     report.iterations = it;
-    if (it % options.check_every == 0 || it == options.max_iterations) {
-      const double rel = relative_residual(a, b, x);
-      report.final_relative_residual = rel;
-      if (options.track_history) report.residual_history.push_back(rel);
-      if (rel <= options.rel_tol) {
-        report.converged = true;
-        break;
-      }
+    const double rel = relative_residual(a, b, x);
+    report.final_relative_residual = rel;
+    if (options.track_history) report.residual_history.push_back(rel);
+    if (rel <= options.rel_tol) {
+      report.converged = true;
+      break;
     }
   }
   report.seconds = timer.seconds();

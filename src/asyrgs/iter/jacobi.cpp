@@ -37,17 +37,14 @@ SolveReport jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
         workers);
     report.iterations = it;
 
-    if (it % options.check_every == 0 || it == options.max_iterations) {
-      // ||r||_2 was computed before the update; it is the residual of the
-      // *previous* iterate, which is the standard practical check.
-      const double rel =
-          b_norm > 0.0 ? nrm2(r) / b_norm : nrm2(r);
-      report.final_relative_residual = rel;
-      if (options.track_history) report.residual_history.push_back(rel);
-      if (rel <= options.rel_tol) {
-        report.converged = true;
-        break;
-      }
+    // ||r||_2 was computed before the update; it is the residual of the
+    // *previous* iterate, which is the standard practical check.
+    const double rel = b_norm > 0.0 ? nrm2(r) / b_norm : nrm2(r);
+    report.final_relative_residual = rel;
+    if (options.track_history) report.residual_history.push_back(rel);
+    if (rel <= options.rel_tol) {
+      report.converged = true;
+      break;
     }
   }
   report.seconds = timer.seconds();

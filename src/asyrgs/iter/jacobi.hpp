@@ -4,8 +4,10 @@
 // iteration matrix has spectral radius < 1 (e.g. strictly diagonally
 // dominant systems) — the restricted class that historical asynchronous
 // theory was limited to, which the paper's randomized approach escapes.
-// The asynchronous counterpart (chaotic relaxation) lives in
-// core/async_jacobi.hpp.
+// The asynchronous counterpart (chaotic relaxation) is
+// SpdMethod::kAsyncJacobi on the prepared SpdProblem handle
+// (asyrgs/problem.hpp), which runs the AsyRGS update over a cyclic order of
+// owned rows on the shared engine.
 #pragma once
 
 #include "asyrgs/iter/solver_base.hpp"

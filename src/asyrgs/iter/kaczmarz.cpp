@@ -57,24 +57,21 @@ SolveReport kaczmarz_solve(const CsrMatrix& a, const std::vector<double>& b,
     }
     report.iterations = sweep;
 
-    if (sweep % options.check_every == 0 ||
-        sweep == options.max_iterations) {
-      // Residual through the same row-scan kernel as the update (one pass,
-      // no intermediate A x vector).
-      std::vector<double> r(static_cast<std::size_t>(m));
-      for (index_t i = 0; i < m; ++i) {
-        const auto cols = a.row_cols(i);
-        const auto vals = a.row_vals(i);
-        r[i] = csr_row_sub_dot(b[i], cols.data(), vals.data(),
-                               static_cast<nnz_t>(cols.size()), x.data());
-      }
-      const double rel = b_norm > 0.0 ? nrm2(r) / b_norm : nrm2(r);
-      report.final_relative_residual = rel;
-      if (options.track_history) report.residual_history.push_back(rel);
-      if (rel <= options.rel_tol) {
-        report.converged = true;
-        break;
-      }
+    // Residual through the same row-scan kernel as the update (one pass, no
+    // intermediate A x vector).
+    std::vector<double> r(static_cast<std::size_t>(m));
+    for (index_t i = 0; i < m; ++i) {
+      const auto cols = a.row_cols(i);
+      const auto vals = a.row_vals(i);
+      r[i] = csr_row_sub_dot(b[i], cols.data(), vals.data(),
+                             static_cast<nnz_t>(cols.size()), x.data());
+    }
+    const double rel = b_norm > 0.0 ? nrm2(r) / b_norm : nrm2(r);
+    report.final_relative_residual = rel;
+    if (options.track_history) report.residual_history.push_back(rel);
+    if (rel <= options.rel_tol) {
+      report.converged = true;
+      break;
     }
   }
   report.seconds = timer.seconds();

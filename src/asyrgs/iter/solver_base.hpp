@@ -18,12 +18,12 @@ namespace asyrgs {
 /// step for CG/Jacobi/Gauss-Seidel and one *sweep* (n coordinate updates)
 /// for the randomized solvers, mirroring the paper's cost accounting: "n
 /// iterations (which we refer to as a sweep) are about as costly as a single
-/// Gauss-Seidel iteration" (Section 3).
+/// Gauss-Seidel iteration" (Section 3).  Each solver checks rel_tol after
+/// every iteration.
 struct SolveOptions {
   int max_iterations = 1000;
   double rel_tol = 1e-8;       ///< target on ||b - Ax||_2 / ||b||_2
   bool track_history = false;  ///< record relative residual per iteration
-  int check_every = 1;         ///< convergence-check cadence (iterations)
 };
 
 /// Outcome of a solve.

@@ -344,21 +344,27 @@ SolveOutcome SpdProblem::solve(const std::vector<double>& b,
                  ? SpdMethod::kAsyncRgs
                  : SpdMethod::kFcgAsyRgs;
   }
+  if (method == SpdMethod::kAsyncJacobi)
+    require(controls.step_size <= 1.0,
+            "SpdProblem::solve: chaotic relaxation's damping (step_size) "
+            "must be in (0, 1]");
   if (method != SpdMethod::kAsyncRgs)
     require(controls.sampling == SamplingPolicy::kUniform,
-            "SpdProblem::solve: the Krylov methods draw no random "
-            "directions; sampling policies apply to the asynchronous "
-            "methods");
+            "SpdProblem::solve: sampling policies weight AsyRGS's random "
+            "draws (the method must resolve to kAsyncRgs); chaotic "
+            "relaxation sweeps its rows in a fixed order and the Krylov "
+            "methods draw no directions");
   validate_partition_controls(controls, "SpdProblem::solve");
   if (controls.partitions != 0)
     require(method == SpdMethod::kAsyncRgs,
-            "SpdProblem::solve: partitioned scheduling applies to the "
-            "asynchronous method only (the method must resolve to "
-            "kAsyncRgs)");
+            "SpdProblem::solve: partitioned scheduling applies to AsyRGS "
+            "only (the method must resolve to kAsyncRgs)");
+  const bool krylov =
+      method == SpdMethod::kCg || method == SpdMethod::kFcgAsyRgs;
   SolveOutcome out =
-      method != SpdMethod::kAsyncRgs ? solve_krylov(b, x, controls, method)
-      : controls.partitions != 0     ? solve_async_partitioned(b, x, controls)
-                                     : solve_async_single(b, x, controls);
+      krylov                     ? solve_krylov(b, x, controls, method)
+      : controls.partitions != 0 ? solve_async_partitioned(b, x, controls)
+                                 : solve_async_single(b, x, controls);
   out.method_used = method;
   ++stats_.solves;
   return out;
@@ -416,20 +422,29 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
     };
   }
 
+  // Chaotic relaxation is the same update over a cyclic plan of owned rows
+  // instead of random draws.
+  const bool chaotic = controls.method == SpdMethod::kAsyncJacobi;
   SolveOutcome out;
   WallTimer timer;
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::SingleRhsUpdate<kAtomic, Index> update{
         a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
         scratch_->rhs_diag.data(), x.data(),           controls.step_size};
-    detail::run_engine_sampled(pool_, controls, n, workers, sampling, update,
-                               residual, out, &scratch_->engine);
+    if (chaotic)
+      detail::run_engine(
+          pool_, controls,
+          detail::DirectionPlan::cyclic(controls.scope, n, workers),
+          /*refresh=*/{}, update, residual, out, &scratch_->engine);
+    else
+      detail::run_engine_sampled(pool_, controls, n, workers, sampling,
+                                 update, residual, out, &scratch_->engine);
   });
   out.seconds = timer.seconds();
   if (residual_sampler)
     stats_.sampler_builds += residual_sampler->rebuilds();
 
-  describe_async(out, "AsyRGS",
+  describe_async(out, chaotic ? "chaotic relaxation" : "AsyRGS",
                  sync_name(controls.sync) + sampling_note(controls),
                  Matrix::kStorage);
   out.storage_used = Matrix::kStorage;
@@ -572,8 +587,8 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
   validate_controls(controls, "SpdProblem::solve(block)");
   require(controls.method == SpdMethod::kAuto ||
               controls.method == SpdMethod::kAsyncRgs,
-          "SpdProblem::solve(block): only the asynchronous method supports "
-          "block right-hand sides");
+          "SpdProblem::solve(block): only AsyRGS (kAuto or kAsyncRgs) "
+          "supports block right-hand sides");
   validate_sampling_controls(controls, "SpdProblem::solve(block)",
                              /*residual_ok=*/false);
   validate_partition_controls(controls, "SpdProblem::solve(block)");

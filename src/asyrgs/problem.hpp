@@ -57,6 +57,15 @@ enum class SpdMethod {
   /// rectangular and inconsistent systems; SpdProblem::solve rejects it
   /// with a pointer there.
   kAsyncKaczmarz,
+  /// Chaotic relaxation (asynchronous Jacobi, Chazan-Miranker 1969), the
+  /// baseline the paper positions against: the AsyRGS update with the
+  /// damping step_size in (0, 1], over each worker's owned rows in a fixed
+  /// cyclic order — rows {w, w+P, ...} under RandomizationScope::kShared,
+  /// the contiguous chunk under kOwnerComputes.  No random draws (the seed
+  /// is unused).  Converges when the Jacobi iteration matrix M = D^-1(D - A)
+  /// has rho(|M|) < 1 — essentially diagonal dominance; on a general SPD
+  /// matrix it may diverge.  SpdProblem single right-hand side only.
+  kAsyncJacobi,
 };
 
 /// How a solve ended — the structured replacement for the per-solver
@@ -130,7 +139,9 @@ struct SolveControls {
   /// Outer-iteration cap for the Krylov methods (kCg / kFcgAsyRgs);
   /// 0 = auto (10000).
   int max_iterations = 0;
-  double step_size = 1.0;    ///< beta; Theorems 3-5 want beta < 1 for bounds
+  /// beta; Theorems 3-5 want beta < 1 for bounds.  kAsyncJacobi: the
+  /// damping, in (0, 1].
+  double step_size = 1.0;
   std::uint64_t seed = 1;    ///< keys the Philox direction stream
   int workers = 0;           ///< team size; 0 = pool capacity
   bool atomic_writes = true; ///< false = racy "non atomic" variant
@@ -148,8 +159,8 @@ struct SolveControls {
   /// bit-identical to the pre-sampling engine.  Non-uniform policies
   /// require RandomizationScope::kShared; kResidual additionally requires
   /// a synchronizing mode (its table refreshes at rendezvous) and the
-  /// single-RHS paths.  The Krylov methods reject non-uniform policies —
-  /// they draw no random directions.
+  /// single-RHS paths.  kAsyncJacobi and the Krylov methods reject
+  /// non-uniform policies — they draw no random directions.
   SamplingPolicy sampling = SamplingPolicy::kUniform;
   /// kResidual only: rebuild the residual-weighted table every this many
   /// synchronization rendezvous (sweeps under kBarrierPerSweep, rounds
@@ -298,7 +309,8 @@ class SpdProblem {
   /// Every solve, of every method and on both handles, first rejects
   /// controls it cannot honour (throws Error): sweeps, workers and
   /// max_iterations must be >= 0, rel_tol finite and >= 0, step_size in
-  /// (0, 2) and sync_interval_seconds > 0.
+  /// (0, 2) and sync_interval_seconds > 0.  kAsyncJacobi further requires
+  /// step_size <= 1, uniform sampling and no partitions.
   SolveOutcome solve(const std::vector<double>& b, std::vector<double>& x,
                      const SolveControls& controls = {});
 

@@ -1,16 +1,30 @@
-// Chaotic-relaxation (asynchronous Jacobi) baseline tests.
+// Chaotic-relaxation (asynchronous Jacobi) baseline tests: SpdMethod::
+// kAsyncJacobi on the prepared SpdProblem handle.
 #include <gtest/gtest.h>
 
-#include "asyrgs/core/async_jacobi.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/random_spd.hpp"
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/iter/jacobi.hpp"
 #include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
+#include "asyrgs/problem.hpp"
 
 namespace asyrgs {
 namespace {
+
+/// A fixed-budget, free-running chaotic-relaxation request.  Each row has
+/// one writer, so the non-atomic store loses no update.  kOwnerComputes
+/// gives each worker a contiguous block of rows, kShared rows w, w+P, ...
+SolveControls chaotic(int sweeps, int workers, RandomizationScope scope) {
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncJacobi;
+  controls.sweeps = sweeps;
+  controls.workers = workers;
+  controls.scope = scope;
+  controls.atomic_writes = false;
+  return controls;
+}
 
 TEST(AsyncJacobi, ConvergesOnStrictlyDominantSystem) {
   // The classic applicability class: chaotic relaxation converges when the
@@ -24,12 +38,11 @@ TEST(AsyncJacobi, ConvergesOnStrictlyDominantSystem) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncJacobiOptions jopt;
-  jopt.sweeps = 300;
-  jopt.workers = 8;
-  const SolveOutcome rep = async_jacobi_solve(pool, a, b, x, jopt);
+  const SolveOutcome rep = SpdProblem(pool, a).solve(
+      b, x, chaotic(300, 8, RandomizationScope::kOwnerComputes));
   EXPECT_EQ(rep.iterations, 300);
   EXPECT_EQ(rep.status, SolveStatus::kBudgetCompleted);
+  EXPECT_EQ(rep.method_used, SpdMethod::kAsyncJacobi);
   EXPECT_LT(relative_residual(a, b, x), 1e-8);
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-6);
 }
@@ -48,10 +61,8 @@ TEST(AsyncJacobi, SingleWorkerMatchesGaussSeidelFlavour) {
 
   const int sweeps = 30;
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncJacobiOptions jopt;
-  jopt.sweeps = sweeps;
-  jopt.workers = 1;
-  async_jacobi_solve(pool, a, b, x_async, jopt);
+  SpdProblem(pool, a).solve(
+      b, x_async, chaotic(sweeps, 1, RandomizationScope::kOwnerComputes));
 
   std::vector<double> x_sync(a.rows(), 0.0);
   SolveOptions so;
@@ -71,11 +82,9 @@ TEST(AsyncJacobi, DampingKeepsIterationStable) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncJacobiOptions jopt;
-  jopt.sweeps = 2500;
-  jopt.workers = 4;
-  jopt.damping = 0.8;
-  async_jacobi_solve(pool, a, b, x, jopt);
+  SolveControls controls = chaotic(2500, 4, RandomizationScope::kOwnerComputes);
+  controls.step_size = 0.8;
+  SpdProblem(pool, a).solve(b, x, controls);
   EXPECT_LT(relative_residual(a, b, x), 1e-4);
 }
 
@@ -84,11 +93,12 @@ TEST(AsyncJacobi, RejectsBadOptions) {
   const CsrMatrix a = laplacian_1d(10);
   const std::vector<double> b = random_vector(10, 1);
   std::vector<double> x(10, 0.0);
-  AsyncJacobiOptions jopt;
-  jopt.damping = 0.0;
-  EXPECT_THROW(async_jacobi_solve(pool, a, b, x, jopt), Error);
-  jopt.damping = 1.5;
-  EXPECT_THROW(async_jacobi_solve(pool, a, b, x, jopt), Error);
+  SpdProblem problem(pool, a);
+  SolveControls controls = chaotic(10, 0, RandomizationScope::kOwnerComputes);
+  controls.step_size = 0.0;
+  EXPECT_THROW(problem.solve(b, x, controls), Error);
+  controls.step_size = 1.5;
+  EXPECT_THROW(problem.solve(b, x, controls), Error);
 }
 
 }  // namespace

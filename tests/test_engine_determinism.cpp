@@ -13,9 +13,10 @@
 //      observable contract).
 //  Plus the owner-computes stream written out, the free-running contract
 //  (one untimed round: no residual call, the whole budget reported), the
-//  exact-check schedule of tolerance-stopped barrier runs, driven with a
-//  synthetic residual, and the oversubscription heuristic for team-parallel
-//  residuals.
+//  cyclic plan of chaotic relaxation (each sweep a permutation of the rows,
+//  each row with one writer), the exact-check schedule of tolerance-stopped
+//  barrier runs, driven with a synthetic residual, and the oversubscription
+//  heuristic for team-parallel residuals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -355,6 +356,161 @@ TEST(FreeRunning, NeverChecksAndReportsTheWholeBudget) {
       EXPECT_EQ(out.updates, budget) << label;
       EXPECT_EQ(updates.load(), budget) << label;
       EXPECT_EQ(out.workers, c.workers) << label;
+    }
+  }
+}
+
+// --- cyclic plans: chaotic relaxation's fixed order --------------------------
+
+constexpr RandomizationScope kScopes[] = {RandomizationScope::kShared,
+                                          RandomizationScope::kOwnerComputes};
+
+/// Worker w's rows in sweep `sweep` of `plan`, batched.
+std::vector<index_t> sweep_rows(const detail::DirectionPlan& plan, int w,
+                                int sweep) {
+  std::vector<index_t> rows(static_cast<std::size_t>(plan.per_sweep(w)));
+  plan.fill_in_sweep(w, sweep, 0, rows.size(), rows.data());
+  return rows;
+}
+
+/// The rows a cyclic plan gives worker w: w, w+P, ... (kShared) or
+/// chunk_of(n, w, P) (kOwnerComputes), ascending.
+std::vector<index_t> owned_rows(RandomizationScope scope, index_t n, int w,
+                                int team) {
+  std::vector<index_t> rows;
+  if (scope == RandomizationScope::kShared) {
+    for (index_t r = w; r < n; r += team) rows.push_back(r);
+  } else {
+    const detail::RowChunk c = detail::chunk_of(n, w, team);
+    for (index_t r = c.lo; r < c.hi; ++r) rows.push_back(r);
+  }
+  return rows;
+}
+
+TEST(CyclicPlan, EverySweepVisitsEachWorkersOwnedRowsInOrder) {
+  // Plan objects only: each sweep's team draws are a permutation of [0, n),
+  // worker w's rows are its owned rows, ascending, the same every sweep;
+  // the free-running numbering (filled in chunks that straddle sweeps)
+  // replays those sweeps back to back; and the single-pick forms agree.
+  const int sweeps = 3;
+  for (index_t n : {index_t{1}, index_t{7}, index_t{101}}) {
+    for (int team : {1, 3, 4, 128}) {
+      for (RandomizationScope scope : kScopes) {
+        const detail::DirectionPlan plan =
+            detail::DirectionPlan::cyclic(scope, n, team);
+        const std::string label =
+            "n=" + std::to_string(n) + " team=" + std::to_string(team) +
+            " scope=" + std::to_string(static_cast<int>(scope));
+        ASSERT_EQ(plan.team(), team) << label;
+        ASSERT_EQ(plan.directions(), n) << label;
+        for (int sweep = 0; sweep < sweeps; ++sweep) {
+          std::vector<int> visits(static_cast<std::size_t>(n), 0);
+          for (int w = 0; w < team; ++w) {
+            const std::vector<index_t> rows = sweep_rows(plan, w, sweep);
+            ASSERT_EQ(rows, owned_rows(scope, n, w, team))
+                << label << " w=" << w << " sweep=" << sweep;
+            for (std::size_t t = 0; t < rows.size(); ++t) {
+              ASSERT_EQ(rows[t], plan.pick_in_sweep(w, sweep,
+                                                    static_cast<index_t>(t)))
+                  << label << " w=" << w << " t=" << t;
+              ++visits[static_cast<std::size_t>(rows[t])];
+            }
+          }
+          ASSERT_EQ(visits, std::vector<int>(static_cast<std::size_t>(n), 1))
+              << label << " sweep=" << sweep;
+        }
+        for (int w = 0; w < team; ++w) {
+          const std::uint64_t total = plan.total_updates(w, sweeps);
+          ASSERT_EQ(total, static_cast<std::uint64_t>(sweeps) *
+                               static_cast<std::uint64_t>(plan.per_sweep(w)))
+              << label << " w=" << w;
+          if (w >= n) {
+            ASSERT_EQ(total, 0u) << label << " w=" << w;
+          }
+          std::vector<index_t> expected;
+          for (int sweep = 0; sweep < sweeps; ++sweep) {
+            const std::vector<index_t> rows = sweep_rows(plan, w, sweep);
+            expected.insert(expected.end(), rows.begin(), rows.end());
+          }
+          std::vector<index_t> got(static_cast<std::size_t>(total));
+          for (std::uint64_t k = 0; k < total; k += 5) {
+            const std::size_t chunk =
+                static_cast<std::size_t>(std::min<std::uint64_t>(5, total - k));
+            plan.fill(w, k, chunk, got.data() + k);
+          }
+          ASSERT_EQ(got, expected) << label << " w=" << w;
+          for (std::uint64_t k = 0; k < total; ++k)
+            ASSERT_EQ(got[static_cast<std::size_t>(k)], plan.pick(w, k))
+                << label << " w=" << w << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(CyclicPlan, ForTeamReplansTheOwnedRows) {
+  for (RandomizationScope scope : kScopes) {
+    for (index_t n : {index_t{7}, index_t{101}}) {
+      const detail::DirectionPlan plan =
+          detail::DirectionPlan::cyclic(scope, n, 4);
+      for (int team : {1, 3}) {
+        const detail::DirectionPlan replanned = plan.for_team(team);
+        ASSERT_EQ(replanned.team(), team);
+        for (int w = 0; w < team; ++w) {
+          EXPECT_EQ(sweep_rows(replanned, w, 1), owned_rows(scope, n, w, team))
+              << "n=" << n << " team=" << team << " w=" << w
+              << " scope=" << static_cast<int>(scope);
+          EXPECT_EQ(replanned.total_updates(w, 2),
+                    2u * owned_rows(scope, n, w, team).size());
+        }
+      }
+    }
+  }
+}
+
+TEST(CyclicPlan, EngineUpdatesEveryRowOncePerSweepFromOneWorker) {
+  // Through run_engine in every sync mode: each row is updated exactly
+  // `sweeps` times, always by the worker that owns it.
+  ThreadPool pool(4);
+  const index_t n = 101;
+  const int sweeps = 7;
+  for (RandomizationScope scope : kScopes) {
+    for (int team : {1, 3}) {
+      for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
+                            SyncMode::kTimedBarrier}) {
+        const std::string label = "team=" + std::to_string(team) +
+                                  " scope=" +
+                                  std::to_string(static_cast<int>(scope)) +
+                                  " sync=" +
+                                  std::to_string(static_cast<int>(sync));
+        SolveControls controls;
+        controls.sweeps = sweeps;
+        controls.sync = sync;
+        controls.sync_interval_seconds = 0.001;
+        std::vector<std::vector<index_t>> per_worker(
+            static_cast<std::size_t>(team));
+        SolveOutcome out;
+        auto residual = [](int, int) { return 0.0; };
+        detail::run_engine(pool, controls,
+                           detail::DirectionPlan::cyclic(scope, n, team),
+                           /*refresh=*/{}, RecordingUpdate{&per_worker},
+                           residual, out);
+        EXPECT_EQ(out.updates, static_cast<long long>(sweeps) * n) << label;
+        EXPECT_EQ(out.iterations, sweeps) << label;
+        std::vector<int> writer(static_cast<std::size_t>(n), -1);
+        std::vector<int> updates(static_cast<std::size_t>(n), 0);
+        for (int w = 0; w < team; ++w) {
+          for (index_t r : per_worker[static_cast<std::size_t>(w)]) {
+            int& owner = writer[static_cast<std::size_t>(r)];
+            if (owner == -1) owner = w;
+            ASSERT_EQ(owner, w) << label << " row=" << r;
+            ++updates[static_cast<std::size_t>(r)];
+          }
+        }
+        EXPECT_EQ(updates,
+                  std::vector<int>(static_cast<std::size_t>(n), sweeps))
+            << label;
+      }
     }
   }
 }

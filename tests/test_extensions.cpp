@@ -387,11 +387,15 @@ TEST(JacobiOwnership, RoundRobinConvergesOnDominantMatrix) {
   const std::vector<double> x_star = random_vector(a.rows(), 19);
   const std::vector<double> b = rhs_from_solution(a, x_star);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncJacobiOptions opt;
+  // Chaotic relaxation with round-robin ownership: the shared scope gives
+  // worker w rows w, w+8, ... in a fixed order.
+  SolveControls opt;
+  opt.method = SpdMethod::kAsyncJacobi;
   opt.sweeps = 400;
   opt.workers = 8;
-  opt.ownership = JacobiOwnership::kRoundRobin;
-  async_jacobi_solve(pool, a, b, x, opt);
+  opt.scope = RandomizationScope::kShared;
+  opt.atomic_writes = false;
+  SpdProblem(pool, a).solve(b, x, opt);
   EXPECT_LT(relative_residual(a, b, x), 1e-6);
 }
 

@@ -9,7 +9,8 @@
 //      worker partition (no cross-partition reads -> every interleaving
 //      produces the same iterate, so multi-worker runs are deterministic).
 //      A solve nested inside a running team of the same pool runs on one
-//      worker, equals the 1-worker solve, and says so.
+//      worker, equals the 1-worker solve, and says so.  One-worker chaotic
+//      relaxation is forward SOR, sweep for sweep.
 //  (b) Preparation is amortized: symmetry/diagonal/rank validation runs
 //      once per problem (not per solve), the LSQ transpose is built once
 //      and shared through the CsrMatrix cache, and a repeat solve performs
@@ -32,6 +33,7 @@
 
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/rhs.hpp"
+#include "asyrgs/iter/gauss_seidel.hpp"
 #include "asyrgs/iter/precond.hpp"
 #include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
@@ -488,6 +490,50 @@ TEST(ControlsValidation, NegativeIterationCapRejected) {
                      "max_iterations");
 }
 
+TEST(ControlsValidation, ChaoticRelaxationRejectsWhatItCannotHonour) {
+  // kAsyncJacobi draws nothing to sample or partition, serves one
+  // right-hand side on the SPD handle, and keeps Jacobi's damping range.
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(16, 16);
+  SpdProblem problem(pool, a);
+  SolveControls controls = barrier_controls();
+  controls.method = SpdMethod::kAsyncJacobi;
+
+  for (SamplingPolicy sampling :
+       {SamplingPolicy::kWeighted, SamplingPolicy::kResidual}) {
+    SolveControls c = controls;
+    c.sampling = sampling;
+    expect_spd_rejects(problem, c, {SpdMethod::kAsyncJacobi}, "sampling");
+    // The message names the method it rejects.
+    const std::vector<double> b = random_vector(a.rows(), 3);
+    std::vector<double> x(b.size(), 0.0);
+    try {
+      problem.solve(b, x, c);
+      ADD_FAILURE() << "non-uniform sampling accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("chaotic relaxation"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  SolveControls c = controls;
+  c.partitions = 2;
+  expect_spd_rejects(problem, c, {SpdMethod::kAsyncJacobi}, "partitions");
+  c = controls;
+  c.step_size = 1.5;
+  expect_spd_rejects(problem, c, {SpdMethod::kAsyncJacobi}, "step_size");
+
+  const MultiVector bb = random_multivector(a.rows(), 2, 5);
+  MultiVector xb(a.rows(), 2);
+  EXPECT_THROW(problem.solve(bb, xb, controls), Error);
+
+  const CsrMatrix tall = tall_matrix(120, 40, 3);
+  LsqProblem lsq(pool, tall);
+  const std::vector<double> b = random_vector(tall.rows(), 4);
+  std::vector<double> x(static_cast<std::size_t>(tall.cols()), 0.0);
+  EXPECT_THROW(lsq.solve(b, x, controls), Error);
+}
+
 TEST(PreparedSpd, ConcurrentSolvesOnDistinctIteratesAreSerializedSafely) {
   // The documented contract: concurrent solve() calls on one handle are
   // safe (internally serialized) and produce the same results as running
@@ -557,13 +603,52 @@ TEST(PreparedSpd, BorrowedPreconditionerStaysVariable) {
   EXPECT_EQ(problem.stats().solves, solves_before + 2);
 }
 
+TEST(PreparedSpd, OneWorkerChaoticRelaxationIsSorSweepForSweep) {
+  // One worker relaxes rows 0..n-1 in order under either scope: forward SOR
+  // with omega = step_size, in the residual form x_i += omega * r_i / A_ii
+  // instead of SOR's (1 - omega) x_i + omega * (b_i - sum_{j != i}) / A_ii,
+  // so the two agree to rounding, sweep for sweep.
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(9, 9);
+  const std::vector<double> b = random_vector(a.rows(), 21);
+  SpdProblem problem(pool, a);
+  for (RandomizationScope scope :
+       {RandomizationScope::kShared, RandomizationScope::kOwnerComputes}) {
+    for (double omega : {0.7, 1.0}) {
+      SolveControls controls;
+      controls.method = SpdMethod::kAsyncJacobi;
+      controls.sweeps = 1;
+      controls.workers = 1;
+      controls.scope = scope;
+      controls.step_size = omega;
+      std::vector<double> x(a.rows(), 0.0);
+      std::vector<double> x_sor(a.rows(), 0.0);
+      for (int sweep = 1; sweep <= 25; ++sweep) {
+        problem.solve(b, x, controls);
+        sor_sweep(a, b, x_sor, omega);
+        ASSERT_LE(nrm2(subtract(x, x_sor)), 1e-12 * nrm2(x_sor))
+            << "scope=" << static_cast<int>(scope) << " omega=" << omega
+            << " sweep=" << sweep;
+      }
+    }
+  }
+}
+
 // --- (d) exact stopping on the predicted check schedule ----------------------
 
-enum class CheckedPath { kSingle, kPartitioned, kBlock, kLsq, kKaczmarz };
+enum class CheckedPath {
+  kSingle,
+  kPartitioned,
+  kBlock,
+  kLsq,
+  kKaczmarz,
+  kJacobi
+};
 
 const char* path_name(CheckedPath path) {
-  constexpr const char* kNames[] = {"single", "partitioned", "block",
-                                    "least-squares", "kaczmarz"};
+  constexpr const char* kNames[] = {"single",   "partitioned",
+                                    "block",    "least-squares",
+                                    "kaczmarz", "chaotic relaxation"};
   return kNames[static_cast<int>(path)];
 }
 
@@ -662,7 +747,8 @@ CheckedSolve solve_checked(CheckedPath path, ThreadPool& pool,
   }
   const CsrMatrix a = laplacian_2d(12, 12);
   SpdProblem problem(pool, a);
-  controls.method = SpdMethod::kAsyncRgs;
+  controls.method = path == CheckedPath::kJacobi ? SpdMethod::kAsyncJacobi
+                                                 : SpdMethod::kAsyncRgs;
   if (path == CheckedPath::kBlock) {
     const MultiVector b = random_multivector(a.rows(), 3, 11);
     MultiVector x(a.rows(), 3);
@@ -685,7 +771,7 @@ CheckedSolve solve_checked(CheckedPath path, ThreadPool& pool,
 
 constexpr CheckedPath kCheckedPaths[] = {
     CheckedPath::kSingle, CheckedPath::kPartitioned, CheckedPath::kBlock,
-    CheckedPath::kLsq, CheckedPath::kKaczmarz};
+    CheckedPath::kLsq,    CheckedPath::kKaczmarz,    CheckedPath::kJacobi};
 
 TEST(ExactChecks, ReportedResidualIsExactAtTheReturnedIterate) {
   ThreadPool pool(2);
