@@ -736,6 +736,7 @@ int main(int argc, char** argv) {
       {
         WallTimer prep;
         SpdProblem prepared(pool, a, /*check_input=*/true);
+        prepared.prepare_compact();  // the operator its solves read
         amor_spd.prepare_seconds = prep.seconds();
         const std::vector<CsrMatrix> fresh = fresh_copies(a);
         std::vector<double> x(static_cast<std::size_t>(n));

@@ -30,9 +30,11 @@ int main(int argc, char** argv) {
 
   // 2. Prepare the problem.  This is where the per-matrix work happens:
   //    symmetry + positive-diagonal validation, diagonal reciprocals, and
-  //    the solver scratch.  The handle binds the matrix and a thread pool;
-  //    both must outlive it.
+  //    the solver scratch.  The compact int32 copy the solves read is built
+  //    once, by prepare_compact() here or else by the first solve.  The
+  //    handle binds the matrix and a thread pool; both must outlive it.
   SpdProblem problem(ThreadPool::global(), a, /*check_input=*/true);
+  problem.prepare_compact();
 
   // 3. Per-call controls.  kBarrierPerSweep = the paper's "occasional
   //    synchronization" scheme: fully asynchronous within a sweep, one

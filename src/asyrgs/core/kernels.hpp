@@ -149,19 +149,20 @@ struct BlockRhsUpdate {
 
 /// ||b - A x|| / ||b|| evaluated as a team-parallel reduction over the
 /// workers rendezvoused at the synchronization barrier (the denominator is
-/// constant and precomputed).
+/// constant and precomputed).  b is read from the update's (b, 1/diag)
+/// pairs, so the solve holds no second copy of it.
 template <class Index = index_t>
 class SingleRhsResidual {
  public:
   SingleRhsResidual(const CsrMatrixT<Index, double>& a,
-                    const std::vector<double>& b, const double* x, int workers,
-                    TeamReduce& reduce)
+                    const std::vector<RhsDiagPair>& rhs_diag, const double* x,
+                    int workers, TeamReduce& reduce)
       : a_(a),
-        b_(b),
+        bd_(rhs_diag),
         x_(x),
         reduce_(reduce),
         serial_(!team_residual_profitable(workers)),
-        b_norm_(nrm2(b)) {}
+        b_norm_(rhs_norm(rhs_diag)) {}
 
   double operator()(int id, int team) {
     const auto partial = [&](int w, int t) {
@@ -172,7 +173,7 @@ class SingleRhsResidual {
       const double* const x = x_;
       double acc = 0.0;
       for (index_t i = lo; i < hi; ++i) {
-        double ri = b_[i];
+        double ri = bd_[static_cast<std::size_t>(i)].b;
         const auto cols = a_.row_cols(i);
         const auto vals = a_.row_vals(i);
         for (std::size_t s = 0; s < cols.size(); ++s)
@@ -194,8 +195,16 @@ class SingleRhsResidual {
   }
 
  private:
+  /// ||b|| summed in index order, the association nrm2 uses, so the
+  /// denominator is bit-identical to nrm2 of b itself.
+  static double rhs_norm(const std::vector<RhsDiagPair>& rhs_diag) {
+    double acc = 0.0;
+    for (const RhsDiagPair& p : rhs_diag) acc += p.b * p.b;
+    return std::sqrt(acc);
+  }
+
   const CsrMatrixT<Index, double>& a_;
-  const std::vector<double>& b_;
+  const std::vector<RhsDiagPair>& bd_;
   const double* x_;
   TeamReduce& reduce_;
   bool serial_;

@@ -224,14 +224,11 @@ template GraphPartition cut_rows(const CsrMatrix&, int);
 template GraphPartition cut_rows(const CsrMatrix32&, int);
 
 PartitionAnalysis::PartitionAnalysis(const CsrMatrix& a, StoragePolicy storage)
-    : perm_(rcm_order(a)), inv_perm_(static_cast<std::size_t>(a.rows())) {
+    : perm_(rcm_order(a)) {
   if (storage == StoragePolicy::kInt32Double)
     permuted_ = permute_symmetric<std::int32_t>(a, perm_);
   else
     permuted_ = permute_symmetric(a, perm_);
-  for (index_t i = 0; i < a.rows(); ++i)
-    inv_perm_[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
-        i;
 }
 
 std::shared_ptr<const GraphPartition> PartitionAnalysis::cut(int count) const {

@@ -108,10 +108,6 @@ class PartitionAnalysis {
   [[nodiscard]] const std::vector<index_t>& perm() const noexcept {
     return perm_;
   }
-  /// inv_perm()[old_row] = new_row.
-  [[nodiscard]] const std::vector<index_t>& inv_perm() const noexcept {
-    return inv_perm_;
-  }
   /// The index width the permuted operator was built at.
   [[nodiscard]] StoragePolicy storage() const noexcept {
     return std::holds_alternative<CsrMatrix32>(permuted_)
@@ -136,7 +132,6 @@ class PartitionAnalysis {
 
  private:
   std::vector<index_t> perm_;
-  std::vector<index_t> inv_perm_;
   std::variant<CsrMatrix, CsrMatrix32> permuted_;
   mutable std::mutex mutex_;
   mutable std::map<int, std::shared_ptr<const GraphPartition>> cuts_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
 #include "asyrgs/sparse/spmv.hpp"
 #include "asyrgs/support/timer.hpp"
@@ -15,6 +16,10 @@ SolveReport cg_solve(ThreadPool& pool, const CsrMatrix& a,
   require(a.square(), "cg_solve: matrix must be square");
   require(static_cast<index_t>(b.size()) == a.rows() && x.size() == b.size(),
           "cg_solve: shape mismatch");
+  require(options.max_iterations >= 0,
+          "cg_solve: max_iterations must be non-negative");
+  if (options.max_iterations == 0)
+    return zero_budget_report(relative_residual(a, b, x), options);
   const index_t n = a.rows();
 
   WallTimer timer;

@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
 #include "asyrgs/sparse/spmv.hpp"
 #include "asyrgs/support/timer.hpp"
@@ -17,6 +18,13 @@ FcgReport fcg_solve(ThreadPool& pool, const CsrMatrix& a,
           "fcg_solve: shape mismatch");
   const index_t n = a.rows();
   const SolveOptions& base = options.base;
+  require(base.max_iterations >= 0,
+          "fcg_solve: max_iterations must be non-negative");
+  if (base.max_iterations == 0) {
+    FcgReport report;
+    report.base = zero_budget_report(relative_residual(a, b, x), base);
+    return report;
+  }
 
   WallTimer timer;
   FcgReport report;

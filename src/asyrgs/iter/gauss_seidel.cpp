@@ -33,6 +33,10 @@ void sor_sweep(const CsrMatrix& a, const std::vector<double>& b,
 SolveReport gauss_seidel_solve(const CsrMatrix& a, const std::vector<double>& b,
                                std::vector<double>& x,
                                const SolveOptions& options, double omega) {
+  require(options.max_iterations >= 0,
+          "gauss_seidel_solve: max_iterations must be non-negative");
+  if (options.max_iterations == 0)
+    return zero_budget_report(relative_residual(a, b, x), options);
   WallTimer timer;
   SolveReport report;
   for (int it = 1; it <= options.max_iterations; ++it) {

@@ -1,5 +1,6 @@
 #include "asyrgs/iter/jacobi.hpp"
 
+#include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
 #include "asyrgs/sparse/spmv.hpp"
 #include "asyrgs/support/timer.hpp"
@@ -12,11 +13,15 @@ SolveReport jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
   require(a.square(), "jacobi_solve: matrix must be square");
   require(static_cast<index_t>(b.size()) == a.rows() && x.size() == b.size(),
           "jacobi_solve: shape mismatch");
+  require(options.max_iterations >= 0,
+          "jacobi_solve: max_iterations must be non-negative");
   const index_t n = a.rows();
 
   const std::vector<double> diag = a.diagonal();
   for (double d : diag)
     require(d != 0.0, "jacobi_solve: zero diagonal entry");
+  if (options.max_iterations == 0)
+    return zero_budget_report(relative_residual(a, b, x), options);
 
   WallTimer timer;
   SolveReport report;

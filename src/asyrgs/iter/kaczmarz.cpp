@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
 #include "asyrgs/sparse/spmv.hpp"
 #include "asyrgs/support/prng.hpp"
@@ -16,6 +17,8 @@ SolveReport kaczmarz_solve(const CsrMatrix& a, const std::vector<double>& b,
   require(static_cast<index_t>(b.size()) == a.rows() &&
               static_cast<index_t>(x.size()) == a.cols(),
           "kaczmarz_solve: shape mismatch");
+  require(options.max_iterations >= 0,
+          "kaczmarz_solve: max_iterations must be non-negative");
   const index_t m = a.rows();
 
   // Row sampling proportional to squared row norms (Strohmer-Vershynin).
@@ -30,6 +33,8 @@ SolveReport kaczmarz_solve(const CsrMatrix& a, const std::vector<double>& b,
     cdf[i] = acc;
   }
   require(acc > 0.0, "kaczmarz_solve: zero matrix");
+  if (options.max_iterations == 0)
+    return zero_budget_report(relative_residual(a, b, x), options);
 
   Xoshiro256 rng(seed);
   WallTimer timer;
@@ -84,6 +89,8 @@ SolveReport cgnr_solve(ThreadPool& pool, const CsrMatrix& a,
   require(static_cast<index_t>(b.size()) == a.rows() &&
               static_cast<index_t>(x.size()) == a.cols(),
           "cgnr_solve: shape mismatch");
+  require(options.max_iterations >= 0,
+          "cgnr_solve: max_iterations must be non-negative");
   const index_t m = a.rows();
   const index_t n = a.cols();
   // The serial SpMVs below dominate; `pool`/`workers` are accepted for
@@ -112,6 +119,8 @@ SolveReport cgnr_solve(ThreadPool& pool, const CsrMatrix& a,
     return report;
   }
 
+  if (options.max_iterations == 0)
+    return zero_budget_report(nrm2(g) / g0_norm, options);
   p = g;
   double gg = dot(g, g);
 

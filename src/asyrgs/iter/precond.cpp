@@ -62,6 +62,9 @@ AsyRgsPreconditioner::AsyRgsPreconditioner(ThreadPool& pool,
       seed_(seed),
       atomic_writes_(atomic_writes) {
   require(sweeps > 0, "AsyRgsPreconditioner: sweeps must be positive");
+  // Every application reads the compact copy: build it with the owned
+  // handle rather than inside the first application.
+  owned_->prepare_compact();
 }
 
 AsyRgsPreconditioner::AsyRgsPreconditioner(SpdProblem& problem, int sweeps,

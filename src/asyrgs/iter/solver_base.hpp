@@ -19,7 +19,9 @@ namespace asyrgs {
 /// for the randomized solvers, mirroring the paper's cost accounting: "n
 /// iterations (which we refer to as a sweep) are about as costly as a single
 /// Gauss-Seidel iteration" (Section 3).  Each solver checks rel_tol after
-/// every iteration.
+/// every iteration.  A negative max_iterations throws; a zero budget
+/// returns x0 and reports its true metric (zero_budget_report), the rule
+/// the prepared handles' SolveControls follow.
 struct SolveOptions {
   int max_iterations = 1000;
   double rel_tol = 1e-8;       ///< target on ||b - Ax||_2 / ||b||_2
@@ -35,5 +37,15 @@ struct SolveReport {
   /// Relative residual after each convergence check, when tracked.
   std::vector<double> residual_history;
 };
+
+/// The report of a zero-iteration solve, which returns x0 unchanged: x0's
+/// convergence metric, converged when that already meets rel_tol.
+inline SolveReport zero_budget_report(double metric,
+                                      const SolveOptions& options) {
+  SolveReport report;
+  report.final_relative_residual = metric;
+  report.converged = metric <= options.rel_tol;
+  return report;
+}
 
 }  // namespace asyrgs

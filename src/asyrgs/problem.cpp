@@ -22,24 +22,24 @@ namespace asyrgs {
 namespace detail {
 
 /// Per-handle reusable solver scratch: the packed (b, 1/diag) pairs refilled
-/// each solve, plus the engine's per-worker buffers.  Lives behind a pimpl
-/// so problem.hpp stays free of the unstable engine/kernel internals.
+/// each solve (in RCM order on the partitioned path), plus the engine's
+/// per-worker buffers.  Lives behind a pimpl so problem.hpp stays free of
+/// the unstable engine/kernel internals.
 struct ProblemScratch {
   std::vector<RhsDiagPair> rhs_diag;
   EngineScratch engine;
   /// Partitioned-solve staging: the iterate in RCM order, cache-line
   /// aligned so partition-owned slices never share a line (the boundaries
-  /// are cut at kPartitionAlignRows multiples), and the permuted rhs.
+  /// are cut at kPartitionAlignRows multiples).
   aligned_vector<double> xp;
-  std::vector<double> bp;
 };
 
-/// Prepare-time partition analysis for SpdProblem: the RCM analysis, whose
-/// permuted operator is built at the handle's storage width (so partitioned
-/// solves run the same storage the unpartitioned path does, from the one
-/// permuted copy), and the handle's diagonal reciprocals in RCM order.
-/// Immutable once constructed; clones alias it via shared_ptr exactly like
-/// the compact storage copy.
+/// Partition analysis for SpdProblem: the RCM analysis, whose permuted
+/// operator is built at the handle's storage width (so partitioned solves
+/// run the same storage the unpartitioned path does, from the one permuted
+/// copy), and the handle's diagonal reciprocals in RCM order — kept because
+/// the update reads them sequentially beside b, where gathering them per
+/// request would cost a random-access pass.  Immutable once constructed.
 struct SpdPartitionState {
   PartitionAnalysis analysis;
   std::vector<double> inv_diag;  ///< 1/diag in permuted (RCM) order
@@ -53,6 +53,31 @@ struct SpdPartitionState {
       inv_diag[i] =
           handle_inv_diag[static_cast<std::size_t>(analysis.perm()[i])];
   }
+};
+
+/// One operator built at most once, by whichever sharing handle asks first;
+/// call_once publishes it to every other sharer.  A build that throws
+/// leaves the slot empty for the next caller to retry.
+template <class T>
+struct SharedSlot {
+  std::once_flag once;
+  std::unique_ptr<const T> value;
+
+  /// The held operator, building it with `build()` if no sharer has; the
+  /// build is counted in `builds` of the handle that ran it.
+  template <class Build>
+  const T& get(Build&& build, int& builds) {
+    std::call_once(once, [&] {
+      value = build();
+      ++builds;
+    });
+    return *value;
+  }
+};
+
+struct SpdOperators {
+  SharedSlot<CsrMatrix32> compact;
+  SharedSlot<SpdPartitionState> partition;
 };
 
 }  // namespace detail
@@ -260,6 +285,7 @@ SpdProblem::SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input,
                        StorageMode storage)
     : pool_(pool),
       a_(a),
+      operators_(std::make_shared<detail::SpdOperators>()),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   require(a.square(), "SpdProblem: matrix must be square");
   inv_diag_ = a.diagonal();
@@ -274,47 +300,53 @@ SpdProblem::SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input,
   if (check_input)
     require(is_symmetric(a, 1e-12 * inf_norm(a)),
             "SpdProblem: matrix is not symmetric");
-  // Narrowing happens last, after validation passed, so a rejected matrix
-  // never pays the compact copy.
+  // Only the policy is resolved here; its compact copy is built on demand.
   storage_ = resolve_storage_policy(storage, a.cols(), a.nnz());
-  if (storage_ == StoragePolicy::kInt32Double)
-    a32_ = std::make_shared<const CsrMatrix32>(
-        convert_storage<std::int32_t, double>(a));
   stats_.storage = storage_;
 }
 
 SpdProblem::SpdProblem(ThreadPool& pool, const SpdProblem& other)
     : pool_(pool),
       a_(other.a_),
-      a32_(other.a32_),
       storage_(other.storage_),
       inv_diag_(other.inv_diag_),
+      operators_(other.operators_),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
-  // The compact copy is aliased, not rebuilt — the shard-clone contract
-  // (analysis once per service) extends to the narrowing pass.
+  // Sharing the slots (not their current contents) is what lets a clone
+  // taken before a build read it: the shard-clone contract (analysis once
+  // per service) holds for the on-demand operators too.
   stats_.storage = storage_;
-  // The partition analysis is built lazily, so unlike the members above it
-  // must be read under the prototype's lock (cloning stays safe concurrently
-  // with solves on `other`).  The clone aliases the analysis and reports
-  // zero partition_builds, like transpose_builds.
-  const std::scoped_lock lock(other.mutex_);
-  partition_ = other.partition_;
 }
 
 SpdProblem::~SpdProblem() = default;
 
 const detail::SpdPartitionState& SpdProblem::partition_state() {
-  if (!partition_) {
-    partition_ = std::make_shared<const detail::SpdPartitionState>(
-        a_, storage_, inv_diag_);
-    ++stats_.partition_builds;
-  }
-  return *partition_;
+  return operators_->partition.get(
+      [&] {
+        return std::make_unique<const detail::SpdPartitionState>(
+            a_, storage_, inv_diag_);
+      },
+      stats_.partition_builds);
+}
+
+const CsrMatrix32* SpdProblem::compact() {
+  if (storage_ != StoragePolicy::kInt32Double) return nullptr;
+  return &operators_->compact.get(
+      [&] {
+        return std::make_unique<const CsrMatrix32>(
+            convert_storage<std::int32_t, double>(a_));
+      },
+      stats_.compact_builds);
 }
 
 void SpdProblem::prepare_partitions() {
   const std::scoped_lock lock(mutex_);
   partition_state();
+}
+
+void SpdProblem::prepare_compact() {
+  const std::scoped_lock lock(mutex_);
+  compact();
 }
 
 ProblemStats SpdProblem::stats() const {
@@ -373,7 +405,8 @@ SolveOutcome SpdProblem::solve(const std::vector<double>& b,
 SolveOutcome SpdProblem::solve_async_single(const std::vector<double>& b,
                                             std::vector<double>& x,
                                             const SolveControls& controls) {
-  if (a32_) return solve_async_single_on(*a32_, b, x, controls);
+  if (const CsrMatrix32* a32 = compact())
+    return solve_async_single_on(*a32, b, x, controls);
   return solve_async_single_on(a_, b, x, controls);
 }
 
@@ -388,7 +421,7 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
   const int workers = clamp_workers(controls.workers, pool_);
 
   detail::pack_rhs_diag(b, inv_diag_, scratch_->rhs_diag);
-  detail::SingleRhsResidual residual(a, b, x.data(), workers,
+  detail::SingleRhsResidual residual(a, scratch_->rhs_diag, x.data(), workers,
                                      scratch_->engine.reduce(workers));
 
   detail::EngineSampling sampling;
@@ -467,7 +500,7 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
     const Matrix& a, const std::vector<double>& b, std::vector<double>& x,
     const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  const detail::SpdPartitionState& st = *partition_;
+  const detail::SpdPartitionState& st = partition_state();
   const int workers = clamp_workers(controls.workers, pool_);
 
   // The cut is partition-count-keyed and cached on the analysis; the clamp
@@ -476,27 +509,27 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
       st.analysis.cut(controls.partitions);
   const int partitions = cut->count();
 
-  // Permute the problem into RCM space: xp[i] = x[perm[i]], bp likewise.
-  // The engine then runs entirely on the permuted operator, with the
-  // iterate in cache-line-aligned storage and partition boundaries cut at
-  // line multiples — cross-worker sharing of an iterate line happens only
-  // on deliberate halo steals.
+  // Permute the problem into RCM space: xp[i] = x[perm[i]], and b[perm[i]]
+  // goes straight into the (b, 1/diag) pairs beside the permuted
+  // reciprocals.  The engine then runs entirely on the permuted operator,
+  // with the iterate in cache-line-aligned storage and partition boundaries
+  // cut at line multiples — cross-worker sharing of an iterate line happens
+  // only on deliberate halo steals.
   const std::vector<index_t>& perm = st.analysis.perm();
   aligned_vector<double>& xp = scratch_->xp;
-  std::vector<double>& bp = scratch_->bp;
+  std::vector<detail::RhsDiagPair>& rhs_diag = scratch_->rhs_diag;
   xp.resize(b.size());
-  bp.resize(b.size());
+  rhs_diag.resize(b.size());
   for (std::size_t i = 0; i < b.size(); ++i) {
     const std::size_t o = static_cast<std::size_t>(perm[i]);
     xp[i] = x[o];
-    bp[i] = b[o];
+    rhs_diag[i] = {b[o], st.inv_diag[i]};
   }
 
-  detail::pack_rhs_diag(bp, st.inv_diag, scratch_->rhs_diag);
   // The residual norm is permutation-invariant, so evaluating it on the
   // permuted system reports exactly the metric the unpartitioned path
   // would.
-  detail::SingleRhsResidual residual(a, bp, xp.data(), workers,
+  detail::SingleRhsResidual residual(a, rhs_diag, xp.data(), workers,
                                      scratch_->engine.reduce(workers));
 
   SolveOutcome out;
@@ -505,8 +538,8 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
                                    workers);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::SingleRhsUpdate<kAtomic, Index> update{
-        a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
-        scratch_->rhs_diag.data(), xp.data(),          controls.step_size};
+        a.row_ptr().data(), a.col_idx().data(), a.values().data(),
+        rhs_diag.data(),    xp.data(),          controls.step_size};
     detail::run_engine(pool_, controls, plan, /*refresh=*/{}, update,
                        residual, out, &scratch_->engine);
   });
@@ -539,6 +572,10 @@ SolveOutcome SpdProblem::solve_krylov(const std::vector<double>& b,
   const int max_iterations =
       controls.max_iterations > 0 ? controls.max_iterations : 10000;
   const double rel_tol = controls.rel_tol > 0.0 ? controls.rel_tol : 1e-8;
+
+  // FCG's inner sweeps read the compact copy: build it (if no sharer has)
+  // before the timer, so `seconds` stays iteration time.
+  if (method == SpdMethod::kFcgAsyRgs) compact();
 
   SolveOutcome out;
   out.workers = workers;
@@ -595,8 +632,9 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
   require(controls.partitions == 0,
           "SpdProblem::solve(block): partitioned scheduling is "
           "single-right-hand-side only");
-  SolveOutcome out = a32_ ? solve_block_on(*a32_, b, x, controls)
-                          : solve_block_on(a_, b, x, controls);
+  const CsrMatrix32* a32 = compact();
+  SolveOutcome out = a32 ? solve_block_on(*a32, b, x, controls)
+                         : solve_block_on(a_, b, x, controls);
   out.method_used = SpdMethod::kAsyncRgs;
   ++stats_.solves;
   return out;

@@ -19,12 +19,14 @@
 // a handle and calls solve() once.  Every solve validates its controls
 // first (SpdProblem::solve documents the rules), for every method.
 //
-// Thread-safety: a handle's prepared state is immutable after construction
-// and its mutable scratch is guarded by an internal (recursive) mutex —
-// concurrent solve() calls on one handle from different threads are safe and
-// are serialized, running one after another (the attached ThreadPool hosts
-// one team at a time anyway).  For genuinely parallel solves use one handle
-// per pool.  The bound CsrMatrix and ThreadPool must outlive the handle.
+// Thread-safety: a handle's prepared state is immutable once built (the
+// operators built on demand sit in slots filled exactly once, see
+// SpdProblem) and its mutable scratch is guarded by an internal (recursive)
+// mutex — concurrent solve() calls on one handle from different threads are
+// safe and are serialized, running one after another (the attached
+// ThreadPool hosts one team at a time anyway).  For genuinely parallel
+// solves use one handle per pool.  The bound CsrMatrix and ThreadPool must
+// outlive the handle.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +94,12 @@ enum class SolveStatus {
 
 /// Requested CSR storage policy for a prepared handle, resolved once at
 /// construction (see resolve_storage_policy for the exact rules).  kAuto
-/// builds a compact int32-index copy of the bound matrix at preparation
-/// time when the shape fits — halving the index bandwidth of every row
-/// scan.  The int32 arithmetic is bit-identical to full width, which is
-/// why kAuto narrows by default without breaking reproducibility contracts.
+/// runs the asynchronous kernels on a compact int32-index copy of the bound
+/// matrix when the shape fits — halving the index bandwidth of every row
+/// scan.  LsqProblem builds its copies at construction; SpdProblem builds
+/// its copy once, when first needed (SpdProblem::prepare_compact).  The
+/// int32 arithmetic is bit-identical to full width, which is why kAuto
+/// narrows by default without breaking reproducibility contracts.
 enum class StorageMode {
   kAuto,         ///< int32/double when the shape fits, else full width
   kInt64Double,  ///< full width; no compact copy is built
@@ -232,11 +236,16 @@ namespace detail {
 /// public header.
 struct ProblemScratch;
 
-/// Prepare-time partition analysis for SpdProblem (RCM permutation, the one
-/// permuted operator — built at the handle's storage width — and the
-/// permuted diagonal reciprocals); defined in problem.cpp.  Immutable once
-/// built, shared between clones like the compact storage copies.
+/// Partition analysis for SpdProblem (RCM permutation, the one permuted
+/// operator — built at the handle's storage width — and the permuted
+/// diagonal reciprocals); defined in problem.cpp.
 struct SpdPartitionState;
+
+/// The operators an SpdProblem builds on demand — the compact natural-order
+/// copy and the partition analysis — each in a slot filled at most once
+/// and shared by a prototype and all its shard clones; defined in
+/// problem.cpp.
+struct SpdOperators;
 }  // namespace detail
 
 /// Counters of the preparation work a handle has performed — lets tests (and
@@ -262,40 +271,54 @@ struct ProblemStats {
   /// weighted sampler (amortized across solves), plus every residual-policy
   /// build/refresh.  Repeat kWeighted solves must not increase this.
   long long sampler_builds = 0;
-  /// RCM partition analyses performed (0 or 1 per handle: built on the
-  /// first partitioned solve or prepare_partitions() call and cached;
-  /// clones inherit the analysis and report 0).
+  /// RCM partition analyses this handle built (0 or 1): by
+  /// prepare_partitions() or the first partitioned solve.  A prototype and
+  /// its shard clones share one analysis, so their counts sum to at most 1
+  /// whichever handle built it.
   int partition_builds = 0;
+  /// Compact natural-order copies this handle built (0 or 1; always 0 when
+  /// the storage policy stays full width): by prepare_compact() or the
+  /// first solve that reads the copy.  Shared like the partition analysis.
+  int compact_builds = 0;
 };
 
 /// Prepared handle for repeated solves of SPD A x = b against one matrix.
 ///
-/// Construction performs all per-matrix analysis: the strictly-positive-
-/// diagonal check and reciprocal precomputation always; the symmetry
-/// validation (is_symmetric: one merge of each entry with its mirror, no
-/// transpose) when `check_input` is set; the compact int32 copy when the
-/// storage policy narrows.  The RCM partition analysis follows on the first
-/// partitioned solve or prepare_partitions().  solve() then pays only
-/// per-call work.
+/// Construction only validates and computes reciprocals: the strictly-
+/// positive-diagonal check and reciprocal precomputation always, and the
+/// symmetry validation (is_symmetric: one merge of each entry with its
+/// mirror, no transpose) when `check_input` is set.  The two operators a
+/// solve may read beside the bound matrix are built once, when first
+/// needed: the compact natural-order copy (narrow storage policies; read by
+/// every unpartitioned asynchronous solve, including FCG's inner sweeps)
+/// and the RCM partition analysis (read by partitioned solves).  Each is
+/// filled by its hook — prepare_compact(), prepare_partitions() — or else
+/// by the first solve that reads it, and each sits in one slot that the
+/// prototype and every shard clone share, clones taken before the build
+/// included.  A handle therefore holds only the operators its solves have
+/// read or its owner declared, and a service of N shards builds each at
+/// most once.  Beyond such a first-use build, solve() pays only per-call
+/// work.
 class SpdProblem {
  public:
   /// Binds `a` (kept by reference; must outlive the handle) and `pool`.
   /// `check_input` validates symmetry up front — recommended for
   /// user-supplied matrices, skippable for generated/trusted ones.
   /// `storage` selects the CSR policy the asynchronous kernels run against
-  /// (resolve_storage_policy documents the kAuto rules); a narrow policy
-  /// builds its compact copy here, once, so solves pay none of it.
+  /// (resolve_storage_policy documents the kAuto rules); it is resolved
+  /// here, but a narrow policy's compact copy waits for prepare_compact()
+  /// or the first solve that reads it.
   SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input = true,
              StorageMode storage = StorageMode::kAuto);
 
   /// Shard clone: binds `pool` to the matrix of `other` and reuses its
-  /// completed analysis (diagonal reciprocals, the symmetry verdict, and —
-  /// when already built — the partition analysis) instead of re-validating —
-  /// the per-shard construction path of SolverService, where N pools serve
-  /// one analyzed matrix.  O(n), no O(nnz) work; the clone's ProblemStats
-  /// start at zero validation passes / partition builds.
-  /// `other` must be fully constructed; cloning is safe concurrently with
-  /// solves on `other` (the lazily built caches are read under its lock).
+  /// analysis (diagonal reciprocals and the symmetry verdict) instead of
+  /// re-validating, and shares its operator slots — the per-shard
+  /// construction path of SolverService, where N pools serve one analyzed
+  /// matrix.  Whichever handle fills a slot, before or after the clone was
+  /// taken, every sharer reads that one build.  O(n), no O(nnz) work; the
+  /// clone's ProblemStats start at zero.  `other` must be fully
+  /// constructed; cloning is safe concurrently with solves on `other`.
   SpdProblem(ThreadPool& pool, const SpdProblem& other);
   ~SpdProblem();  // out-of-line: ProblemScratch is incomplete here
 
@@ -320,11 +343,20 @@ class SpdProblem {
   SolveOutcome solve(const MultiVector& b, MultiVector& x,
                      const SolveControls& controls = {});
 
-  /// Forces the RCM partition analysis now instead of on the first
-  /// partitioned solve — the prepare-time hook SolverService uses so shard
-  /// clones inherit the analysis and serving never pays it on a request.
-  /// Idempotent; counted once in ProblemStats::partition_builds.
+  /// Builds the RCM partition analysis now instead of on the first
+  /// partitioned solve — the prepare-time hook a server calls when it
+  /// expects partitioned requests, so none of them pays the analysis.
+  /// Idempotent, and a no-op when a sharing handle already built it;
+  /// counted in the building handle's ProblemStats::partition_builds.
   void prepare_partitions();
+
+  /// Builds the compact natural-order copy now instead of on the first
+  /// solve that reads it (every unpartitioned asynchronous solve, FCG's
+  /// included) — the sibling hook of prepare_partitions() for a server
+  /// whose requests run unpartitioned.  A no-op under a full-width policy;
+  /// otherwise idempotent and shared like prepare_partitions(), counted in
+  /// ProblemStats::compact_builds.
+  void prepare_compact();
 
   [[nodiscard]] const CsrMatrix& matrix() const noexcept { return a_; }
   [[nodiscard]] ThreadPool& pool() const noexcept { return pool_; }
@@ -337,9 +369,12 @@ class SpdProblem {
  private:
   friend class AsyRgsPreconditioner;
 
-  /// The cached partition analysis, building it on first use (caller must
-  /// hold mutex_).
+  /// The shared partition analysis, building it on first use (caller must
+  /// hold mutex_, which guards the build count).
   const detail::SpdPartitionState& partition_state();
+  /// The shared compact copy, building it on first use; null under a
+  /// full-width policy (caller must hold mutex_).
+  const CsrMatrix32* compact();
 
   SolveOutcome solve_async_single(const std::vector<double>& b,
                                   std::vector<double>& x,
@@ -367,19 +402,16 @@ class SpdProblem {
 
   ThreadPool& pool_;
   const CsrMatrix& a_;
-  /// Compact copy built at preparation when storage_ narrows (null
-  /// otherwise).  shared_ptr so shard clones alias one copy.
-  std::shared_ptr<const CsrMatrix32> a32_;
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
   std::vector<double> inv_diag_;
   /// kWeighted sampler (weights: squared row norms of the bound full-width
   /// matrix), built lazily on the first weighted solve and cached — guarded
   /// by mutex_ like all mutable solve state.
   std::optional<DirectionSampler> weighted_sampler_;
-  /// Partition analysis (RCM order + permuted operator), built lazily on
-  /// the first partitioned solve or prepare_partitions() and cached —
-  /// mutex_-guarded; clones alias the prototype's state.
-  std::shared_ptr<const detail::SpdPartitionState> partition_;
+  /// The compact copy and partition slots, shared with every clone (set at
+  /// construction, never reassigned; the slots synchronize their own
+  /// filling).
+  std::shared_ptr<detail::SpdOperators> operators_;
   mutable std::recursive_mutex mutex_;  // recursive: FCG solves re-enter via
                                         // the preconditioner's inner solves
   std::unique_ptr<detail::ProblemScratch> scratch_;

@@ -357,7 +357,8 @@ SolverService::SolverService(const CsrMatrix& a, ServiceOptions options) {
   impl_ = std::make_unique<detail::ServiceImpl>(a, options);
 
   // Shard 0 pays the full per-matrix analysis; every other shard is a
-  // clone that reuses it (zero validation passes, zero transpose builds).
+  // clone that reuses it (zero validation passes, zero transpose builds)
+  // and shares its on-demand operator slots.
   for (int s = 0; s < options.shards; ++s) {
     // Auto sizing divides the hardware threads across shards and spreads
     // the remainder over the first hw % shards shards, so no core is left
@@ -375,8 +376,14 @@ SolverService::SolverService(const CsrMatrix& a, ServiceOptions options) {
       if (s == 0) {
         shard.spd.emplace(*shard.pool, a, options.check_input,
                           options.storage);
-        // Before any clone is taken, so every shard aliases one analysis.
-        if (options.prepare_partitions) shard.spd->prepare_partitions();
+        // Build exactly the operator the declared requests read: the
+        // partition analysis, or the compact natural-order copy.  An
+        // undeclared one is built by the first request that reads it, once
+        // for all shards.
+        if (options.prepare_partitions)
+          shard.spd->prepare_partitions();
+        else
+          shard.spd->prepare_compact();
       } else {
         shard.spd.emplace(*shard.pool, *impl_->shards.front().spd);
       }
@@ -626,6 +633,8 @@ ServiceStats SolverService::stats() const {
     s.validation_passes +=
         ss.spd.validation_passes + ss.lsq.validation_passes;
     s.transpose_builds += ss.spd.transpose_builds + ss.lsq.transpose_builds;
+    s.partition_builds += ss.spd.partition_builds;
+    s.compact_builds += ss.spd.compact_builds;
     s.shards.push_back(ss);
   }
   return s;

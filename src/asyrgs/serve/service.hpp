@@ -19,8 +19,9 @@
 // 0's so the per-matrix analysis (symmetry validation, diagonal
 // reciprocals, compact storage, the partition analysis, and for least
 // squares the cached transpose and column-norm denominators) is paid
-// exactly once for the whole service (ProblemStats on the clones stay at
-// zero validation passes / transpose / partition builds).  Requests enter
+// at most once for the whole service (ProblemStats on the clones stay at
+// zero validation passes and transpose builds; ServiceStats sums the
+// compact and partition builds, each at most 1).  Requests enter
 // per-priority FIFO queues; every free shard pulls the oldest request of
 // the most urgent non-empty class, so work always lands on a least-loaded
 // (idle) shard and queues only when all shards are busy.
@@ -110,21 +111,23 @@ struct ServiceOptions {
   /// reuse the verdict).
   bool check_input = true;
   /// CSR storage policy request for the prepared handles (see StorageMode /
-  /// resolve_storage_policy in asyrgs/problem.hpp).  Shard 0 builds the
-  /// compact copy; clones alias it, so a service pays the narrowing pass
-  /// once regardless of shard count.  The resolved policy is visible in
+  /// resolve_storage_policy in asyrgs/problem.hpp).  The shards share one
+  /// compact copy, so a service pays the narrowing pass at most once
+  /// regardless of shard count.  The resolved policy is visible in
   /// ShardStats (ProblemStats::storage), each outcome's
   /// SolveOutcome::storage_used, and the trace events.
   StorageMode storage = StorageMode::kAuto;
-  /// Run the RCM partition analysis at service construction (SPD family;
-  /// shard 0 only — clones inherit the analysis like the compact storage
-  /// copies), so requests with SolveControls::partitions != 0 never pay the
-  /// O(nnz log nnz) analysis on the serving path.  Off by default: it
-  /// materializes a permuted copy of the operator (one, at the resolved
-  /// storage width).  Without it, the first partitioned request on each
-  /// service still triggers the analysis lazily — but on shard 0's
-  /// prototype it lands per-shard, so enable this whenever partitioned
-  /// requests are expected.
+  /// Declares which operator the SPD requests read, and so which one the
+  /// service builds at construction (SpdProblem's hook-or-first-use rule).
+  /// true: the RCM partition analysis (SpdProblem::prepare_partitions), so
+  /// requests with SolveControls::partitions != 0 never pay the
+  /// O(nnz log nnz) analysis on the serving path; the compact natural-order
+  /// copy is then built only if a request that reads it arrives (an
+  /// unpartitioned asynchronous, FCG or block solve).  false (default): the
+  /// compact copy (SpdProblem::prepare_compact), and the first partitioned
+  /// request builds the analysis.  Either way the shards share one slot per
+  /// operator, so each is built at most once per service, by whichever
+  /// shard needs it first (ServiceStats::compact_builds / partition_builds).
   bool prepare_partitions = false;
   /// Optional per-request trace sink (one structured event per completed or
   /// rejected request); shared so one sink can serve several services.
@@ -233,6 +236,11 @@ struct ServiceStats {
   /// already warm), shared via CsrMatrix::transpose_shared().  The SPD
   /// symmetry check builds none.
   int transpose_builds = 0;
+  /// Partition analyses and compact natural-order copies built, summed over
+  /// every shard's SPD handle — each at most 1, because the shards share
+  /// one slot per operator whichever shard fills it.
+  int partition_builds = 0;
+  int compact_builds = 0;
   std::vector<ShardStats> shards;
 };
 

@@ -1,5 +1,6 @@
 // Classic iterative solver tests: Jacobi, Gauss-Seidel/SOR, CG, flexible CG,
-// preconditioners, block CG.
+// preconditioners, block CG, and the iteration-budget contract every
+// SolveOptions solver keeps (Kaczmarz and CGNR included).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include "asyrgs/iter/fcg.hpp"
 #include "asyrgs/iter/gauss_seidel.hpp"
 #include "asyrgs/iter/jacobi.hpp"
+#include "asyrgs/iter/kaczmarz.hpp"
 #include "asyrgs/iter/precond.hpp"
 #include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/linalg/vector_ops.hpp"
@@ -292,6 +294,97 @@ INSTANTIATE_TEST_SUITE_P(AllPartitions, BlockCgPartitionTest,
                          ::testing::Values(RowPartition::kContiguous,
                                            RowPartition::kRoundRobin,
                                            RowPartition::kDynamic));
+
+// --- iteration budget ------------------------------------------------------------
+
+/// The budget contract, checked through `solve(x, max_iterations)` from
+/// x = 0 on laplacian_2d(8, 8): a zero budget returns x untouched and
+/// reports its true metric, which from x = 0 is exactly 1 (every solver's
+/// metric is a norm of b, or of A^T b, over itself); a negative budget
+/// throws.
+template <class Solve>
+void expect_budget_contract(Solve&& solve) {
+  const index_t n = 64;
+  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
+  const SolveReport report = solve(x, 0);
+  EXPECT_EQ(report.iterations, 0);
+  EXPECT_EQ(report.final_relative_residual, 1.0);
+  EXPECT_FALSE(report.converged);
+  EXPECT_EQ(x, std::vector<double>(static_cast<std::size_t>(n), 0.0));
+  EXPECT_THROW(solve(x, -3), Error);
+}
+
+struct BudgetCase {
+  CsrMatrix a = laplacian_2d(8, 8);
+  std::vector<double> b = random_vector(a.rows(), 5);
+  ThreadPool pool{2};
+
+  [[nodiscard]] SolveOptions options(int max_iterations) const {
+    SolveOptions so;
+    so.max_iterations = max_iterations;
+    return so;
+  }
+};
+
+TEST(Budget, GaussSeidelZeroBudgetReportsTheResidualOfX0) {
+  BudgetCase c;
+  expect_budget_contract([&](std::vector<double>& x, int budget) {
+    return gauss_seidel_solve(c.a, c.b, x, c.options(budget));
+  });
+}
+
+TEST(Budget, JacobiZeroBudgetReportsTheResidualOfX0) {
+  BudgetCase c;
+  expect_budget_contract([&](std::vector<double>& x, int budget) {
+    return jacobi_solve(c.pool, c.a, c.b, x, c.options(budget));
+  });
+}
+
+TEST(Budget, CgZeroBudgetReportsTheResidualOfX0) {
+  BudgetCase c;
+  expect_budget_contract([&](std::vector<double>& x, int budget) {
+    return cg_solve(c.pool, c.a, c.b, x, c.options(budget));
+  });
+}
+
+TEST(Budget, FcgZeroBudgetReportsTheResidualOfX0) {
+  BudgetCase c;
+  IdentityPreconditioner identity;
+  expect_budget_contract([&](std::vector<double>& x, int budget) {
+    FcgOptions fo;
+    fo.base = c.options(budget);
+    const FcgReport report = fcg_solve(c.pool, c.a, c.b, x, identity, fo);
+    EXPECT_EQ(report.preconditioner_applications, 0);
+    return report.base;
+  });
+}
+
+TEST(Budget, KaczmarzZeroBudgetReportsTheResidualOfX0) {
+  BudgetCase c;
+  expect_budget_contract([&](std::vector<double>& x, int budget) {
+    return kaczmarz_solve(c.a, c.b, x, c.options(budget));
+  });
+}
+
+TEST(Budget, CgnrZeroBudgetReportsTheNormalEquationsResidualOfX0) {
+  BudgetCase c;
+  expect_budget_contract([&](std::vector<double>& x, int budget) {
+    return cgnr_solve(c.pool, c.a, c.b, x, c.options(budget));
+  });
+}
+
+TEST(Budget, ZeroBudgetAtTheSolutionReportsConverged) {
+  // The other half of the rule: a zero budget whose x0 already meets
+  // rel_tol is converged, not a missed tolerance.
+  Problem p = laplacian_problem(8, 8, 3);
+  SolveOptions so;
+  so.max_iterations = 0;
+  so.rel_tol = 1e-8;
+  std::vector<double> x = p.x_star;
+  const SolveReport report = gauss_seidel_solve(p.a, p.b, x, so);
+  EXPECT_TRUE(report.converged);
+  EXPECT_LE(report.final_relative_residual, 1e-12);
+}
 
 }  // namespace
 }  // namespace asyrgs

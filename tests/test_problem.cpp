@@ -14,7 +14,10 @@
 //  (b) Preparation is amortized: symmetry/diagonal/rank validation runs
 //      once per problem (not per solve), the LSQ transpose is built once
 //      and shared through the CsrMatrix cache, and a repeat solve performs
-//      no new scratch allocations.
+//      no new scratch allocations.  The SPD operators built on demand (the
+//      compact copy and the partition analysis) wait for their hook or
+//      first reader, and are built once across a prototype and its clones
+//      — clones taken before the build, and clones racing to first use.
 //  (c) The unified SolveOutcome: the engine's status rule on every
 //      asynchronous path and sync mode, rejection of malformed controls on
 //      every method, and the thread-safety contract (concurrent solve() on
@@ -27,6 +30,7 @@
 #include <cmath>
 #include <initializer_list>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -287,6 +291,128 @@ TEST(PreparedSpd, RepeatSolvePerformsNoNewScratchAllocations) {
   problem.solve(b, x, controls);
   problem.solve(b, x, controls);
   EXPECT_EQ(problem.stats().scratch_allocations, after_first);
+}
+
+/// A 1-worker partitioned AsyRGS solve (or unpartitioned with partitions 0).
+SolveControls one_worker_controls(int partitions) {
+  SolveControls controls;
+  controls.method = SpdMethod::kAsyncRgs;
+  controls.sweeps = 6;
+  controls.workers = 1;
+  controls.seed = 5;
+  controls.partitions = partitions;
+  return controls;
+}
+
+TEST(PreparedSpd, OperatorsWaitForTheirHookOrFirstSolve) {
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(8, 8);
+  const std::vector<double> b = random_vector(a.rows(), 6);
+  std::vector<double> x(a.rows(), 0.0);
+
+  // Construction validates and computes reciprocals only.
+  SpdProblem hooked(pool, a);
+  ASSERT_EQ(hooked.storage(), StoragePolicy::kInt32Double);
+  EXPECT_EQ(hooked.stats().compact_builds, 0);
+  EXPECT_EQ(hooked.stats().partition_builds, 0);
+  hooked.prepare_compact();
+  hooked.prepare_compact();  // idempotent
+  hooked.solve(b, x, one_worker_controls(0));
+  EXPECT_EQ(hooked.stats().compact_builds, 1);
+  EXPECT_EQ(hooked.stats().partition_builds, 0);
+
+  // Without a hook the first reader builds; a partitioned solve reads only
+  // the partition analysis.
+  SpdProblem lazy(pool, a);
+  lazy.solve(b, x, one_worker_controls(2));
+  EXPECT_EQ(lazy.stats().compact_builds, 0);
+  EXPECT_EQ(lazy.stats().partition_builds, 1);
+  lazy.solve(b, x, one_worker_controls(0));
+  lazy.solve(b, x, one_worker_controls(0));
+  EXPECT_EQ(lazy.stats().compact_builds, 1);
+
+  // A full-width policy has no compact copy to build.
+  SpdProblem wide(pool, a, /*check_input=*/true, StorageMode::kInt64Double);
+  wide.prepare_compact();
+  wide.solve(b, x, one_worker_controls(0));
+  EXPECT_EQ(wide.stats().compact_builds, 0);
+}
+
+TEST(PreparedSpd, ClonesTakenBeforeABuildShareIt) {
+  ThreadPool pool_a(2), pool_b(2);
+  const CsrMatrix a = laplacian_2d(9, 9);
+  const std::vector<double> b = random_vector(a.rows(), 8);
+
+  // References from a handle that shares nothing with the pair below.
+  SpdProblem fresh(pool_a, a);
+  std::vector<double> x_flat(a.rows(), 0.0), x_part(a.rows(), 0.0);
+  fresh.solve(b, x_flat, one_worker_controls(0));
+  fresh.solve(b, x_part, one_worker_controls(3));
+
+  SpdProblem prototype(pool_a, a);
+  SpdProblem clone(pool_b, prototype);  // before either operator exists
+  std::vector<double> x(a.rows(), 0.0);
+  clone.solve(b, x, one_worker_controls(0));  // the clone builds...
+  EXPECT_EQ(x, x_flat);
+  x.assign(a.rows(), 0.0);
+  prototype.solve(b, x, one_worker_controls(0));  // ...the prototype reads
+  EXPECT_EQ(x, x_flat);
+  EXPECT_EQ(clone.stats().compact_builds, 1);
+  EXPECT_EQ(prototype.stats().compact_builds, 0);
+
+  prototype.prepare_partitions();  // and the other way round
+  x.assign(a.rows(), 0.0);
+  clone.solve(b, x, one_worker_controls(3));
+  EXPECT_EQ(x, x_part);
+  EXPECT_EQ(prototype.stats().partition_builds, 1);
+  EXPECT_EQ(clone.stats().partition_builds, 0);
+}
+
+TEST(PreparedSpd, ClonesRacingToFirstUseBuildEachOperatorOnce) {
+  // Each handle's two solves read one operator each, half of them in either
+  // order, so the handles race on both slots at once: whichever reaches a
+  // slot first builds it, the rest wait for and read that build (a
+  // TSan-gated hand-off).
+  const CsrMatrix a = laplacian_2d(10, 10);
+  const std::vector<double> b = random_vector(a.rows(), 9);
+  ThreadPool reference_pool(1);
+  SpdProblem reference(reference_pool, a);
+  std::vector<double> x_flat(a.rows(), 0.0), x_part(a.rows(), 0.0);
+  reference.solve(b, x_flat, one_worker_controls(0));
+  reference.solve(b, x_part, one_worker_controls(2));
+
+  constexpr int kHandles = 4;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  std::vector<std::unique_ptr<SpdProblem>> handles;
+  for (int h = 0; h < kHandles; ++h) {
+    pools.push_back(std::make_unique<ThreadPool>(1));
+    handles.push_back(h == 0 ? std::make_unique<SpdProblem>(*pools[0], a)
+                             : std::make_unique<SpdProblem>(*pools[h],
+                                                            *handles[0]));
+  }
+  std::vector<std::vector<double>> flat(kHandles), part(kHandles);
+  std::vector<std::thread> threads;
+  for (int h = 0; h < kHandles; ++h)
+    threads.emplace_back([&, h] {
+      flat[h].assign(a.rows(), 0.0);
+      part[h].assign(a.rows(), 0.0);
+      // Half the handles take the operators in the other order.
+      const int first = h % 2 == 0 ? 0 : 2;
+      handles[h]->solve(b, first == 0 ? flat[h] : part[h],
+                        one_worker_controls(first));
+      handles[h]->solve(b, first == 0 ? part[h] : flat[h],
+                        one_worker_controls(2 - first));
+    });
+  for (std::thread& t : threads) t.join();
+  int compact_builds = 0, partition_builds = 0;
+  for (int h = 0; h < kHandles; ++h) {
+    EXPECT_EQ(flat[h], x_flat) << "handle " << h;
+    EXPECT_EQ(part[h], x_part) << "handle " << h;
+    compact_builds += handles[h]->stats().compact_builds;
+    partition_builds += handles[h]->stats().partition_builds;
+  }
+  EXPECT_EQ(compact_builds, 1);
+  EXPECT_EQ(partition_builds, 1);
 }
 
 TEST(PreparedLsq, TransposeBuiltOncePerMatrix) {

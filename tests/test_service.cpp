@@ -12,7 +12,9 @@
 //  (c) Amortization across shards: shard 0 pays the per-matrix analysis;
 //      clones re-validate nothing (ProblemStats at zero validation passes /
 //      transpose builds) and the matrix-level transpose is built once for
-//      the whole service.
+//      the whole service.  The SPD operators built on demand are built
+//      once per service whichever shard first needs them, and a service
+//      builds at construction only the one its options declare.
 //  (d) The SolveTicket contract: done()/wait()/solution() semantics, solve
 //      errors rethrown at wait(), eager submit-side validation.
 //  (e) Admission control and deadlines (PR 6): queue-full and
@@ -335,6 +337,83 @@ TEST(SolverService, SpdOnlyServiceBuildsNoTranspose) {
   EXPECT_FALSE(a.transpose_cached());
   EXPECT_EQ(stats.shards[0].spd.partition_builds, 1);
   EXPECT_EQ(stats.shards[1].spd.partition_builds, 0);
+}
+
+/// Submits `controls` requests in batches until every shard of `service`
+/// has executed one (placement is the dispatchers' choice, so bounded
+/// retries rather than one batch), then drains so stats() is current.
+/// Returns the first request's solution.
+std::vector<double> serve_on_every_shard(SolverService& service,
+                                         const std::vector<double>& b,
+                                         const SolveControls& controls) {
+  const std::size_t shards = static_cast<std::size_t>(service.shards());
+  std::vector<double> first;
+  std::set<int> placements;
+  for (int round = 0; round < 50 && placements.size() < shards; ++round) {
+    std::vector<SolveTicket> tickets;
+    for (int r = 0; r < 2 * service.shards() + 1; ++r)
+      tickets.push_back(service.submit(b, controls));
+    for (SolveTicket& t : tickets) {
+      t.wait();
+      placements.insert(t.shard());
+      if (first.empty()) first = t.solution();
+    }
+  }
+  EXPECT_EQ(placements.size(), shards);
+  service.drain();
+  return first;
+}
+
+TEST(SolverService, UndeclaredPartitionsAreAnalyzedOnceForAllShards) {
+  // Without prepare_partitions the service builds the compact copy, and the
+  // first partitioned request builds the analysis — once, for both shards.
+  const CsrMatrix a = laplacian_2d(8, 8);
+  ServiceOptions options = two_shard_options();
+  options.prepare_lsq = false;
+  SolverService service(a, options);
+  EXPECT_EQ(service.stats().compact_builds, 1);
+  EXPECT_EQ(service.stats().partition_builds, 0);
+
+  SolveControls controls;
+  controls.partitions = 2;
+  controls.workers = 1;
+  controls.sweeps = 4;
+  serve_on_every_shard(service, random_vector(a.rows(), 3), controls);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.partition_builds, 1);
+  EXPECT_EQ(stats.compact_builds, 1);
+}
+
+TEST(SolverService, PartitionedServiceBuildsTheCompactCopyOnlyOnDemand) {
+  const CsrMatrix a = laplacian_2d(8, 8);
+  const std::vector<double> b = random_vector(a.rows(), 4);
+  ServiceOptions options = two_shard_options();
+  options.prepare_lsq = false;
+  options.prepare_partitions = true;
+  SolverService service(a, options);
+
+  SolveControls controls;
+  controls.workers = 1;
+  controls.sweeps = 4;
+  controls.seed = 11;
+  controls.partitions = 2;
+  serve_on_every_shard(service, b, controls);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.partition_builds, 1);
+  EXPECT_EQ(stats.compact_builds, 0);  // no partitioned request reads it
+
+  // The first unpartitioned request builds it, once for both shards, and
+  // solves exactly as a fresh handle does.
+  controls.partitions = 0;
+  const std::vector<double> x = serve_on_every_shard(service, b, controls);
+  stats = service.stats();
+  EXPECT_EQ(stats.compact_builds, 1);
+  EXPECT_EQ(stats.partition_builds, 1);
+  ThreadPool pool(1);
+  SpdProblem fresh(pool, a);
+  std::vector<double> x_fresh(a.rows(), 0.0);
+  fresh.solve(b, x_fresh, controls);
+  EXPECT_EQ(x, x_fresh);
 }
 
 TEST(SolverService, CloneConstructorsMatchFullValidationBitForBit) {
