@@ -198,7 +198,6 @@ struct Measurement {
                          // "int64_double" | "int32_double"
   std::string sampling;  // direction distribution (v9, sampling_policy and
                          // kaczmarz_row_action rows): "uniform" | "weighted"
-                         // | "residual"
   int workers = 0;
   long long updates = 0;
   double seconds = 0.0;
@@ -219,18 +218,15 @@ struct StoragePoint {
   double int32_ups = 0.0;
 };
 
-/// One sampling-policy comparison (schema v9): prepared-handle
-/// updates/second under each direction-draw distribution, per workload, at
-/// 1 worker under barrier-per-sweep (the residual policy needs the
-/// rendezvous for its table refresh, so every policy is measured under the
-/// identical sync regime).  The deltas are pure draw-path cost: uniform is
-/// the raw 128-bit-multiply reduction, weighted adds one alias-table lookup
-/// per draw, residual adds the periodic rebuild on top.
+/// One sampling-policy comparison (schema v9; v12 dropped the residual
+/// policy): prepared-handle updates/second under each direction-draw
+/// distribution, per workload, at 1 worker under barrier-per-sweep.  The
+/// delta is pure draw-path cost: uniform is the raw 128-bit-multiply
+/// reduction, weighted adds one alias-table lookup per draw.
 struct SamplingPoint {
   std::string workload;
   double uniform_ups = 0.0;
   double weighted_ups = 0.0;
-  double residual_ups = 0.0;
 };
 
 /// Cold-vs-prepared solve latency for one solver family (schema v4; the
@@ -545,9 +541,10 @@ int main(int argc, char** argv) {
 
     // --- sampling-policy sweep (schema v9) -------------------------------
     // Updates/second of the prepared handle under each direction
-    // distribution, 1 worker, barrier-per-sweep on both Gram regimes.  Measures what the non-uniform draw path costs (alias-table
-    // lookup per draw; periodic rebuild for the residual policy) — the
-    // convergence side of the trade is docs/TUNING.md territory.
+    // distribution, 1 worker, barrier-per-sweep on both Gram regimes.
+    // Measures what the weighted draw path costs (one alias-table lookup
+    // per draw) — the convergence side of the trade is docs/TUNING.md
+    // territory.
     {
       SpdProblem handle(pool, a, /*check_input=*/false);
       SamplingPoint point;
@@ -558,8 +555,7 @@ int main(int argc, char** argv) {
       };
       for (const PolicyRun policy :
            {PolicyRun{SamplingPolicy::kUniform, "uniform"},
-            PolicyRun{SamplingPolicy::kWeighted, "weighted"},
-            PolicyRun{SamplingPolicy::kResidual, "residual"}}) {
+            PolicyRun{SamplingPolicy::kWeighted, "weighted"}}) {
         SolveControls sc;
         sc.method = SpdMethod::kAsyncRgs;
         sc.sweeps = n_sweeps;
@@ -587,12 +583,9 @@ int main(int argc, char** argv) {
                        fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
                                  1),
                        "-"});
-        if (policy.policy == SamplingPolicy::kUniform)
-          point.uniform_ups = m.updates_per_second;
-        else if (policy.policy == SamplingPolicy::kWeighted)
-          point.weighted_ups = m.updates_per_second;
-        else
-          point.residual_ups = m.updates_per_second;
+        (policy.policy == SamplingPolicy::kUniform ? point.uniform_ups
+                                                   : point.weighted_ups) =
+            m.updates_per_second;
       }
       sampling_points.push_back(std::move(point));
     }
@@ -1032,9 +1025,9 @@ int main(int argc, char** argv) {
   }
 
   // --- sampling headline ----------------------------------------------------
-  // Draw-path cost of the non-uniform policies on both Gram regimes
-  // (1 worker, barrier-per-sweep).  Ratios < 1 are pure sampling
-  // overhead per update; the convergence payoff is workload-dependent.
+  // Draw-path cost of the weighted policy on both Gram regimes (1 worker,
+  // barrier-per-sweep).  A ratio < 1 is pure sampling overhead per update;
+  // the convergence payoff is workload-dependent.
   for (const SamplingPoint& p : sampling_points) {
     std::cout << "# sampling headline (" << p.workload
               << ", barrier, 1 worker): uniform="
@@ -1042,10 +1035,6 @@ int main(int argc, char** argv) {
               << " weighted=" << fmt_sci(p.weighted_ups) << " ("
               << fmt_fixed(
                      p.uniform_ups > 0 ? p.weighted_ups / p.uniform_ups : 0.0,
-                     2)
-              << "x) residual=" << fmt_sci(p.residual_ups) << " ("
-              << fmt_fixed(
-                     p.uniform_ups > 0 ? p.residual_ups / p.uniform_ups : 0.0,
                      2)
               << "x)\n";
   }
@@ -1138,7 +1127,7 @@ int main(int argc, char** argv) {
       (*out_path).empty() ? "BENCH_" + *label + ".json" : *out_path;
   std::ofstream json(path);
   json << "{\n"
-       << "  \"schema_version\": 11,\n"
+       << "  \"schema_version\": 12,\n"
        << "  \"bench\": \"bench_updates\",\n"
        << "  \"label\": \"" << json_escape(*label) << "\",\n"
        << "  \"git\": \"" << json_escape(*git_rev) << "\",\n"
@@ -1205,11 +1194,8 @@ int main(int argc, char** argv) {
          << "\", \"mode\": \"barrier_per_sweep\", \"workers\": 1"
          << ", \"uniform_updates_per_second\": " << p.uniform_ups
          << ", \"weighted_updates_per_second\": " << p.weighted_ups
-         << ", \"residual_updates_per_second\": " << p.residual_ups
          << ", \"weighted_ratio\": "
          << (p.uniform_ups > 0.0 ? p.weighted_ups / p.uniform_ups : 0.0)
-         << ", \"residual_ratio\": "
-         << (p.uniform_ups > 0.0 ? p.residual_ups / p.uniform_ups : 0.0)
          << "}" << (i + 1 < sampling_points.size() ? "," : "") << "\n";
   }
   json << "  ],\n"

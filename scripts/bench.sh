@@ -46,7 +46,7 @@ echo "bench.sh: wrote BENCH_${label}.json"
 
 # Side-by-side storage-policy, sampling-policy, kaczmarz,
 # prepare-amortization, locality, serving-throughput, and overload
-# summaries (schema v11: docs/TUNING.md).  Best effort — the JSON is the
+# summaries (schema v12: docs/TUNING.md).  Best effort — the JSON is the
 # artifact; these lines are for the terminal.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "BENCH_${label}.json" <<'PYEOF'
@@ -59,10 +59,9 @@ for t in d.get("storage_headline", []):
              t["int32_double_updates_per_second"], t["int32_speedup"]))
 for t in d.get("sampling_headline", []):
     print("bench.sh: sampling (%s, 1 worker, barrier): uniform=%.3g "
-          "weighted=%.3g (%.2fx) residual=%.3g (%.2fx) upd/s"
+          "weighted=%.3g (%.2fx) upd/s"
           % (t["workload"], t["uniform_updates_per_second"],
-             t["weighted_updates_per_second"], t["weighted_ratio"],
-             t["residual_updates_per_second"], t["residual_ratio"]))
+             t["weighted_updates_per_second"], t["weighted_ratio"]))
 z = d.get("kaczmarz_headline")
 if z:
     print("bench.sh: kaczmarz (%dx%d factor, %d nnz, 1 worker): "

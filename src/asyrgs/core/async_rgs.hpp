@@ -47,12 +47,6 @@ namespace asyrgs {
 enum class SyncMode {
   kFreeRunning,      ///< fully asynchronous across sweeps
   kBarrierPerSweep,  ///< occasional synchronization (one barrier per sweep)
-  /// Time-based occasional synchronization (Section 5 discussion: "a time
-  /// based scheme for synchronizing the processors should be sufficient,
-  /// and will not suffer from large wait times due to load imbalance"):
-  /// workers run freely and rendezvous whenever `sync_interval_seconds` has
-  /// elapsed; residual checks/early stopping happen at the rendezvous.
-  kTimedBarrier,
 };
 
 /// Randomization scope (Section 10 / limitations discussion).
@@ -66,12 +60,12 @@ enum class RandomizationScope {
   /// partition runs its own Philox stream; updates still read the shared
   /// iterate across partition boundaries.
   ///
-  /// Pair this scope with kBarrierPerSweep or kTimedBarrier when running a
-  /// *finite* budget: under kFreeRunning a worker that drains its budget
-  /// early leaves its partition frozen against neighbours' mid-solve
-  /// values, and no other worker can repair it (shared-scope randomization
-  /// self-repairs; partitioned randomization cannot).  With synchronized
-  /// sweeps, or when iterating to a residual tolerance, the scope is safe.
+  /// Pair this scope with kBarrierPerSweep when running a *finite* budget:
+  /// under kFreeRunning a worker that drains its budget early leaves its
+  /// partition frozen against neighbours' mid-solve values, and no other
+  /// worker can repair it (shared-scope randomization self-repairs;
+  /// partitioned randomization cannot).  With synchronized sweeps, or when
+  /// iterating to a residual tolerance, the scope is safe.
   kOwnerComputes,
 };
 

@@ -1,7 +1,7 @@
 // Shared asynchronous execution engine (internal).
 //
 // The hot loop common to every asynchronous solve path of the prepared
-// handles (asyrgs/problem.hpp): direction planning, the three
+// handles (asyrgs/problem.hpp): direction planning, the two
 // synchronization modes, and team-parallel residual evaluation at
 // synchronization points.  The engine reads the caller's SolveControls and
 // fills the run's fields of its SolveOutcome, so the outcome status is
@@ -16,9 +16,9 @@
 //  * Directions are drawn in batches.  Each worker refills a reusable
 //    direction buffer via Philox4x32::fill_indices[_strided] — a few ns per
 //    draw instead of a full 10-round Philox evaluation per update — and the
-//    once-per-sweep-equivalent yield (oversubscribed hosts) and the clock
-//    check (timed mode) happen only at refill boundaries, so the per-update
-//    path contains no modulo, no branch on sync mode, and no timer call.
+//    once-per-sweep-equivalent yield (oversubscribed hosts) happens only at
+//    refill boundaries, so the per-update path contains no modulo, no
+//    branch on sync mode, and no timer call.
 //  * The update functor is a concrete struct templated on atomicity, not a
 //    std::function and not a runtime `atomic_writes` branch.
 //  * Residuals at synchronization points run as a team-wide parallel
@@ -30,7 +30,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -44,7 +43,6 @@
 #include "asyrgs/support/barrier.hpp"
 #include "asyrgs/support/prng.hpp"
 #include "asyrgs/support/thread_pool.hpp"
-#include "asyrgs/support/timer.hpp"
 
 namespace asyrgs::detail {
 
@@ -79,7 +77,7 @@ struct RowChunk {
 ///
 /// The shared stream (RandomizationScope::kShared): one Philox stream over
 /// global indices; worker w consumes positions {w, w+P, ...}
-/// (free-running/timed) or the per-sweep split (barrier mode) — all modes
+/// (free-running) or the per-sweep split (barrier mode) — both modes
 /// consume the identical direction multiset.  The deterministic virtual
 /// engine (simulate/virtual_engine.hpp) consumes this shape too: a team-1
 /// plan enumerates the stream in global order, which the virtual engine
@@ -91,8 +89,8 @@ struct RowChunk {
 /// byte-identical draws); a weighted sampler pulls the raw 64-bit words at
 /// the SAME stream positions and maps each through its alias table, so the
 /// position multiset — and with it the cross-worker-count invariance — is
-/// untouched.  Weighted draws require this shape (validated by
-/// run_engine_sampled; owned ranges have no global distribution to weight).
+/// untouched.  Weighted draws require this shape (the constructor checks;
+/// owned ranges have no global distribution to weight).
 ///
 /// Owned ranges: the rows are cut into contiguous ranges (a GraphPartition,
 /// gen/partition.hpp), and worker w of a team of T executes ranges
@@ -129,16 +127,23 @@ struct RowChunk {
 class DirectionPlan {
  public:
   /// The shared stream over [0, n) (kShared), or owner-computes over
-  /// `team` identity cuts of [0, n) (kOwnerComputes).
+  /// `team` identity cuts of [0, n) (kOwnerComputes).  `sampler` (borrowed
+  /// for the plan's lifetime; null or kUniform = uniform draws) weights the
+  /// shared stream; a weighted sampler requires kShared and exactly n
+  /// directions, and anything else throws.
   DirectionPlan(std::uint64_t seed, RandomizationScope scope, index_t n,
                 int team, const DirectionSampler* sampler = nullptr)
       : seed_(seed), n_(n), team_(team), shared_(seed),
         sampler_(sampler != nullptr && sampler->weighted_draws() ? sampler
                                                                  : nullptr),
         identity_cuts_(scope == RandomizationScope::kOwnerComputes) {
-    ASYRGS_ASSERT(sampler_ == nullptr ||
-                  (scope == RandomizationScope::kShared &&
-                   sampler_->directions() == n));
+    if (sampler_ != nullptr) {
+      require(scope == RandomizationScope::kShared,
+              "DirectionPlan: weighted direction sampling requires the "
+              "shared randomization scope");
+      require(sampler_->directions() == n,
+              "DirectionPlan: sampler direction count must match the plan");
+    }
     if (identity_cuts_) own(identity_cuts(n, team));
   }
 
@@ -183,8 +188,8 @@ class DirectionPlan {
     return (n_ - 1 - static_cast<index_t>(w)) / team_ + 1;
   }
 
-  /// Total updates worker w performs over `sweeps` sweeps in free-running /
-  /// timed numbering.  For the shared stream this counts the global indices
+  /// Total updates worker w performs over `sweeps` sweeps in free-running
+  /// numbering.  For the shared stream this counts the global indices
   /// congruent to w modulo team in [0, sweeps*n) — exactly tiling the
   /// global stream so the direction multiset is identical to the
   /// sequential run.
@@ -200,7 +205,7 @@ class DirectionPlan {
            1;
   }
 
-  /// Direction for worker w's k-th update (free-running/timed numbering).
+  /// Direction for worker w's k-th update (free-running numbering).
   /// Owned ranges and cyclic plans number sweep-major (sweep k / per_sweep,
   /// step k % per_sweep) and require per_sweep(w) > 0 — the engine never
   /// asks a worker with no owned rows for a direction (its total is 0).
@@ -574,25 +579,6 @@ class EngineScratch {
   std::atomic<long long> allocations_{0};
 };
 
-/// Sampling configuration of one engine run.  Default-constructed =
-/// uniform draws, no refresh — the pre-sampling engine, byte for byte.
-struct EngineSampling {
-  /// Distribution of the direction draws; null (or kUniform) keeps the
-  /// uniform multiply-reduction path.  Borrowed for the duration of the
-  /// run; weighted draws require RandomizationScope::kShared and a
-  /// direction count equal to the engine's n.
-  const DirectionSampler* sampler = nullptr;
-  /// Residual-policy table refresh, invoked on worker 0 between the two
-  /// synchronization barriers (the rest of the team is parked at the
-  /// second barrier, so the callback may read the iterate and rebuild the
-  /// sampler's table race-free).  Called once per rendezvous — per sweep
-  /// in kBarrierPerSweep, per round in kTimedBarrier, never in
-  /// kFreeRunning (which has no sync points; callers requiring refresh
-  /// must validate the mode).  The callback owns its own cadence (e.g.
-  /// rebuild every k-th call).
-  std::function<void()> refresh;
-};
-
 /// Longest run of sweeps a tolerance-stopped kBarrierPerSweep solve goes
 /// without an exact residual check.  A constant rather than an option: it
 /// only bounds how far a mispredicted crossing can overshoot, and the
@@ -634,17 +620,17 @@ inline constexpr int kMaxCheckGap = 16;
 /// team)` evaluates the convergence metric at synchronization points; it is
 /// called by *every* rendezvoused worker (team-parallel reduction — see
 /// TeamReduce) and only worker 0's return value is used.  The engine calls
-/// it only when the controls request history tracking or a tolerance: every
-/// sweep under track_history, on the next_check_sweep schedule for a
-/// tolerance alone, once per round in kTimedBarrier, and once on x0 for a
+/// it only when the controls request history tracking or a tolerance under
+/// kBarrierPerSweep: every sweep under track_history, on the
+/// next_check_sweep schedule for a tolerance alone, and once on x0 for a
 /// zero budget.
 ///
-/// The engine reads `controls` (sweeps, sync, sync_interval_seconds,
-/// track_history, rel_tol) and sets the run's fields of `out`: status,
-/// iterations, updates, workers, relative_residual and residual_history.
-/// The caller sets the rest.  The status rule:
+/// The engine reads `controls` (sweeps, sync, track_history, rel_tol) and
+/// sets the run's fields of `out`: status, iterations, updates, workers,
+/// relative_residual and residual_history.  The caller sets the rest.  The
+/// status rule:
 ///  * kConverged when a residual check met rel_tol;
-///  * kToleranceNotReached when rel_tol > 0 under a synchronizing mode;
+///  * kToleranceNotReached when rel_tol > 0 under kBarrierPerSweep;
 ///  * kBudgetCompleted otherwise (free-running runs never check residuals).
 ///
 /// The team is `plan.team()` workers over `plan.directions()` rows.  The
@@ -656,15 +642,10 @@ inline constexpr int kMaxCheckGap = 16;
 /// `scratch` (optional) supplies reusable per-worker direction buffers; a
 /// prepared handle passes its own so repeated solves skip the allocations,
 /// while callers without one leave it null and pay a local scratch per run.
-///
-/// The partitioned and chaotic-relaxation solve paths (problem.cpp) call
-/// this directly with their own plan; every random unpartitioned draw
-/// enters through run_engine_sampled below.  `refresh` is the EngineSampling
-/// rendezvous callback (empty = none).
 template <typename UpdateFn, typename ResidualFn>
 void run_engine(ThreadPool& pool, const SolveControls& controls,
-                const DirectionPlan& plan, const std::function<void()>& refresh,
-                UpdateFn&& update, ResidualFn&& residual, SolveOutcome& out,
+                const DirectionPlan& plan, UpdateFn&& update,
+                ResidualFn&& residual, SolveOutcome& out,
                 EngineScratch* scratch = nullptr) {
   const int workers = plan.team();
   const index_t n = plan.directions();
@@ -673,8 +654,6 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
   scratch->prepare(workers);
   const bool check_enabled = controls.track_history || controls.rel_tol > 0.0;
   const int sweeps = controls.sweeps;
-  const long long total_target =
-      static_cast<long long>(sweeps) * static_cast<long long>(n);
 
   // A worker whose team the pool shrank (a nested call) re-plans for its
   // actual team into `shrunk`; the common team == workers case pays nothing.
@@ -687,8 +666,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
   bool converged = false;
 
   if (controls.sync == SyncMode::kBarrierPerSweep && sweeps == 0) {
-    // The returned iterate is x0: report its residual, as the timed loop's
-    // one empty round does.  No team runs.
+    // The returned iterate is x0: report its residual.  No team runs.
     if (check_enabled) {
       out.relative_residual = residual(0, 1);
       converged = controls.rel_tol > 0.0 &&
@@ -750,10 +728,6 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
                                             controls.rel_tol, sweeps);
             }
           }
-          // Residual-policy table refresh: the team is parked at the next
-          // barrier, so worker 0 may rebuild the sampler race-free; the
-          // barrier release orders the new table before any later draw.
-          if (refresh && !stop.load(std::memory_order_relaxed)) refresh();
         }
         if (full_team) barrier.arrive_and_wait();
         if (stop.load(std::memory_order_acquire)) break;
@@ -763,20 +737,10 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
     out.updates =
         static_cast<long long>(out.iterations) * static_cast<long long>(n);
   } else {
-    // kTimedBarrier: rounds of `sync_interval_seconds` of free iteration
-    // followed by a rendezvous.  Each worker runs on its own clock, so all
-    // arrive at the barrier at nearly the same moment regardless of load
-    // imbalance (the Section 5 "time based scheme").  The clock is consulted
-    // once per direction-buffer refill — at most kDirectionChunk (and at
-    // most one sweep-equivalent) of updates between checks.  kFreeRunning
-    // is one round with no deadline and no rendezvous: each worker drains
-    // its whole budget and leaves, and no residual is ever evaluated.
-    const bool timed = controls.sync == SyncMode::kTimedBarrier;
-    SpinBarrier barrier(workers);
-    std::atomic<bool> stop{false};
+    // kFreeRunning: each worker drains its whole budget with no rendezvous
+    // and leaves; no residual is ever evaluated.
     std::atomic<long long> updates_done{0};
     pool.run_team(workers, [&](int id, int team) {
-      const bool full_team = (team == workers && team > 1);
       std::optional<DirectionPlan> shrunk;
       const DirectionPlan& my_plan = plan_for(team, shrunk);
       if (id == 0) team_used = team;
@@ -786,57 +750,27 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
       const std::size_t chunk_cap = static_cast<std::size_t>(
           std::min<std::uint64_t>(kDirectionChunk, per_sweep));
       index_t* const dirs = scratch->dirs(id, chunk_cap);
-      std::uint64_t k = 0;
       std::uint64_t since_yield = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        WallTimer round_timer;
-        std::uint64_t done_this_round = 0;
-        while (k < my_total) {
-          const std::size_t chunk = static_cast<std::size_t>(
-              std::min<std::uint64_t>(chunk_cap, my_total - k));
-          my_plan.fill(id, k, chunk, dirs);
-          const index_t* d = dirs;
-          for (std::size_t i = 0; i < chunk; ++i)
-            update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
-          k += chunk;
-          done_this_round += chunk;
-          // Refill boundary: yield once per sweep-equivalent so the
-          // scheduler rotates the team — on oversubscribed hosts a worker
-          // would otherwise burn its whole budget in a few scheduling
-          // quanta, leaving tau unbounded and owned ranges stalled — then,
-          // in a timed round, check whether its time budget is spent
-          // (clock consulted per refill, not per update).
-          since_yield += chunk;
-          if (team > 1 && since_yield >= per_sweep) {
-            since_yield = 0;
-            std::this_thread::yield();
-          }
-          if (timed &&
-              round_timer.seconds() >= controls.sync_interval_seconds)
-            break;
+      for (std::uint64_t k = 0; k < my_total;) {
+        const std::size_t chunk = static_cast<std::size_t>(
+            std::min<std::uint64_t>(chunk_cap, my_total - k));
+        my_plan.fill(id, k, chunk, dirs);
+        const index_t* d = dirs;
+        for (std::size_t i = 0; i < chunk; ++i)
+          update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
+        k += chunk;
+        // Refill boundary: yield once per sweep-equivalent so the scheduler
+        // rotates the team — on oversubscribed hosts a worker would
+        // otherwise burn its whole budget in a few scheduling quanta,
+        // leaving tau unbounded and owned ranges stalled.
+        since_yield += chunk;
+        if (team > 1 && since_yield >= per_sweep) {
+          since_yield = 0;
+          std::this_thread::yield();
         }
-        updates_done.fetch_add(static_cast<long long>(done_this_round),
-                               std::memory_order_relaxed);
-        if (!timed) break;
-        if (full_team) barrier.arrive_and_wait();
-        const double rel = check_enabled ? residual(id, team) : 0.0;
-        if (id == 0) {
-          bool should_stop =
-              updates_done.load(std::memory_order_relaxed) >= total_target;
-          if (check_enabled) {
-            out.relative_residual = rel;
-            if (controls.track_history) out.residual_history.push_back(rel);
-            if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
-              converged = true;
-              should_stop = true;
-            }
-          }
-          // Same rendezvous-refresh contract as kBarrierPerSweep above.
-          if (refresh && !should_stop) refresh();
-          if (should_stop) stop.store(true, std::memory_order_release);
-        }
-        if (full_team) barrier.arrive_and_wait();
       }
+      updates_done.fetch_add(static_cast<long long>(my_total),
+                             std::memory_order_relaxed);
     });
     out.updates = updates_done.load(std::memory_order_relaxed);
     out.iterations = static_cast<int>(out.updates / std::max<index_t>(n, 1));
@@ -848,36 +782,6 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
   out.status = converged          ? SolveStatus::kConverged
                : tolerance_active ? SolveStatus::kToleranceNotReached
                                   : SolveStatus::kBudgetCompleted;
-}
-
-/// Sampled engine run over the shared-stream or owner-computes DirectionPlan
-/// that `controls.scope` names — the entry point for every unpartitioned
-/// random solve (chaotic relaxation's cyclic plan draws nothing to sample).
-/// Validates the sampling contract, builds the plan for `workers` and
-/// delegates to run_engine.  A default-constructed EngineSampling is the
-/// uniform engine.
-template <typename UpdateFn, typename ResidualFn>
-void run_engine_sampled(ThreadPool& pool, const SolveControls& controls,
-                        index_t n, int workers,
-                        const EngineSampling& sampling, UpdateFn&& update,
-                        ResidualFn&& residual, SolveOutcome& out,
-                        EngineScratch* scratch = nullptr) {
-  if (sampling.sampler != nullptr && sampling.sampler->weighted_draws()) {
-    require(controls.scope == RandomizationScope::kShared,
-            "run_engine_sampled: weighted direction sampling requires the "
-            "shared randomization scope");
-    require(sampling.sampler->directions() == n,
-            "run_engine_sampled: sampler direction count must match the "
-            "engine");
-  }
-  require(!sampling.refresh || controls.sync != SyncMode::kFreeRunning,
-          "run_engine_sampled: sampler refresh needs synchronization points; "
-          "kFreeRunning has none");
-  run_engine(pool, controls,
-             DirectionPlan(controls.seed, controls.scope, n, workers,
-                           sampling.sampler),
-             sampling.refresh, std::forward<UpdateFn>(update),
-             std::forward<ResidualFn>(residual), out, scratch);
 }
 
 }  // namespace asyrgs::detail

@@ -76,8 +76,16 @@ struct SharedSlot {
 };
 
 struct SpdOperators {
+  std::vector<double> inv_diag;  ///< 1/diag, written once at construction
   SharedSlot<CsrMatrix32> compact;
   SharedSlot<SpdPartitionState> partition;
+};
+
+struct LsqNorms {
+  std::vector<double> col_sq;      ///< ||A_{:,j}||^2 update denominators
+  std::vector<double> row_sq;      ///< ||A_i||^2 (Kaczmarz sampling weights)
+  std::vector<double> inv_row_sq;  ///< 1/||A_i||^2 projection denominators
+                                   ///< (0 for zero rows: their update no-ops)
 };
 
 }  // namespace detail
@@ -102,32 +110,10 @@ void validate_controls(const SolveControls& controls, const char* who) {
     fail("step size must be in (0, 2)");
   if (!(std::isfinite(controls.rel_tol) && controls.rel_tol >= 0.0))
     fail("rel_tol must be finite and non-negative");
-  if (!(controls.sync_interval_seconds > 0.0))
-    fail("sync interval must be positive");
-}
-
-/// Preconditions shared by every non-uniform sampling request.  The block
-/// path passes residual_ok = false: its residual metric is a Frobenius norm
-/// over all columns, which has no per-direction weight to refresh.
-void validate_sampling_controls(const SolveControls& controls, const char* who,
-                                bool residual_ok = true) {
-  auto fail = [&](const char* what) {
-    throw Error(std::string(who) + ": " + what);
-  };
-  if (controls.sampling == SamplingPolicy::kUniform) return;
-  if (controls.scope != RandomizationScope::kShared)
+  if (controls.sampling != SamplingPolicy::kUniform &&
+      controls.scope != RandomizationScope::kShared)
     fail("non-uniform sampling requires the shared randomization scope "
          "(owner-computes partitions have no global distribution)");
-  if (controls.sampling == SamplingPolicy::kResidual) {
-    if (!residual_ok)
-      fail("residual-weighted sampling is single-right-hand-side only");
-    if (controls.sync == SyncMode::kFreeRunning)
-      fail("residual-weighted sampling refreshes its table at "
-           "synchronization points; use barrier-per-sweep or timed-barrier "
-           "mode");
-    if (controls.resample_sweeps < 1)
-      fail("resample_sweeps must be at least 1");
-  }
 }
 
 /// Preconditions for partitioned scheduling.  Callers that cannot serve it
@@ -156,59 +142,25 @@ void validate_partition_controls(const SolveControls& controls,
 }
 
 std::string sampling_note(const SolveControls& controls) {
-  switch (controls.sampling) {
-    case SamplingPolicy::kUniform:
-      return "";
-    case SamplingPolicy::kWeighted:
-      return ", weighted sampling";
-    case SamplingPolicy::kResidual:
-      return ", residual sampling (refresh every " +
-             std::to_string(std::max(1, controls.resample_sweeps)) +
-             " rendezvous)";
-  }
-  return "";
+  return controls.sampling == SamplingPolicy::kWeighted ? ", weighted sampling"
+                                                        : "";
 }
 
-/// w_i = (b_i - A_i x)^2 with plain reads of x — legal only before the
-/// engine starts or inside a refresh callback (team parked at the barrier).
-template <class Matrix>
-void row_residual_weights(const Matrix& a, const std::vector<double>& b,
-                          const double* x, std::vector<double>& w) {
-  w.resize(b.size());
-  for (index_t i = 0; i < a.rows(); ++i) {
-    double ri = b[static_cast<std::size_t>(i)];
-    const auto cols = a.row_cols(i);
-    const auto vals = a.row_vals(i);
-    for (std::size_t s = 0; s < cols.size(); ++s) ri -= vals[s] * x[cols[s]];
-    w[static_cast<std::size_t>(i)] = ri * ri;
+/// The handle's kWeighted sampler, built from `weights()` (one weight per
+/// direction) into `cache` on the first weighted solve and reused by every
+/// later one; null for uniform draws.  The caller holds the handle's mutex.
+template <class Weights>
+const DirectionSampler* weighted_sampler(SamplingPolicy policy,
+                                         std::optional<DirectionSampler>& cache,
+                                         Weights&& weights, long long& builds) {
+  if (policy != SamplingPolicy::kWeighted) return nullptr;
+  if (!cache) {
+    const std::vector<double>& w = weights();
+    cache.emplace(
+        DirectionSampler::weighted(w.data(), static_cast<index_t>(w.size())));
+    ++builds;
   }
-}
-
-/// w_j = (A^T (b - A x))_j^2 — squared gradient magnitudes of the
-/// least-squares objective (the natural per-column residual weight for
-/// coordinate descent).  Same read contract as row_residual_weights;
-/// `r` is reusable scratch of a.rows() doubles.
-template <class Matrix>
-void col_residual_weights(const Matrix& a, const Matrix& at,
-                          const std::vector<double>& b, const double* x,
-                          std::vector<double>& r, std::vector<double>& w) {
-  r.resize(b.size());
-  for (index_t i = 0; i < a.rows(); ++i) {
-    double ri = b[static_cast<std::size_t>(i)];
-    const auto cols = a.row_cols(i);
-    const auto vals = a.row_vals(i);
-    for (std::size_t s = 0; s < cols.size(); ++s) ri -= vals[s] * x[cols[s]];
-    r[static_cast<std::size_t>(i)] = ri;
-  }
-  w.resize(static_cast<std::size_t>(at.rows()));
-  for (index_t j = 0; j < at.rows(); ++j) {
-    const auto rows = at.row_cols(j);
-    const auto vals = at.row_vals(j);
-    double g = 0.0;
-    for (std::size_t s = 0; s < rows.size(); ++s)
-      g += vals[s] * r[rows[s]];
-    w[static_cast<std::size_t>(j)] = g * g;
-  }
+  return &*cache;
 }
 
 const char* sync_name(SyncMode sync) {
@@ -217,8 +169,6 @@ const char* sync_name(SyncMode sync) {
       return "free running";
     case SyncMode::kBarrierPerSweep:
       return "barrier per sweep";
-    case SyncMode::kTimedBarrier:
-      return "timed barrier";
   }
   return "?";
 }
@@ -288,8 +238,9 @@ SpdProblem::SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input,
       operators_(std::make_shared<detail::SpdOperators>()),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   require(a.square(), "SpdProblem: matrix must be square");
-  inv_diag_ = a.diagonal();
-  for (double& d : inv_diag_) {
+  std::vector<double>& inv_diag = operators_->inv_diag;
+  inv_diag = a.diagonal();
+  for (double& d : inv_diag) {
     require(d > 0.0, "SpdProblem: diagonal must be strictly positive "
                      "(matrix cannot be SPD)");
     d = 1.0 / d;
@@ -309,7 +260,6 @@ SpdProblem::SpdProblem(ThreadPool& pool, const SpdProblem& other)
     : pool_(pool),
       a_(other.a_),
       storage_(other.storage_),
-      inv_diag_(other.inv_diag_),
       operators_(other.operators_),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   // Sharing the slots (not their current contents) is what lets a clone
@@ -324,7 +274,7 @@ const detail::SpdPartitionState& SpdProblem::partition_state() {
   return operators_->partition.get(
       [&] {
         return std::make_unique<const detail::SpdPartitionState>(
-            a_, storage_, inv_diag_);
+            a_, storage_, operators_->inv_diag);
       },
       stats_.partition_builds);
 }
@@ -416,66 +366,36 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
                                                std::vector<double>& x,
                                                const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  validate_sampling_controls(controls, "SpdProblem::solve");
   const index_t n = a.rows();
   const int workers = clamp_workers(controls.workers, pool_);
 
-  detail::pack_rhs_diag(b, inv_diag_, scratch_->rhs_diag);
+  detail::pack_rhs_diag(b, operators_->inv_diag, scratch_->rhs_diag);
   detail::SingleRhsResidual residual(a, scratch_->rhs_diag, x.data(), workers,
                                      scratch_->engine.reduce(workers));
-
-  detail::EngineSampling sampling;
-  std::optional<DirectionSampler> residual_sampler;
-  if (controls.sampling == SamplingPolicy::kWeighted) {
-    if (!weighted_sampler_) {
-      // Weights from the bound full-width matrix so the distribution is
-      // independent of the storage policy the kernels run against; built
-      // once per handle, reused by every later weighted solve.
-      const std::vector<double> w = detail::row_sq_norms(a_);
-      weighted_sampler_.emplace(DirectionSampler::weighted(w.data(), n));
-      ++stats_.sampler_builds;
-    }
-    sampling.sampler = &*weighted_sampler_;
-  } else if (controls.sampling == SamplingPolicy::kResidual) {
-    // Seed the table from the caller's initial iterate (deterministic
-    // input, so fixed-seed runs keep the multiset contract until the
-    // first refresh), then rebuild every resample_sweeps rendezvous.
-    std::vector<double> w;
-    row_residual_weights(a, b, x.data(), w);
-    residual_sampler.emplace(DirectionSampler::residual(w.data(), n));
-    sampling.sampler = &*residual_sampler;
-    const int period = std::max(1, controls.resample_sweeps);
-    DirectionSampler* const sampler = &*residual_sampler;
-    const double* const xp = x.data();
-    sampling.refresh = [&a, &b, xp, sampler, period, w = std::move(w),
-                        calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      row_residual_weights(a, b, xp, w);
-      sampler->rebuild(w.data(), static_cast<index_t>(w.size()));
-    };
-  }
+  // Weights from the bound full-width matrix, so the distribution does not
+  // depend on the storage policy the kernels run against.
+  const DirectionSampler* const sampler =
+      weighted_sampler(controls.sampling, weighted_sampler_,
+                       [&] { return detail::row_sq_norms(a_); },
+                       stats_.sampler_builds);
 
   // Chaotic relaxation is the same update over a cyclic plan of owned rows
   // instead of random draws.
   const bool chaotic = controls.method == SpdMethod::kAsyncJacobi;
   SolveOutcome out;
   WallTimer timer;
+  const detail::DirectionPlan plan =
+      chaotic ? detail::DirectionPlan::cyclic(controls.scope, n, workers)
+              : detail::DirectionPlan(controls.seed, controls.scope, n,
+                                      workers, sampler);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::SingleRhsUpdate<kAtomic, Index> update{
         a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
         scratch_->rhs_diag.data(), x.data(),           controls.step_size};
-    if (chaotic)
-      detail::run_engine(
-          pool_, controls,
-          detail::DirectionPlan::cyclic(controls.scope, n, workers),
-          /*refresh=*/{}, update, residual, out, &scratch_->engine);
-    else
-      detail::run_engine_sampled(pool_, controls, n, workers, sampling,
-                                 update, residual, out, &scratch_->engine);
+    detail::run_engine(pool_, controls, plan, update, residual, out,
+                       &scratch_->engine);
   });
   out.seconds = timer.seconds();
-  if (residual_sampler)
-    stats_.sampler_builds += residual_sampler->rebuilds();
 
   describe_async(out, chaotic ? "chaotic relaxation" : "AsyRGS",
                  sync_name(controls.sync) + sampling_note(controls),
@@ -540,8 +460,8 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
     const detail::SingleRhsUpdate<kAtomic, Index> update{
         a.row_ptr().data(), a.col_idx().data(), a.values().data(),
         rhs_diag.data(),    xp.data(),          controls.step_size};
-    detail::run_engine(pool_, controls, plan, /*refresh=*/{}, update,
-                       residual, out, &scratch_->engine);
+    detail::run_engine(pool_, controls, plan, update, residual, out,
+                       &scratch_->engine);
   });
   out.seconds = timer.seconds();
 
@@ -626,8 +546,6 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
               controls.method == SpdMethod::kAsyncRgs,
           "SpdProblem::solve(block): only AsyRGS (kAuto or kAsyncRgs) "
           "supports block right-hand sides");
-  validate_sampling_controls(controls, "SpdProblem::solve(block)",
-                             /*residual_ok=*/false);
   validate_partition_controls(controls, "SpdProblem::solve(block)");
   require(controls.partitions == 0,
           "SpdProblem::solve(block): partitioned scheduling is "
@@ -651,19 +569,15 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
 
   detail::BlockResidual residual(a, b, x, workers,
                                  scratch_->engine.reduce(workers));
-
-  detail::EngineSampling sampling;
-  if (controls.sampling == SamplingPolicy::kWeighted) {
-    if (!weighted_sampler_) {
-      const std::vector<double> w = detail::row_sq_norms(a_);
-      weighted_sampler_.emplace(DirectionSampler::weighted(w.data(), n));
-      ++stats_.sampler_builds;
-    }
-    sampling.sampler = &*weighted_sampler_;
-  }
+  const DirectionSampler* const sampler =
+      weighted_sampler(controls.sampling, weighted_sampler_,
+                       [&] { return detail::row_sq_norms(a_); },
+                       stats_.sampler_builds);
 
   SolveOutcome out;
   WallTimer timer;
+  const detail::DirectionPlan plan(controls.seed, controls.scope, n, workers,
+                                   sampler);
   // Per-worker gamma scratch in one aligned slab, strided to whole cache
   // lines with a guard line between workers: adjacent heap allocations here
   // would false-share and destroy block-solve scaling.
@@ -676,9 +590,10 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
   double* const gamma = scratch_->engine.slab(workers, stride);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::BlockRhsUpdate<kAtomic, Index> update{
-        &a, &b, &x, inv_diag_.data(), controls.step_size, gamma, stride};
-    detail::run_engine_sampled(pool_, controls, n, workers, sampling, update,
-                               residual, out, &scratch_->engine);
+        &a, &b, &x, operators_->inv_diag.data(), controls.step_size, gamma,
+        stride};
+    detail::run_engine(pool_, controls, plan, update, residual, out,
+                       &scratch_->engine);
   });
   out.seconds = timer.seconds();
 
@@ -708,6 +623,25 @@ void narrow_lsq_pair(const CsrMatrix& a, const CsrMatrix& at,
       convert_storage<std::int32_t, double>(at));
 }
 
+/// The prepare-time norms of (A, A^T), validating full column rank.  The
+/// squared row norms double as the Strohmer-Vershynin sampling weights and
+/// (reciprocated) as the Kaczmarz projection denominators.  Zero rows are
+/// legal — their weight is 0 and their inverse is 0, so the row is never
+/// preferred and its update no-ops.
+std::shared_ptr<const detail::LsqNorms> lsq_norms(const CsrMatrix& a,
+                                                  const CsrMatrix& at) {
+  auto norms = std::make_shared<detail::LsqNorms>();
+  norms->col_sq = detail::column_sq_norms(at);
+  for (double s : norms->col_sq)
+    require(s > 0.0, "LsqProblem: zero column (A must have full rank)");
+  norms->row_sq = detail::row_sq_norms(a);
+  norms->inv_row_sq.resize(norms->row_sq.size());
+  for (std::size_t i = 0; i < norms->row_sq.size(); ++i)
+    norms->inv_row_sq[i] =
+        norms->row_sq[i] > 0.0 ? 1.0 / norms->row_sq[i] : 0.0;
+  return norms;
+}
+
 }  // namespace
 
 LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
@@ -719,17 +653,7 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
   at_holder_ = a.transpose_shared(&built_now);
   at_ = at_holder_.get();
   if (built_now) ++stats_.transpose_builds;
-  col_sq_ = detail::column_sq_norms(*at_);
-  for (double s : col_sq_)
-    require(s > 0.0, "LsqProblem: zero column (A must have full rank)");
-  // Kaczmarz prepare-time analysis: squared row norms double as the
-  // Strohmer-Vershynin sampling weights and (reciprocated) as the row
-  // projection denominators.  Zero rows are legal — their weight is 0 and
-  // their inverse is 0, so the row is never preferred and its update no-ops.
-  row_sq_ = detail::row_sq_norms(a);
-  inv_row_sq_.resize(row_sq_.size());
-  for (std::size_t i = 0; i < row_sq_.size(); ++i)
-    inv_row_sq_[i] = row_sq_[i] > 0.0 ? 1.0 / row_sq_[i] : 0.0;
+  norms_ = lsq_norms(a, *at_);
   ++stats_.validation_passes;
   // A^T's column indices are row indices of A, so narrowing must fit the
   // larger of the two dimensions.
@@ -748,17 +672,7 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   require(at.rows() == a.cols() && at.cols() == a.rows(),
           "LsqProblem: `at` must be the transpose of `a`");
-  col_sq_ = detail::column_sq_norms(at);
-  for (double s : col_sq_)
-    require(s > 0.0, "LsqProblem: zero column (A must have full rank)");
-  // Kaczmarz prepare-time analysis: squared row norms double as the
-  // Strohmer-Vershynin sampling weights and (reciprocated) as the row
-  // projection denominators.  Zero rows are legal — their weight is 0 and
-  // their inverse is 0, so the row is never preferred and its update no-ops.
-  row_sq_ = detail::row_sq_norms(a);
-  inv_row_sq_.resize(row_sq_.size());
-  for (std::size_t i = 0; i < row_sq_.size(); ++i)
-    inv_row_sq_[i] = row_sq_[i] > 0.0 ? 1.0 / row_sq_[i] : 0.0;
+  norms_ = lsq_norms(a, at);
   ++stats_.validation_passes;
   storage_ =
       resolve_storage_policy(storage, std::max(a.rows(), a.cols()), a.nnz());
@@ -775,9 +689,7 @@ LsqProblem::LsqProblem(ThreadPool& pool, const LsqProblem& other)
       a32_(other.a32_),
       at32_(other.at32_),
       storage_(other.storage_),
-      col_sq_(other.col_sq_),
-      row_sq_(other.row_sq_),
-      inv_row_sq_(other.inv_row_sq_),
+      norms_(other.norms_),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   stats_.storage = storage_;
 }
@@ -829,7 +741,6 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
                                   std::vector<double>& x,
                                   const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  validate_sampling_controls(controls, "LsqProblem::solve");
   const index_t n = a.cols();
   const int workers = clamp_workers(controls.workers, pool_);
 
@@ -840,44 +751,24 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
   detail::LsqResidual residual(a, at, b, x.data(), workers,
                                scratch_->engine.reduce(workers), r, check);
 
-  detail::EngineSampling sampling;
-  std::optional<DirectionSampler> residual_sampler;
-  if (controls.sampling == SamplingPolicy::kWeighted) {
-    if (!weighted_cols_) {
-      // Coordinate-descent weights: the column squared norms already
-      // computed (full-width) at preparation.
-      weighted_cols_.emplace(DirectionSampler::weighted(col_sq_.data(), n));
-      ++stats_.sampler_builds;
-    }
-    sampling.sampler = &*weighted_cols_;
-  } else if (controls.sampling == SamplingPolicy::kResidual) {
-    std::vector<double> rbuf, w;
-    col_residual_weights(a, at, b, x.data(), rbuf, w);
-    residual_sampler.emplace(DirectionSampler::residual(w.data(), n));
-    sampling.sampler = &*residual_sampler;
-    const int period = std::max(1, controls.resample_sweeps);
-    DirectionSampler* const sampler = &*residual_sampler;
-    const double* const xp = x.data();
-    sampling.refresh = [&a, &at, &b, xp, sampler, period,
-                        rbuf = std::move(rbuf), w = std::move(w),
-                        calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      col_residual_weights(a, at, b, xp, rbuf, w);
-      sampler->rebuild(w.data(), static_cast<index_t>(w.size()));
-    };
-  }
+  // Coordinate-descent weights: the column squared norms computed
+  // (full-width) at preparation.
+  const DirectionSampler* const sampler = weighted_sampler(
+      controls.sampling, weighted_cols_,
+      [&]() -> const std::vector<double>& { return norms_->col_sq; },
+      stats_.sampler_builds);
 
   SolveOutcome out;
   WallTimer timer;
+  const detail::DirectionPlan plan(controls.seed, controls.scope, n, workers,
+                                   sampler);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::LsqUpdate<kAtomic, Index> update{
-        &a, &at, b.data(), col_sq_.data(), x.data(), controls.step_size};
-    detail::run_engine_sampled(pool_, controls, n, workers, sampling, update,
-                               residual, out, &scratch_->engine);
+        &a, &at, b.data(), norms_->col_sq.data(), x.data(), controls.step_size};
+    detail::run_engine(pool_, controls, plan, update, residual, out,
+                       &scratch_->engine);
   });
   out.seconds = timer.seconds();
-  if (residual_sampler)
-    stats_.sampler_builds += residual_sampler->rebuilds();
 
   describe_async(out, "AsyRCD least squares",
                  sync_name(controls.sync) + sampling_note(controls),
@@ -893,7 +784,6 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
                                            std::vector<double>& x,
                                            const SolveControls& controls) {
   using Index = typename Matrix::index_type;
-  validate_sampling_controls(controls, "LsqProblem::solve(kaczmarz)");
   // Directions are the ROWS of A (one sweep = m row projections), unlike
   // coordinate descent whose directions are columns.
   const index_t m = a.rows();
@@ -909,44 +799,27 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
   detail::LsqResidual residual(a, at, b, x.data(), workers,
                                scratch_->engine.reduce(workers), r, check);
 
-  detail::EngineSampling sampling;
-  std::optional<DirectionSampler> residual_sampler;
-  if (controls.sampling == SamplingPolicy::kWeighted) {
-    if (!weighted_rows_) {
-      // The Strohmer-Vershynin distribution p_i ∝ ||A_i||^2, from the
-      // prepare-time norms of the full-width matrix.
-      weighted_rows_.emplace(DirectionSampler::weighted(row_sq_.data(), m));
-      ++stats_.sampler_builds;
-    }
-    sampling.sampler = &*weighted_rows_;
-  } else if (controls.sampling == SamplingPolicy::kResidual) {
-    std::vector<double> w;
-    row_residual_weights(a, b, x.data(), w);
-    residual_sampler.emplace(DirectionSampler::residual(w.data(), m));
-    sampling.sampler = &*residual_sampler;
-    const int period = std::max(1, controls.resample_sweeps);
-    DirectionSampler* const sampler = &*residual_sampler;
-    const double* const xp = x.data();
-    sampling.refresh = [&a, &b, xp, sampler, period, w = std::move(w),
-                        calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      row_residual_weights(a, b, xp, w);
-      sampler->rebuild(w.data(), static_cast<index_t>(w.size()));
-    };
-  }
+  // The Strohmer-Vershynin distribution p_i ∝ ||A_i||^2, from the
+  // prepare-time norms of the full-width matrix.
+  const DirectionSampler* const sampler = weighted_sampler(
+      controls.sampling, weighted_rows_,
+      [&]() -> const std::vector<double>& { return norms_->row_sq; },
+      stats_.sampler_builds);
 
   SolveOutcome out;
   WallTimer timer;
+  const detail::DirectionPlan plan(controls.seed, controls.scope, m, workers,
+                                   sampler);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::KaczmarzUpdate<kAtomic, Index> update{
-        a.row_ptr().data(), a.col_idx().data(), a.values().data(), b.data(),
-        inv_row_sq_.data(), x.data(),           controls.step_size};
-    detail::run_engine_sampled(pool_, controls, m, workers, sampling, update,
-                               residual, out, &scratch_->engine);
+        a.row_ptr().data(),        a.col_idx().data(),
+        a.values().data(),         b.data(),
+        norms_->inv_row_sq.data(), x.data(),
+        controls.step_size};
+    detail::run_engine(pool_, controls, plan, update, residual, out,
+                       &scratch_->engine);
   });
   out.seconds = timer.seconds();
-  if (residual_sampler)
-    stats_.sampler_builds += residual_sampler->rebuilds();
 
   describe_async(out, "AsyKaczmarz least squares",
                  sync_name(controls.sync) + sampling_note(controls),

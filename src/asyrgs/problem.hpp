@@ -151,7 +151,6 @@ struct SolveControls {
   bool atomic_writes = true; ///< false = racy "non atomic" variant
   SyncMode sync = SyncMode::kFreeRunning;
   RandomizationScope scope = RandomizationScope::kShared;
-  double sync_interval_seconds = 0.05;  ///< kTimedBarrier rendezvous cadence
   bool track_history = false;
   /// Target on the method's convergence metric (relative residual; normal
   /// equations residual for least squares).  0 disables tolerance stopping.
@@ -160,16 +159,10 @@ struct SolveControls {
   int inner_sweeps = 2;
   /// Direction-draw distribution for the asynchronous methods (see
   /// sampling/direction_sampler.hpp).  kUniform is the paper's setting and
-  /// bit-identical to the pre-sampling engine.  Non-uniform policies
-  /// require RandomizationScope::kShared; kResidual additionally requires
-  /// a synchronizing mode (its table refreshes at rendezvous) and the
-  /// single-RHS paths.  kAsyncJacobi and the Krylov methods reject
-  /// non-uniform policies — they draw no random directions.
+  /// bit-identical to the pre-sampling engine.  kWeighted requires
+  /// RandomizationScope::kShared; kAsyncJacobi and the Krylov methods
+  /// reject it — they draw no random directions.
   SamplingPolicy sampling = SamplingPolicy::kUniform;
-  /// kResidual only: rebuild the residual-weighted table every this many
-  /// synchronization rendezvous (sweeps under kBarrierPerSweep, rounds
-  /// under kTimedBarrier).  Must be >= 1; see docs/TUNING.md for sizing.
-  int resample_sweeps = 8;
   /// Topology-aware partitioned scheduling (SpdProblem single-RHS AsyRGS
   /// only).  0 = off (the paper's any-worker-any-coordinate model).  >= 1
   /// reorders the operator by reverse Cuthill-McKee, cuts it into this many
@@ -241,11 +234,16 @@ struct ProblemScratch;
 /// diagonal reciprocals); defined in problem.cpp.
 struct SpdPartitionState;
 
-/// The operators an SpdProblem builds on demand — the compact natural-order
-/// copy and the partition analysis — each in a slot filled at most once
-/// and shared by a prototype and all its shard clones; defined in
-/// problem.cpp.
+/// The per-matrix state an SpdProblem shares with all its shard clones: the
+/// diagonal reciprocals, and the operators built on demand — the compact
+/// natural-order copy and the partition analysis — each in a slot filled
+/// at most once; defined in problem.cpp.
 struct SpdOperators;
+
+/// The least-squares norms an LsqProblem computes at preparation and shares
+/// with its shard clones (column and row squared norms, reciprocal row
+/// norms); defined in problem.cpp.
+struct LsqNorms;
 }  // namespace detail
 
 /// Counters of the preparation work a handle has performed — lets tests (and
@@ -267,9 +265,9 @@ struct ProblemStats {
   /// Storage policy resolved at preparation (what the asynchronous kernels
   /// run against).
   StoragePolicy storage = StoragePolicy::kInt64Double;
-  /// Alias-table build passes paid so far: 1 per lazily cached static
-  /// weighted sampler (amortized across solves), plus every residual-policy
-  /// build/refresh.  Repeat kWeighted solves must not increase this.
+  /// Alias-table builds paid so far: 1 per lazily cached weighted sampler
+  /// (amortized across solves).  Repeat kWeighted solves must not increase
+  /// this.
   long long sampler_builds = 0;
   /// RCM partition analyses this handle built (0 or 1): by
   /// prepare_partitions() or the first partitioned solve.  A prototype and
@@ -311,12 +309,12 @@ class SpdProblem {
   SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input = true,
              StorageMode storage = StorageMode::kAuto);
 
-  /// Shard clone: binds `pool` to the matrix of `other` and reuses its
+  /// Shard clone: binds `pool` to the matrix of `other` and shares its
   /// analysis (diagonal reciprocals and the symmetry verdict) instead of
-  /// re-validating, and shares its operator slots — the per-shard
-  /// construction path of SolverService, where N pools serve one analyzed
-  /// matrix.  Whichever handle fills a slot, before or after the clone was
-  /// taken, every sharer reads that one build.  O(n), no O(nnz) work; the
+  /// re-validating, and its operator slots — the per-shard construction
+  /// path of SolverService, where N pools serve one analyzed matrix.
+  /// Whichever handle fills a slot, before or after the clone was taken,
+  /// every sharer reads that one build.  Copies no per-matrix array; the
   /// clone's ProblemStats start at zero.  `other` must be fully
   /// constructed; cloning is safe concurrently with solves on `other`.
   SpdProblem(ThreadPool& pool, const SpdProblem& other);
@@ -330,9 +328,10 @@ class SpdProblem {
   /// rel_tol >= 1e-4 (the low-accuracy regime) and FCG+AsyRGS otherwise.
   ///
   /// Every solve, of every method and on both handles, first rejects
-  /// controls it cannot honour (throws Error): sweeps, workers and
-  /// max_iterations must be >= 0, rel_tol finite and >= 0, step_size in
-  /// (0, 2) and sync_interval_seconds > 0.  kAsyncJacobi further requires
+  /// controls it cannot honour (throws Error), before it builds anything:
+  /// sweeps, workers and max_iterations must be >= 0, rel_tol finite and
+  /// >= 0, step_size in (0, 2), and non-uniform sampling needs
+  /// RandomizationScope::kShared.  kAsyncJacobi further requires
   /// step_size <= 1, uniform sampling and no partitions.
   SolveOutcome solve(const std::vector<double>& b, std::vector<double>& x,
                      const SolveControls& controls = {});
@@ -403,14 +402,13 @@ class SpdProblem {
   ThreadPool& pool_;
   const CsrMatrix& a_;
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
-  std::vector<double> inv_diag_;
   /// kWeighted sampler (weights: squared row norms of the bound full-width
   /// matrix), built lazily on the first weighted solve and cached — guarded
   /// by mutex_ like all mutable solve state.
   std::optional<DirectionSampler> weighted_sampler_;
-  /// The compact copy and partition slots, shared with every clone (set at
-  /// construction, never reassigned; the slots synchronize their own
-  /// filling).
+  /// The reciprocals and the compact copy and partition slots, shared with
+  /// every clone (set at construction, never reassigned; the slots
+  /// synchronize their own filling).
   std::shared_ptr<detail::SpdOperators> operators_;
   mutable std::recursive_mutex mutex_;  // recursive: FCG solves re-enter via
                                         // the preconditioner's inner solves
@@ -440,11 +438,12 @@ class LsqProblem {
   LsqProblem(ThreadPool& pool, const CsrMatrix& a, const CsrMatrix& at,
              StorageMode storage = StorageMode::kAuto);
 
-  /// Shard clone: binds `pool` to the matrix of `other` and reuses its
-  /// analysis — the shared A^T (same instance, held through the matrix
-  /// cache) and the column squared-norm denominators — skipping the rank
-  /// check.  The clone's ProblemStats start at zero validation passes /
-  /// transpose builds.  Safe concurrently with solves on `other`.
+  /// Shard clone: binds `pool` to the matrix of `other` and shares its
+  /// analysis — the A^T (same instance, held through the matrix cache),
+  /// the compact copies and the norms — skipping the rank check, and
+  /// copying no per-matrix array.  The clone's ProblemStats start at zero
+  /// validation passes / transpose builds.  Safe concurrently with solves
+  /// on `other`.
   LsqProblem(ThreadPool& pool, const LsqProblem& other);
   ~LsqProblem();  // out-of-line: ProblemScratch is incomplete here
 
@@ -493,12 +492,11 @@ class LsqProblem {
   std::shared_ptr<const CsrMatrix32> a32_;
   std::shared_ptr<const CsrMatrix32> at32_;
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
-  std::vector<double> col_sq_;      // ||A_{:,j}||^2 update denominators
-  std::vector<double> row_sq_;      // ||A_i||^2 (Kaczmarz sampling weights)
-  std::vector<double> inv_row_sq_;  // 1/||A_i||^2 projection denominators
-                                    // (0 for zero rows: their update no-ops)
+  /// Prepare-time norms, shared with every clone.
+  std::shared_ptr<const detail::LsqNorms> norms_;
   /// Lazily cached kWeighted samplers — columns (coordinate descent,
-  /// weights col_sq_) and rows (Kaczmarz, weights row_sq_); mutex_-guarded.
+  /// weights ||A_{:,j}||^2) and rows (Kaczmarz, weights ||A_i||^2);
+  /// mutex_-guarded.
   std::optional<DirectionSampler> weighted_cols_;
   std::optional<DirectionSampler> weighted_rows_;
   mutable std::recursive_mutex mutex_;

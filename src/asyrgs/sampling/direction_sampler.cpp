@@ -29,8 +29,6 @@ const char* to_string(SamplingPolicy policy) noexcept {
       return "uniform";
     case SamplingPolicy::kWeighted:
       return "weighted";
-    case SamplingPolicy::kResidual:
-      return "residual";
   }
   return "unknown";
 }
@@ -48,8 +46,7 @@ void AliasTable::build(const double* weights, index_t n) {
     if (w > 0.0) total += w;
   }
   // Degenerate weights (all zero, or a non-finite sum) fall back to the
-  // uniform table rather than throwing: a residual refresh that lands on a
-  // numerically zero residual must not kill the solve.
+  // uniform table rather than throwing.
   if (!(total > 0.0) || !std::isfinite(total)) return;
 
   // Index-ordered two-stack Vose: scaled[i] = w_i * n / total; buckets
@@ -118,13 +115,7 @@ DirectionSampler DirectionSampler::uniform(index_t n) {
 
 DirectionSampler DirectionSampler::weighted(const double* weights, index_t n) {
   DirectionSampler s(SamplingPolicy::kWeighted, n);
-  s.rebuild(weights, n);
-  return s;
-}
-
-DirectionSampler DirectionSampler::residual(const double* weights, index_t n) {
-  DirectionSampler s(SamplingPolicy::kResidual, n);
-  s.rebuild(weights, n);
+  s.table_.build(weights, n);
   return s;
 }
 
@@ -138,14 +129,6 @@ void DirectionSampler::map_in_place(index_t* out,
     std::memcpy(&bits, &out[i], sizeof(bits));
     out[i] = table_.map(bits);
   }
-}
-
-void DirectionSampler::rebuild(const double* weights, index_t n) {
-  require(n == n_, "DirectionSampler: rebuild must keep the direction count");
-  require(policy_ != SamplingPolicy::kUniform,
-          "DirectionSampler: the uniform policy has no table to rebuild");
-  table_.build(weights, n);
-  ++rebuilds_;
 }
 
 }  // namespace asyrgs

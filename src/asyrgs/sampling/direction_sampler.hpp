@@ -17,26 +17,15 @@
 //              product bits*n splits into a bucket (high word) and a
 //              remainder uniform within the bucket (low word), compared
 //              against the bucket's fixed-point acceptance threshold.  The
-//              map is a pure per-position function, so the direction
-//              multiset stays invariant across worker counts.
-//   kResidual  same alias mechanics, but the weights are residual
-//              magnitudes and the table is rebuilt periodically — only at
-//              engine synchronization points, on worker 0, while the rest
-//              of the team is parked at the sweep barrier (the barrier
-//              provides the happens-before edge; no locks in the draw
-//              path).  Positions consumed between two rebuilds map through
-//              one table generation, so a fixed (seed, refresh inputs) run
-//              is reproducible; across worker counts the multiset is
-//              invariant whenever the refresh inputs coincide (trivially:
-//              until the first refresh, whose weights come from the
-//              deterministic initial iterate).
+//              map is a pure per-position function of a table that never
+//              changes during a run, so the direction multiset stays
+//              invariant across worker counts.
 //
 // Rates: sampling rows proportionally to ||A_i||^2 is the Strohmer-
 // Vershynin randomized Kaczmarz distribution, which the asynchronous
 // analysis of Liu, Wright & Sridhar (arXiv:1401.4780) carries to the
-// parallel setting; residual-weighted draws follow the adaptive
-// sketch-and-project line of Patel, Jahangoshahi & Maldonado
-// (arXiv:2104.04816, arXiv:2204.01653).  See docs/DESIGN.md.
+// parallel setting.  See docs/DESIGN.md; docs/TUNING.md "Removed knobs"
+// records why residual-weighted (adaptive) draws are not offered.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +39,6 @@ namespace asyrgs {
 enum class SamplingPolicy {
   kUniform = 0,  ///< every direction equally likely (the paper's setting)
   kWeighted,     ///< static weights via a Walker alias table
-  kResidual,     ///< residual-weighted, table rebuilt at sync points
 };
 
 [[nodiscard]] const char* to_string(SamplingPolicy policy) noexcept;
@@ -67,10 +55,9 @@ class AliasTable {
  public:
   AliasTable() = default;
 
-  /// Rebuilds the table from `n` weights.  Negative/NaN weights clamp to
+  /// Builds the table from `n` weights.  Negative/NaN weights clamp to
   /// zero; an all-zero (or non-finite-total) weight vector degenerates to
-  /// the uniform table.  Reuses the existing arrays when `n` matches, so a
-  /// residual-policy rebuild allocates nothing.
+  /// the uniform table.
   void build(const double* weights, index_t n);
 
   [[nodiscard]] index_t size() const noexcept {
@@ -105,13 +92,11 @@ class AliasTable {
 /// A sampling policy bound to a direction count, ready for the engine.
 ///
 /// Ownership/threading contract: the engine (the shared-stream
-/// DirectionPlan, built by run_engine_sampled) holds a const pointer and
-/// calls only `map`/`map_in_place` from worker threads.  `rebuild` may be
-/// called exclusively between the engine's synchronization barriers (worker 0,
-/// team parked) — the barriers order the writes against every later draw,
-/// so the draw path stays lock-free.
-/// A kUniform sampler (or a null pointer) leaves the engine's draw path
-/// byte-identical to the pre-sampling code.
+/// DirectionPlan) holds a const pointer and calls only `map`/`map_in_place`
+/// from worker threads.  A weighted table is built once, at construction,
+/// and never changes, so the draw path is lock-free.  A kUniform sampler (or
+/// a null pointer) leaves the engine's draw path byte-identical to the
+/// pre-sampling code.
 class DirectionSampler {
  public:
   /// Uniform policy over [0, n): no table, no mapping overhead.
@@ -119,11 +104,6 @@ class DirectionSampler {
 
   /// Static weighted policy (Walker alias table built once).
   [[nodiscard]] static DirectionSampler weighted(const double* weights,
-                                                 index_t n);
-
-  /// Residual-weighted policy seeded from initial weights; refresh via
-  /// rebuild() at engine sync points.
-  [[nodiscard]] static DirectionSampler residual(const double* weights,
                                                  index_t n);
 
   [[nodiscard]] SamplingPolicy policy() const noexcept { return policy_; }
@@ -145,15 +125,6 @@ class DirectionSampler {
   /// Philox4x32::fill_at_strided) and is mapped to directions in place.
   void map_in_place(index_t* out, std::size_t count) const noexcept;
 
-  /// Replaces the table from fresh weights (residual policy refresh).  See
-  /// the class contract for when this may be called.
-  void rebuild(const double* weights, index_t n);
-
-  /// Number of build() passes this sampler has paid (1 after construction
-  /// for the weighted policies) — surfaced through ProblemStats so tests
-  /// can assert prepare-once amortization.
-  [[nodiscard]] long long rebuilds() const noexcept { return rebuilds_; }
-
   [[nodiscard]] const AliasTable& table() const noexcept { return table_; }
 
  private:
@@ -163,7 +134,6 @@ class DirectionSampler {
   SamplingPolicy policy_ = SamplingPolicy::kUniform;
   index_t n_ = 0;
   AliasTable table_;
-  long long rebuilds_ = 0;
 };
 
 }  // namespace asyrgs

@@ -12,7 +12,7 @@
 //      single-worker results vs. the sequential reference (the old path's
 //      observable contract).
 //  Plus the owner-computes stream written out, the free-running contract
-//  (one untimed round: no residual call, the whole budget reported), the
+//  (one drain: no residual call, the whole budget reported), the
 //  cyclic plan of chaotic relaxation (each sweep a permutation of the rows,
 //  each row with one writer), the exact-check schedule of tolerance-stopped
 //  barrier runs, driven with a synthetic residual, and the oversubscription
@@ -258,12 +258,10 @@ TEST(DirectionMultiset, EngineConsumptionMatchesSequentialAllModes) {
   SolveControls base;
   base.seed = 33;
   base.sweeps = 50;
-  base.sync_interval_seconds = 0.005;
   const std::vector<index_t> expected =
       sequential_multiset(base.seed, n, base.sweeps);
 
-  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
-                        SyncMode::kTimedBarrier}) {
+  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
     for (int workers : {1, 2, 4}) {
       SolveControls controls = base;
       controls.sync = sync;
@@ -272,9 +270,10 @@ TEST(DirectionMultiset, EngineConsumptionMatchesSequentialAllModes) {
           static_cast<std::size_t>(workers));
       SolveOutcome out;
       auto residual = [](int, int) { return 0.0; };
-      detail::run_engine_sampled(pool, controls, n, workers,
-                                 detail::EngineSampling{},
-                                 RecordingUpdate{&per_worker}, residual, out);
+      detail::run_engine(pool, controls,
+                         detail::DirectionPlan(controls.seed, controls.scope,
+                                               n, workers),
+                         RecordingUpdate{&per_worker}, residual, out);
       std::vector<index_t> all;
       for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
       std::sort(all.begin(), all.end());
@@ -298,8 +297,10 @@ TEST(DirectionMultiset, EngineHandlesMoreWorkersThanRows) {
     std::vector<std::vector<index_t>> per_worker(5);
     SolveOutcome out;
     auto residual = [](int, int) { return 0.0; };
-    detail::run_engine_sampled(pool, controls, n, 5, detail::EngineSampling{},
-                               RecordingUpdate{&per_worker}, residual, out);
+    detail::run_engine(pool, controls,
+                       detail::DirectionPlan(controls.seed, controls.scope, n,
+                                             5),
+                       RecordingUpdate{&per_worker}, residual, out);
     std::vector<index_t> all;
     for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
     std::sort(all.begin(), all.end());
@@ -307,7 +308,7 @@ TEST(DirectionMultiset, EngineHandlesMoreWorkersThanRows) {
   }
 }
 
-// --- free running: one untimed round, no rendezvous ------------------------
+// --- free running: one drain, no rendezvous ---------------------------------
 
 TEST(FreeRunning, NeverChecksAndReportsTheWholeBudget) {
   // kFreeRunning has no synchronization point, so even with a tolerance and
@@ -340,9 +341,10 @@ TEST(FreeRunning, NeverChecksAndReportsTheWholeBudget) {
         return 0.0;
       };
       SolveOutcome out;
-      detail::run_engine_sampled(pool, controls, c.n, c.workers,
-                                 detail::EngineSampling{}, update, residual,
-                                 out);
+      detail::run_engine(pool, controls,
+                         detail::DirectionPlan(controls.seed, controls.scope,
+                                               c.n, c.workers),
+                         update, residual, out);
       const long long budget = static_cast<long long>(c.sweeps) * c.n;
       const std::string label = "n=" + std::to_string(c.n) +
                                 " workers=" + std::to_string(c.workers) +
@@ -469,15 +471,15 @@ TEST(CyclicPlan, ForTeamReplansTheOwnedRows) {
 }
 
 TEST(CyclicPlan, EngineUpdatesEveryRowOncePerSweepFromOneWorker) {
-  // Through run_engine in every sync mode: each row is updated exactly
+  // Through run_engine in both sync modes: each row is updated exactly
   // `sweeps` times, always by the worker that owns it.
   ThreadPool pool(4);
   const index_t n = 101;
   const int sweeps = 7;
   for (RandomizationScope scope : kScopes) {
     for (int team : {1, 3}) {
-      for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
-                            SyncMode::kTimedBarrier}) {
+      for (SyncMode sync :
+           {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
         const std::string label = "team=" + std::to_string(team) +
                                   " scope=" +
                                   std::to_string(static_cast<int>(scope)) +
@@ -486,15 +488,13 @@ TEST(CyclicPlan, EngineUpdatesEveryRowOncePerSweepFromOneWorker) {
         SolveControls controls;
         controls.sweeps = sweeps;
         controls.sync = sync;
-        controls.sync_interval_seconds = 0.001;
         std::vector<std::vector<index_t>> per_worker(
             static_cast<std::size_t>(team));
         SolveOutcome out;
         auto residual = [](int, int) { return 0.0; };
         detail::run_engine(pool, controls,
                            detail::DirectionPlan::cyclic(scope, n, team),
-                           /*refresh=*/{}, RecordingUpdate{&per_worker},
-                           residual, out);
+                           RecordingUpdate{&per_worker}, residual, out);
         EXPECT_EQ(out.updates, static_cast<long long>(sweeps) * n) << label;
         EXPECT_EQ(out.iterations, sweeps) << label;
         std::vector<int> writer(static_cast<std::size_t>(n), -1);
@@ -612,8 +612,9 @@ SyntheticRun run_synthetic(SolveControls controls, Value value) {
     run.checked.push_back(sweep);
     return value(sweep);
   };
-  detail::run_engine_sampled(pool, controls, n, 1, detail::EngineSampling{},
-                             CountingUpdate{&updates}, residual, run.report);
+  detail::run_engine(pool, controls,
+                     detail::DirectionPlan(controls.seed, controls.scope, n, 1),
+                     CountingUpdate{&updates}, residual, run.report);
   return run;
 }
 

@@ -1,7 +1,6 @@
-// Tests for the extension features: owner-computes randomization, timed
-// synchronization, the event-driven delay schedule, the high-level solve
-// API, topic-structured Gram generation, block-coupled matrices, and
-// column compression.
+// Tests for the extension features: owner-computes randomization, the
+// event-driven delay schedule, the high-level solve API, topic-structured
+// Gram generation, block-coupled matrices, and column compression.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -70,63 +69,6 @@ TEST(OwnerComputes, BarrierBlockVariantWorks) {
   const auto diffs = column_diff_norms(x, x_star);
   const auto norms = column_norms(x_star);
   for (index_t c = 0; c < 3; ++c) EXPECT_LT(diffs[c] / norms[c], 1e-4);
-}
-
-// --- timed synchronization ------------------------------------------------------
-
-TEST(TimedBarrier, SolvesToToleranceAndStopsEarly) {
-  ThreadPool pool(8);
-  const CsrMatrix a = laplacian_2d(16, 16);
-  const std::vector<double> x_star = random_vector(a.rows(), 9);
-  const std::vector<double> b = rhs_from_solution(a, x_star);
-
-  std::vector<double> x(a.rows(), 0.0);
-  SolveControls opt;
-  opt.method = SpdMethod::kAsyncRgs;
-  opt.sweeps = 1000000;  // budget far beyond need: must stop on tolerance
-  opt.workers = 8;
-  opt.sync = SyncMode::kTimedBarrier;
-  opt.sync_interval_seconds = 0.002;
-  opt.rel_tol = 1e-8;
-  opt.track_history = true;
-  const SolveOutcome rep =
-      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
-  EXPECT_TRUE(rep.converged());
-  EXPECT_LT(relative_residual(a, b, x), 1e-7);
-  EXPECT_FALSE(rep.residual_history.empty());
-  EXPECT_LT(rep.updates,
-            static_cast<long long>(opt.sweeps) *
-                static_cast<long long>(a.rows()));
-}
-
-TEST(TimedBarrier, ExhaustsBudgetWithoutTolerance) {
-  ThreadPool pool(4);
-  const CsrMatrix a = laplacian_2d(8, 8);
-  const std::vector<double> b = random_vector(a.rows(), 11);
-  std::vector<double> x(a.rows(), 0.0);
-  SolveControls opt;
-  opt.method = SpdMethod::kAsyncRgs;
-  opt.sweeps = 50;
-  opt.workers = 4;
-  opt.sync = SyncMode::kTimedBarrier;
-  opt.sync_interval_seconds = 0.001;
-  const SolveOutcome rep =
-      SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
-  EXPECT_EQ(rep.updates,
-            static_cast<long long>(50) * static_cast<long long>(a.rows()));
-}
-
-TEST(TimedBarrier, RejectsNonPositiveInterval) {
-  ThreadPool pool(2);
-  const CsrMatrix a = laplacian_1d(10);
-  const std::vector<double> b = random_vector(10, 1);
-  std::vector<double> x(10, 0.0);
-  SolveControls opt;
-  opt.method = SpdMethod::kAsyncRgs;
-  opt.sync = SyncMode::kTimedBarrier;
-  opt.sync_interval_seconds = 0.0;
-  SpdProblem problem(pool, a, /*check_input=*/false);
-  EXPECT_THROW(problem.solve(b, x, opt), Error);
 }
 
 // --- event-driven schedule ---------------------------------------------------------

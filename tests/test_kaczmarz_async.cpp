@@ -68,7 +68,7 @@ SolveControls kaczmarz_controls(SamplingPolicy sampling, int workers) {
   c.workers = workers;
   c.sweeps = 400;
   c.rel_tol = 1e-9;
-  c.sync = SyncMode::kBarrierPerSweep;  // residual policy needs rendezvous
+  c.sync = SyncMode::kBarrierPerSweep;  // a tolerance needs rendezvous
   return c;
 }
 
@@ -78,8 +78,7 @@ TEST(AsyncKaczmarz, SolvesConsistentRectangularSystemEveryPolicyAndTeam) {
   LsqProblem problem(pool, p.a);
 
   for (SamplingPolicy sampling :
-       {SamplingPolicy::kUniform, SamplingPolicy::kWeighted,
-        SamplingPolicy::kResidual}) {
+       {SamplingPolicy::kUniform, SamplingPolicy::kWeighted}) {
     for (int workers : {1, 2, 4}) {
       std::vector<double> x(100, 0.0);
       const SolveOutcome out =
@@ -145,8 +144,7 @@ TEST(AsyncKaczmarz, OneWorkerPinnedRunsAreBitReproducible) {
   LsqProblem problem(pool, p.a);
 
   for (SamplingPolicy sampling :
-       {SamplingPolicy::kUniform, SamplingPolicy::kWeighted,
-        SamplingPolicy::kResidual}) {
+       {SamplingPolicy::kUniform, SamplingPolicy::kWeighted}) {
     SolveControls c = kaczmarz_controls(sampling, 1);
     c.sweeps = 40;
     c.rel_tol = 0.0;  // fixed budget: identical work both runs
@@ -178,15 +176,6 @@ TEST(AsyncKaczmarz, WeightedSamplerIsBuiltOncePerHandle) {
   }
   // Repeat weighted solves reuse the cached alias table.
   EXPECT_EQ(problem.stats().sampler_builds, after_first);
-
-  // Residual solves rebuild per solve (initial table + periodic refreshes).
-  SolveControls r = kaczmarz_controls(SamplingPolicy::kResidual, 1);
-  r.sweeps = 20;
-  r.rel_tol = 0.0;
-  r.resample_sweeps = 4;
-  x.assign(50, 0.0);
-  problem.solve(p.b, x, r);
-  EXPECT_GT(problem.stats().sampler_builds, after_first);
 }
 
 TEST(AsyncKaczmarz, SequentialBaselineAgreesOnTheSolution) {
@@ -280,31 +269,9 @@ TEST(SamplingValidation, SpdProblemRejectsKaczmarzAndKrylovSampling) {
   EXPECT_THROW(problem.solve(b, x, cg), Error);
 }
 
-TEST(SamplingValidation, ResidualPolicyNeedsRendezvousAndSanePeriod) {
-  const CsrMatrix a = laplacian_1d(16);
-  ThreadPool pool(2);
-  SpdProblem problem(pool, a);
-  std::vector<double> b(16, 1.0);
-  std::vector<double> x(16, 0.0);
-
-  SolveControls c;
-  c.method = SpdMethod::kAsyncRgs;
-  c.sampling = SamplingPolicy::kResidual;
-  c.sync = SyncMode::kFreeRunning;  // no rendezvous: refresh cannot run
-  EXPECT_THROW(problem.solve(b, x, c), Error);
-
-  c.sync = SyncMode::kBarrierPerSweep;
-  c.resample_sweeps = 0;
-  EXPECT_THROW(problem.solve(b, x, c), Error);
-
-  c.resample_sweeps = 2;
-  c.sweeps = 30;
-  c.rel_tol = 1e-8;
-  const SolveOutcome out = problem.solve(b, x, c);  // the valid combination
-  EXPECT_EQ(out.sampling_used, SamplingPolicy::kResidual);
-}
-
 TEST(SamplingValidation, NonUniformPoliciesRequireSharedScope) {
+  // The rule is checked with the other controls, before a solve builds the
+  // compact copy or the alias table its kernels would read.
   const CsrMatrix a = laplacian_1d(16);
   ThreadPool pool(2);
   SpdProblem problem(pool, a);
@@ -316,6 +283,11 @@ TEST(SamplingValidation, NonUniformPoliciesRequireSharedScope) {
   c.sampling = SamplingPolicy::kWeighted;
   c.scope = RandomizationScope::kOwnerComputes;
   EXPECT_THROW(problem.solve(b, x, c), Error);
+  MultiVector bb(16, 2);
+  MultiVector xb(16, 2);
+  EXPECT_THROW(problem.solve(bb, xb, c), Error);
+  EXPECT_EQ(problem.stats().compact_builds, 0);
+  EXPECT_EQ(problem.stats().sampler_builds, 0);
 }
 
 TEST(SamplingValidation, LsqProblemRejectsKrylovMethods) {

@@ -152,11 +152,12 @@ TEST(AsyncLsq, OwnerComputesScopeConverges) {
   }
 }
 
-TEST(AsyncLsq, TimedBarrierSyncsAndStopsAtTolerance) {
-  // PR-2 behavior previously untested: real timed-barrier rendezvous in the
-  // least-squares solver.  The run must hit the tolerance, record a
-  // residual history entry per rendezvous, and stop early rather than
-  // consuming the (deliberately oversized) sweep budget.
+TEST(AsyncLsq, BarrierRunTracksHistoryAndStopsAtTolerance) {
+  // A multi-worker least-squares run with history: the residual check
+  // crosses LsqResidual's pre-reduction barrier every sweep.  The run must
+  // hit the tolerance, record a residual history entry per rendezvous, and
+  // stop early rather than consuming the (deliberately oversized) sweep
+  // budget.
   ThreadPool pool(2);
   LsqFixture p = consistent_problem(500, 160, 43);
   std::vector<double> x(160, 0.0);
@@ -166,8 +167,7 @@ TEST(AsyncLsq, TimedBarrierSyncsAndStopsAtTolerance) {
   opt.seed = 47;
   opt.step_size = 0.9;
   opt.workers = 2;
-  opt.sync = SyncMode::kTimedBarrier;
-  opt.sync_interval_seconds = 0.002;
+  opt.sync = SyncMode::kBarrierPerSweep;
   opt.track_history = true;
   opt.rel_tol = 1e-6;
   const SolveOutcome rep = LsqProblem(pool, p.a).solve(p.b, x, opt);

@@ -27,7 +27,6 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
   opt.workers = 8;
   opt.sync = sync;
   opt.scope = scope;
-  opt.sync_interval_seconds = 0.002;
   // Free-running mode cannot stop early; give it a fixed budget instead.
   if (sync != SyncMode::kFreeRunning) opt.rel_tol = 1e-7;
   const SolveOutcome rep =
@@ -64,7 +63,6 @@ TEST_P(ModeComboTest, BlockSolvesUnderEveryCombination) {
   opt.workers = 8;
   opt.sync = sync;
   opt.scope = scope;
-  opt.sync_interval_seconds = 0.002;
   if (sync != SyncMode::kFreeRunning) opt.rel_tol = 1e-7;
   SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
 
@@ -81,8 +79,7 @@ TEST_P(ModeComboTest, BlockSolvesUnderEveryCombination) {
 INSTANTIATE_TEST_SUITE_P(
     AllCombinations, ModeComboTest,
     ::testing::Combine(::testing::Values(SyncMode::kFreeRunning,
-                                         SyncMode::kBarrierPerSweep,
-                                         SyncMode::kTimedBarrier),
+                                         SyncMode::kBarrierPerSweep),
                        ::testing::Values(RandomizationScope::kShared,
                                          RandomizationScope::kOwnerComputes)));
 
@@ -122,30 +119,6 @@ TEST(ModeCombo, ToleranceSolveHonoursSweepCap) {
   const SolveOutcome s = SpdProblem(pool, a).solve(b, x, controls);
   EXPECT_EQ(s.status, SolveStatus::kToleranceNotReached);
   EXPECT_LE(s.iterations, 3);
-}
-
-TEST(ModeCombo, LsqComposesWithTimedBarrier) {
-  ThreadPool pool(8);
-  SocialGramOptions gopt;
-  gopt.terms = 300;
-  gopt.documents = 2000;
-  gopt.seed = 11;
-  const CsrMatrix f = drop_empty_columns(make_social_gram(gopt).factor).matrix;
-  const std::vector<double> coeffs = random_vector(f.cols(), 13);
-  const std::vector<double> labels = rhs_from_solution(f, coeffs);
-
-  std::vector<double> x(f.cols(), 0.0);
-  SolveControls opt;
-  opt.method = SpdMethod::kAsyncRgs;
-  opt.sweeps = 4000;
-  opt.workers = 8;
-  opt.step_size = 0.9;
-  opt.sync = SyncMode::kTimedBarrier;
-  opt.sync_interval_seconds = 0.002;
-  opt.rel_tol = 1e-8;
-  const SolveOutcome rep = LsqProblem(pool, f).solve(labels, x, opt);
-  EXPECT_TRUE(rep.converged());
-  EXPECT_LT(nrm2(subtract(x, coeffs)) / nrm2(coeffs), 1e-5);
 }
 
 }  // namespace

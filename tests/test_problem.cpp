@@ -83,8 +83,7 @@ CsrMatrix tall_matrix(index_t rows, index_t cols, std::uint64_t seed) {
 }
 
 constexpr SyncMode kSyncModes[] = {SyncMode::kFreeRunning,
-                                   SyncMode::kBarrierPerSweep,
-                                   SyncMode::kTimedBarrier};
+                                   SyncMode::kBarrierPerSweep};
 
 // --- (a) bit-identity of fresh and reused handles ----------------------------
 
@@ -100,7 +99,6 @@ TEST(PreparedSpd, SecondSolveBitIdenticalToFreshHandleOneWorker) {
     controls.seed = 17;
     controls.workers = 1;
     controls.sync = sync;
-    controls.sync_interval_seconds = 0.002;
 
     // A one-shot solve on a fresh, unvalidated handle...
     std::vector<double> x_fresh(a.rows(), 0.0);
@@ -137,7 +135,6 @@ TEST(PreparedSpd, OwnerComputesBitIdenticalAcrossWorkersAndSyncModes) {
       controls.workers = workers;
       controls.sync = sync;
       controls.scope = RandomizationScope::kOwnerComputes;
-      controls.sync_interval_seconds = 0.002;
 
       std::vector<double> x_fresh(a.rows(), 0.0);
       SpdProblem(pool, a, /*check_input=*/false).solve(b, x_fresh, controls);
@@ -211,7 +208,6 @@ TEST(PreparedSpd, NestedSolveRunsOnOneWorkerAndReportsIt) {
       controls.sync = sync;
       controls.scope = sc.scope;
       controls.partitions = sc.partitions;
-      controls.sync_interval_seconds = 0.002;
 
       controls.workers = 1;
       std::vector<double> x_one(a.rows(), 0.0);
@@ -484,35 +480,32 @@ TEST(SolveOutcomeStatus, ConvergedToleranceMissedAndBudgetCompleted) {
 }
 
 TEST(SolveOutcomeStatus, ZeroSweepBudgetReportsTheResidualOfX0) {
-  // Both synchronizing modes return x0 untouched and report its residual.
+  // The synchronizing mode returns x0 untouched and reports its residual.
   ThreadPool pool(2);
   const CsrMatrix a = laplacian_2d(8, 8);
   const std::vector<double> x_star = random_vector(a.rows(), 9);
   const std::vector<double> b = rhs_from_solution(a, x_star);
   SpdProblem problem(pool, a);
-  for (SyncMode sync : {SyncMode::kBarrierPerSweep, SyncMode::kTimedBarrier}) {
-    for (int workers : {1, 2}) {
-      SolveControls controls;
-      controls.method = SpdMethod::kAsyncRgs;
-      controls.workers = workers;
-      controls.sweeps = 0;
-      controls.rel_tol = 1e-3;
-      controls.sync = sync;
-      std::vector<double> x(a.rows(), 0.0);
-      SolveOutcome out = problem.solve(b, x, controls);
-      EXPECT_EQ(out.status, SolveStatus::kToleranceNotReached);
-      EXPECT_EQ(out.iterations, 0);
-      EXPECT_EQ(out.updates, 0);
-      EXPECT_NEAR(out.relative_residual, 1.0, 1e-14)
-          << "sync=" << static_cast<int>(sync) << " workers=" << workers;
-      EXPECT_EQ(x, std::vector<double>(a.rows(), 0.0));
+  for (int workers : {1, 2}) {
+    SolveControls controls;
+    controls.method = SpdMethod::kAsyncRgs;
+    controls.workers = workers;
+    controls.sweeps = 0;
+    controls.rel_tol = 1e-3;
+    controls.sync = SyncMode::kBarrierPerSweep;
+    std::vector<double> x(a.rows(), 0.0);
+    SolveOutcome out = problem.solve(b, x, controls);
+    EXPECT_EQ(out.status, SolveStatus::kToleranceNotReached);
+    EXPECT_EQ(out.iterations, 0);
+    EXPECT_EQ(out.updates, 0);
+    EXPECT_NEAR(out.relative_residual, 1.0, 1e-14) << "workers=" << workers;
+    EXPECT_EQ(x, std::vector<double>(a.rows(), 0.0));
 
-      // Started at the solution, a zero budget has already converged.
-      x = x_star;
-      out = problem.solve(b, x, controls);
-      EXPECT_EQ(out.status, SolveStatus::kConverged);
-      EXPECT_LE(out.relative_residual, 1e-12);
-    }
+    // Started at the solution, a zero budget has already converged.
+    x = x_star;
+    out = problem.solve(b, x, controls);
+    EXPECT_EQ(out.status, SolveStatus::kConverged);
+    EXPECT_LE(out.relative_residual, 1e-12);
   }
 }
 
@@ -625,10 +618,9 @@ TEST(ControlsValidation, ChaoticRelaxationRejectsWhatItCannotHonour) {
   SolveControls controls = barrier_controls();
   controls.method = SpdMethod::kAsyncJacobi;
 
-  for (SamplingPolicy sampling :
-       {SamplingPolicy::kWeighted, SamplingPolicy::kResidual}) {
+  {
     SolveControls c = controls;
-    c.sampling = sampling;
+    c.sampling = SamplingPolicy::kWeighted;
     expect_spd_rejects(problem, c, {SpdMethod::kAsyncJacobi}, "sampling");
     // The message names the method it rejects.
     const std::vector<double> b = random_vector(a.rows(), 3);
@@ -966,7 +958,7 @@ TEST(StatusRule, EveryAsynchronousPathAndSyncMode) {
     const char* name;
     int sweeps;
     double rel_tol;
-    SolveStatus synchronized;  ///< expected under both synchronizing modes
+    SolveStatus synchronized;  ///< expected under kBarrierPerSweep
   };
   constexpr Case kCases[] = {
       {"met", 5000, 1e-3, SolveStatus::kConverged},
@@ -983,7 +975,6 @@ TEST(StatusRule, EveryAsynchronousPathAndSyncMode) {
         controls.workers = 2;
         controls.seed = 5;
         controls.sync = sync;
-        controls.sync_interval_seconds = 0.002;
         controls.sweeps = c.sweeps;
         controls.rel_tol = c.rel_tol;
         const CheckedSolve s = solve_checked(path, pool, controls);

@@ -1,9 +1,10 @@
-// Sampling subsystem tests (sampling/direction_sampler.hpp + the engine's
-// sampled entry point): alias-table build determinism (golden hashes),
-// probability exactness, the raw-bits strided fill, uniform-policy
-// bit-identity with the pre-sampling draw path, and the load-bearing
-// engine invariant — the direction multiset of a fixed (seed, policy) run
-// is identical at 1, 2, and 4 workers for every sampling policy.
+// Sampling subsystem tests (sampling/direction_sampler.hpp + the
+// DirectionPlan's weighted draws): alias-table build determinism (golden
+// hashes), probability exactness, the raw-bits strided fill, uniform-policy
+// bit-identity with the pre-sampling draw path, the plan's sampler
+// contract, and the load-bearing engine invariant — the direction multiset
+// of a fixed (seed, policy) run is identical at 1, 2, and 4 workers for
+// every sampling policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -127,7 +128,6 @@ TEST(DirectionSampler, MapInPlaceEqualsScalarMap) {
   const DirectionSampler s =
       DirectionSampler::weighted(w.data(), static_cast<index_t>(w.size()));
   EXPECT_TRUE(s.weighted_draws());
-  EXPECT_EQ(s.rebuilds(), 1);
 
   const Philox4x32 gen(99);
   std::vector<std::uint64_t> bits(301);
@@ -141,22 +141,6 @@ TEST(DirectionSampler, MapInPlaceEqualsScalarMap) {
   s.map_in_place(batched.data(), batched.size());
   for (std::size_t i = 0; i < bits.size(); ++i)
     ASSERT_EQ(batched[i], s.map(bits[i])) << "i=" << i;
-}
-
-TEST(DirectionSampler, RebuildCountsAndChangesTheTable) {
-  std::vector<double> w = {1.0, 1.0, 1.0, 1.0};
-  DirectionSampler s = DirectionSampler::residual(w.data(), 4);
-  EXPECT_EQ(s.policy(), SamplingPolicy::kResidual);
-  EXPECT_EQ(s.rebuilds(), 1);
-  const std::uint64_t before = s.table().fnv1a();
-  w = {0.0, 0.0, 10.0, 0.0};
-  s.rebuild(w.data(), 4);
-  EXPECT_EQ(s.rebuilds(), 2);
-  EXPECT_NE(s.table().fnv1a(), before);
-  // Concentrated weights: every draw maps to index 2.
-  const Philox4x32 gen(3);
-  for (int i = 0; i < 100; ++i)
-    ASSERT_EQ(s.map(gen.at(static_cast<std::uint64_t>(i))), 2);
 }
 
 // --- DirectionPlan with a sampler -------------------------------------------
@@ -220,15 +204,17 @@ struct RecordingUpdate {
 std::vector<index_t> engine_multiset(ThreadPool& pool,
                                      const SolveControls& base, index_t n,
                                      int workers,
-                                     const detail::EngineSampling& sampling) {
+                                     const DirectionSampler* sampler) {
   SolveControls controls = base;
   controls.workers = workers;
   std::vector<std::vector<index_t>> per_worker(
       static_cast<std::size_t>(workers));
   SolveOutcome out;
   auto residual = [](int, int) { return 0.0; };
-  detail::run_engine_sampled(pool, controls, n, workers, sampling,
-                             RecordingUpdate{&per_worker}, residual, out);
+  detail::run_engine(
+      pool, controls,
+      detail::DirectionPlan(controls.seed, controls.scope, n, workers, sampler),
+      RecordingUpdate{&per_worker}, residual, out);
   std::vector<index_t> all;
   for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
@@ -252,65 +238,13 @@ TEST(SampledEngine, MultisetInvariantAcrossWorkerCountsPerPolicy) {
   for (const DirectionSampler* s : {static_cast<const DirectionSampler*>(
                                         nullptr),
                                     &uniform, &weighted}) {
-    detail::EngineSampling sampling;
-    sampling.sampler = s;
-    const std::vector<index_t> expected =
-        engine_multiset(pool, base, n, 1, sampling);
+    const std::vector<index_t> expected = engine_multiset(pool, base, n, 1, s);
     for (int workers : {2, 4}) {
-      EXPECT_EQ(engine_multiset(pool, base, n, workers, sampling), expected)
+      EXPECT_EQ(engine_multiset(pool, base, n, workers, s), expected)
           << "policy="
           << (s ? to_string(s->policy()) : "null") << " workers=" << workers;
     }
   }
-}
-
-TEST(SampledEngine, ResidualRefreshIsDeterministicAndWorkerCountInvariant) {
-  // A refresh whose inputs do not depend on the iterate (here: weights
-  // keyed by the rendezvous counter) must keep the multiset invariant
-  // across worker counts — refreshes happen at the same global stream
-  // boundaries (sweep ends) for every team size.
-  ThreadPool pool(4);
-  const index_t n = 37;
-  SolveControls base;
-  base.seed = 91;
-  base.sweeps = 24;
-  base.sync = SyncMode::kBarrierPerSweep;
-
-  const auto make = [n](DirectionSampler& sampler,
-                        detail::EngineSampling& sampling, int period) {
-    sampling.sampler = &sampler;
-    sampling.refresh = [&sampler, n, period, calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      std::vector<double> w(static_cast<std::size_t>(n));
-      for (index_t i = 0; i < n; ++i)
-        w[static_cast<std::size_t>(i)] =
-            1.0 + static_cast<double>((i + calls) % 5);
-      sampler.rebuild(w.data(), n);
-    };
-  };
-
-  std::vector<double> w0(static_cast<std::size_t>(n), 1.0);
-  DirectionSampler s1 = DirectionSampler::residual(w0.data(), n);
-  detail::EngineSampling sampling1;
-  make(s1, sampling1, 4);
-  const std::vector<index_t> expected =
-      engine_multiset(pool, base, n, 1, sampling1);
-  EXPECT_GT(s1.rebuilds(), 1);  // the refresh hook actually fired
-
-  for (int workers : {2, 4}) {
-    DirectionSampler s = DirectionSampler::residual(w0.data(), n);
-    detail::EngineSampling sampling;
-    make(s, sampling, 4);
-    EXPECT_EQ(engine_multiset(pool, base, n, workers, sampling), expected)
-        << "workers=" << workers;
-  }
-
-  // And the whole construction is reproducible: a fresh identical run
-  // yields the identical multiset.
-  DirectionSampler s2 = DirectionSampler::residual(w0.data(), n);
-  detail::EngineSampling sampling2;
-  make(s2, sampling2, 4);
-  EXPECT_EQ(engine_multiset(pool, base, n, 1, sampling2), expected);
 }
 
 TEST(SampledEngine, WeightedDrawsFollowTheTable) {
@@ -320,59 +254,31 @@ TEST(SampledEngine, WeightedDrawsFollowTheTable) {
   std::vector<double> w(static_cast<std::size_t>(n), 0.0);
   w[7] = 1.0;
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), n);
-  detail::EngineSampling sampling;
-  sampling.sampler = &sampler;
   SolveControls opt;
   opt.seed = 3;
   opt.sweeps = 5;
   opt.sync = SyncMode::kBarrierPerSweep;
   const std::vector<index_t> all =
-      engine_multiset(pool, opt, n, 2, sampling);
+      engine_multiset(pool, opt, n, 2, &sampler);
   EXPECT_EQ(all.size(),
             static_cast<std::size_t>(n) * static_cast<std::size_t>(5));
   for (index_t r : all) ASSERT_EQ(r, 7);
 }
 
-TEST(SampledEngine, RejectsRefreshUnderFreeRunning) {
-  // Residual refresh needs the rendezvous barriers' happens-before edge;
-  // the engine refuses the combination outright.
-  ThreadPool pool(2);
-  const index_t n = 11;
-  std::vector<double> w(static_cast<std::size_t>(n), 1.0);
-  DirectionSampler sampler = DirectionSampler::residual(w.data(), n);
-  detail::EngineSampling sampling;
-  sampling.sampler = &sampler;
-  sampling.refresh = [] {};
-  SolveControls opt;
-  opt.seed = 1;
-  opt.sweeps = 2;
-  opt.sync = SyncMode::kFreeRunning;
-  std::vector<std::vector<index_t>> per_worker(1);
-  SolveOutcome out;
-  auto residual = [](int, int) { return 0.0; };
-  EXPECT_THROW(detail::run_engine_sampled(pool, opt, n, 1, sampling,
-                                          RecordingUpdate{&per_worker},
-                                          residual, out),
-               Error);
-}
-
-TEST(SampledEngine, RejectsSamplerSizeMismatch) {
-  ThreadPool pool(2);
+// The plan enforces the weighted-sampler contract in every build type.
+TEST(DirectionPlan, RejectsSamplerItCannotDraw) {
   std::vector<double> w(8, 1.0);
-  const DirectionSampler sampler = DirectionSampler::weighted(w.data(), 8);
-  detail::EngineSampling sampling;
-  sampling.sampler = &sampler;
-  SolveControls opt;
-  opt.seed = 1;
-  opt.sweeps = 2;
-  opt.sync = SyncMode::kBarrierPerSweep;
-  std::vector<std::vector<index_t>> per_worker(1);
-  SolveOutcome out;
-  auto residual = [](int, int) { return 0.0; };
-  EXPECT_THROW(detail::run_engine_sampled(pool, opt, /*n=*/9, 1, sampling,
-                                          RecordingUpdate{&per_worker},
-                                          residual, out),
+  const DirectionSampler weighted = DirectionSampler::weighted(w.data(), 8);
+  EXPECT_THROW(detail::DirectionPlan(1, RandomizationScope::kShared,
+                                     /*n=*/9, 1, &weighted),
                Error);
+  EXPECT_THROW(detail::DirectionPlan(1, RandomizationScope::kOwnerComputes,
+                                     8, 2, &weighted),
+               Error);
+  // A uniform sampler draws nothing through a table: any scope takes it.
+  const DirectionSampler uniform = DirectionSampler::uniform(8);
+  EXPECT_NO_THROW(detail::DirectionPlan(
+      1, RandomizationScope::kOwnerComputes, 8, 2, &uniform));
 }
 
 }  // namespace

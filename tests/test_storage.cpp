@@ -68,8 +68,7 @@ CsrMatrix block_diag_tridiagonal(int blocks, index_t block_size) {
 }
 
 const SyncMode kSyncModes[] = {SyncMode::kFreeRunning,
-                               SyncMode::kBarrierPerSweep,
-                               SyncMode::kTimedBarrier};
+                               SyncMode::kBarrierPerSweep};
 
 // ---------------------------------------------------------------------------
 // (a) Golden bit-exactness against the pre-refactor pinned path
@@ -94,7 +93,6 @@ TEST(StorageGolden, SharedScopeSingleWorkerMatchesPreRefactor) {
     opt.seed = 17;
     opt.workers = 1;
     opt.sync = sync;
-    opt.sync_interval_seconds = 0.002;
     std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
     SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
     EXPECT_EQ(fnv1a(x), kGolden) << "sync mode " << static_cast<int>(sync);
@@ -121,7 +119,6 @@ TEST(StorageGolden, OwnerComputesMultiWorkerMatchesPreRefactor) {
       opt.workers = c.workers;
       opt.sync = sync;
       opt.scope = RandomizationScope::kOwnerComputes;
-      opt.sync_interval_seconds = 0.002;
       std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
       SpdProblem(pool, a, /*check_input=*/false).solve(b, x, opt);
       EXPECT_EQ(fnv1a(x), c.hash)

@@ -4,7 +4,7 @@
 //                [--method auto|asyrgs|fcg|cg|kaczmarz] [--tol 1e-8]
 //                [--threads 0] [--repeat 1] [--shards 1]
 //                [--storage auto|int64]
-//                [--sampling uniform|weighted|residual] [--resample 8]
+//                [--sampling uniform|weighted]
 //                [--partitions 0] [--steal 0.0]
 //
 // Reads an SPD matrix (coordinate format, general or symmetric), prepares an
@@ -60,11 +60,7 @@ int main(int argc, char** argv) {
   auto sampling = cli.add_string(
       "sampling", "uniform",
       "direction-draw distribution for the asynchronous methods: uniform | "
-      "weighted (norm-weighted alias table) | residual (refreshed at sync "
-      "points; see docs/TUNING.md)");
-  auto resample = cli.add_int(
-      "resample", 8,
-      "residual sampling: rebuild the table every N rendezvous");
+      "weighted (norm-weighted alias table; see docs/TUNING.md)");
   auto partitions = cli.add_int(
       "partitions", 0,
       "topology-aware partitioned scheduling: cut the RCM-ordered operator "
@@ -128,11 +124,8 @@ int main(int argc, char** argv) {
       controls.sampling = SamplingPolicy::kUniform;
     else if (*sampling == "weighted")
       controls.sampling = SamplingPolicy::kWeighted;
-    else if (*sampling == "residual")
-      controls.sampling = SamplingPolicy::kResidual;
     else
-      throw Error("unknown --sampling (want uniform|weighted|residual)");
-    controls.resample_sweeps = static_cast<int>(*resample);
+      throw Error("unknown --sampling (want uniform|weighted)");
     controls.partitions = static_cast<int>(*partitions);
     controls.steal_rate = *steal;
     const bool kaczmarz = controls.method == SpdMethod::kAsyncKaczmarz;
