@@ -1,22 +1,14 @@
-// Updates/second of the asynchronous update engine, current vs the pre-PR2
-// baseline, plus the residual-check cost at synchronization points.
+// Updates/second of the asynchronous update engine in both sync modes, the
+// residual-check cost at synchronization points, and the points that weigh
+// an opt-in knob or a serving regime: storage and sampling policies,
+// Kaczmarz row action, prepare amortization, sharded serving, overload and
+// partitioned locality.
 //
 // This driver anchors the repo's measured performance trajectory: it emits a
 // machine-readable BENCH_<label>.json (schema documented in bench/README.md)
 // so every perf PR can record before/after numbers produced by the same
-// harness (`scripts/bench.sh`).
-//
-// The baseline is a faithful in-tree copy of the engine's hot loop as it
-// stood before the PR-2 overhaul (namespace `legacy` below): one full
-// 10-round Philox evaluation per direction draw, a runtime `atomic_writes`
-// branch per update, a 64-bit modulo per update for the yield cadence, an
-// unconditionally constructed per-worker fallback DirectionPlan, and a
-// serial residual on worker 0 at synchronization points.  Keeping the old
-// loop compilable here (rather than diffing against an old git checkout)
-// lets one binary measure both engines on identical inputs, and doubles as
-// the "generic kernel" reference for the micro-benchmarks.
+// harness (`scripts/bench.sh`), run on each checkout in turn.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -24,172 +16,15 @@
 #include <thread>
 #include <vector>
 
-#include "asyrgs/support/atomics.hpp"
-#include "asyrgs/support/barrier.hpp"
-#include "asyrgs/support/prng.hpp"
 #include "bench_common.hpp"
 
 using namespace asyrgs;
 using namespace asyrgs::bench;
 
-namespace legacy {
-
-/// Pre-PR2 coordinate update: runtime atomicity branch, span-based row scan.
-inline void update_coordinate(const CsrMatrix& a, const double* b, double* x,
-                              index_t r, double beta, double inv_diag,
-                              bool atomic_writes) {
-  double acc = b[r];
-  const auto cols = a.row_cols(r);
-  const auto vals = a.row_vals(r);
-  for (std::size_t t = 0; t < cols.size(); ++t)
-    acc -= vals[t] * atomic_load_relaxed(x[cols[t]]);
-  const double delta = beta * (acc * inv_diag);
-  if (atomic_writes)
-    atomic_add_relaxed(x[r], delta);
-  else
-    racy_add(x[r], delta);
-}
-
-/// Pre-PR2 direction schedule: one full Philox evaluation per pick().
-class DirectionPlan {
- public:
-  DirectionPlan(std::uint64_t seed, index_t n, int team)
-      : n_(n), team_(team), shared_(seed) {}
-
-  [[nodiscard]] index_t per_sweep(int w) const {
-    return (n_ - 1 - static_cast<index_t>(w)) / team_ + 1;
-  }
-
-  [[nodiscard]] std::uint64_t total_updates(int w, int sweeps) const {
-    const std::uint64_t total = static_cast<std::uint64_t>(sweeps) *
-                                static_cast<std::uint64_t>(n_);
-    if (static_cast<std::uint64_t>(w) >= total) return 0;
-    return (total - 1 - static_cast<std::uint64_t>(w)) /
-               static_cast<std::uint64_t>(team_) +
-           1;
-  }
-
-  [[nodiscard]] index_t pick(int w, std::uint64_t k) const {
-    const std::uint64_t j =
-        static_cast<std::uint64_t>(w) + k * static_cast<std::uint64_t>(team_);
-    return shared_.index_at(j, n_);
-  }
-
-  [[nodiscard]] index_t pick_in_sweep(int w, int sweep, index_t t) const {
-    const std::uint64_t j = static_cast<std::uint64_t>(sweep) *
-                                static_cast<std::uint64_t>(n_) +
-                            static_cast<std::uint64_t>(w) +
-                            static_cast<std::uint64_t>(t) *
-                                static_cast<std::uint64_t>(team_);
-    return shared_.index_at(j, n_);
-  }
-
- private:
-  index_t n_;
-  int team_;
-  Philox4x32 shared_;
-};
-
-/// Pre-PR2 free-running engine (shared randomization scope).
-SolveOutcome solve_free_running(ThreadPool& pool, const CsrMatrix& a,
-                                const std::vector<double>& b,
-                                std::vector<double>& x,
-                                const SolveControls& options) {
-  const index_t n = a.rows();
-  std::vector<double> inv_diag = a.diagonal();
-  for (double& d : inv_diag) d = 1.0 / d;
-  const double beta = options.step_size;
-  int workers = options.workers > 0 ? options.workers : pool.size();
-  if (workers > pool.size()) workers = pool.size();
-
-  SolveOutcome report;
-  report.workers = workers;
-  WallTimer timer;
-  const DirectionPlan plan(options.seed, n, workers);
-  pool.run_team(workers, [&](int id, int team) {
-    const DirectionPlan* my_plan = &plan;
-    DirectionPlan fallback(options.seed, n, team);  // unconditional, as before
-    if (team != workers) my_plan = &fallback;
-    const std::uint64_t my_total = my_plan->total_updates(id, options.sweeps);
-    const std::uint64_t stride = static_cast<std::uint64_t>(
-        std::max<index_t>(my_plan->per_sweep(id), 1));
-    for (std::uint64_t k = 0; k < my_total; ++k) {
-      const index_t r = my_plan->pick(id, k);
-      update_coordinate(a, b.data(), x.data(), r, beta, inv_diag[r],
-                        options.atomic_writes);
-      if (team > 1 && (k + 1) % stride == 0) std::this_thread::yield();
-    }
-  });
-  report.iterations = options.sweeps;
-  report.updates = static_cast<long long>(options.sweeps) *
-                   static_cast<long long>(n);
-  report.seconds = timer.seconds();
-  return report;
-}
-
-/// Pre-PR2 barrier-per-sweep engine with the serial worker-0 residual.
-SolveOutcome solve_barrier(ThreadPool& pool, const CsrMatrix& a,
-                           const std::vector<double>& b,
-                           std::vector<double>& x,
-                           const SolveControls& options) {
-  const index_t n = a.rows();
-  std::vector<double> inv_diag = a.diagonal();
-  for (double& d : inv_diag) d = 1.0 / d;
-  const double beta = options.step_size;
-  int workers = options.workers > 0 ? options.workers : pool.size();
-  if (workers > pool.size()) workers = pool.size();
-  const bool check_enabled = options.track_history || options.rel_tol > 0.0;
-
-  SolveOutcome report;
-  report.workers = workers;
-  WallTimer timer;
-  const DirectionPlan plan(options.seed, n, workers);
-  SpinBarrier barrier(workers);
-  std::atomic<bool> stop{false};
-  std::atomic<int> sweeps_done{0};
-  pool.run_team(workers, [&](int id, int team) {
-    const bool use_barrier = (team == workers && team > 1);
-    const DirectionPlan* my_plan = &plan;
-    DirectionPlan fallback(options.seed, n, team);
-    if (team != workers) my_plan = &fallback;
-    const index_t mine = my_plan->per_sweep(id);
-    for (int sweep = 0; sweep < options.sweeps; ++sweep) {
-      for (index_t t = 0; t < mine; ++t) {
-        const index_t r = my_plan->pick_in_sweep(id, sweep, t);
-        update_coordinate(a, b.data(), x.data(), r, beta, inv_diag[r],
-                          options.atomic_writes);
-      }
-      if (use_barrier) barrier.arrive_and_wait();
-      if (id == 0) {
-        sweeps_done.store(sweep + 1, std::memory_order_relaxed);
-        if (check_enabled) {
-          const double rel = relative_residual(a, b, x);  // serial
-          report.relative_residual = rel;
-          if (options.track_history) report.residual_history.push_back(rel);
-          if (options.rel_tol > 0.0 && rel <= options.rel_tol) {
-            report.status = SolveStatus::kConverged;
-            stop.store(true, std::memory_order_release);
-          }
-        }
-      }
-      if (use_barrier) barrier.arrive_and_wait();
-      if (stop.load(std::memory_order_acquire)) break;
-    }
-  });
-  report.iterations = sweeps_done.load(std::memory_order_relaxed);
-  report.updates = static_cast<long long>(report.iterations) *
-                   static_cast<long long>(n);
-  report.seconds = timer.seconds();
-  return report;
-}
-
-}  // namespace legacy
-
 namespace {
 
 struct Measurement {
   std::string workload;  // "gram_engine_bound" | "gram_scan_bound"
-  std::string engine;    // "legacy" | "current"
   std::string mode;      // "free_running" | "barrier_residual" |
                          // "prepare_amortization" | "serving_throughput" |
                          // "storage_policy" | "sampling_policy" |
@@ -296,7 +131,7 @@ std::string json_escape(const std::string& s) {
 
 int main(int argc, char** argv) {
   CliParser cli("bench_updates",
-                "Updates/second: current engine vs the pre-PR2 baseline");
+                "Updates/second of the asynchronous engine and its knobs");
   // Headline workload: a short-row Gram (mean ~7 nnz/row) where the engine
   // overhead — direction draws, dispatch, synchronization bookkeeping — is
   // the dominant per-update cost.  The dense-row reference workload below
@@ -315,8 +150,8 @@ int main(int argc, char** argv) {
   auto repeats = cli.add_int("repeats", 9, "timing repetitions (min taken)");
   auto threads_opt =
       cli.add_int_list("threads", {1, 2, 4}, "worker counts to measure");
-  auto headline =
-      cli.add_int("headline-workers", 4, "worker count for the headline ratio");
+  auto headline = cli.add_int("headline-workers", 4,
+                              "worker count for the locality point");
   auto label = cli.add_string("label", "dev", "label for the JSON file");
   auto out_path =
       cli.add_string("out", "", "output path (default BENCH_<label>.json)");
@@ -357,25 +192,20 @@ int main(int argc, char** argv) {
 
   print_banner("bench_updates", "updates/second trajectory (perf PRs)");
 
-  // The pool is sized to the requested sweep, not the hardware, so the
-  // 4-worker point exists even on small CI machines (oversubscribed workers
-  // timeshare; both engines are measured under the identical regime).
+  // The pool is sized to the requested sweep and the locality point, not
+  // the hardware, so the 4-worker points exist even on small CI machines
+  // (oversubscribed workers timeshare).
   std::vector<int> worker_sweep;
   for (std::int64_t t : *threads_opt)
     worker_sweep.push_back(static_cast<int>(t));
   if (worker_sweep.empty()) worker_sweep = {1, 2, 4};
-  // The headline ratios need their worker counts measured; without this a
-  // custom --threads list omitting them would silently record speedup 0.
-  if (std::find(worker_sweep.begin(), worker_sweep.end(),
-                static_cast<int>(*headline)) == worker_sweep.end())
-    worker_sweep.push_back(static_cast<int>(*headline));
-  int max_workers = 1;
+  int max_workers = std::max(1, static_cast<int>(*headline));
   for (int w : worker_sweep) max_workers = std::max(max_workers, w);
   ThreadPool pool(max_workers);
 
   std::vector<Measurement> results;
-  Table table({"workload", "workers", "engine", "mode", "updates/s",
-               "ns/update", "check_s/sweep"});
+  Table table({"workload", "workers", "mode", "updates/s", "ns/update",
+               "check_s/sweep"});
 
   AmortizationPoint amor_spd, amor_lsq;
   const int amor_sweeps = *smoke ? 2 : 4;
@@ -400,16 +230,15 @@ int main(int argc, char** argv) {
     spec.n = n;
     spec.nnz = a.nnz();
     const std::vector<double> b = random_vector(n, 7);
-    // What the current engine's prepared handles resolve by default: kAuto
-    // narrows to int32/double whenever the shape fits (it does for every
-    // bench workload).  The legacy engine predates the policies and always
-    // reads the bound full-width matrix.
+    // What the prepared handles resolve by default: kAuto narrows to
+    // int32/double whenever the shape fits (it does for every bench
+    // workload).
     const char* const auto_storage = to_string(
         resolve_storage_policy(StorageMode::kAuto, a.cols(), a.nnz()));
 
-    // The current engine, run as a one-shot caller runs it.
-    const auto current_solve = [&](std::vector<double>& x,
-                                   const SolveControls& controls) {
+    // The engine, run as a one-shot caller runs it.
+    const auto one_shot_solve = [&](std::vector<double>& x,
+                                    const SolveControls& controls) {
       return SpdProblem(pool, a, /*check_input=*/false).solve(b, x, controls);
     };
     const auto time_run = [&](auto&& fn) {
@@ -429,59 +258,45 @@ int main(int argc, char** argv) {
       opt.workers = workers;
 
       // --- free-running updates/second ----------------------------------
-      // Two rows per worker count: the pre-PR2 legacy engine and the
-      // current engine.
-      for (bool current : {false, true}) {
+      {
         SolveControls run_opt = opt;
         run_opt.sync = SyncMode::kFreeRunning;
         const double secs = time_run([&](std::vector<double>& x) {
-          const SolveOutcome r =
-              current ? current_solve(x, run_opt)
-                      : legacy::solve_free_running(pool, a, b, x, run_opt);
-          return r.seconds;
+          return one_shot_solve(x, run_opt).seconds;
         });
         Measurement m;
         m.workload = spec.name;
-        m.engine = current ? "current" : "legacy";
         m.mode = "free_running";
-        m.storage = current ? auto_storage : "int64_double";
+        m.storage = auto_storage;
         m.workers = workers;
         m.updates = static_cast<long long>(n_sweeps) * n;
         m.seconds = secs;
         m.updates_per_second = static_cast<double>(m.updates) / secs;
         results.push_back(m);
         table.add_row(
-            {spec.name, std::to_string(workers), m.engine, m.mode,
+            {spec.name, std::to_string(workers), m.mode,
              fmt_sci(m.updates_per_second),
              fmt_fixed(1e9 * secs / static_cast<double>(m.updates), 1), "-"});
       }
 
       // --- residual-check cost at synchronization points -----------------
       // Barrier-per-sweep with history tracking vs without: the difference
-      // is what each sweep pays for the residual (serial on worker 0 in the
-      // legacy engine, team-parallel in the current one).
-      for (bool current : {false, true}) {
+      // is what each sweep pays for the team-parallel residual.
+      {
         SolveControls plain = opt;
         plain.sync = SyncMode::kBarrierPerSweep;
         SolveControls tracked = plain;
         tracked.track_history = true;
         const double secs_plain = time_run([&](std::vector<double>& x) {
-          const SolveOutcome r =
-              current ? current_solve(x, plain)
-                      : legacy::solve_barrier(pool, a, b, x, plain);
-          return r.seconds;
+          return one_shot_solve(x, plain).seconds;
         });
         const double secs_tracked = time_run([&](std::vector<double>& x) {
-          const SolveOutcome r =
-              current ? current_solve(x, tracked)
-                      : legacy::solve_barrier(pool, a, b, x, tracked);
-          return r.seconds;
+          return one_shot_solve(x, tracked).seconds;
         });
         Measurement m;
         m.workload = spec.name;
-        m.engine = current ? "current" : "legacy";
         m.mode = "barrier_residual";
-        m.storage = current ? auto_storage : "int64_double";
+        m.storage = auto_storage;
         m.workers = workers;
         m.updates = static_cast<long long>(n_sweeps) * n;
         m.seconds = secs_tracked;
@@ -489,7 +304,7 @@ int main(int argc, char** argv) {
         m.residual_cost_per_sweep =
             std::max(0.0, (secs_tracked - secs_plain) / n_sweeps);
         results.push_back(m);
-        table.add_row({spec.name, std::to_string(workers), m.engine, m.mode,
+        table.add_row({spec.name, std::to_string(workers), m.mode,
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * secs_tracked /
                                      static_cast<double>(m.updates),
@@ -519,7 +334,6 @@ int main(int argc, char** argv) {
         });
         Measurement m;
         m.workload = spec.name;
-        m.engine = "current";
         m.mode = "storage_policy";
         m.storage = to_string(handle.storage());
         m.workers = 1;
@@ -527,7 +341,7 @@ int main(int argc, char** argv) {
         m.seconds = secs;
         m.updates_per_second = static_cast<double>(m.updates) / secs;
         results.push_back(m);
-        table.add_row({spec.name, "1", "current", "storage/" + m.storage,
+        table.add_row({spec.name, "1", "storage/" + m.storage,
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
                                  1),
@@ -568,7 +382,6 @@ int main(int argc, char** argv) {
         });
         Measurement m;
         m.workload = spec.name;
-        m.engine = "current";
         m.mode = "sampling_policy";
         m.storage = auto_storage;
         m.sampling = policy.name;
@@ -577,7 +390,7 @@ int main(int argc, char** argv) {
         m.seconds = secs;
         m.updates_per_second = static_cast<double>(m.updates) / secs;
         results.push_back(m);
-        table.add_row({spec.name, "1", "current",
+        table.add_row({spec.name, "1",
                        std::string("sampling/") + policy.name,
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
@@ -623,7 +436,6 @@ int main(int argc, char** argv) {
         }
         Measurement m;
         m.workload = spec.name;
-        m.engine = "current";
         m.mode = "kaczmarz_row_action";
         m.storage = to_string(lsq.storage());
         m.sampling = policy == SamplingPolicy::kWeighted ? "weighted"
@@ -633,7 +445,7 @@ int main(int argc, char** argv) {
         m.seconds = best;
         m.updates_per_second = static_cast<double>(m.updates) / best;
         results.push_back(m);
-        table.add_row({spec.name, "1", "current",
+        table.add_row({spec.name, "1",
                        std::string("kaczmarz/") + m.sampling,
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * best / static_cast<double>(m.updates),
@@ -689,7 +501,6 @@ int main(int argc, char** argv) {
               ApiRow{"prepared", point.prepared_seconds}}) {
           Measurement m;
           m.workload = spec.name;
-          m.engine = "current";
           m.mode = "prepare_amortization";
           m.storage = auto_storage;
           m.workers = 1;
@@ -699,7 +510,7 @@ int main(int argc, char** argv) {
           m.api = row.api;
           m.family = family;
           results.push_back(m);
-          table.add_row({spec.name, "1", "current",
+          table.add_row({spec.name, "1",
                          std::string("prepare/") + m.api + "/" + family,
                          fmt_sci(m.updates_per_second),
                          fmt_fixed(1e9 * m.seconds /
@@ -859,7 +670,6 @@ int main(int argc, char** argv) {
 
           Measurement m;
           m.workload = spec.name;
-          m.engine = "current";
           m.mode = "serving_throughput";
           m.storage = auto_storage;
           m.workers = 1;
@@ -870,7 +680,7 @@ int main(int argc, char** argv) {
           m.updates_per_second = static_cast<double>(m.updates) / best;
           m.solves_per_second = point.solves_per_second;
           results.push_back(m);
-          table.add_row({spec.name, "1", "current",
+          table.add_row({spec.name, "1",
                          "serving/" + std::to_string(shard_count) + "shards",
                          fmt_sci(m.updates_per_second),
                          fmt_fixed(1e9 * best /
@@ -944,8 +754,7 @@ int main(int argc, char** argv) {
                   : 0.0;
           overload.p50_seconds = stats.latency.p50();
           overload.p99_seconds = stats.latency.p99();
-          table.add_row(
-              {spec.name, "1", "current", "serving/overload", "-", "-", "-"});
+          table.add_row({spec.name, "1", "serving/overload", "-", "-", "-"});
         }
       }
     }
@@ -996,20 +805,7 @@ int main(int argc, char** argv) {
   const double lap_speedup =
       lap_base_ups > 0.0 ? lap_part_ups / lap_base_ups : 0.0;
 
-  // --- headline ratio ----------------------------------------------------
   const std::string headline_workload = workloads.front().name;
-  double legacy_ups = 0.0, current_ups = 0.0;
-  for (const Measurement& m : results) {
-    if (m.workload != headline_workload || m.mode != "free_running" ||
-        m.workers != *headline)
-      continue;
-    (m.engine == "current" ? current_ups : legacy_ups) = m.updates_per_second;
-  }
-  const double speedup = legacy_ups > 0.0 ? current_ups / legacy_ups : 0.0;
-  std::cout << "# headline (" << headline_workload << ", free-running, "
-            << *headline << " workers): legacy=" << fmt_sci(legacy_ups)
-            << " current=" << fmt_sci(current_ups)
-            << " speedup=" << fmt_fixed(speedup, 2) << "x\n";
 
   // --- storage headline ----------------------------------------------------
   // Per-policy prepared-handle throughput on both Gram regimes.  The int32
@@ -1127,7 +923,7 @@ int main(int argc, char** argv) {
       (*out_path).empty() ? "BENCH_" + *label + ".json" : *out_path;
   std::ofstream json(path);
   json << "{\n"
-       << "  \"schema_version\": 12,\n"
+       << "  \"schema_version\": 13,\n"
        << "  \"bench\": \"bench_updates\",\n"
        << "  \"label\": \"" << json_escape(*label) << "\",\n"
        << "  \"git\": \"" << json_escape(*git_rev) << "\",\n"
@@ -1150,9 +946,8 @@ int main(int argc, char** argv) {
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
-    json << "    {\"workload\": \"" << m.workload << "\", \"engine\": \""
-         << m.engine << "\", \"mode\": \"" << m.mode
-         << "\", \"storage\": \"" << m.storage
+    json << "    {\"workload\": \"" << m.workload << "\", \"mode\": \""
+         << m.mode << "\", \"storage\": \"" << m.storage
          << "\", \"workers\": " << m.workers
          << ", \"updates\": " << m.updates
          << ", \"seconds\": " << m.seconds
@@ -1171,11 +966,6 @@ int main(int argc, char** argv) {
     json << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"headline\": {\"workload\": \"" << headline_workload
-       << "\", \"mode\": \"free_running\", \"workers\": " << *headline
-       << ", \"legacy_updates_per_second\": " << legacy_ups
-       << ", \"current_updates_per_second\": " << current_ups
-       << ", \"speedup\": " << speedup << "},\n"
        << "  \"storage_headline\": [\n";
   for (std::size_t i = 0; i < storage_points.size(); ++i) {
     const StoragePoint& p = storage_points[i];

@@ -4,6 +4,7 @@
 // regressions; the paper-level experiments live in the fig*/table* binaries.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -218,14 +219,23 @@ void BM_DirectionPlanFill(benchmark::State& state) {
   const detail::DirectionPlan plan(/*seed=*/42, RandomizationScope::kShared,
                                    120147, 4);
   std::vector<index_t> buf(detail::kDirectionChunk);
-  std::uint64_t k = 0;
+  const index_t mine = plan.per_sweep(1);
+  int sweep = 0;
+  index_t t = 0;
+  std::int64_t items = 0;
   for (auto _ : state) {
-    plan.fill(1, k, buf.size(), buf.data());
+    const std::size_t count = static_cast<std::size_t>(
+        std::min<index_t>(static_cast<index_t>(buf.size()), mine - t));
+    plan.fill_in_sweep(1, sweep, t, count, buf.data());
     benchmark::DoNotOptimize(buf.data());
-    k += buf.size();
+    items += static_cast<std::int64_t>(count);
+    t += static_cast<index_t>(count);
+    if (t == mine) {
+      t = 0;
+      ++sweep;
+    }
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(buf.size()));
+  state.SetItemsProcessed(items);
 }
 BENCHMARK(BM_DirectionPlanFill);
 

@@ -9,10 +9,11 @@
 //     gamma <- (b_r - A_r x) / A_rr
 //     x_r   <- x_r + beta * gamma             (atomic CAS add: Assumption A-1)
 //
-// Worker w executes exactly the global iteration indices {w, w+P, w+2P, ...}
-// of the Philox stream, so the multiset of random directions is identical
-// for every worker count — the methodology the paper uses (via Random123)
-// to isolate the price of asynchronism in Figure 2.
+// Each sweep s executes exactly the global iteration indices [s*n, (s+1)*n)
+// of the Philox stream, worker w taking s*n + w + t*P for its t-th update,
+// so the multiset of random directions is identical for every worker count
+// — the methodology the paper uses (via Random123) to isolate the price of
+// asynchronism in Figure 2.
 //
 // Execution modes (Section 5 discussion):
 //  * kFreeRunning     - no synchronization at all; Theorem 2(b)/3(b)/4(b)
@@ -20,6 +21,8 @@
 //  * kBarrierPerSweep - workers synchronize after every sweep of n total
 //                       updates; Theorem 2(a)/3(a)/4(a) regime ("occasional
 //                       synchronization": rate 1 - nu_tau/2kappa per sweep).
+// Both run the same sweeps with the same per-worker directions; they differ
+// only at the end of a sweep.
 //
 // Write modes (Figure 2 center/right experiment):
 //  * atomic_writes = true  - CAS fetch-add (Assumption A-1 enforced);

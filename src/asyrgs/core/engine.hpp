@@ -1,9 +1,10 @@
 // Shared asynchronous execution engine (internal).
 //
 // The hot loop common to every asynchronous solve path of the prepared
-// handles (asyrgs/problem.hpp): direction planning, the two
-// synchronization modes, and team-parallel residual evaluation at
-// synchronization points.  The engine reads the caller's SolveControls and
+// handles (asyrgs/problem.hpp): direction planning, the one sweep loop
+// whose sweep end is either a rendezvous or a yield (the two
+// synchronization modes), and team-parallel residual evaluation at the
+// rendezvous.  The engine reads the caller's SolveControls and
 // fills the run's fields of its SolveOutcome, so the outcome status is
 // decided here, once.  Everything here is an implementation detail of the
 // handles — the header exists so that the solve paths share one engine and
@@ -16,9 +17,9 @@
 //  * Directions are drawn in batches.  Each worker refills a reusable
 //    direction buffer via Philox4x32::fill_indices[_strided] — a few ns per
 //    draw instead of a full 10-round Philox evaluation per update — and the
-//    once-per-sweep-equivalent yield (oversubscribed hosts) happens only at
-//    refill boundaries, so the per-update path contains no modulo, no
-//    branch on sync mode, and no timer call.
+//    sync mode acts only at the end of each sweep (rendezvous or yield), so
+//    the per-update path contains no modulo, no branch on sync mode, and no
+//    timer call.
 //  * The update functor is a concrete struct templated on atomicity, not a
 //    std::function and not a runtime `atomic_writes` branch.
 //  * Residuals at synchronization points run as a team-wide parallel
@@ -72,15 +73,17 @@ struct RowChunk {
   return {lo, lo + base + (w < extra ? 1 : 0)};
 }
 
-/// Per-worker direction schedule, keyed by `seed`.  It has one of two
-/// shapes, drawn at random or (cyclic(), below) in a fixed order.
+/// Per-worker direction schedule, keyed by `seed`: worker w's t-th update
+/// of sweep s, for t < per_sweep(w), in every sync mode.  It has one of
+/// two shapes, drawn at random or (cyclic(), below) in a fixed order.
 ///
 /// The shared stream (RandomizationScope::kShared): one Philox stream over
-/// global indices; worker w consumes positions {w, w+P, ...}
-/// (free-running) or the per-sweep split (barrier mode) — both modes
-/// consume the identical direction multiset.  The deterministic virtual
-/// engine (simulate/virtual_engine.hpp) consumes this shape too: a team-1
-/// plan enumerates the stream in global order, which the virtual engine
+/// global indices, split per sweep — worker w's t-th update of sweep s
+/// reads position s*n + w + t*P, so each sweep's team consumes exactly the
+/// positions [s*n, (s+1)*n) and the direction multiset is the same for
+/// every team size.  The deterministic virtual engine
+/// (simulate/virtual_engine.hpp) consumes this shape too: a team-1 plan
+/// enumerates the stream in global order, which the virtual engine
 /// replays on a single thread, so its direction multiset (and, at P = 1,
 /// the exact sequence) matches every real team size.  An optional
 /// DirectionSampler generalizes WHAT each stream position draws
@@ -117,13 +120,13 @@ struct RowChunk {
 ///
 /// Cyclic order (chaotic relaxation, SpdMethod::kAsyncJacobi): worker w's
 /// t-th update of every sweep is its t-th owned row — rows {w, w+P, ...} in
-/// the shared shape, chunk_of(n, w, P) in the owner-computes shape.  Every
-/// sync mode numbers the updates sweep-major, so each row keeps one writer
-/// even when P does not divide n, and no Philox stream is read.
+/// the shared shape, chunk_of(n, w, P) in the owner-computes shape — so
+/// each row keeps one writer even when P does not divide n, and no Philox
+/// stream is read.
 ///
-/// `pick`/`pick_in_sweep` evaluate one direction (kept for tests and as the
-/// executable specification); the `fill*` APIs produce the same draws in
-/// batches and are what the engine uses.
+/// `pick_in_sweep` evaluates one direction (kept for tests and as the
+/// executable specification); `fill_in_sweep` produces the same draws in
+/// batches and is what the engine uses.
 class DirectionPlan {
  public:
   /// The shared stream over [0, n) (kShared), or owner-computes over
@@ -188,40 +191,7 @@ class DirectionPlan {
     return (n_ - 1 - static_cast<index_t>(w)) / team_ + 1;
   }
 
-  /// Total updates worker w performs over `sweeps` sweeps in free-running
-  /// numbering.  For the shared stream this counts the global indices
-  /// congruent to w modulo team in [0, sweeps*n) — exactly tiling the
-  /// global stream so the direction multiset is identical to the
-  /// sequential run.
-  [[nodiscard]] std::uint64_t total_updates(int w, int sweeps) const {
-    if (sweep_major())
-      return static_cast<std::uint64_t>(sweeps) *
-             static_cast<std::uint64_t>(per_sweep(w));
-    const std::uint64_t total = static_cast<std::uint64_t>(sweeps) *
-                                static_cast<std::uint64_t>(n_);
-    if (static_cast<std::uint64_t>(w) >= total) return 0;
-    return (total - 1 - static_cast<std::uint64_t>(w)) /
-               static_cast<std::uint64_t>(team_) +
-           1;
-  }
-
-  /// Direction for worker w's k-th update (free-running numbering).
-  /// Owned ranges and cyclic plans number sweep-major (sweep k / per_sweep,
-  /// step k % per_sweep) and require per_sweep(w) > 0 — the engine never
-  /// asks a worker with no owned rows for a direction (its total is 0).
-  [[nodiscard]] index_t pick(int w, std::uint64_t k) const {
-    if (sweep_major()) {
-      const std::uint64_t mine = static_cast<std::uint64_t>(per_sweep(w));
-      return pick_in_sweep(w, static_cast<int>(k / mine),
-                           static_cast<index_t>(k % mine));
-    }
-    const std::uint64_t j =
-        static_cast<std::uint64_t>(w) + k * static_cast<std::uint64_t>(team_);
-    if (sampler_ != nullptr) return sampler_->map(shared_.at(j));
-    return shared_.index_at(j, n_);
-  }
-
-  /// Direction for worker w's t-th update of sweep `sweep` (barrier mode).
+  /// Direction for worker w's t-th update of sweep `sweep`.
   [[nodiscard]] index_t pick_in_sweep(int w, int sweep, index_t t) const {
     if (cyclic_) return cyclic_row(w, t);
     if (part_ != nullptr) {
@@ -243,39 +213,6 @@ class DirectionPlan {
                                 static_cast<std::uint64_t>(team_);
     if (sampler_ != nullptr) return sampler_->map(shared_.at(j));
     return shared_.index_at(j, n_);
-  }
-
-  /// out[i] = pick(w, k0 + i) for i in [0, count), batched.  For owned
-  /// ranges and cyclic plans a chunk may span sweep boundaries.
-  void fill(int w, std::uint64_t k0, std::size_t count, index_t* out) const {
-    if (count == 0) return;
-    if (sweep_major()) {
-      const std::uint64_t mine = static_cast<std::uint64_t>(per_sweep(w));
-      std::size_t written = 0;
-      while (written < count) {
-        const std::uint64_t k = k0 + static_cast<std::uint64_t>(written);
-        const index_t t = static_cast<index_t>(k % mine);
-        const std::size_t seg =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                mine - static_cast<std::uint64_t>(t),
-                static_cast<std::uint64_t>(count - written)));
-        fill_in_sweep(w, static_cast<int>(k / mine), t, seg, out + written);
-        written += seg;
-      }
-      return;
-    }
-    const std::uint64_t first =
-        static_cast<std::uint64_t>(w) + k0 * static_cast<std::uint64_t>(team_);
-    if (sampler_ != nullptr) {
-      // Same stream positions, raw words instead of reduced indices; the
-      // sampler maps them in place through its alias table.
-      shared_.fill_at_strided(first, static_cast<std::uint64_t>(team_), count,
-                              reinterpret_cast<std::uint64_t*>(out));
-      sampler_->map_in_place(out, count);
-      return;
-    }
-    shared_.fill_indices_strided(first, static_cast<std::uint64_t>(team_),
-                                 count, n_, out);
   }
 
   /// out[i] = pick_in_sweep(w, sweep, t0 + i) for i in [0, count), batched:
@@ -314,6 +251,8 @@ class DirectionPlan {
                                 static_cast<std::uint64_t>(t0) *
                                     static_cast<std::uint64_t>(team_);
     if (sampler_ != nullptr) {
+      // Same stream positions, raw words instead of reduced indices; the
+      // sampler maps them in place through its alias table.
       shared_.fill_at_strided(first, static_cast<std::uint64_t>(team_), count,
                               reinterpret_cast<std::uint64_t*>(out));
       sampler_->map_in_place(out, count);
@@ -328,11 +267,6 @@ class DirectionPlan {
   [[nodiscard]] index_t directions() const noexcept { return n_; }
 
  private:
-  /// Whether free-running numbering is sweep-major (see pick).
-  [[nodiscard]] bool sweep_major() const noexcept {
-    return part_ != nullptr || cyclic_;
-  }
-
   /// Worker w's t-th owned row of a cyclic plan.
   [[nodiscard]] index_t cyclic_row(int w, index_t t) const noexcept {
     if (part_ != nullptr) return part_->lo_of(w) + t;
@@ -613,6 +547,13 @@ inline constexpr int kMaxCheckGap = 16;
 /// Kaczmarz and chaotic-relaxation solve paths, over any DirectionPlan
 /// (shared stream, owner-computes, partitioned or cyclic).
 ///
+/// One loop serves both sync modes: each worker runs `sweeps` sweeps of its
+/// plan.per_sweep(worker) updates, drawn through fill_in_sweep, so a worker
+/// executes the same direction sequence in either mode.  The modes differ
+/// only at the end of each sweep: kBarrierPerSweep rendezvouses (two
+/// barriers around the scheduled residual check), kFreeRunning yields once
+/// on teams of more than one worker and goes on.
+///
 /// `update(worker, r, r_ahead)` performs one coordinate update on direction
 /// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
 /// later (clamped to the refill chunk), for cache prefetching — functors may
@@ -653,31 +594,24 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
   if (scratch == nullptr) scratch = &local_scratch;
   scratch->prepare(workers);
   const bool check_enabled = controls.track_history || controls.rel_tol > 0.0;
+  const bool rendezvous = controls.sync == SyncMode::kBarrierPerSweep;
   const int sweeps = controls.sweeps;
 
-  // A worker whose team the pool shrank (a nested call) re-plans for its
-  // actual team into `shrunk`; the common team == workers case pays nothing.
-  const auto plan_for = [&](int team, std::optional<DirectionPlan>& shrunk)
-      -> const DirectionPlan& {
-    return team == workers ? plan : shrunk.emplace(plan.for_team(team));
-  };
   // Written by worker 0 only (the calling thread).
   int team_used = workers;
+  int sweeps_done = 0;
   bool converged = false;
 
-  if (controls.sync == SyncMode::kBarrierPerSweep && sweeps == 0) {
+  if (rendezvous && sweeps == 0) {
     // The returned iterate is x0: report its residual.  No team runs.
     if (check_enabled) {
       out.relative_residual = residual(0, 1);
       converged = controls.rel_tol > 0.0 &&
                   out.relative_residual <= controls.rel_tol;
     }
-    out.iterations = 0;
-    out.updates = 0;
-  } else if (controls.sync == SyncMode::kBarrierPerSweep) {
+  } else {
     SpinBarrier barrier(workers);
     std::atomic<bool> stop{false};
-    std::atomic<int> sweeps_done{0};
     // Exact-check schedule: every sweep under track_history, else sweeps 1
     // and 2 and then next_check_sweep.  Worker 0 writes next_check between
     // the two barriers and every worker reads it before the next sweep's
@@ -687,8 +621,12 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
     double first_rel = 0.0;
     pool.run_team(workers, [&](int id, int team) {
       const bool full_team = (team == workers && team > 1);
+      // A worker whose team the pool shrank (a nested call) re-plans for its
+      // actual team into `shrunk`; the common team == workers case pays
+      // nothing.
       std::optional<DirectionPlan> shrunk;
-      const DirectionPlan& my_plan = plan_for(team, shrunk);
+      const DirectionPlan& my_plan =
+          team == workers ? plan : shrunk.emplace(plan.for_team(team));
       if (id == 0) team_used = team;
       const index_t mine = my_plan.per_sweep(id);
       const index_t chunk_cap =
@@ -708,77 +646,44 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
           t += static_cast<index_t>(chunk);
         }
         const int done = sweep + 1;
+        if (id == 0) sweeps_done = done;
+        if (!rendezvous) {
+          // kFreeRunning's sweep end: no rendezvous and no residual, only a
+          // yield so the scheduler rotates the team — on oversubscribed
+          // hosts a worker would otherwise burn its whole budget in a few
+          // scheduling quanta, leaving tau unbounded and owned ranges
+          // stalled.
+          if (team > 1) std::this_thread::yield();
+          continue;
+        }
         const bool check =
             check_enabled && (controls.track_history || done == next_check);
         if (full_team) barrier.arrive_and_wait();
         const double rel = check ? residual(id, team) : 0.0;
-        if (id == 0) {
-          sweeps_done.store(done, std::memory_order_relaxed);
-          if (check) {
-            out.relative_residual = rel;
-            if (controls.track_history) out.residual_history.push_back(rel);
-            if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
-              converged = true;
-              stop.store(true, std::memory_order_release);
-            } else if (done == 1) {
-              first_rel = rel;
-              next_check = 2;
-            } else {
-              next_check = next_check_sweep(done, rel, first_rel,
-                                            controls.rel_tol, sweeps);
-            }
+        if (id == 0 && check) {
+          out.relative_residual = rel;
+          if (controls.track_history) out.residual_history.push_back(rel);
+          if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
+            converged = true;
+            stop.store(true, std::memory_order_release);
+          } else if (done == 1) {
+            first_rel = rel;
+            next_check = 2;
+          } else {
+            next_check = next_check_sweep(done, rel, first_rel,
+                                          controls.rel_tol, sweeps);
           }
         }
         if (full_team) barrier.arrive_and_wait();
         if (stop.load(std::memory_order_acquire)) break;
       }
     });
-    out.iterations = sweeps_done.load(std::memory_order_relaxed);
-    out.updates =
-        static_cast<long long>(out.iterations) * static_cast<long long>(n);
-  } else {
-    // kFreeRunning: each worker drains its whole budget with no rendezvous
-    // and leaves; no residual is ever evaluated.
-    std::atomic<long long> updates_done{0};
-    pool.run_team(workers, [&](int id, int team) {
-      std::optional<DirectionPlan> shrunk;
-      const DirectionPlan& my_plan = plan_for(team, shrunk);
-      if (id == 0) team_used = team;
-      const std::uint64_t my_total = my_plan.total_updates(id, sweeps);
-      const std::uint64_t per_sweep = static_cast<std::uint64_t>(
-          std::max<index_t>(my_plan.per_sweep(id), 1));
-      const std::size_t chunk_cap = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kDirectionChunk, per_sweep));
-      index_t* const dirs = scratch->dirs(id, chunk_cap);
-      std::uint64_t since_yield = 0;
-      for (std::uint64_t k = 0; k < my_total;) {
-        const std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk_cap, my_total - k));
-        my_plan.fill(id, k, chunk, dirs);
-        const index_t* d = dirs;
-        for (std::size_t i = 0; i < chunk; ++i)
-          update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
-        k += chunk;
-        // Refill boundary: yield once per sweep-equivalent so the scheduler
-        // rotates the team — on oversubscribed hosts a worker would
-        // otherwise burn its whole budget in a few scheduling quanta,
-        // leaving tau unbounded and owned ranges stalled.
-        since_yield += chunk;
-        if (team > 1 && since_yield >= per_sweep) {
-          since_yield = 0;
-          std::this_thread::yield();
-        }
-      }
-      updates_done.fetch_add(static_cast<long long>(my_total),
-                             std::memory_order_relaxed);
-    });
-    out.updates = updates_done.load(std::memory_order_relaxed);
-    out.iterations = static_cast<int>(out.updates / std::max<index_t>(n, 1));
   }
 
+  out.iterations = sweeps_done;
+  out.updates = static_cast<long long>(sweeps_done) * static_cast<long long>(n);
   out.workers = team_used;
-  const bool tolerance_active =
-      controls.rel_tol > 0.0 && controls.sync != SyncMode::kFreeRunning;
+  const bool tolerance_active = controls.rel_tol > 0.0 && rendezvous;
   out.status = converged          ? SolveStatus::kConverged
                : tolerance_active ? SolveStatus::kToleranceNotReached
                                   : SolveStatus::kBudgetCompleted;

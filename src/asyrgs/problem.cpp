@@ -65,8 +65,8 @@ struct SharedSlot {
 
   /// The held operator, building it with `build()` if no sharer has; the
   /// build is counted in `builds` of the handle that ran it.
-  template <class Build>
-  const T& get(Build&& build, int& builds) {
+  template <class Build, class Count>
+  const T& get(Build&& build, Count& builds) {
     std::call_once(once, [&] {
       value = build();
       ++builds;
@@ -79,6 +79,8 @@ struct SpdOperators {
   std::vector<double> inv_diag;  ///< 1/diag, written once at construction
   SharedSlot<CsrMatrix32> compact;
   SharedSlot<SpdPartitionState> partition;
+  /// kWeighted draws (weights: squared row norms of the bound matrix).
+  SharedSlot<DirectionSampler> sampler;
 };
 
 struct LsqNorms {
@@ -86,6 +88,11 @@ struct LsqNorms {
   std::vector<double> row_sq;      ///< ||A_i||^2 (Kaczmarz sampling weights)
   std::vector<double> inv_row_sq;  ///< 1/||A_i||^2 projection denominators
                                    ///< (0 for zero rows: their update no-ops)
+};
+
+struct LsqSamplers {
+  SharedSlot<DirectionSampler> cols;  ///< coordinate descent, ∝ col_sq
+  SharedSlot<DirectionSampler> rows;  ///< Kaczmarz, ∝ row_sq
 };
 
 }  // namespace detail
@@ -110,6 +117,9 @@ void validate_controls(const SolveControls& controls, const char* who) {
     fail("step size must be in (0, 2)");
   if (!(std::isfinite(controls.rel_tol) && controls.rel_tol >= 0.0))
     fail("rel_tol must be finite and non-negative");
+  if (controls.inner_sweeps < 1)
+    fail("inner_sweeps must be positive (kFcgAsyRgs's sweeps per "
+         "preconditioner application)");
   if (controls.sampling != SamplingPolicy::kUniform &&
       controls.scope != RandomizationScope::kShared)
     fail("non-uniform sampling requires the shared randomization scope "
@@ -146,21 +156,23 @@ std::string sampling_note(const SolveControls& controls) {
                                                         : "";
 }
 
-/// The handle's kWeighted sampler, built from `weights()` (one weight per
-/// direction) into `cache` on the first weighted solve and reused by every
-/// later one; null for uniform draws.  The caller holds the handle's mutex.
+/// The kWeighted sampler in `slot`, built from `weights()` (one weight per
+/// direction) by the first weighted solve of any handle sharing the slot
+/// and counted in that handle's `builds`; null for uniform draws.  The
+/// caller holds its handle's mutex.
 template <class Weights>
-const DirectionSampler* weighted_sampler(SamplingPolicy policy,
-                                         std::optional<DirectionSampler>& cache,
-                                         Weights&& weights, long long& builds) {
+const DirectionSampler* weighted_sampler(
+    SamplingPolicy policy, detail::SharedSlot<DirectionSampler>& slot,
+    Weights&& weights, long long& builds) {
   if (policy != SamplingPolicy::kWeighted) return nullptr;
-  if (!cache) {
-    const std::vector<double>& w = weights();
-    cache.emplace(
-        DirectionSampler::weighted(w.data(), static_cast<index_t>(w.size())));
-    ++builds;
-  }
-  return &*cache;
+  return &slot.get(
+      [&] {
+        const std::vector<double>& w = weights();
+        return std::make_unique<const DirectionSampler>(
+            DirectionSampler::weighted(w.data(),
+                                       static_cast<index_t>(w.size())));
+      },
+      builds);
 }
 
 const char* sync_name(SyncMode sync) {
@@ -375,7 +387,7 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
   // Weights from the bound full-width matrix, so the distribution does not
   // depend on the storage policy the kernels run against.
   const DirectionSampler* const sampler =
-      weighted_sampler(controls.sampling, weighted_sampler_,
+      weighted_sampler(controls.sampling, operators_->sampler,
                        [&] { return detail::row_sq_norms(a_); },
                        stats_.sampler_builds);
 
@@ -570,7 +582,7 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
   detail::BlockResidual residual(a, b, x, workers,
                                  scratch_->engine.reduce(workers));
   const DirectionSampler* const sampler =
-      weighted_sampler(controls.sampling, weighted_sampler_,
+      weighted_sampler(controls.sampling, operators_->sampler,
                        [&] { return detail::row_sq_norms(a_); },
                        stats_.sampler_builds);
 
@@ -648,6 +660,7 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
                        StorageMode storage)
     : pool_(pool),
       a_(a),
+      samplers_(std::make_shared<detail::LsqSamplers>()),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   bool built_now = false;
   at_holder_ = a.transpose_shared(&built_now);
@@ -669,6 +682,7 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
     : pool_(pool),
       a_(a),
       at_(&at),
+      samplers_(std::make_shared<detail::LsqSamplers>()),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   require(at.rows() == a.cols() && at.cols() == a.rows(),
           "LsqProblem: `at` must be the transpose of `a`");
@@ -690,6 +704,7 @@ LsqProblem::LsqProblem(ThreadPool& pool, const LsqProblem& other)
       at32_(other.at32_),
       storage_(other.storage_),
       norms_(other.norms_),
+      samplers_(other.samplers_),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   stats_.storage = storage_;
 }
@@ -754,7 +769,7 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
   // Coordinate-descent weights: the column squared norms computed
   // (full-width) at preparation.
   const DirectionSampler* const sampler = weighted_sampler(
-      controls.sampling, weighted_cols_,
+      controls.sampling, samplers_->cols,
       [&]() -> const std::vector<double>& { return norms_->col_sq; },
       stats_.sampler_builds);
 
@@ -802,7 +817,7 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
   // The Strohmer-Vershynin distribution p_i ∝ ||A_i||^2, from the
   // prepare-time norms of the full-width matrix.
   const DirectionSampler* const sampler = weighted_sampler(
-      controls.sampling, weighted_rows_,
+      controls.sampling, samplers_->rows,
       [&]() -> const std::vector<double>& { return norms_->row_sq; },
       stats_.sampler_builds);
 

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -155,7 +154,8 @@ struct SolveControls {
   /// Target on the method's convergence metric (relative residual; normal
   /// equations residual for least squares).  0 disables tolerance stopping.
   double rel_tol = 0.0;
-  /// kFcgAsyRgs only: AsyRGS sweeps per preconditioner application.
+  /// kFcgAsyRgs only: AsyRGS sweeps per preconditioner application, >= 1
+  /// (every solve rejects a smaller value).
   int inner_sweeps = 2;
   /// Direction-draw distribution for the asynchronous methods (see
   /// sampling/direction_sampler.hpp).  kUniform is the paper's setting and
@@ -236,14 +236,20 @@ struct SpdPartitionState;
 
 /// The per-matrix state an SpdProblem shares with all its shard clones: the
 /// diagonal reciprocals, and the operators built on demand — the compact
-/// natural-order copy and the partition analysis — each in a slot filled
-/// at most once; defined in problem.cpp.
+/// natural-order copy, the partition analysis and the kWeighted sampler —
+/// each in a slot filled at most once; defined in problem.cpp.
 struct SpdOperators;
 
 /// The least-squares norms an LsqProblem computes at preparation and shares
 /// with its shard clones (column and row squared norms, reciprocal row
 /// norms); defined in problem.cpp.
 struct LsqNorms;
+
+/// The kWeighted samplers an LsqProblem shares with its shard clones
+/// (columns for coordinate descent, rows for Kaczmarz), each in a slot
+/// filled at most once, by the first weighted solve that draws from it;
+/// defined in problem.cpp.
+struct LsqSamplers;
 }  // namespace detail
 
 /// Counters of the preparation work a handle has performed — lets tests (and
@@ -265,9 +271,12 @@ struct ProblemStats {
   /// Storage policy resolved at preparation (what the asynchronous kernels
   /// run against).
   StoragePolicy storage = StoragePolicy::kInt64Double;
-  /// Alias-table builds paid so far: 1 per lazily cached weighted sampler
-  /// (amortized across solves).  Repeat kWeighted solves must not increase
-  /// this.
+  /// Alias-table builds this handle paid: by the first kWeighted solve
+  /// that draws from a sampler (SpdProblem has one, LsqProblem one for its
+  /// columns and one for its rows).  Each sampler is built once per matrix
+  /// and shared like the partition analysis, so a prototype and its shard
+  /// clones sum to at most 1 per sampler whichever handle built it, and
+  /// repeat kWeighted solves never increase the sum.
   long long sampler_builds = 0;
   /// RCM partition analyses this handle built (0 or 1): by
   /// prepare_partitions() or the first partitioned solve.  A prototype and
@@ -329,9 +338,9 @@ class SpdProblem {
   ///
   /// Every solve, of every method and on both handles, first rejects
   /// controls it cannot honour (throws Error), before it builds anything:
-  /// sweeps, workers and max_iterations must be >= 0, rel_tol finite and
-  /// >= 0, step_size in (0, 2), and non-uniform sampling needs
-  /// RandomizationScope::kShared.  kAsyncJacobi further requires
+  /// sweeps, workers and max_iterations must be >= 0, inner_sweeps >= 1,
+  /// rel_tol finite and >= 0, step_size in (0, 2), and non-uniform sampling
+  /// needs RandomizationScope::kShared.  kAsyncJacobi further requires
   /// step_size <= 1, uniform sampling and no partitions.
   SolveOutcome solve(const std::vector<double>& b, std::vector<double>& x,
                      const SolveControls& controls = {});
@@ -402,13 +411,9 @@ class SpdProblem {
   ThreadPool& pool_;
   const CsrMatrix& a_;
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
-  /// kWeighted sampler (weights: squared row norms of the bound full-width
-  /// matrix), built lazily on the first weighted solve and cached — guarded
-  /// by mutex_ like all mutable solve state.
-  std::optional<DirectionSampler> weighted_sampler_;
-  /// The reciprocals and the compact copy and partition slots, shared with
-  /// every clone (set at construction, never reassigned; the slots
-  /// synchronize their own filling).
+  /// The reciprocals and the compact copy, partition and sampler slots,
+  /// shared with every clone (set at construction, never reassigned; the
+  /// slots synchronize their own filling).
   std::shared_ptr<detail::SpdOperators> operators_;
   mutable std::recursive_mutex mutex_;  // recursive: FCG solves re-enter via
                                         // the preconditioner's inner solves
@@ -494,11 +499,10 @@ class LsqProblem {
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
   /// Prepare-time norms, shared with every clone.
   std::shared_ptr<const detail::LsqNorms> norms_;
-  /// Lazily cached kWeighted samplers — columns (coordinate descent,
-  /// weights ||A_{:,j}||^2) and rows (Kaczmarz, weights ||A_i||^2);
-  /// mutex_-guarded.
-  std::optional<DirectionSampler> weighted_cols_;
-  std::optional<DirectionSampler> weighted_rows_;
+  /// The kWeighted sampler slots — columns (coordinate descent, weights
+  /// ||A_{:,j}||^2) and rows (Kaczmarz, weights ||A_i||^2) — shared with
+  /// every clone like norms_; the slots synchronize their own filling.
+  std::shared_ptr<detail::LsqSamplers> samplers_;
   mutable std::recursive_mutex mutex_;
   std::unique_ptr<detail::ProblemScratch> scratch_;
   ProblemStats stats_;

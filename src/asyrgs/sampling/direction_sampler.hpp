@@ -1,9 +1,10 @@
 // Non-uniform direction sampling over the batched Philox planner.
 //
 // The engine's determinism story rests on ONE global counter-based stream:
-// worker w of a team P consumes the global Philox positions {w, w+P, ...},
-// so the multiset of stream positions a run consumes is a pure function of
-// (seed, n, sweeps) — independent of worker count.  This subsystem keeps
+// each sweep s consumes the global Philox positions [s*n, (s+1)*n), worker
+// w of a team P taking s*n + w + t*P for its t-th update, so the multiset of
+// stream positions a run consumes is a pure function of (seed, n, sweeps) —
+// independent of worker count.  This subsystem keeps
 // that invariant while generalizing WHAT each position draws:
 //
 //   kUniform   position bits -> index via the 128-bit multiply reduction

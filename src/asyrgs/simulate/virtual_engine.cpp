@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -51,6 +52,14 @@ class VirtualEngine {
             "virtual_engine: shape mismatch");
     require(options.step_size > 0.0 && options.step_size < 2.0,
             "virtual_engine: step size must be in (0, 2)");
+    // direction() reads update j as sweep j / n of the plan, which numbers
+    // sweeps as int.
+    require(options.iterations == 0 ||
+                (a.rows() > 0 &&
+                 options.iterations / static_cast<std::uint64_t>(a.rows()) <
+                     static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())),
+            "virtual_engine: iterations exceed the plan's sweep range");
     std::vector<double> inv_diag = a.diagonal();
     for (double& d : inv_diag) {
       require(d > 0.0, "virtual_engine: diagonal must be strictly positive");
@@ -74,12 +83,17 @@ class VirtualEngine {
     dir_base_ = dir_count_ = 0;
   }
 
-  /// Direction of update j, served from the batched planner refill.
+  /// Direction of update j — stream position j, the (j mod n)-th update of
+  /// sweep j / n — served from the batched planner refill, which stops at
+  /// the sweep's end.
   [[nodiscard]] index_t direction(std::uint64_t j) {
     if (j < dir_base_ || j >= dir_base_ + dir_count_) {
+      const std::uint64_t n = static_cast<std::uint64_t>(plan_->directions());
+      const std::uint64_t t = j % n;
       dir_base_ = j;
-      dir_count_ = dirs_.size();
-      plan_->fill(0, j, dir_count_, dirs_.data());
+      dir_count_ = std::min<std::uint64_t>(dirs_.size(), n - t);
+      plan_->fill_in_sweep(0, static_cast<int>(j / n), static_cast<index_t>(t),
+                           static_cast<std::size_t>(dir_count_), dirs_.data());
     }
     return dirs_[static_cast<std::size_t>(j - dir_base_)];
   }

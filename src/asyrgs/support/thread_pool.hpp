@@ -1,9 +1,9 @@
 // Persistent worker-thread pool.
 //
 // Why not OpenMP: the asynchronous solver needs (a) explicit worker identity
-// so that worker w executes exactly the global iteration indices
-// {w, w+P, w+2P, ...} (this is what fixes the random direction multiset
-// across thread counts, Section 9 of the paper), (b) precisely placed
+// so that worker w executes exactly its share of each sweep's global
+// iteration indices, s*n + w + t*P (this is what fixes the random direction
+// multiset across thread counts, Section 9 of the paper), (b) precisely placed
 // barriers for the occasional-synchronization scheme, and (c) deterministic
 // team sizes under test.  A small dedicated pool gives all three and keeps
 // the build self-contained.

@@ -12,11 +12,12 @@
 //      single-worker results vs. the sequential reference (the old path's
 //      observable contract).
 //  Plus the owner-computes stream written out, the free-running contract
-//  (one drain: no residual call, the whole budget reported), the
-//  cyclic plan of chaotic relaxation (each sweep a permutation of the rows,
-//  each row with one writer), the exact-check schedule of tolerance-stopped
-//  barrier runs, driven with a synthetic residual, and the oversubscription
-//  heuristic for team-parallel residuals.
+//  (no residual call, the whole budget reported), one direction sequence
+//  per worker in both sync modes (the modes differ only at a sweep's end),
+//  the cyclic plan of chaotic relaxation (each sweep a permutation of the
+//  rows, each row with one writer), the exact-check schedule of
+//  tolerance-stopped barrier runs, driven with a synthetic residual, and the
+//  oversubscription heuristic for team-parallel residuals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -32,8 +34,10 @@
 #include "asyrgs/core/engine.hpp"
 #include "asyrgs/core/rgs.hpp"
 #include "asyrgs/gen/laplacian.hpp"
+#include "asyrgs/gen/partition.hpp"
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/problem.hpp"
+#include "asyrgs/sampling/direction_sampler.hpp"
 #include "asyrgs/support/prng.hpp"
 
 namespace asyrgs {
@@ -114,16 +118,25 @@ TEST(DirectionPlan, FillMatchesPickSharedScope) {
                                      n, team);
     for (int w = 0; w < team; ++w) {
       std::vector<index_t> got(700);
-      plan.fill(w, 3, got.size(), got.data());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], plan.pick(w, 3 + i))
-            << "team=" << team << " w=" << w << " i=" << i;
       plan.fill_in_sweep(w, 2, 1, got.size(), got.data());
       for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(got[i], plan.pick_in_sweep(w, 2, 1 + static_cast<index_t>(i)))
             << "team=" << team << " w=" << w << " i=" << i;
     }
   }
+}
+
+/// Worker w's first `count` directions of `plan`, sweep after sweep: the
+/// order the engine executes them in either sync mode.  Requires
+/// plan.per_sweep(w) > 0.
+std::vector<index_t> sweep_draws(const detail::DirectionPlan& plan, int w,
+                                 std::size_t count) {
+  const std::size_t mine = static_cast<std::size_t>(plan.per_sweep(w));
+  std::vector<index_t> out((count + mine - 1) / mine * mine);
+  for (std::size_t k = 0; k < out.size(); k += mine)
+    plan.fill_in_sweep(w, static_cast<int>(k / mine), 0, mine, out.data() + k);
+  out.resize(count);
+  return out;
 }
 
 TEST(DirectionPlan, OwnerComputesDrawsFullWordsFromIdentityCuts) {
@@ -147,12 +160,12 @@ TEST(DirectionPlan, OwnerComputesDrawsFullWordsFromIdentityCuts) {
       const Philox4x32 stream(
           splitmix64(seed + 0x9E3779B97F4A7C15ull *
                                 static_cast<std::uint64_t>(w + 1)));
-      std::vector<index_t> got(300);
-      plan.fill(w, 0, got.size(), got.data());
+      // Sweep s's t-th draw is stream position s * size + t, so the sweeps
+      // back to back read the stream in order.
+      const std::vector<index_t> got = sweep_draws(plan, w, 300);
       for (std::size_t k = 0; k < got.size(); ++k) {
         ASSERT_GE(got[k], range.lo) << "team=" << team << " w=" << w;
         ASSERT_LT(got[k], range.hi) << "team=" << team << " w=" << w;
-        ASSERT_EQ(got[k], plan.pick(w, k)) << "team=" << team << " w=" << w;
         ASSERT_EQ(got[k], range.lo + stream.index_at(k, size))
             << "team=" << team << " w=" << w << " k=" << k;
       }
@@ -196,9 +209,9 @@ TEST(DirectionMultiset, PlanTilesTheSequentialStream) {
                                      team);
     std::vector<index_t> all;
     for (int w = 0; w < team; ++w) {
-      const std::uint64_t mine = plan.total_updates(w, sweeps);
-      std::vector<index_t> picks(static_cast<std::size_t>(mine));
-      plan.fill(w, 0, picks.size(), picks.data());
+      const std::size_t mine = static_cast<std::size_t>(
+          sweeps * plan.per_sweep(w));
+      const std::vector<index_t> picks = sweep_draws(plan, w, mine);
       all.insert(all.end(), picks.begin(), picks.end());
     }
     std::sort(all.begin(), all.end());
@@ -308,7 +321,7 @@ TEST(DirectionMultiset, EngineHandlesMoreWorkersThanRows) {
   }
 }
 
-// --- free running: one drain, no rendezvous ---------------------------------
+// --- free running: no rendezvous, no residual --------------------------------
 
 TEST(FreeRunning, NeverChecksAndReportsTheWholeBudget) {
   // kFreeRunning has no synchronization point, so even with a tolerance and
@@ -362,6 +375,73 @@ TEST(FreeRunning, NeverChecksAndReportsTheWholeBudget) {
   }
 }
 
+// --- one loop: both sync modes run the same sequence per worker -------------
+
+/// Each worker's directions, in execution order, over a run of `plan`.
+std::vector<std::vector<index_t>> worker_sequences(
+    ThreadPool& pool, const detail::DirectionPlan& plan, SyncMode sync,
+    int sweeps) {
+  SolveControls controls;
+  controls.sweeps = sweeps;
+  controls.sync = sync;
+  std::vector<std::vector<index_t>> per_worker(
+      static_cast<std::size_t>(plan.team()));
+  SolveOutcome out;
+  auto residual = [](int, int) { return 0.0; };
+  detail::run_engine(pool, controls, plan, RecordingUpdate{&per_worker},
+                     residual, out);
+  EXPECT_EQ(out.workers, plan.team());
+  return per_worker;
+}
+
+TEST(SyncModes, EveryWorkerRunsTheSameDirectionSequence) {
+  // The sync modes differ only at the end of a sweep, so worker w executes
+  // its per-sweep split of every sweep, in order, under either — for every
+  // plan shape, and for the shared stream at team sizes that do not divide
+  // n (97 is prime).
+  ThreadPool pool(4);
+  const index_t n = 97;
+  const std::uint64_t seed = 61;
+  const int sweeps = 5;
+  std::vector<double> weights(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i)
+    weights[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 5);
+  const DirectionSampler weighted =
+      DirectionSampler::weighted(weights.data(), n);
+  // Four ranges of a path graph, each with its one-row halos.
+  auto cut = std::make_shared<GraphPartition>();
+  cut->lo = {0, 25, 50, 75, 97};
+  cut->halo = {{25}, {24, 50}, {49, 75}, {74}};
+  for (int team : {2, 3, 4}) {
+    using RS = RandomizationScope;
+    const std::vector<std::pair<const char*, detail::DirectionPlan>> plans = {
+        {"shared", detail::DirectionPlan(seed, RS::kShared, n, team)},
+        {"weighted",
+         detail::DirectionPlan(seed, RS::kShared, n, team, &weighted)},
+        {"owner-computes",
+         detail::DirectionPlan(seed, RS::kOwnerComputes, n, team)},
+        {"partitioned", detail::DirectionPlan(seed, cut, 0.25, team)},
+        {"cyclic shared", detail::DirectionPlan::cyclic(RS::kShared, n, team)},
+        {"cyclic owned",
+         detail::DirectionPlan::cyclic(RS::kOwnerComputes, n, team)}};
+    for (const auto& [name, plan] : plans) {
+      const auto free_running =
+          worker_sequences(pool, plan, SyncMode::kFreeRunning, sweeps);
+      const auto barrier =
+          worker_sequences(pool, plan, SyncMode::kBarrierPerSweep, sweeps);
+      for (int w = 0; w < team; ++w) {
+        const std::vector<index_t> expected = sweep_draws(
+            plan, w, static_cast<std::size_t>(sweeps * plan.per_sweep(w)));
+        const std::size_t id = static_cast<std::size_t>(w);
+        EXPECT_EQ(barrier[id], expected)
+            << name << " team=" << team << " w=" << w;
+        EXPECT_EQ(free_running[id], expected)
+            << name << " team=" << team << " w=" << w;
+      }
+    }
+  }
+}
+
 // --- cyclic plans: chaotic relaxation's fixed order --------------------------
 
 constexpr RandomizationScope kScopes[] = {RandomizationScope::kShared,
@@ -392,8 +472,7 @@ std::vector<index_t> owned_rows(RandomizationScope scope, index_t n, int w,
 TEST(CyclicPlan, EverySweepVisitsEachWorkersOwnedRowsInOrder) {
   // Plan objects only: each sweep's team draws are a permutation of [0, n),
   // worker w's rows are its owned rows, ascending, the same every sweep;
-  // the free-running numbering (filled in chunks that straddle sweeps)
-  // replays those sweeps back to back; and the single-pick forms agree.
+  // and the single-pick form agrees.
   const int sweeps = 3;
   for (index_t n : {index_t{1}, index_t{7}, index_t{101}}) {
     for (int team : {1, 3, 4, 128}) {
@@ -421,30 +500,6 @@ TEST(CyclicPlan, EverySweepVisitsEachWorkersOwnedRowsInOrder) {
           ASSERT_EQ(visits, std::vector<int>(static_cast<std::size_t>(n), 1))
               << label << " sweep=" << sweep;
         }
-        for (int w = 0; w < team; ++w) {
-          const std::uint64_t total = plan.total_updates(w, sweeps);
-          ASSERT_EQ(total, static_cast<std::uint64_t>(sweeps) *
-                               static_cast<std::uint64_t>(plan.per_sweep(w)))
-              << label << " w=" << w;
-          if (w >= n) {
-            ASSERT_EQ(total, 0u) << label << " w=" << w;
-          }
-          std::vector<index_t> expected;
-          for (int sweep = 0; sweep < sweeps; ++sweep) {
-            const std::vector<index_t> rows = sweep_rows(plan, w, sweep);
-            expected.insert(expected.end(), rows.begin(), rows.end());
-          }
-          std::vector<index_t> got(static_cast<std::size_t>(total));
-          for (std::uint64_t k = 0; k < total; k += 5) {
-            const std::size_t chunk =
-                static_cast<std::size_t>(std::min<std::uint64_t>(5, total - k));
-            plan.fill(w, k, chunk, got.data() + k);
-          }
-          ASSERT_EQ(got, expected) << label << " w=" << w;
-          for (std::uint64_t k = 0; k < total; ++k)
-            ASSERT_EQ(got[static_cast<std::size_t>(k)], plan.pick(w, k))
-                << label << " w=" << w << " k=" << k;
-        }
       }
     }
   }
@@ -462,8 +517,6 @@ TEST(CyclicPlan, ForTeamReplansTheOwnedRows) {
           EXPECT_EQ(sweep_rows(replanned, w, 1), owned_rows(scope, n, w, team))
               << "n=" << n << " team=" << team << " w=" << w
               << " scope=" << static_cast<int>(scope);
-          EXPECT_EQ(replanned.total_updates(w, 2),
-                    2u * owned_rows(scope, n, w, team).size());
         }
       }
     }

@@ -241,15 +241,11 @@ TEST(PartitionedPlan, FillMatchesPick) {
       const detail::DirectionPlan plan(91, cut, steal, team);
       for (int w = 0; w < team; ++w) {
         if (plan.per_sweep(w) == 0) continue;
-        std::vector<index_t> got(500);
-        plan.fill(w, 3, got.size(), got.data());
-        for (std::size_t i = 0; i < got.size(); ++i)
-          ASSERT_EQ(got[i], plan.pick(w, 3 + i))
-              << "steal=" << steal << " team=" << team << " w=" << w;
         // fill_in_sweep takes within-sweep positions: t0 + count must stay
         // inside the worker's per-sweep quota (the engine's usage).
         const std::size_t in_sweep =
             static_cast<std::size_t>(plan.per_sweep(w)) - 1;
+        std::vector<index_t> got(in_sweep);
         plan.fill_in_sweep(w, 2, 1, in_sweep, got.data());
         for (std::size_t i = 0; i < in_sweep; ++i)
           ASSERT_EQ(got[i],
@@ -258,6 +254,19 @@ TEST(PartitionedPlan, FillMatchesPick) {
       }
     }
   }
+}
+
+/// Worker w's first `count` directions of `plan`, sweep after sweep: the
+/// order the engine executes them in either sync mode.  Requires
+/// plan.per_sweep(w) > 0.
+std::vector<index_t> sweep_draws(const detail::DirectionPlan& plan, int w,
+                                 std::size_t count) {
+  const std::size_t mine = static_cast<std::size_t>(plan.per_sweep(w));
+  std::vector<index_t> out((count + mine - 1) / mine * mine);
+  for (std::size_t k = 0; k < out.size(); k += mine)
+    plan.fill_in_sweep(w, static_cast<int>(k / mine), 0, mine, out.data() + k);
+  out.resize(count);
+  return out;
 }
 
 TEST(PartitionedPlan, PerSweepTilesTheDimension) {
@@ -287,10 +296,9 @@ TEST(PartitionedPlan, DirectionMultisetInvariantAcrossTeamSizes) {
       const detail::DirectionPlan plan(33, cut, steal, team);
       std::vector<index_t> all;
       for (int w = 0; w < team; ++w) {
-        const std::uint64_t mine = plan.total_updates(w, sweeps);
-        if (mine == 0) continue;
-        std::vector<index_t> picks(static_cast<std::size_t>(mine));
-        plan.fill(w, 0, picks.size(), picks.data());
+        if (plan.per_sweep(w) == 0) continue;
+        const std::vector<index_t> picks = sweep_draws(
+            plan, w, static_cast<std::size_t>(sweeps * plan.per_sweep(w)));
         all.insert(all.end(), picks.begin(), picks.end());
       }
       std::sort(all.begin(), all.end());
@@ -313,9 +321,7 @@ TEST(PartitionedPlan, ZeroStealNeverLeavesTheOwnedRange) {
   for (int w = 0; w < 4; ++w) {
     const index_t lo = cut->lo_of(w);
     const index_t hi = lo + cut->size_of(w);
-    std::vector<index_t> picks(2000);
-    plan.fill(w, 0, picks.size(), picks.data());
-    for (const index_t r : picks) {
+    for (const index_t r : sweep_draws(plan, w, 2000)) {
       ASSERT_GE(r, lo) << "w=" << w;
       ASSERT_LT(r, hi) << "w=" << w;
     }
@@ -331,9 +337,7 @@ TEST(PartitionedPlan, StolenDrawsComeFromTheHalo) {
     const index_t lo = cut->lo_of(w);
     const index_t hi = lo + cut->size_of(w);
     const std::vector<index_t>& halo = cut->halo[static_cast<std::size_t>(w)];
-    std::vector<index_t> picks(2000);
-    plan.fill(w, 0, picks.size(), picks.data());
-    for (const index_t r : picks) {
+    for (const index_t r : sweep_draws(plan, w, 2000)) {
       if (r >= lo && r < hi) continue;
       ++stolen;
       ASSERT_TRUE(std::binary_search(halo.begin(), halo.end(), r))

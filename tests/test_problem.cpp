@@ -17,7 +17,8 @@
 //      no new scratch allocations.  The SPD operators built on demand (the
 //      compact copy and the partition analysis) wait for their hook or
 //      first reader, and are built once across a prototype and its clones
-//      — clones taken before the build, and clones racing to first use.
+//      — clones taken before the build, and clones racing to first use —
+//      and so are the kWeighted alias tables of both handles.
 //  (c) The unified SolveOutcome: the engine's status rule on every
 //      asynchronous path and sync mode, rejection of malformed controls on
 //      every method, and the thread-safety contract (concurrent solve() on
@@ -364,6 +365,31 @@ TEST(PreparedSpd, ClonesTakenBeforeABuildShareIt) {
   EXPECT_EQ(clone.stats().partition_builds, 0);
 }
 
+/// A prototype handle on `a` and three shard clones, each on its own
+/// one-worker pool, every handle h running `solves(handle, h)` on its own
+/// thread — so the handles race to the first use of whatever their solves
+/// share.  Returns each handle's stats.
+template <class Problem, class Solves>
+std::vector<ProblemStats> race_prototype_and_clones(const CsrMatrix& a,
+                                                    Solves&& solves) {
+  constexpr int kHandles = 4;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  std::vector<std::unique_ptr<Problem>> handles;
+  for (int h = 0; h < kHandles; ++h) {
+    pools.push_back(std::make_unique<ThreadPool>(1));
+    handles.push_back(h == 0 ? std::make_unique<Problem>(*pools[0], a)
+                             : std::make_unique<Problem>(*pools[h],
+                                                         *handles[0]));
+  }
+  std::vector<std::thread> threads;
+  for (int h = 0; h < kHandles; ++h)
+    threads.emplace_back([&, h] { solves(*handles[h], h); });
+  for (std::thread& t : threads) t.join();
+  std::vector<ProblemStats> stats;
+  for (const auto& handle : handles) stats.push_back(handle->stats());
+  return stats;
+}
+
 TEST(PreparedSpd, ClonesRacingToFirstUseBuildEachOperatorOnce) {
   // Each handle's two solves read one operator each, half of them in either
   // order, so the handles race on both slots at once: whichever reaches a
@@ -377,38 +403,86 @@ TEST(PreparedSpd, ClonesRacingToFirstUseBuildEachOperatorOnce) {
   reference.solve(b, x_flat, one_worker_controls(0));
   reference.solve(b, x_part, one_worker_controls(2));
 
-  constexpr int kHandles = 4;
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  std::vector<std::unique_ptr<SpdProblem>> handles;
-  for (int h = 0; h < kHandles; ++h) {
-    pools.push_back(std::make_unique<ThreadPool>(1));
-    handles.push_back(h == 0 ? std::make_unique<SpdProblem>(*pools[0], a)
-                             : std::make_unique<SpdProblem>(*pools[h],
-                                                            *handles[0]));
-  }
-  std::vector<std::vector<double>> flat(kHandles), part(kHandles);
-  std::vector<std::thread> threads;
-  for (int h = 0; h < kHandles; ++h)
-    threads.emplace_back([&, h] {
-      flat[h].assign(a.rows(), 0.0);
-      part[h].assign(a.rows(), 0.0);
-      // Half the handles take the operators in the other order.
-      const int first = h % 2 == 0 ? 0 : 2;
-      handles[h]->solve(b, first == 0 ? flat[h] : part[h],
-                        one_worker_controls(first));
-      handles[h]->solve(b, first == 0 ? part[h] : flat[h],
-                        one_worker_controls(2 - first));
-    });
-  for (std::thread& t : threads) t.join();
+  std::vector<std::vector<double>> flat(4), part(4);
+  const std::vector<ProblemStats> stats = race_prototype_and_clones<
+      SpdProblem>(a, [&](SpdProblem& handle, int h) {
+    flat[h].assign(a.rows(), 0.0);
+    part[h].assign(a.rows(), 0.0);
+    // Half the handles take the operators in the other order.
+    const int first = h % 2 == 0 ? 0 : 2;
+    handle.solve(b, first == 0 ? flat[h] : part[h],
+                 one_worker_controls(first));
+    handle.solve(b, first == 0 ? part[h] : flat[h],
+                 one_worker_controls(2 - first));
+  });
   int compact_builds = 0, partition_builds = 0;
-  for (int h = 0; h < kHandles; ++h) {
+  for (std::size_t h = 0; h < stats.size(); ++h) {
     EXPECT_EQ(flat[h], x_flat) << "handle " << h;
     EXPECT_EQ(part[h], x_part) << "handle " << h;
-    compact_builds += handles[h]->stats().compact_builds;
-    partition_builds += handles[h]->stats().partition_builds;
+    compact_builds += stats[h].compact_builds;
+    partition_builds += stats[h].partition_builds;
   }
   EXPECT_EQ(compact_builds, 1);
   EXPECT_EQ(partition_builds, 1);
+}
+
+TEST(PreparedSpd, ClonesRacingToAWeightedSolveBuildOneSampler) {
+  // The kWeighted alias table is per-matrix state, shared like the compact
+  // copy: whichever handle solves first builds it, and the rest draw from
+  // that build.
+  const CsrMatrix a = laplacian_2d(10, 10);
+  const std::vector<double> b = random_vector(a.rows(), 12);
+  SolveControls controls = one_worker_controls(0);
+  controls.sampling = SamplingPolicy::kWeighted;
+  ThreadPool reference_pool(1);
+  std::vector<double> reference(a.rows(), 0.0);
+  SpdProblem(reference_pool, a).solve(b, reference, controls);
+
+  std::vector<std::vector<double>> xs(4, std::vector<double>(a.rows(), 0.0));
+  long long builds = 0;
+  for (const ProblemStats& s : race_prototype_and_clones<SpdProblem>(
+           a, [&](SpdProblem& handle, int h) {
+             handle.solve(b, xs[static_cast<std::size_t>(h)], controls);
+           }))
+    builds += s.sampler_builds;
+  EXPECT_EQ(builds, 1);
+  for (const std::vector<double>& x : xs) EXPECT_EQ(x, reference);
+}
+
+TEST(PreparedLsq, ClonesRacingToWeightedSolvesBuildEachSamplerOnce) {
+  // Coordinate descent draws columns and Kaczmarz rows, each from its own
+  // shared table; half the handles take the methods in the other order, so
+  // the handles race on both tables at once.
+  const CsrMatrix a = tall_matrix(120, 40, 23);
+  const std::vector<double> b = random_vector(a.rows(), 24);
+  SolveControls rcd = one_worker_controls(0);
+  rcd.sampling = SamplingPolicy::kWeighted;
+  SolveControls kaczmarz = rcd;
+  kaczmarz.method = SpdMethod::kAsyncKaczmarz;
+  ThreadPool reference_pool(1);
+  LsqProblem reference(reference_pool, a);
+  std::vector<double> x_rcd(static_cast<std::size_t>(a.cols()), 0.0);
+  std::vector<double> x_kaczmarz = x_rcd;
+  reference.solve(b, x_rcd, rcd);
+  reference.solve(b, x_kaczmarz, kaczmarz);
+
+  std::vector<std::vector<double>> rcd_xs(4), kaczmarz_xs(4);
+  long long builds = 0;
+  for (const ProblemStats& s : race_prototype_and_clones<LsqProblem>(
+           a, [&](LsqProblem& handle, int h) {
+             rcd_xs[h].assign(static_cast<std::size_t>(a.cols()), 0.0);
+             kaczmarz_xs[h] = rcd_xs[h];
+             if (h % 2 == 0) handle.solve(b, rcd_xs[h], rcd);
+             handle.solve(b, kaczmarz_xs[h], kaczmarz);
+             if (h % 2 == 1) handle.solve(b, rcd_xs[h], rcd);
+           }))
+    builds += s.sampler_builds;
+  EXPECT_EQ(builds, 2);
+  for (int h = 0; h < 4; ++h) {
+    EXPECT_EQ(rcd_xs[static_cast<std::size_t>(h)], x_rcd) << "handle " << h;
+    EXPECT_EQ(kaczmarz_xs[static_cast<std::size_t>(h)], x_kaczmarz)
+        << "handle " << h;
+  }
 }
 
 TEST(PreparedLsq, TransposeBuiltOncePerMatrix) {
@@ -607,6 +681,35 @@ TEST(ControlsValidation, NegativeIterationCapRejected) {
                      {SpdMethod::kCg, SpdMethod::kFcgAsyRgs,
                       SpdMethod::kAsyncRgs},
                      "max_iterations");
+}
+
+TEST(ControlsValidation, InnerSweepsBelowOneRejectedBeforeAnyBuild) {
+  // FCG's preconditioner refuses a sweep count below 1, but only after the
+  // solve has built the compact copy its inner sweeps read; every solve now
+  // refuses it first, whichever method the request resolves to.
+  ThreadPool pool(2);
+  const CsrMatrix a = laplacian_2d(16, 16);
+  const std::vector<double> b = random_vector(a.rows(), 3);
+  for (SpdMethod method : {SpdMethod::kFcgAsyRgs, SpdMethod::kAuto}) {
+    SpdProblem problem(pool, a, /*check_input=*/false);
+    ASSERT_EQ(problem.storage(), StoragePolicy::kInt32Double);
+    SolveControls controls;
+    controls.method = method;  // kAuto resolves to FCG at this tolerance
+    controls.rel_tol = 1e-6;
+    controls.inner_sweeps = 0;
+    std::vector<double> x(b.size(), 0.0);
+    EXPECT_THROW(problem.solve(b, x, controls), Error)
+        << "method=" << static_cast<int>(method);
+    EXPECT_EQ(problem.stats().compact_builds, 0)
+        << "method=" << static_cast<int>(method);
+  }
+  const CsrMatrix tall = tall_matrix(120, 40, 3);
+  LsqProblem lsq(pool, tall);
+  const std::vector<double> lsq_b = random_vector(tall.rows(), 4);
+  std::vector<double> x(static_cast<std::size_t>(tall.cols()), 0.0);
+  SolveControls controls;
+  controls.inner_sweeps = -1;
+  EXPECT_THROW(lsq.solve(lsq_b, x, controls), Error);
 }
 
 TEST(ControlsValidation, ChaoticRelaxationRejectsWhatItCannotHonour) {

@@ -155,12 +155,16 @@ TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
     const detail::DirectionPlan sampled(seed, RandomizationScope::kShared, n,
                                         team, &uniform);
     for (int w = 0; w < team; ++w) {
-      std::vector<index_t> a(400), b(400);
-      bare.fill(w, 0, a.size(), a.data());
-      sampled.fill(w, 0, b.size(), b.data());
-      ASSERT_EQ(a, b) << "team=" << team << " w=" << w;
-      for (std::size_t i = 0; i < 64; ++i)
-        ASSERT_EQ(bare.pick(w, i), sampled.pick(w, i));
+      const std::size_t mine = static_cast<std::size_t>(bare.per_sweep(w));
+      for (int sweep = 0; sweep < 4; ++sweep) {
+        std::vector<index_t> a(mine), b(mine);
+        bare.fill_in_sweep(w, sweep, 0, a.size(), a.data());
+        sampled.fill_in_sweep(w, sweep, 0, b.size(), b.data());
+        ASSERT_EQ(a, b) << "team=" << team << " w=" << w;
+        for (std::size_t t = 0; t < mine; ++t)
+          ASSERT_EQ(bare.pick_in_sweep(w, sweep, static_cast<index_t>(t)),
+                    sampled.pick_in_sweep(w, sweep, static_cast<index_t>(t)));
+      }
     }
   }
 }
@@ -177,15 +181,19 @@ TEST(DirectionPlan, WeightedFillMatchesPickAndMapsTheSharedStream) {
     const detail::DirectionPlan plan(seed, RandomizationScope::kShared, n,
                                      team, &sampler);
     for (int wk = 0; wk < team; ++wk) {
-      std::vector<index_t> got(300);
-      plan.fill(wk, 2, got.size(), got.data());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], plan.pick(wk, 2 + i)) << "team=" << team;
-        // Worker wk consumes global positions wk + j * team; every word is
-        // mapped through the alias table.
-        const std::uint64_t pos =
-            static_cast<std::uint64_t>(wk) + (2 + i) * team;
-        ASSERT_EQ(got[i], sampler.map(raw.at(pos))) << "team=" << team;
+      const index_t mine = plan.per_sweep(wk);
+      for (int sweep = 0; sweep < 4; ++sweep) {
+        std::vector<index_t> got(static_cast<std::size_t>(mine));
+        plan.fill_in_sweep(wk, sweep, 0, got.size(), got.data());
+        for (index_t t = 0; t < mine; ++t) {
+          const index_t r = got[static_cast<std::size_t>(t)];
+          ASSERT_EQ(r, plan.pick_in_sweep(wk, sweep, t)) << "team=" << team;
+          // Worker wk's t-th draw of sweep s reads global position
+          // s*n + wk + t*team; every word is mapped through the alias table.
+          const std::uint64_t pos = static_cast<std::uint64_t>(
+              sweep * n + wk + t * static_cast<index_t>(team));
+          ASSERT_EQ(r, sampler.map(raw.at(pos))) << "team=" << team;
+        }
       }
     }
   }

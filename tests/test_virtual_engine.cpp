@@ -236,6 +236,10 @@ TEST(VirtualEngine, RejectsBadInputs) {
   std::vector<double> short_b(8, 0.0);
   EXPECT_THROW(
       run_virtual_consistent(p.a, short_b, p.x0, p.x_star, delay, opt), Error);
+  // 2^31 sweeps of n = 16: past the direction plan's int sweep index.
+  opt.iterations = std::uint64_t{16} << 31;
+  EXPECT_THROW(run_virtual_consistent(p.a, p.b, p.x0, p.x_star, delay, opt),
+               Error);
 }
 
 TEST(VirtualEngine, RecordsErrorHistoryAtRequestedCadence) {
