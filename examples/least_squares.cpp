@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   for (double& v : labels) v += 0.02 * normal(rng);
 
   ThreadPool& pool = ThreadPool::global();
-  // Prepare the least-squares problem once: F^T is materialized (through the
-  // matrix's shared transpose cache), the column-norm denominators are
+  // Prepare the least-squares problem once: F^T is materialized (at the
+  // handle's compact storage width), the column-norm denominators are
   // precomputed, and full column rank is validated.  Every labelling pass
   // after that is a plain solve() against the handle.
   LsqProblem problem(pool, f);

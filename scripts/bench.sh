@@ -44,10 +44,9 @@ cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 2)" \
 
 echo "bench.sh: wrote BENCH_${label}.json"
 
-# Side-by-side storage-policy, sampling-policy, kaczmarz,
-# prepare-amortization, locality, serving-throughput, and overload
-# summaries (schema v13: docs/TUNING.md).  Best effort — the JSON is the
-# artifact; these lines are for the terminal.
+# Side-by-side storage-policy, sampling-policy, kaczmarz, locality,
+# serving-throughput, and overload summaries (schema v14: docs/TUNING.md).
+# Best effort — the JSON is the artifact; these lines are for the terminal.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "BENCH_${label}.json" <<'PYEOF'
 import json, sys
@@ -69,21 +68,6 @@ if z:
           % (z["rows"], z["cols"], z["nnz"],
              z["uniform_updates_per_second"],
              z["weighted_updates_per_second"], z["weighted_ratio"]))
-p = d.get("prepare_amortization")
-if p:
-    for fam in ("spd", "lsq"):
-        f = p.get(fam)
-        if f:
-            line = ("bench.sh: prepared %s solve (%s, %d sweeps): "
-                    "cold=%.3gs prepared=%.3gs speedup=%.2fx"
-                    % (fam, p["workload"], p["sweeps"],
-                       f["cold_seconds_per_solve"],
-                       f["prepared_seconds_per_solve"], f["speedup"]))
-            if "uncached_speedup" in f:
-                line += (" (uncached cold=%.3gs, %.2fx)"
-                         % (f["cold_uncached_seconds_per_solve"],
-                            f["uncached_speedup"]))
-            print(line)
 c = d.get("locality_headline")
 if c:
     print("bench.sh: locality (laplacian_2d %dx%d, %d workers): "

@@ -40,10 +40,9 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
   require(options.step_size > 0.0 && options.step_size < 2.0,
           "rcd_lsq_solve: step size must be in (0, 2)");
   const index_t n = a.cols();
-  // Local transpose on purpose: this sequential one-shot path makes no
-  // amortization promise, and the shared cache would pin ~nnz extra memory
-  // to the caller's matrix for its lifetime.  Repeat-solve users should
-  // hold an LsqProblem instead.
+  // A local transpose: this sequential one-shot path makes no amortization
+  // promise.  Repeat-solve users should hold an LsqProblem, which builds
+  // A^T once.
   const CsrMatrix at = a.transpose();
   const std::vector<double> col_sq = detail::column_sq_norms(at);
   for (double s : col_sq)

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "asyrgs/core/engine.hpp"
@@ -83,16 +84,19 @@ struct SpdOperators {
   SharedSlot<DirectionSampler> sampler;
 };
 
-struct LsqNorms {
+struct LsqOperators {
+  /// The pair the kernels read under kInt32Double: A narrowed, and A^T
+  /// transposed from it.  Both empty under full width.
+  std::optional<CsrMatrix32> a32;
+  std::optional<CsrMatrix32> at32;
+  /// A^T under full width, read beside the bound A; empty when narrow.
+  std::optional<CsrMatrix> at;
   std::vector<double> col_sq;      ///< ||A_{:,j}||^2 update denominators
   std::vector<double> row_sq;      ///< ||A_i||^2 (Kaczmarz sampling weights)
   std::vector<double> inv_row_sq;  ///< 1/||A_i||^2 projection denominators
                                    ///< (0 for zero rows: their update no-ops)
-};
-
-struct LsqSamplers {
-  SharedSlot<DirectionSampler> cols;  ///< coordinate descent, ∝ col_sq
-  SharedSlot<DirectionSampler> rows;  ///< Kaczmarz, ∝ row_sq
+  SharedSlot<DirectionSampler> col_sampler;  ///< coordinate descent, ∝ col_sq
+  SharedSlot<DirectionSampler> row_sampler;  ///< Kaczmarz, ∝ row_sq
 };
 
 }  // namespace detail
@@ -622,36 +626,33 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
 
 namespace {
 
-/// Builds the compact (A, A^T) pair for the int32 least-squares policy.
-/// Both operands narrow or neither: the update kernel walks rows of A and
-/// rows of A^T in one pass, and mixing widths there would force per-access
-/// dispatch.
-void narrow_lsq_pair(const CsrMatrix& a, const CsrMatrix& at,
-                     std::shared_ptr<const CsrMatrix32>& a_out,
-                     std::shared_ptr<const CsrMatrix32>& at_out) {
-  a_out = std::make_shared<const CsrMatrix32>(
-      convert_storage<std::int32_t, double>(a));
-  at_out = std::make_shared<const CsrMatrix32>(
-      convert_storage<std::int32_t, double>(at));
-}
-
-/// The prepare-time norms of (A, A^T), validating full column rank.  The
-/// squared row norms double as the Strohmer-Vershynin sampling weights and
-/// (reciprocated) as the Kaczmarz projection denominators.  Zero rows are
-/// legal — their weight is 0 and their inverse is 0, so the row is never
-/// preferred and its update no-ops.
-std::shared_ptr<const detail::LsqNorms> lsq_norms(const CsrMatrix& a,
-                                                  const CsrMatrix& at) {
-  auto norms = std::make_shared<detail::LsqNorms>();
-  norms->col_sq = detail::column_sq_norms(at);
-  for (double s : norms->col_sq)
+/// The per-matrix state of a least-squares handle under `policy`.  Both
+/// operands share one width, because the update kernel walks rows of A and
+/// rows of A^T in one pass.  A^T is transposed once, straight at that width,
+/// so no full-width A^T ever sits beside the compact pair.  Computes the
+/// norms too, validating full column rank.  The squared row norms double as
+/// the Strohmer-Vershynin sampling weights and (reciprocated) as the
+/// Kaczmarz projection denominators.  Zero rows are legal — their weight is
+/// 0 and their inverse is 0, so the row is never preferred and its update
+/// no-ops.
+std::shared_ptr<detail::LsqOperators> lsq_operators(const CsrMatrix& a,
+                                                    StoragePolicy policy) {
+  auto ops = std::make_shared<detail::LsqOperators>();
+  if (policy == StoragePolicy::kInt32Double) {
+    ops->a32.emplace(convert_storage<std::int32_t, double>(a));
+    ops->at32.emplace(ops->a32->transpose());
+    ops->col_sq = detail::column_sq_norms(*ops->at32);
+  } else {
+    ops->at.emplace(a.transpose());
+    ops->col_sq = detail::column_sq_norms(*ops->at);
+  }
+  for (double s : ops->col_sq)
     require(s > 0.0, "LsqProblem: zero column (A must have full rank)");
-  norms->row_sq = detail::row_sq_norms(a);
-  norms->inv_row_sq.resize(norms->row_sq.size());
-  for (std::size_t i = 0; i < norms->row_sq.size(); ++i)
-    norms->inv_row_sq[i] =
-        norms->row_sq[i] > 0.0 ? 1.0 / norms->row_sq[i] : 0.0;
-  return norms;
+  ops->row_sq = detail::row_sq_norms(a);
+  ops->inv_row_sq.resize(ops->row_sq.size());
+  for (std::size_t i = 0; i < ops->row_sq.size(); ++i)
+    ops->inv_row_sq[i] = ops->row_sq[i] > 0.0 ? 1.0 / ops->row_sq[i] : 0.0;
+  return ops;
 }
 
 }  // namespace
@@ -660,51 +661,22 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
                        StorageMode storage)
     : pool_(pool),
       a_(a),
-      samplers_(std::make_shared<detail::LsqSamplers>()),
+      // A^T's column indices are row indices of A, so narrowing must fit
+      // the larger of the two dimensions.
+      storage_(resolve_storage_policy(storage, std::max(a.rows(), a.cols()),
+                                      a.nnz())),
+      operators_(lsq_operators(a, storage_)),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
-  bool built_now = false;
-  at_holder_ = a.transpose_shared(&built_now);
-  at_ = at_holder_.get();
-  if (built_now) ++stats_.transpose_builds;
-  norms_ = lsq_norms(a, *at_);
+  ++stats_.transpose_builds;
   ++stats_.validation_passes;
-  // A^T's column indices are row indices of A, so narrowing must fit the
-  // larger of the two dimensions.
-  storage_ =
-      resolve_storage_policy(storage, std::max(a.rows(), a.cols()), a.nnz());
-  if (storage_ == StoragePolicy::kInt32Double)
-    narrow_lsq_pair(a, *at_, a32_, at32_);
-  stats_.storage = storage_;
-}
-
-LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
-                       const CsrMatrix& at, StorageMode storage)
-    : pool_(pool),
-      a_(a),
-      at_(&at),
-      samplers_(std::make_shared<detail::LsqSamplers>()),
-      scratch_(std::make_unique<detail::ProblemScratch>()) {
-  require(at.rows() == a.cols() && at.cols() == a.rows(),
-          "LsqProblem: `at` must be the transpose of `a`");
-  norms_ = lsq_norms(a, at);
-  ++stats_.validation_passes;
-  storage_ =
-      resolve_storage_policy(storage, std::max(a.rows(), a.cols()), a.nnz());
-  if (storage_ == StoragePolicy::kInt32Double)
-    narrow_lsq_pair(a, at, a32_, at32_);
   stats_.storage = storage_;
 }
 
 LsqProblem::LsqProblem(ThreadPool& pool, const LsqProblem& other)
     : pool_(pool),
       a_(other.a_),
-      at_holder_(other.at_holder_),
-      at_(other.at_),
-      a32_(other.a32_),
-      at32_(other.at32_),
       storage_(other.storage_),
-      norms_(other.norms_),
-      samplers_(other.samplers_),
+      operators_(other.operators_),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   stats_.storage = storage_;
 }
@@ -737,13 +709,14 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
           "LsqProblem::solve: partitioned scheduling is served by "
           "SpdProblem (it partitions a symmetric operator's graph)");
   const bool kaczmarz = controls.method == SpdMethod::kAsyncKaczmarz;
+  const detail::LsqOperators& ops = *operators_;
   SolveOutcome out;
-  if (a32_)
-    out = kaczmarz ? solve_kaczmarz_on(*a32_, *at32_, b, x, controls)
-                   : solve_on(*a32_, *at32_, b, x, controls);
+  if (ops.at32)
+    out = kaczmarz ? solve_kaczmarz_on(*ops.a32, *ops.at32, b, x, controls)
+                   : solve_on(*ops.a32, *ops.at32, b, x, controls);
   else
-    out = kaczmarz ? solve_kaczmarz_on(a_, *at_, b, x, controls)
-                   : solve_on(a_, *at_, b, x, controls);
+    out = kaczmarz ? solve_kaczmarz_on(a_, *ops.at, b, x, controls)
+                   : solve_on(a_, *ops.at, b, x, controls);
   out.method_used =
       kaczmarz ? SpdMethod::kAsyncKaczmarz : SpdMethod::kAsyncRgs;
   ++stats_.solves;
@@ -766,11 +739,11 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
   detail::LsqResidual residual(a, at, b, x.data(), workers,
                                scratch_->engine.reduce(workers), r, check);
 
-  // Coordinate-descent weights: the column squared norms computed
-  // (full-width) at preparation.
+  // Coordinate-descent weights: the column squared norms computed at
+  // preparation.
   const DirectionSampler* const sampler = weighted_sampler(
-      controls.sampling, samplers_->cols,
-      [&]() -> const std::vector<double>& { return norms_->col_sq; },
+      controls.sampling, operators_->col_sampler,
+      [&]() -> const std::vector<double>& { return operators_->col_sq; },
       stats_.sampler_builds);
 
   SolveOutcome out;
@@ -779,7 +752,8 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
                                    sampler);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::LsqUpdate<kAtomic, Index> update{
-        &a, &at, b.data(), norms_->col_sq.data(), x.data(), controls.step_size};
+        &a, &at, b.data(), operators_->col_sq.data(), x.data(),
+        controls.step_size};
     detail::run_engine(pool_, controls, plan, update, residual, out,
                        &scratch_->engine);
   });
@@ -815,10 +789,10 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
                                scratch_->engine.reduce(workers), r, check);
 
   // The Strohmer-Vershynin distribution p_i ∝ ||A_i||^2, from the
-  // prepare-time norms of the full-width matrix.
+  // prepare-time norms.
   const DirectionSampler* const sampler = weighted_sampler(
-      controls.sampling, samplers_->rows,
-      [&]() -> const std::vector<double>& { return norms_->row_sq; },
+      controls.sampling, operators_->row_sampler,
+      [&]() -> const std::vector<double>& { return operators_->row_sq; },
       stats_.sampler_builds);
 
   SolveOutcome out;
@@ -827,9 +801,9 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
                                    sampler);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::KaczmarzUpdate<kAtomic, Index> update{
-        a.row_ptr().data(),        a.col_idx().data(),
-        a.values().data(),         b.data(),
-        norms_->inv_row_sq.data(), x.data(),
+        a.row_ptr().data(),            a.col_idx().data(),
+        a.values().data(),             b.data(),
+        operators_->inv_row_sq.data(), x.data(),
         controls.step_size};
     detail::run_engine(pool_, controls, plan, update, residual, out,
                        &scratch_->engine);

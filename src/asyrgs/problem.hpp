@@ -95,10 +95,11 @@ enum class SolveStatus {
 /// construction (see resolve_storage_policy for the exact rules).  kAuto
 /// runs the asynchronous kernels on a compact int32-index copy of the bound
 /// matrix when the shape fits — halving the index bandwidth of every row
-/// scan.  LsqProblem builds its copies at construction; SpdProblem builds
-/// its copy once, when first needed (SpdProblem::prepare_compact).  The
-/// int32 arithmetic is bit-identical to full width, which is why kAuto
-/// narrows by default without breaking reproducibility contracts.
+/// scan.  LsqProblem builds its compact A, and A^T from it, at
+/// construction; SpdProblem builds its copy once, when first needed
+/// (SpdProblem::prepare_compact).  The int32 arithmetic is bit-identical to
+/// full width, which is why kAuto narrows by default without breaking
+/// reproducibility contracts.
 enum class StorageMode {
   kAuto,         ///< int32/double when the shape fits, else full width
   kInt64Double,  ///< full width; no compact copy is built
@@ -240,25 +241,23 @@ struct SpdPartitionState;
 /// each in a slot filled at most once; defined in problem.cpp.
 struct SpdOperators;
 
-/// The least-squares norms an LsqProblem computes at preparation and shares
-/// with its shard clones (column and row squared norms, reciprocal row
-/// norms); defined in problem.cpp.
-struct LsqNorms;
-
-/// The kWeighted samplers an LsqProblem shares with its shard clones
-/// (columns for coordinate descent, rows for Kaczmarz), each in a slot
-/// filled at most once, by the first weighted solve that draws from it;
-/// defined in problem.cpp.
-struct LsqSamplers;
+/// The per-matrix state an LsqProblem shares with all its shard clones: the
+/// (A, A^T) pair its kernels read, at the handle's storage width; the
+/// column and row squared norms and reciprocal row norms; and the kWeighted
+/// samplers (columns for coordinate descent, rows for Kaczmarz), each in a
+/// slot filled at most once, by the first weighted solve that draws from
+/// it; defined in problem.cpp.
+struct LsqOperators;
 }  // namespace detail
 
 /// Counters of the preparation work a handle has performed — lets tests (and
 /// monitoring) assert that analysis is paid once per problem, not per solve.
 struct ProblemStats {
   int validation_passes = 0;  ///< symmetry/diagonal/rank checks performed
-  /// Explicit A^T constructions triggered.  Only LsqProblem builds one (its
-  /// column kernels read A^T); SpdProblem's symmetry check needs none, so
-  /// an SPD handle always reports 0.
+  /// Explicit A^T constructions this handle paid: 1 for an LsqProblem bound
+  /// to a matrix (its column kernels read A^T, built at construction), 0
+  /// for its shard clones, which share that build.  SpdProblem's symmetry
+  /// check needs none, so an SPD handle always reports 0.
   int transpose_builds = 0;
   /// Completed solve() calls, counting inner preconditioner applications:
   /// one kFcgAsyRgs solve contributes 1 + (outer iterations), because each
@@ -424,31 +423,27 @@ class SpdProblem {
 /// Prepared handle for repeated least-squares solves min ||A x - b|| against
 /// one matrix (asynchronous randomized coordinate descent, Section 8).
 ///
-/// Construction materializes (or borrows) A^T, precomputes the column
-/// squared-norm denominators, and validates full column rank, so solves pay
-/// none of it.
+/// Construction builds A^T once, at the handle's storage width, precomputes
+/// the column squared-norm denominators, and validates full column rank, so
+/// solves pay none of it.  That state sits in one holder that the handle
+/// and every shard clone share, like SpdProblem's operators: a service of N
+/// shards holds one A^T.
 class LsqProblem {
  public:
-  /// Binds `a` and builds A^T through the matrix's shared transpose cache
-  /// (so several handles against one matrix construct the transpose a
-  /// single time).  `storage` narrows both
-  /// A and A^T; because the transpose's column indices are row indices,
-  /// narrowing requires max(rows, cols) to fit the index width (see
-  /// resolve_storage_policy).
+  /// Binds `a` (kept by reference; must outlive the handle) and `pool`, and
+  /// builds the pair the kernels read.  `storage` selects its width: kAuto
+  /// narrows A to int32 indices and transposes the narrowed copy, so the
+  /// handle holds no full-width A^T; kInt64Double transposes `a` itself.
+  /// The transpose's column indices are row indices, so narrowing requires
+  /// max(rows, cols) to fit the index width (see resolve_storage_policy).
   LsqProblem(ThreadPool& pool, const CsrMatrix& a,
              StorageMode storage = StorageMode::kAuto);
 
-  /// Binds a caller-materialized transpose (not copied; `a` and `at` must
-  /// outlive the handle).  Validates that shapes are transposed.
-  LsqProblem(ThreadPool& pool, const CsrMatrix& a, const CsrMatrix& at,
-             StorageMode storage = StorageMode::kAuto);
-
   /// Shard clone: binds `pool` to the matrix of `other` and shares its
-  /// analysis — the A^T (same instance, held through the matrix cache),
-  /// the compact copies and the norms — skipping the rank check, and
-  /// copying no per-matrix array.  The clone's ProblemStats start at zero
-  /// validation passes / transpose builds.  Safe concurrently with solves
-  /// on `other`.
+  /// per-matrix state — the operator pair, the norms and the sampler slots
+  /// — skipping the rank check, and copying no per-matrix array.  The
+  /// clone's ProblemStats start at zero validation passes / transpose
+  /// builds.  Safe concurrently with solves on `other`.
   LsqProblem(ThreadPool& pool, const LsqProblem& other);
   ~LsqProblem();  // out-of-line: ProblemScratch is incomplete here
 
@@ -470,7 +465,6 @@ class LsqProblem {
                      const SolveControls& controls = {});
 
   [[nodiscard]] const CsrMatrix& matrix() const noexcept { return a_; }
-  [[nodiscard]] const CsrMatrix& transpose() const noexcept { return *at_; }
   /// The CSR policy resolved at construction.
   [[nodiscard]] StoragePolicy storage() const noexcept { return storage_; }
   [[nodiscard]] ProblemStats stats() const;
@@ -490,19 +484,11 @@ class LsqProblem {
 
   ThreadPool& pool_;
   const CsrMatrix& a_;
-  std::shared_ptr<const CsrMatrix> at_holder_;  // cached-transpose mode
-  const CsrMatrix* at_;
-  /// Compact copies of (A, A^T) when storage_ narrows (both null
-  /// otherwise).  shared_ptr so shard clones alias them.
-  std::shared_ptr<const CsrMatrix32> a32_;
-  std::shared_ptr<const CsrMatrix32> at32_;
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
-  /// Prepare-time norms, shared with every clone.
-  std::shared_ptr<const detail::LsqNorms> norms_;
-  /// The kWeighted sampler slots — columns (coordinate descent, weights
-  /// ||A_{:,j}||^2) and rows (Kaczmarz, weights ||A_i||^2) — shared with
-  /// every clone like norms_; the slots synchronize their own filling.
-  std::shared_ptr<detail::LsqSamplers> samplers_;
+  /// The operator pair, norms and sampler slots, shared with every clone
+  /// (set at construction, never reassigned; the slots synchronize their
+  /// own filling).
+  std::shared_ptr<detail::LsqOperators> operators_;
   mutable std::recursive_mutex mutex_;
   std::unique_ptr<detail::ProblemScratch> scratch_;
   ProblemStats stats_;

@@ -18,7 +18,7 @@
 // its own prepared SpdProblem / LsqProblem handle, shard-cloned from shard
 // 0's so the per-matrix analysis (symmetry validation, diagonal
 // reciprocals, compact storage, the partition analysis, and for least
-// squares the cached transpose and column-norm denominators) is paid
+// squares the transpose and column-norm denominators) is paid
 // at most once for the whole service (ProblemStats on the clones stay at
 // zero validation passes and transpose builds; ServiceStats sums the
 // compact and partition builds, each at most 1).  Requests enter
@@ -105,7 +105,8 @@ struct ServiceOptions {
   /// Prepare SPD handles (required for submit / submit_block).
   bool prepare_spd = true;
   /// Prepare least-squares handles (required for submit_least_squares).
-  /// Off by default: it materializes A^T through the matrix cache.
+  /// Off by default: it materializes A^T, once for the service, at the
+  /// handles' storage width.
   bool prepare_lsq = false;
   /// Validate symmetry at construction (SPD family; shard 0 only — clones
   /// reuse the verdict).
@@ -231,10 +232,9 @@ struct ServiceStats {
   /// shard-0 construction count (1 per prepared family) because clones
   /// re-validate nothing.
   int validation_passes = 0;
-  /// Transpose builds summed over every shard's handles — at most 1, from
-  /// the LSQ handle (0 without prepare_lsq, or when the matrix cache was
-  /// already warm), shared via CsrMatrix::transpose_shared().  The SPD
-  /// symmetry check builds none.
+  /// Transpose builds summed over every shard's handles: 1 with
+  /// prepare_lsq (shard 0's LSQ handle builds it, its clones share it),
+  /// else 0.  The SPD symmetry check builds none.
   int transpose_builds = 0;
   /// Partition analyses and compact natural-order copies built, summed over
   /// every shard's SPD handle — each at most 1, because the shards share

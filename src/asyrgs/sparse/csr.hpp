@@ -22,8 +22,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -72,14 +70,6 @@ template <class Index, class Value>
     return StoragePolicy::kInt64Double;
   else
     return StoragePolicy::kInt32Double;
-}
-
-/// Re-installation guard for transpose-cache slots stolen by a move; shared
-/// by every CsrMatrixT instantiation (the path is cold — see
-/// transpose_shared).
-[[nodiscard]] inline std::mutex& transpose_slot_mutex() {
-  static std::mutex m;
-  return m;
 }
 
 }  // namespace detail
@@ -132,9 +122,10 @@ template <class Index>
 /// parameterized on the stored index width (see the header comment for the
 /// two supported policies and their aliases).
 ///
-/// Thread-safety: immutable after construction — every member below is
-/// const and allocation-free, so one matrix may be shared by any number
-/// of concurrent solver teams (the asynchronous solvers rely on this).
+/// A plain value: immutable after construction, and copies share nothing.
+/// Thread-safety: every const member below only reads, so one matrix may be
+/// shared by any number of concurrent solver teams (the asynchronous solvers
+/// rely on this).
 template <class Index, class Value>
 class CsrMatrixT {
   static_assert(detail::kSupportedStorage<Index, Value>,
@@ -148,9 +139,7 @@ class CsrMatrixT {
   static constexpr StoragePolicy kStorage =
       detail::storage_policy_of<Index, Value>();
 
-  // Empty matrix; installs the transpose-cache slot eagerly (see
-  // transpose_shared).
-  CsrMatrixT() : transpose_cache_(std::make_shared<TransposeCache>()) {}
+  CsrMatrixT() = default;
 
   /// Takes ownership of pre-built CSR arrays.  Validates monotone row
   /// pointers, in-range sorted column indices, finite values, and array
@@ -163,8 +152,7 @@ class CsrMatrixT {
         cols_(cols),
         row_ptr_(std::move(row_ptr)),
         col_idx_(std::move(col_idx)),
-        values_(std::move(values)),
-        transpose_cache_(std::make_shared<TransposeCache>()) {
+        values_(std::move(values)) {
     require(rows_ > 0 && cols_ > 0, "CsrMatrix: dimensions must be positive");
     require(row_ptr_.size() == static_cast<std::size_t>(rows_) + 1,
             "CsrMatrix: row_ptr must have rows+1 entries");
@@ -264,9 +252,10 @@ class CsrMatrixT {
     return d;
   }
 
-  /// Explicit transpose (used to give the least-squares solver column access
-  /// to A via CSR rows of A^T).  For narrow-index policies the transpose
-  /// stores *row* indices as Index, so rows() must fit the index width too.
+  /// Explicit transpose (gives the least-squares solver column access to A
+  /// via CSR rows of A^T; LsqProblem builds one per handle, at its storage
+  /// width).  For narrow-index policies the transpose stores *row* indices
+  /// as Index, so rows() must fit the index width too.
   [[nodiscard]] CsrMatrixT transpose() const {
     require(index_width_fits<Index>(rows_),
             "CsrMatrix::transpose: row count exceeds the index width");
@@ -290,43 +279,6 @@ class CsrMatrixT {
                       std::move(t_val));
   }
 
-  /// The transpose, built at most once per matrix and cached (the matrix is
-  /// immutable, so the cached value can never go stale).  Thread-safe:
-  /// concurrent first calls build exactly one instance; later calls are a
-  /// shared_ptr copy.  Copies of the matrix share the cache.  This is the
-  /// amortization path behind the prepared least-squares handles — every
-  /// LsqProblem against one matrix shares the O(nnz) transpose, built a
-  /// single time.  The cached transpose
-  /// stays resident for the matrix's lifetime (~nnz extra memory); callers
-  /// that need A^T exactly once and care about footprint should call
-  /// transpose() instead.  `built_now` (optional) is set to whether THIS
-  /// call constructed the transpose — race-free, unlike checking
-  /// transpose_cached() before and after.
-  [[nodiscard]] std::shared_ptr<const CsrMatrixT> transpose_shared(
-      bool* built_now = nullptr) const {
-    if (!transpose_cache_) {  // moved-from only; see constructor
-      const std::scoped_lock lock(detail::transpose_slot_mutex());
-      if (!transpose_cache_)
-        transpose_cache_ = std::make_shared<TransposeCache>();
-    }
-    TransposeCache& cache = *transpose_cache_;
-    const std::scoped_lock lock(cache.mutex);
-    const bool building = cache.value == nullptr;
-    if (building) cache.value = std::make_shared<const CsrMatrixT>(transpose());
-    if (built_now != nullptr) *built_now = building;
-    return cache.value;
-  }
-
-  /// True when transpose_shared() has already built (and cached) the
-  /// transpose.  Thread-safe; exposed so tests can assert single
-  /// construction.
-  [[nodiscard]] bool transpose_cached() const {
-    const std::shared_ptr<TransposeCache> slot = transpose_cache_;
-    if (!slot) return false;
-    const std::scoped_lock lock(slot->mutex);
-    return slot->value != nullptr;
-  }
-
   /// Deep equality of dimensions, structure, and values.
   [[nodiscard]] bool equals(const CsrMatrixT& other, double tol = 0.0) const {
     if (rows_ != other.rows_ || cols_ != other.cols_) return false;
@@ -337,27 +289,11 @@ class CsrMatrixT {
   }
 
  private:
-  /// One-shot cache slot for the transpose.  Heap-allocated and shared
-  /// between copies of the matrix (copies have identical values, so sharing
-  /// is sound).  The per-slot mutex guards `value` so concurrent first
-  /// builds construct exactly one transpose and concurrent readers never
-  /// race the writer.
-  struct TransposeCache {
-    std::mutex mutex;
-    std::shared_ptr<const CsrMatrixT> value;
-  };
-
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<nnz_t> row_ptr_;  // size rows_ + 1
   std::vector<Index> col_idx_;  // size nnz
   std::vector<Value> values_;   // size nnz
-  /// Installed eagerly by every constructor (so the pointer itself is
-  /// immutable after construction — copies share the slot, and concurrent
-  /// copy/transpose_shared cannot race on it; only moved-from matrices are
-  /// left with a null slot, re-installed lazily).  Mutable because caching
-  /// the transpose is logically const.
-  mutable std::shared_ptr<TransposeCache> transpose_cache_;
 };
 
 /// Full-width storage: the historical layout and the source-compatible

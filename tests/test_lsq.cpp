@@ -178,13 +178,6 @@ TEST(AsyncLsq, BarrierRunTracksHistoryAndStopsAtTolerance) {
             static_cast<long long>(opt.sweeps) * p.a.cols());
 }
 
-TEST(AsyncLsq, RejectsMismatchedTranspose) {
-  ThreadPool pool(2);
-  LsqFixture p = consistent_problem(100, 40, 37);
-  const CsrMatrix wrong = random_tall_matrix(40, 90, 38);
-  EXPECT_THROW(LsqProblem(pool, p.a, wrong), Error);
-}
-
 TEST(AsyncLsq, RejectsZeroColumn) {
   ThreadPool pool(2);
   CooBuilder builder(3, 2);

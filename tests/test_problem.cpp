@@ -153,8 +153,8 @@ TEST(PreparedSpd, OwnerComputesBitIdenticalAcrossWorkersAndSyncModes) {
 }
 
 TEST(PreparedLsq, SecondSolveBitIdenticalToFreshHandle) {
-  // A fresh handle over a caller-built transpose equals every solve of a
-  // reused handle over the matrix's cached transpose.
+  // A fresh handle equals every solve of a reused one; each handle builds
+  // its own A^T.
   ThreadPool pool(2);
   const CsrMatrix a = tall_matrix(160, 50, 11);
   const std::vector<double> b = random_vector(a.rows(), 13);
@@ -166,9 +166,8 @@ TEST(PreparedLsq, SecondSolveBitIdenticalToFreshHandle) {
   controls.workers = 1;
   controls.step_size = 0.9;
 
-  const CsrMatrix at = a.transpose();
   std::vector<double> x_fresh(static_cast<std::size_t>(a.cols()), 0.0);
-  LsqProblem(pool, a, at).solve(b, x_fresh, controls);
+  LsqProblem(pool, a).solve(b, x_fresh, controls);
 
   LsqProblem problem(pool, a);
   std::vector<double> x1(static_cast<std::size_t>(a.cols()), 0.0);
@@ -252,11 +251,10 @@ TEST(PreparedSpd, ValidationRunsOncePerProblemNotPerSolve) {
 
 TEST(PreparedSpd, SymmetryCheckBuildsNoTranspose) {
   // The SPD check merges each entry with its mirror in place; no SPD kernel
-  // reads A^T, so the handle must not leave one behind in the matrix cache.
+  // reads A^T, so the handle builds none.
   ThreadPool pool(1);
   const CsrMatrix a = laplacian_2d(7, 7);
   SpdProblem problem(pool, a, /*check_input=*/true);
-  EXPECT_FALSE(a.transpose_cached());
   EXPECT_EQ(problem.stats().transpose_builds, 0);
   EXPECT_EQ(problem.stats().validation_passes, 1);
 
@@ -266,7 +264,6 @@ TEST(PreparedSpd, SymmetryCheckBuildsNoTranspose) {
   builder.add(0, 2, -1.0);
   const CsrMatrix lopsided = builder.to_csr();
   EXPECT_THROW(SpdProblem(pool, lopsided, /*check_input=*/true), Error);
-  EXPECT_FALSE(lopsided.transpose_cached());
 }
 
 TEST(PreparedSpd, RepeatSolvePerformsNoNewScratchAllocations) {
@@ -486,18 +483,17 @@ TEST(PreparedLsq, ClonesRacingToWeightedSolvesBuildEachSamplerOnce) {
 }
 
 TEST(PreparedLsq, TransposeBuiltOncePerMatrix) {
+  // A bound handle builds A^T once; its shard clones share that build.
+  // Independent handles share nothing, each building its own: a service
+  // shares A^T by cloning one handle.
   ThreadPool pool(2);
   const CsrMatrix a = tall_matrix(120, 40, 19);
-  EXPECT_FALSE(a.transpose_cached());
-
   LsqProblem first(pool, a);
-  EXPECT_TRUE(a.transpose_cached());
   EXPECT_EQ(first.stats().transpose_builds, 1);
-
-  // A second handle against the same matrix shares the cached transpose.
+  LsqProblem clone(pool, first);
+  EXPECT_EQ(clone.stats().transpose_builds, 0);
   LsqProblem second(pool, a);
-  EXPECT_EQ(second.stats().transpose_builds, 0);
-  EXPECT_EQ(&first.transpose(), &second.transpose());
+  EXPECT_EQ(second.stats().transpose_builds, 1);
 
   // Repeat solves build nothing further.
   const std::vector<double> b = random_vector(a.rows(), 21);

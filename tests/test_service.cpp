@@ -11,10 +11,10 @@
 //      teams on a block-diagonal matrix (every interleaving identical).
 //  (c) Amortization across shards: shard 0 pays the per-matrix analysis;
 //      clones re-validate nothing (ProblemStats at zero validation passes /
-//      transpose builds) and the matrix-level transpose is built once for
-//      the whole service.  The SPD operators built on demand are built
-//      once per service whichever shard first needs them, and a service
-//      builds at construction only the one its options declare.
+//      transpose builds) and the transpose is built once for the whole
+//      service, by shard 0's LSQ handle.  The SPD operators built on demand
+//      are built once per service whichever shard first needs them, and a
+//      service builds at construction only the one its options declare.
 //  (d) The SolveTicket contract: done()/wait()/solution() semantics, solve
 //      errors rethrown at wait(), eager submit-side validation.
 //  (e) Admission control and deadlines (PR 6): queue-full and
@@ -36,6 +36,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -280,11 +281,9 @@ TEST(SolverService, OwnerComputesMultiWorkerTeamsStayDeterministic) {
 // --- (c) shard-clone amortization --------------------------------------------
 
 TEST(SolverService, ShardClonesPayNoRevalidation) {
-  // Fresh matrix: the transpose cache starts cold, so the service's own
-  // construction is what pays the one transpose build — the LSQ handle's
-  // (the SPD symmetry check builds none).
+  // The service pays one transpose build, the LSQ handle's on shard 0 (the
+  // SPD symmetry check builds none).
   const CsrMatrix a = laplacian_2d(8, 8);
-  ASSERT_FALSE(a.transpose_cached());
 
   ServiceOptions options = two_shard_options();
   options.shards = 4;
@@ -295,9 +294,8 @@ TEST(SolverService, ShardClonesPayNoRevalidation) {
   // One symmetry/diagonal pass (SPD) + one rank pass (LSQ), both on shard 0.
   EXPECT_EQ(stats.validation_passes, 2);
   // One transpose for the whole service (the LSQ handle builds it; every
-  // clone shares it through the matrix cache).
+  // clone shares that handle's operators).
   EXPECT_EQ(stats.transpose_builds, 1);
-  EXPECT_TRUE(a.transpose_cached());
   for (std::size_t s = 1; s < stats.shards.size(); ++s) {
     EXPECT_EQ(stats.shards[s].spd.validation_passes, 0) << "shard " << s;
     EXPECT_EQ(stats.shards[s].lsq.validation_passes, 0) << "shard " << s;
@@ -334,34 +332,76 @@ TEST(SolverService, SpdOnlyServiceBuildsNoTranspose) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.validation_passes, 1);
   EXPECT_EQ(stats.transpose_builds, 0);
-  EXPECT_FALSE(a.transpose_cached());
   EXPECT_EQ(stats.shards[0].spd.partition_builds, 1);
   EXPECT_EQ(stats.shards[1].spd.partition_builds, 0);
 }
 
-/// Submits `controls` requests in batches until every shard of `service`
-/// has executed one (placement is the dispatchers' choice, so bounded
-/// retries rather than one batch), then drains so stats() is current.
-/// Returns the first request's solution.
-std::vector<double> serve_on_every_shard(SolverService& service,
-                                         const std::vector<double>& b,
-                                         const SolveControls& controls) {
-  const std::size_t shards = static_cast<std::size_t>(service.shards());
-  std::vector<double> first;
-  std::set<int> placements;
-  for (int round = 0; round < 50 && placements.size() < shards; ++round) {
-    std::vector<SolveTicket> tickets;
-    for (int r = 0; r < 2 * service.shards() + 1; ++r)
-      tickets.push_back(service.submit(b, controls));
-    for (SolveTicket& t : tickets) {
-      t.wait();
-      placements.insert(t.shard());
-      if (first.empty()) first = t.solution();
+/// Trace sink that takes request placement out of the dispatchers' hands:
+/// each shard's dispatcher, at its first trace event of a round, waits until
+/// every shard has logged one.  A dispatcher logs after fulfilling a ticket
+/// and before it looks for more work, so a shard held here cannot take a
+/// second request of the round, and a round of `shards` requests runs one on
+/// each shard however the host schedules the dispatchers.  The wait is
+/// bounded: a dispatcher that waits it out counts a timeout and ends the
+/// round, so a bug fails the test instead of hanging it.
+class RoundBarrierSink final : public TraceSink {
+ public:
+  explicit RoundBarrierSink(int shards) : shards_(shards) {}
+
+  void log(const TraceEvent& event) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!logged_.insert(event.shard).second) return;  // not its first
+    if (static_cast<int>(logged_.size()) == shards_) {
+      end_round();
+      return;
+    }
+    const long long round = round_;
+    if (!round_ended_.wait_for(lock, std::chrono::seconds(30),
+                               [&] { return round_ != round; })) {
+      ++timeouts_;
+      end_round();
     }
   }
-  EXPECT_EQ(placements.size(), shards);
+
+  [[nodiscard]] int timeouts() const {
+    const std::scoped_lock lock(mutex_);
+    return timeouts_;
+  }
+
+ private:
+  void end_round() {  // caller holds mutex_
+    logged_.clear();
+    ++round_;
+    round_ended_.notify_all();
+  }
+
+  const int shards_;
+  mutable std::mutex mutex_;
+  std::condition_variable round_ended_;
+  std::set<int> logged_;  ///< shards that have logged in this round
+  long long round_ = 0;
+  int timeouts_ = 0;
+};
+
+/// Runs one round of `controls` requests on `service`, whose trace sink is
+/// `sink`, so that every shard executes exactly one; then drains so stats()
+/// is current.  Returns the first request's solution.
+std::vector<double> serve_on_every_shard(SolverService& service,
+                                         const RoundBarrierSink& sink,
+                                         const std::vector<double>& b,
+                                         const SolveControls& controls) {
+  std::vector<SolveTicket> tickets;
+  for (int r = 0; r < service.shards(); ++r)
+    tickets.push_back(service.submit(b, controls));
+  std::set<int> placements;
+  for (SolveTicket& t : tickets) {
+    t.wait();
+    placements.insert(t.shard());
+  }
   service.drain();
-  return first;
+  EXPECT_EQ(placements.size(), static_cast<std::size_t>(service.shards()));
+  EXPECT_EQ(sink.timeouts(), 0);
+  return tickets.front().solution();
 }
 
 TEST(SolverService, UndeclaredPartitionsAreAnalyzedOnceForAllShards) {
@@ -370,6 +410,8 @@ TEST(SolverService, UndeclaredPartitionsAreAnalyzedOnceForAllShards) {
   const CsrMatrix a = laplacian_2d(8, 8);
   ServiceOptions options = two_shard_options();
   options.prepare_lsq = false;
+  const auto sink = std::make_shared<RoundBarrierSink>(options.shards);
+  options.trace = sink;
   SolverService service(a, options);
   EXPECT_EQ(service.stats().compact_builds, 1);
   EXPECT_EQ(service.stats().partition_builds, 0);
@@ -378,7 +420,7 @@ TEST(SolverService, UndeclaredPartitionsAreAnalyzedOnceForAllShards) {
   controls.partitions = 2;
   controls.workers = 1;
   controls.sweeps = 4;
-  serve_on_every_shard(service, random_vector(a.rows(), 3), controls);
+  serve_on_every_shard(service, *sink, random_vector(a.rows(), 3), controls);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.partition_builds, 1);
   EXPECT_EQ(stats.compact_builds, 1);
@@ -390,6 +432,8 @@ TEST(SolverService, PartitionedServiceBuildsTheCompactCopyOnlyOnDemand) {
   ServiceOptions options = two_shard_options();
   options.prepare_lsq = false;
   options.prepare_partitions = true;
+  const auto sink = std::make_shared<RoundBarrierSink>(options.shards);
+  options.trace = sink;
   SolverService service(a, options);
 
   SolveControls controls;
@@ -397,7 +441,7 @@ TEST(SolverService, PartitionedServiceBuildsTheCompactCopyOnlyOnDemand) {
   controls.sweeps = 4;
   controls.seed = 11;
   controls.partitions = 2;
-  serve_on_every_shard(service, b, controls);
+  serve_on_every_shard(service, *sink, b, controls);
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.partition_builds, 1);
   EXPECT_EQ(stats.compact_builds, 0);  // no partitioned request reads it
@@ -405,7 +449,8 @@ TEST(SolverService, PartitionedServiceBuildsTheCompactCopyOnlyOnDemand) {
   // The first unpartitioned request builds it, once for both shards, and
   // solves exactly as a fresh handle does.
   controls.partitions = 0;
-  const std::vector<double> x = serve_on_every_shard(service, b, controls);
+  const std::vector<double> x =
+      serve_on_every_shard(service, *sink, b, controls);
   stats = service.stats();
   EXPECT_EQ(stats.compact_builds, 1);
   EXPECT_EQ(stats.partition_builds, 1);
@@ -440,7 +485,7 @@ TEST(SolverService, CloneConstructorsMatchFullValidationBitForBit) {
   LsqProblem lsq_full(pool_a, a);
   LsqProblem lsq_clone(pool_b, lsq_full);
   EXPECT_EQ(lsq_clone.stats().validation_passes, 0);
-  EXPECT_EQ(&lsq_full.transpose(), &lsq_clone.transpose());
+  EXPECT_EQ(lsq_clone.stats().transpose_builds, 0);
   controls.step_size = 0.9;
   std::vector<double> y_full(static_cast<std::size_t>(a.cols()), 0.0);
   std::vector<double> y_clone(y_full);

@@ -157,6 +157,61 @@ TEST(StorageGolden, PartitionedSingleWorkerPinnedAtEveryWidth) {
   }
 }
 
+TEST(StorageGolden, LeastSquaresSingleWorkerPinnedAtEveryWidth) {
+  // Coordinate descent reads column j of A through row j of A^T, Kaczmarz
+  // reads rows of A.  At one worker each iterate is a function of the
+  // recipe alone.  The hashes were captured while the handle narrowed a
+  // full-width A^T into its compact pair; both widths must reproduce them
+  // bit for bit, in both sync modes.
+  struct Case {
+    SpdMethod method;
+    SamplingPolicy sampling;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {SpdMethod::kAsyncRgs, SamplingPolicy::kUniform,
+       0xa1fdd89add68767bull},
+      {SpdMethod::kAsyncRgs, SamplingPolicy::kWeighted,
+       0xd7572f111a14949aull},
+      {SpdMethod::kAsyncKaczmarz, SamplingPolicy::kUniform,
+       0x4509418fdf9ad8f4ull},
+      {SpdMethod::kAsyncKaczmarz, SamplingPolicy::kWeighted,
+       0xf5d5760103ff1022ull}};
+  SocialGramOptions corpus;
+  corpus.terms = 300;
+  corpus.documents = 1200;
+  corpus.mean_doc_length = 6;
+  corpus.topics = 8;
+  corpus.seed = 47;
+  const CsrMatrix f = drop_empty_columns(make_social_gram(corpus).factor)
+                          .matrix;
+  const std::vector<double> b = random_vector(f.rows(), 41);
+  ThreadPool pool(2);
+  for (const StorageMode mode :
+       {StorageMode::kAuto, StorageMode::kInt64Double}) {
+    LsqProblem problem(pool, f, mode);
+    for (const Case& c : cases) {
+      for (SyncMode sync : kSyncModes) {
+        SolveControls controls;
+        controls.method = c.method;
+        controls.sampling = c.sampling;
+        controls.sweeps = 15;
+        controls.seed = 53;
+        controls.workers = 1;
+        controls.step_size = 0.9;
+        controls.sync = sync;
+        std::vector<double> x(static_cast<std::size_t>(f.cols()), 0.0);
+        const SolveOutcome out = problem.solve(b, x, controls);
+        EXPECT_EQ(out.storage_used, mode == StorageMode::kAuto
+                                        ? StoragePolicy::kInt32Double
+                                        : StoragePolicy::kInt64Double);
+        EXPECT_EQ(fnv1a(x), c.hash)
+            << to_string(mode) << ": " << out.description;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // (b) Overflow guard by shape arithmetic
 // ---------------------------------------------------------------------------
