@@ -67,10 +67,8 @@ enum class RandomizationScope {
   /// under kFreeRunning a worker that drains its budget early leaves its
   /// partition frozen against neighbours' mid-solve values, and no other
   /// worker can repair it (shared-scope randomization self-repairs;
-  /// partitioned randomization cannot).  The engine's staleness fence
-  /// bounds that lag to about two sweeps (each worker waits while more
-  /// than one sweep ahead of its slowest teammate).  With synchronized
-  /// sweeps, or when iterating to a residual tolerance, the scope is safe.
+  /// partitioned randomization cannot).  With synchronized sweeps, or when
+  /// iterating to a residual tolerance, the scope is safe.
   kOwnerComputes,
 };
 

@@ -543,14 +543,6 @@ inline constexpr int kMaxCheckGap = 16;
   return sweep + std::min(static_cast<int>(gap), sweeps - sweep);
 }
 
-/// The staleness fence of kFreeRunning: how many sweeps a worker may finish
-/// ahead of its slowest unfinished teammate before it waits.  Without it a
-/// worker that the host starts late or preempts leaves its teammates to
-/// spend their whole budgets against its frozen coordinates (unbounded
-/// delay, outside every rate bound of the paper).  A constant rather than
-/// an option: it changes timing only, never the directions a worker runs.
-inline constexpr int kMaxSweepLead = 1;
-
 /// Generic execution engine shared by the single-RHS, block, least-squares,
 /// Kaczmarz and chaotic-relaxation solve paths, over any DirectionPlan
 /// (shared stream, owner-computes, partitioned or cyclic).
@@ -559,9 +551,8 @@ inline constexpr int kMaxSweepLead = 1;
 /// plan.per_sweep(worker) updates, drawn through fill_in_sweep, so a worker
 /// executes the same direction sequence in either mode.  The modes differ
 /// only at the end of each sweep: kBarrierPerSweep rendezvouses (two
-/// barriers around the scheduled residual check); kFreeRunning, on teams of
-/// more than one worker, yields once and then waits only while it is more
-/// than kMaxSweepLead sweeps ahead of its slowest teammate.
+/// barriers around the scheduled residual check), kFreeRunning yields once
+/// on teams of more than one worker and goes on.
 ///
 /// `update(worker, r, r_ahead)` performs one coordinate update on direction
 /// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
@@ -628,19 +619,6 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
     // agrees on entering the residual's reduction.
     int next_check = 1;
     double first_rel = 0.0;
-    // Sweeps each worker has finished, read by the free-running staleness
-    // fence; padded so that one worker's count shares no line with another's.
-    // Release/acquire: a worker past the fence sees its teammates' writes of
-    // the sweeps they published.
-    std::vector<Padded<std::atomic<int>>> finished(
-        rendezvous ? 0 : static_cast<std::size_t>(workers));
-    const auto slowest = [&](int team) {
-      int least = sweeps;
-      for (int w = 0; w < team; ++w)
-        least = std::min(least, finished[static_cast<std::size_t>(w)]
-                                    .value.load(std::memory_order_acquire));
-      return least;
-    };
     pool.run_team(workers, [&](int id, int team) {
       const bool full_team = (team == workers && team > 1);
       // A worker whose team the pool shrank (a nested call) re-plans for its
@@ -670,21 +648,12 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
         const int done = sweep + 1;
         if (id == 0) sweeps_done = done;
         if (!rendezvous) {
-          // kFreeRunning's sweep end: no rendezvous and no residual.  The
-          // worker publishes its progress and yields so the scheduler
-          // rotates the team; then the fence holds it while it leads its
-          // slowest teammate by more than kMaxSweepLead sweeps — otherwise
-          // a worker started late or preempted leaves the others to burn
-          // their budgets against its frozen coordinates.  A finished
-          // teammate reads `sweeps`, so it holds no one back, and the
-          // slowest worker never waits.
-          if (team > 1) {
-            finished[static_cast<std::size_t>(id)].value.store(
-                done, std::memory_order_release);
-            std::this_thread::yield();
-            while (done < sweeps && done - slowest(team) > kMaxSweepLead)
-              std::this_thread::yield();
-          }
+          // kFreeRunning's sweep end: no rendezvous and no residual, only a
+          // yield so the scheduler rotates the team — on oversubscribed
+          // hosts a worker would otherwise burn its whole budget in a few
+          // scheduling quanta, leaving tau unbounded and owned ranges
+          // stalled.
+          if (team > 1) std::this_thread::yield();
           continue;
         }
         const bool check =

@@ -12,10 +12,8 @@
 //      single-worker results vs. the sequential reference (the old path's
 //      observable contract).
 //  Plus the owner-computes stream written out, the free-running contract
-//  (no residual call, the whole budget reported, and the staleness fence
-//  holding a worker within kMaxSweepLead sweeps of a late teammate), one
-//  direction sequence per worker in both sync modes (the modes differ only
-//  at a sweep's end),
+//  (no residual call, the whole budget reported), one direction sequence
+//  per worker in both sync modes (the modes differ only at a sweep's end),
 //  the cyclic plan of chaotic relaxation (each sweep a permutation of the
 //  rows, each row with one writer), the exact-check schedule of
 //  tolerance-stopped barrier runs, driven with a synthetic residual, and the
@@ -24,14 +22,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -42,7 +38,6 @@
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/problem.hpp"
 #include "asyrgs/sampling/direction_sampler.hpp"
-#include "asyrgs/support/aligned.hpp"
 #include "asyrgs/support/prng.hpp"
 
 namespace asyrgs {
@@ -377,54 +372,6 @@ TEST(FreeRunning, NeverChecksAndReportsTheWholeBudget) {
       EXPECT_EQ(updates.load(), budget) << label;
       EXPECT_EQ(out.workers, c.workers) << label;
     }
-  }
-}
-
-TEST(FreeRunning, FenceHoldsEachWorkerWithinTheLeadOfItsSlowestTeammate) {
-  // A worker the host starts late (here: one that sleeps through its first
-  // update) must not leave its teammates to run their budgets against its
-  // frozen rows.  Whenever a worker updates in its sweep s, each teammate
-  // has finished at least s - kMaxSweepLead sweeps.  Without the fence the
-  // other two would run all 30 sweeps during the sleep.
-  ThreadPool pool(3);
-  const index_t n = 60;
-  const int team = 3;
-  const int late = 2;
-  for (RandomizationScope scope :
-       {RandomizationScope::kShared, RandomizationScope::kOwnerComputes}) {
-    const detail::DirectionPlan plan(7, scope, n, team);
-    SolveControls controls;
-    controls.sweeps = 30;
-    controls.sync = SyncMode::kFreeRunning;
-    // Updates each worker has finished.
-    std::vector<Padded<std::atomic<long long>>> updates(team);
-    std::atomic<int> too_far_ahead{0};
-    auto update = [&](int w, index_t, index_t) {
-      std::atomic<long long>& mine = updates[static_cast<std::size_t>(w)].value;
-      const long long t = mine.load(std::memory_order_relaxed);
-      if (w == late && t == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      const long long sweep = t / plan.per_sweep(w);
-      for (int v = 0; v < team; ++v) {
-        const long long finished =
-            updates[static_cast<std::size_t>(v)].value.load(
-                std::memory_order_acquire) /
-            plan.per_sweep(v);
-        if (sweep - finished > detail::kMaxSweepLead)
-          too_far_ahead.fetch_add(1, std::memory_order_relaxed);
-      }
-      mine.store(t + 1, std::memory_order_release);
-    };
-    auto residual = [](int, int) { return 0.0; };
-    SolveOutcome out;
-    detail::run_engine(pool, controls, plan, update, residual, out);
-    const std::string label = "scope=" + std::to_string(static_cast<int>(scope));
-    EXPECT_EQ(out.workers, team) << label;
-    EXPECT_EQ(too_far_ahead.load(), 0) << label;
-    for (int w = 0; w < team; ++w)
-      EXPECT_EQ(updates[static_cast<std::size_t>(w)].value.load(),
-                controls.sweeps * plan.per_sweep(w))
-          << label << " w=" << w;
   }
 }
 
