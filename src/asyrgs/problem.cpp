@@ -634,9 +634,10 @@ namespace {
 /// the Strohmer-Vershynin sampling weights and (reciprocated) as the
 /// Kaczmarz projection denominators.  Zero rows are legal — their weight is
 /// 0 and their inverse is 0, so the row is never preferred and its update
-/// no-ops.
+/// no-ops.  Counts the transpose in `transpose_builds`.
 std::shared_ptr<detail::LsqOperators> lsq_operators(const CsrMatrix& a,
-                                                    StoragePolicy policy) {
+                                                    StoragePolicy policy,
+                                                    int& transpose_builds) {
   auto ops = std::make_shared<detail::LsqOperators>();
   if (policy == StoragePolicy::kInt32Double) {
     ops->a32.emplace(convert_storage<std::int32_t, double>(a));
@@ -646,6 +647,7 @@ std::shared_ptr<detail::LsqOperators> lsq_operators(const CsrMatrix& a,
     ops->at.emplace(a.transpose());
     ops->col_sq = detail::column_sq_norms(*ops->at);
   }
+  ++transpose_builds;
   for (double s : ops->col_sq)
     require(s > 0.0, "LsqProblem: zero column (A must have full rank)");
   ops->row_sq = detail::row_sq_norms(a);
@@ -665,9 +667,8 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
       // the larger of the two dimensions.
       storage_(resolve_storage_policy(storage, std::max(a.rows(), a.cols()),
                                       a.nnz())),
-      operators_(lsq_operators(a, storage_)),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
-  ++stats_.transpose_builds;
+  operators_ = lsq_operators(a, storage_, stats_.transpose_builds);
   ++stats_.validation_passes;
   stats_.storage = storage_;
 }
