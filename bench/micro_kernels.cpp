@@ -145,9 +145,11 @@ inline void update_generic(const CsrMatrix& a, const double* b, double* x,
     racy_add(x[r], delta);
 }
 
-/// The engine's specialized shape: compile-time atomicity, raw restrict
-/// pointers hoisted out of the loop (mirrors SingleRhsUpdate in
-/// core/async_rgs.cpp).
+/// The row scan alone: compile-time atomicity and raw restrict pointers
+/// hoisted out of the loop, with no prefetch.  Against update_generic it
+/// measures what specialization saves per update.  The engine's kernels
+/// (core/kernels.hpp) also prefetch along the direction buffer, which this
+/// loop does not model; bench_updates measures them through the engine.
 template <bool kAtomicWrites>
 inline void update_specialized(const nnz_t* __restrict rp,
                                const index_t* __restrict ci,

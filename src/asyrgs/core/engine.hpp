@@ -22,6 +22,9 @@
 //    timer call.
 //  * The update functor is a concrete struct templated on atomicity, not a
 //    std::function and not a runtime `atomic_writes` branch.
+//  * The direction buffer makes the future known: each update is handed a
+//    Lookahead over the rest of its refill chunk, and the kernels prefetch
+//    along it (core/kernels.hpp).
 //  * Residuals at synchronization points run as a team-wide parallel
 //    reduction over the workers already rendezvoused at the barrier, rather
 //    than serially on worker 0 while the team spins.
@@ -53,11 +56,24 @@ namespace asyrgs::detail {
 /// L1-resident next to the iterate.
 inline constexpr std::size_t kDirectionChunk = 1024;
 
-/// How many picks ahead of the in-flight update the engine hands the update
-/// functor for prefetching (clamped to the chunk).  At ~25 ns/update a
-/// lookahead of 4 covers L2/L3 latency for the next rows' index/value
-/// arrays; measured best in the 2-8 range, flat beyond.
-inline constexpr std::size_t kPrefetchDistance = 4;
+/// The directions a worker will execute next, as the engine hands them to
+/// an update functor beside the current one: at(k) is the direction k picks
+/// later (at(0) the current one), clamped to the last entry of the refill
+/// chunk, because the next chunk is not drawn yet.  The kernels prefetch
+/// along it (core/kernels.hpp); functors may ignore it.
+class Lookahead {
+ public:
+  Lookahead(const index_t* current, std::size_t remaining) noexcept
+      : current_(current), remaining_(remaining) {}
+
+  [[nodiscard]] index_t at(std::size_t k) const noexcept {
+    return current_[std::min(k, remaining_)];
+  }
+
+ private:
+  const index_t* current_;
+  std::size_t remaining_;  // entries of the chunk after the current one
+};
 
 /// Splits [0, n) into `team` contiguous chunks (first n%team chunks one
 /// longer) and returns worker w's [lo, hi) — the owner-computes ranges and
@@ -554,10 +570,9 @@ inline constexpr int kMaxCheckGap = 16;
 /// barriers around the scheduled residual check), kFreeRunning yields once
 /// on teams of more than one worker and goes on.
 ///
-/// `update(worker, r, r_ahead)` performs one coordinate update on direction
-/// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
-/// later (clamped to the refill chunk), for cache prefetching — functors may
-/// ignore it.  `residual(worker,
+/// `update(worker, r, ahead)` performs one coordinate update on direction
+/// r; `ahead` (a Lookahead) names the directions the worker executes next,
+/// for cache prefetching.  `residual(worker,
 /// team)` evaluates the convergence metric at synchronization points; it is
 /// called by *every* rendezvoused worker (team-parallel reduction — see
 /// TeamReduce) and only worker 0's return value is used.  The engine calls
@@ -642,7 +657,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls,
           my_plan.fill_in_sweep(id, sweep, t, chunk, dirs);
           const index_t* d = dirs;
           for (std::size_t i = 0; i < chunk; ++i)
-            update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
+            update(id, d[i], Lookahead(d + i, chunk - 1 - i));
           t += static_cast<index_t>(chunk);
         }
         const int done = sweep + 1;

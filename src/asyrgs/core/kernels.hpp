@@ -1,11 +1,8 @@
 // Shared coordinate-update and residual kernels (internal).
 //
 // The compile-time-specialized update functors and the team-parallel
-// residual functors used by the asynchronous solvers.  They were anonymous
-// namespace members of async_rgs.cpp / async_lsq.cpp until the prepared-
-// solver handles (asyrgs/problem.hpp) needed to invoke the same kernels from
-// one place; like core/engine.hpp, nothing in asyrgs::detail is a stable
-// public API.
+// residual functors used by the asynchronous solvers.  Like core/engine.hpp,
+// nothing in asyrgs::detail is a stable public API.
 //
 // Every functor is templated over the stored column-index width with a
 // full-width default, so the prepared handles can run the identical update
@@ -16,6 +13,16 @@
 // Residual functors borrow their TeamReduce (barrier + partial slots) from
 // the caller instead of owning one, so a prepared handle can keep the
 // reduction scratch alive across solves.
+//
+// Staged lookahead.  A least-squares column update re-reads about 32
+// random rows of A, and each row's loads form a chain: the row index gives
+// the row header (row_ptr[i] and b[i]), and the header gives the row body
+// (its column indices and values).  LsqUpdate walks its column in one stage
+// per link, each stage reading only memory that the stage before it
+// prefetched, and stages the upcoming columns' rows of A^T the same way
+// along the engine's Lookahead.  The SPD, block and Kaczmarz kernels read
+// one row per update and keep a single stage, kRowAhead picks ahead.  No
+// stage changes the arithmetic.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +53,52 @@ inline void pack_rhs_diag(const std::vector<double>& b,
   packed.resize(b.size());
   for (std::size_t i = 0; i < b.size(); ++i)
     packed[i] = {b[i], inv_diag[i]};
+}
+
+// Prefetch distances (above).  They are constants, not options: they size
+// the prefetches to the latency they hide, not to the problem.
+// docs/TUNING.md "Lookahead prefetch distances" gives the measurements they
+// were chosen on.
+
+/// Picks ahead that the one-row kernels prefetch their next row (its
+/// constants, the heads of its indices and values, and x[r]).  Staging them
+/// as LsqUpdate is staged (header 16 and body 8 picks ahead, with or without
+/// the x entries the row gathers 4 ahead) cost perfbench's laplacian_2d
+/// about 20% in latency_p50_s, 0 and 1 of 10 pairs won.
+inline constexpr std::size_t kRowAhead = 4;
+
+/// Picks ahead that LsqUpdate prefetches an upcoming column's header
+/// (col_ptr[j] and its squared norm), and, half as far, reads that header
+/// and prefetches the column's row indices and values.
+inline constexpr std::size_t kHeaderAhead = 16;
+inline constexpr std::size_t kBodyAhead = 8;
+
+/// Rows of the column ahead of the one LsqUpdate scans: the header
+/// (row_ptr[i], b[i]) kRowHeaderAhead rows ahead and the body kRowBodyAhead
+/// rows ahead.  A column of the social_lsq corpus factor has about 32 rows
+/// of about 8 nonzeros; with these stages the workload's latency_p50_s fell
+/// 0.201 -> 0.180 s (10 of 10 pairs) and 0.190 -> 0.168 s (9 of 10).
+inline constexpr nnz_t kRowHeaderAhead = 8;
+inline constexpr nnz_t kRowBodyAhead = 4;
+
+/// Prefetches the first two cache lines of p[lo, hi) and no address past
+/// p[hi - 1]: a short row fits in them, and the hardware prefetcher streams
+/// the rest of a long one once its first lines are read.
+template <class T>
+inline void prefetch_span(const T* p, nnz_t lo, nnz_t hi) noexcept {
+  if (hi <= lo) return;
+  constexpr nnz_t kLine = static_cast<nnz_t>(kCacheLineBytes / sizeof(T));
+  __builtin_prefetch(p + lo);
+  __builtin_prefetch(p + std::min(lo + kLine, hi - 1));
+}
+
+/// The body stage of a row scan over CSR arrays: row r's column indices and
+/// values.
+template <class Index>
+inline void prefetch_row(const nnz_t* row_ptr, const Index* cols,
+                         const double* vals, index_t r) noexcept {
+  prefetch_span(cols, row_ptr[r], row_ptr[r + 1]);
+  prefetch_span(vals, row_ptr[r], row_ptr[r + 1]);
 }
 
 /// One asynchronous coordinate update on the shared single-RHS iterate,
@@ -92,15 +145,15 @@ struct SingleRhsUpdate {
       racy_add(x[r], d);
   }
 
-  void operator()(int, index_t r, index_t r_ahead) const noexcept {
-    // The direction buffer makes the future known: pull an upcoming row's
-    // constants and the head of its index/value arrays into cache while this
-    // row's scan chain retires.
-    const nnz_t ahead_lo = row_ptr[r_ahead];
-    __builtin_prefetch(&rhs_diag[r_ahead]);
-    __builtin_prefetch(&vals[ahead_lo]);
-    __builtin_prefetch(&cols[ahead_lo]);
-    __builtin_prefetch(&x[r_ahead]);
+  void operator()(int, index_t r, Lookahead ahead) const noexcept {
+    // Pull an upcoming row's constants and the head of its index/value
+    // arrays into cache while this row's scan chain retires.
+    const index_t next = ahead.at(kRowAhead);
+    const nnz_t next_lo = row_ptr[next];
+    __builtin_prefetch(&rhs_diag[next]);
+    __builtin_prefetch(&vals[next_lo]);
+    __builtin_prefetch(&cols[next_lo]);
+    __builtin_prefetch(&x[next]);
     apply(r, delta(r));
   }
 };
@@ -119,9 +172,10 @@ struct BlockRhsUpdate {
   double* gamma_base;
   std::size_t gamma_stride;
 
-  void operator()(int worker, index_t r, index_t r_ahead) const noexcept {
-    __builtin_prefetch(x->row(r_ahead));
-    __builtin_prefetch(b->row(r_ahead));
+  void operator()(int worker, index_t r, Lookahead ahead) const noexcept {
+    const index_t next = ahead.at(kRowAhead);
+    __builtin_prefetch(x->row(next));
+    __builtin_prefetch(b->row(next));
     double* __restrict gamma =
         gamma_base + static_cast<std::size_t>(worker) * gamma_stride;
     const index_t k = b->cols();
@@ -266,32 +320,50 @@ class BlockResidual {
 };
 
 /// One asynchronous column update (iteration (21)): the residual entries for
-/// the column's rows are recomputed from shared x on every step.  Specialized
+/// the column's rows are recomputed from shared x on every step.  Column j
+/// of A is row j of A^T (`col_ptr`, `col_rows`, `col_vals`).  Specialized
 /// at compile time on the atomicity mode.
 template <bool kAtomicWrites, class Index = index_t>
 struct LsqUpdate {
-  const CsrMatrixT<Index, double>* a;
-  const CsrMatrixT<Index, double>* at;
+  const nnz_t* row_ptr;
+  const Index* cols;
+  const double* vals;
+  const nnz_t* col_ptr;
+  const Index* col_rows;
+  const double* col_vals;
   const double* b;
   const double* col_sq;
   double* x;
   double beta;
 
-  void operator()(int, index_t j, index_t j_ahead) const noexcept {
-    __builtin_prefetch(at->row_cols(j_ahead).data());
-    __builtin_prefetch(at->row_vals(j_ahead).data());
-    const auto rows = at->row_cols(j);
-    const auto col_vals = at->row_vals(j);
+  void operator()(int, index_t j, Lookahead ahead) const noexcept {
+    // The upcoming columns' A^T rows: header, then body.
+    const index_t header = ahead.at(kHeaderAhead);
+    __builtin_prefetch(&col_ptr[header]);
+    __builtin_prefetch(&col_sq[header]);
+    prefetch_row(col_ptr, col_rows, col_vals, ahead.at(kBodyAhead));
+
+    const nnz_t* __restrict rp = row_ptr;
+    const Index* __restrict ci = cols;
+    const double* __restrict av = vals;
+    const nnz_t end = col_ptr[j + 1];
     double gamma = 0.0;
-    for (std::size_t s = 0; s < rows.size(); ++s) {
-      const index_t i = rows[s];
+    for (nnz_t s = col_ptr[j]; s < end; ++s) {
+      // The column's later rows, staged as the engine stages directions.
+      if (s + kRowHeaderAhead < end) {
+        const Index ih = col_rows[s + kRowHeaderAhead];
+        __builtin_prefetch(&rp[ih]);
+        __builtin_prefetch(&b[ih]);
+      }
+      if (s + kRowBodyAhead < end)
+        prefetch_row(rp, ci, av, col_rows[s + kRowBodyAhead]);
+      const Index i = col_rows[s];
       // r_i = b_i - A_i x, reading the shared iterate with relaxed-atomic
       // loads.
       double ri = b[i];
-      const auto arow_cols = a->row_cols(i);
-      const auto arow_vals = a->row_vals(i);
-      for (std::size_t q = 0; q < arow_cols.size(); ++q)
-        ri -= arow_vals[q] * atomic_load_relaxed(x[arow_cols[q]]);
+      const nnz_t hi = rp[i + 1];
+      for (nnz_t q = rp[i]; q < hi; ++q)
+        ri -= av[q] * atomic_load_relaxed(x[ci[q]]);
       gamma += col_vals[s] * ri;
     }
     const double delta = beta * gamma / col_sq[j];
@@ -352,12 +424,13 @@ struct KaczmarzUpdate {
     }
   }
 
-  void operator()(int, index_t r, index_t r_ahead) const noexcept {
-    const nnz_t ahead_lo = row_ptr[r_ahead];
-    __builtin_prefetch(&b[r_ahead]);
-    __builtin_prefetch(&inv_row_sq[r_ahead]);
-    __builtin_prefetch(&vals[ahead_lo]);
-    __builtin_prefetch(&cols[ahead_lo]);
+  void operator()(int, index_t r, Lookahead ahead) const noexcept {
+    const index_t next = ahead.at(kRowAhead);
+    const nnz_t next_lo = row_ptr[next];
+    __builtin_prefetch(&b[next]);
+    __builtin_prefetch(&inv_row_sq[next]);
+    __builtin_prefetch(&vals[next_lo]);
+    __builtin_prefetch(&cols[next_lo]);
     apply(r, delta(r));
   }
 };

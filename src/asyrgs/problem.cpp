@@ -753,8 +753,11 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
                                    sampler);
   detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
     const detail::LsqUpdate<kAtomic, Index> update{
-        &a, &at, b.data(), operators_->col_sq.data(), x.data(),
-        controls.step_size};
+        a.row_ptr().data(),        a.col_idx().data(),
+        a.values().data(),         at.row_ptr().data(),
+        at.col_idx().data(),       at.values().data(),
+        b.data(),                  operators_->col_sq.data(),
+        x.data(),                  controls.step_size};
     detail::run_engine(pool_, controls, plan, update, residual, out,
                        &scratch_->engine);
   });

@@ -260,7 +260,7 @@ TEST(DirectionMultiset, BarrierSplitTilesWhenWorkersExceedRows) {
 /// Instrumented update functor: records every direction each worker executes.
 struct RecordingUpdate {
   std::vector<std::vector<index_t>>* per_worker;
-  void operator()(int id, index_t r, index_t) const {
+  void operator()(int id, index_t r, detail::Lookahead) const {
     (*per_worker)[static_cast<std::size_t>(id)].push_back(r);
   }
 };
@@ -346,7 +346,7 @@ TEST(FreeRunning, NeverChecksAndReportsTheWholeBudget) {
       controls.track_history = true;
       std::atomic<long long> updates{0};
       std::atomic<int> residual_calls{0};
-      auto update = [&](int, index_t, index_t) {
+      auto update = [&](int, index_t, detail::Lookahead) {
         updates.fetch_add(1, std::memory_order_relaxed);
       };
       auto residual = [&](int, int) {
@@ -571,26 +571,36 @@ TEST(CyclicPlan, EngineUpdatesEveryRowOncePerSweepFromOneWorker) {
 // --- (c) templated kernels: single-worker bit-exactness ---------------------
 
 TEST(KernelBitExactness, AtomicSingleWorkerEqualsSequential) {
+  // The 9x9 grid's sweep fits one refill chunk.  The 40x40 grid's 1600
+  // directions span two chunks of kDirectionChunk, and the 1x3 path is
+  // shorter than the kernel's prefetch distance, so the engine's lookahead
+  // clamps to the chunk's last entry mid-sweep and on every update.
   ThreadPool pool(4);
-  const CsrMatrix a = laplacian_2d(9, 9);
-  const std::vector<double> b = random_vector(a.rows(), 3);
+  for (const auto& [nx, ny] : {std::pair<index_t, index_t>{9, 9},
+                               std::pair<index_t, index_t>{40, 40},
+                               std::pair<index_t, index_t>{1, 3}}) {
+    const CsrMatrix a = laplacian_2d(nx, ny);
+    const std::vector<double> b = random_vector(a.rows(), 3);
 
-  RgsOptions seq;
-  seq.sweeps = 40;
-  seq.seed = 123;
-  std::vector<double> x_seq(a.rows(), 0.0);
-  rgs_solve(a, b, x_seq, seq);
+    RgsOptions seq;
+    seq.sweeps = 40;
+    seq.seed = 123;
+    std::vector<double> x_seq(a.rows(), 0.0);
+    rgs_solve(a, b, x_seq, seq);
 
-  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
-    std::vector<double> x_async(a.rows(), 0.0);
-    SolveControls opt;
-    opt.method = SpdMethod::kAsyncRgs;
-    opt.sweeps = 40;
-    opt.seed = 123;
-    opt.workers = 1;
-    opt.sync = sync;
-    SpdProblem(pool, a, /*check_input=*/false).solve(b, x_async, opt);
-    EXPECT_EQ(x_seq, x_async) << "sync=" << static_cast<int>(sync);
+    for (SyncMode sync :
+         {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
+      std::vector<double> x_async(a.rows(), 0.0);
+      SolveControls opt;
+      opt.method = SpdMethod::kAsyncRgs;
+      opt.sweeps = 40;
+      opt.seed = 123;
+      opt.workers = 1;
+      opt.sync = sync;
+      SpdProblem(pool, a, /*check_input=*/false).solve(b, x_async, opt);
+      EXPECT_EQ(x_seq, x_async)
+          << "n=" << a.rows() << " sync=" << static_cast<int>(sync);
+    }
   }
 }
 
@@ -642,7 +652,7 @@ TEST(KernelBitExactness, BlockSingleWorkerEqualsSequentialBlock) {
 /// Counts updates, so a synthetic residual can read the sweep off them.
 struct CountingUpdate {
   long long* updates;
-  void operator()(int, index_t, index_t) const { ++*updates; }
+  void operator()(int, index_t, detail::Lookahead) const { ++*updates; }
 };
 
 /// A 1-worker kBarrierPerSweep engine run whose residual after sweep s is

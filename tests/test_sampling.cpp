@@ -204,7 +204,7 @@ TEST(DirectionPlan, WeightedFillMatchesPickAndMapsTheSharedStream) {
 /// Instrumented update functor: records every direction each worker runs.
 struct RecordingUpdate {
   std::vector<std::vector<index_t>>* per_worker;
-  void operator()(int id, index_t r, index_t) const {
+  void operator()(int id, index_t r, detail::Lookahead) const {
     (*per_worker)[static_cast<std::size_t>(id)].push_back(r);
   }
 };
