@@ -102,11 +102,10 @@ struct RowChunk {
 /// enumerates the stream in global order, which the virtual engine
 /// replays on a single thread, so its direction multiset (and, at P = 1,
 /// the exact sequence) matches every real team size.  An optional
-/// DirectionSampler generalizes WHAT each stream position draws
-/// (sampling/direction_sampler.hpp): a null or kUniform sampler keeps the
-/// exact pre-sampling code path (same fill_indices_strided calls,
-/// byte-identical draws); a weighted sampler pulls the raw 64-bit words at
-/// the SAME stream positions and maps each through its alias table, so the
+/// AliasTable generalizes WHAT each stream position draws
+/// (sampling/direction_sampler.hpp): without one the draws are uniform
+/// (fill_indices_strided); with one the plan pulls the raw 64-bit words at
+/// the SAME stream positions and maps each through the table, so the
 /// position multiset — and with it the cross-worker-count invariance — is
 /// untouched.  Weighted draws require this shape (the constructor checks;
 /// owned ranges have no global distribution to weight).
@@ -147,20 +146,18 @@ class DirectionPlan {
  public:
   /// The shared stream over [0, n) (kShared), or owner-computes over
   /// `team` identity cuts of [0, n) (kOwnerComputes).  `sampler` (borrowed
-  /// for the plan's lifetime; null or kUniform = uniform draws) weights the
-  /// shared stream; a weighted sampler requires kShared and exactly n
-  /// directions, and anything else throws.
+  /// for the plan's lifetime; null = uniform draws) weights the shared
+  /// stream; it requires kShared and one weight per direction, and anything
+  /// else throws.
   DirectionPlan(std::uint64_t seed, RandomizationScope scope, index_t n,
-                int team, const DirectionSampler* sampler = nullptr)
-      : seed_(seed), n_(n), team_(team), shared_(seed),
-        sampler_(sampler != nullptr && sampler->weighted_draws() ? sampler
-                                                                 : nullptr),
+                int team, const AliasTable* sampler = nullptr)
+      : seed_(seed), n_(n), team_(team), shared_(seed), sampler_(sampler),
         identity_cuts_(scope == RandomizationScope::kOwnerComputes) {
     if (sampler_ != nullptr) {
       require(scope == RandomizationScope::kShared,
               "DirectionPlan: weighted direction sampling requires the "
               "shared randomization scope");
-      require(sampler_->directions() == n,
+      require(sampler_->size() == n,
               "DirectionPlan: sampler direction count must match the plan");
     }
     if (identity_cuts_) own(identity_cuts(n, team));
@@ -268,7 +265,7 @@ class DirectionPlan {
                                     static_cast<std::uint64_t>(team_);
     if (sampler_ != nullptr) {
       // Same stream positions, raw words instead of reduced indices; the
-      // sampler maps them in place through its alias table.
+      // alias table maps them in place.
       shared_.fill_at_strided(first, static_cast<std::uint64_t>(team_), count,
                               reinterpret_cast<std::uint64_t*>(out));
       sampler_->map_in_place(out, count);
@@ -365,7 +362,7 @@ class DirectionPlan {
   int team_;
   // The shared stream and its optional sampler.
   Philox4x32 shared_;
-  const DirectionSampler* sampler_ = nullptr;
+  const AliasTable* sampler_ = nullptr;
   // Owned ranges (null part_: the shared stream).
   std::shared_ptr<const GraphPartition> part_;
   bool identity_cuts_ = false;
@@ -374,37 +371,6 @@ class DirectionPlan {
   std::vector<Philox4x32> streams_;
   std::vector<std::vector<index_t>> cum_;
 };
-
-/// Maps the runtime SolveControls::atomic_writes flag onto the compile-time
-/// kernel specialization: invokes fn.operator()<kAtomicWrites>().  Shared by
-/// every asynchronous solve path so the dispatch lives in one place.
-template <typename Fn>
-void dispatch_atomic(bool atomic_writes, Fn&& fn) {
-  if (atomic_writes)
-    fn.template operator()<true>();
-  else
-    fn.template operator()<false>();
-}
-
-/// Whether a team-parallel residual reduction is expected to beat the serial
-/// path for `workers` participants on a host with `hardware_threads`
-/// schedulable threads.  On oversubscribed hosts (hardware_threads <
-/// workers) the reduction's barriers serialize through the scheduler — each
-/// rendezvous costs context switches rather than core-parallel work — so the
-/// residual functors fall back to computing on worker 0 alone while the rest
-/// of the team proceeds straight to the engine's own synchronization
-/// barrier.  An unknown hardware count (0) keeps the parallel path.  The
-/// heuristic and its trade-offs are documented in docs/TUNING.md.
-[[nodiscard]] inline bool team_residual_profitable(
-    int workers, unsigned hardware_threads) noexcept {
-  return workers <= 1 || hardware_threads == 0 ||
-         static_cast<int>(hardware_threads) >= workers;
-}
-
-[[nodiscard]] inline bool team_residual_profitable(int workers) noexcept {
-  return team_residual_profitable(workers,
-                                  std::thread::hardware_concurrency());
-}
 
 /// Team-wide sum reduction for residual checks at synchronization points.
 /// Every rendezvoused worker calls run(id, team, partial_fn); partial_fn(w,
@@ -427,18 +393,6 @@ class TeamReduce {
     double total = 0.0;
     for (int w = 0; w < team; ++w)
       total += partial_[static_cast<std::size_t>(w)].value;
-    return total;
-  }
-
-  /// Serial evaluation with the identical chunked association as run():
-  /// the partials for workers 0..team-1, summed in worker order on one
-  /// thread.  Used by the oversubscription fallback (see
-  /// team_residual_profitable) so the residual value is bit-identical to
-  /// the team-parallel path regardless of which one the host selects.
-  template <typename PartialFn>
-  [[nodiscard]] double run_serial(int team, PartialFn&& partial) {
-    double total = 0.0;
-    for (int w = 0; w < team; ++w) total += partial(w, team);
     return total;
   }
 

@@ -210,12 +210,8 @@ class SingleRhsResidual {
  public:
   SingleRhsResidual(const CsrMatrixT<Index, double>& a,
                     const std::vector<RhsDiagPair>& rhs_diag, const double* x,
-                    int workers, TeamReduce& reduce)
-      : a_(a),
-        bd_(rhs_diag),
-        x_(x),
-        reduce_(reduce),
-        serial_(!team_residual_profitable(workers)),
+                    TeamReduce& reduce)
+      : a_(a), bd_(rhs_diag), x_(x), reduce_(reduce),
         b_norm_(rhs_norm(rhs_diag)) {}
 
   double operator()(int id, int team) {
@@ -236,13 +232,7 @@ class SingleRhsResidual {
       }
       return acc;
     };
-    // Oversubscribed host: the reduction barriers would cost scheduler
-    // round-trips, so worker 0 evaluates the same chunked partials alone
-    // (bit-identical association — see TeamReduce::run_serial) while the
-    // rest return to the engine's own synchronization barrier.
-    if (serial_ && id != 0) return 0.0;
-    const double num = serial_ ? reduce_.run_serial(team, partial)
-                               : reduce_.run(id, team, partial);
+    const double num = reduce_.run(id, team, partial);
     if (id != 0) return 0.0;
     const double rn = std::sqrt(num);
     return b_norm_ > 0.0 ? rn / b_norm_ : rn;
@@ -261,7 +251,6 @@ class SingleRhsResidual {
   const std::vector<RhsDiagPair>& bd_;
   const double* x_;
   TeamReduce& reduce_;
-  bool serial_;
   double b_norm_;
 };
 
@@ -270,13 +259,8 @@ template <class Index = index_t>
 class BlockResidual {
  public:
   BlockResidual(const CsrMatrixT<Index, double>& a, const MultiVector& b,
-                const MultiVector& x, int workers, TeamReduce& reduce)
-      : a_(a),
-        b_(b),
-        x_(x),
-        reduce_(reduce),
-        serial_(!team_residual_profitable(workers)),
-        b_norm_(frobenius_norm(b)) {}
+                const MultiVector& x, TeamReduce& reduce)
+      : a_(a), b_(b), x_(x), reduce_(reduce), b_norm_(frobenius_norm(b)) {}
 
   double operator()(int id, int team) {
     const auto partial = [&](int w, int t) {
@@ -302,9 +286,7 @@ class BlockResidual {
       }
       return acc;
     };
-    if (serial_ && id != 0) return 0.0;  // see SingleRhsResidual
-    const double num = serial_ ? reduce_.run_serial(team, partial)
-                               : reduce_.run(id, team, partial);
+    const double num = reduce_.run(id, team, partial);
     if (id != 0) return 0.0;
     const double rn = std::sqrt(num);
     return b_norm_ > 0.0 ? rn / b_norm_ : rn;
@@ -315,7 +297,6 @@ class BlockResidual {
   const MultiVector& b_;
   const MultiVector& x_;
   TeamReduce& reduce_;
-  bool serial_;
   double b_norm_;
 };
 
@@ -446,15 +427,8 @@ class LsqResidual {
  public:
   LsqResidual(const CsrMatrixT<Index, double>& a,
               const CsrMatrixT<Index, double>& at, const std::vector<double>& b,
-              const double* x, int workers, TeamReduce& reduce, double* r,
-              bool enabled)
-      : a_(a),
-        at_(at),
-        b_(b),
-        x_(x),
-        reduce_(reduce),
-        serial_(!team_residual_profitable(workers)),
-        r_(r) {
+              const double* x, TeamReduce& reduce, double* r, bool enabled)
+      : a_(a), at_(at), b_(b), x_(x), reduce_(reduce), r_(r) {
     if (!enabled) return;
     std::vector<double> g0(static_cast<std::size_t>(a.cols()));
     a.multiply_transpose(b.data(), g0.data());
@@ -462,18 +436,10 @@ class LsqResidual {
   }
 
   double operator()(int id, int team) {
-    // Oversubscribed host: both phases run serially on worker 0 with the
-    // same chunked association as the team-parallel path (see
-    // TeamReduce::run_serial and docs/TUNING.md for the heuristic); the
-    // other workers return straight to the engine's synchronization
-    // barrier.
-    if (serial_ && id != 0) return 0.0;
-    // Phase 1: r = b - A x over this worker's row chunk (the whole range
-    // when serial; the entries are independent, so chunking does not
-    // affect their values).
+    // Phase 1: r = b - A x over this worker's row chunk (the entries are
+    // independent, so chunking does not affect their values).
     {
-      const auto [lo, hi] = serial_ ? chunk_of(a_.rows(), 0, 1)
-                                    : chunk_of(a_.rows(), id, team);
+      const auto [lo, hi] = chunk_of(a_.rows(), id, team);
       const double* const x = x_;  // see SingleRhsResidual
       for (index_t i = lo; i < hi; ++i) {
         double ri = b_[i];
@@ -484,7 +450,7 @@ class LsqResidual {
         r_[i] = ri;
       }
     }
-    if (!serial_ && team > 1) reduce_.barrier().arrive_and_wait();
+    if (team > 1) reduce_.barrier().arrive_and_wait();
     // Phase 2: ||A^T r||^2 over this worker's chunk of A^T rows.
     const auto partial = [&](int w, int t) {
       const auto [lo, hi] = chunk_of(at_.rows(), w, t);
@@ -499,8 +465,7 @@ class LsqResidual {
       }
       return acc;
     };
-    const double num = serial_ ? reduce_.run_serial(team, partial)
-                               : reduce_.run(id, team, partial);
+    const double num = reduce_.run(id, team, partial);
     if (id != 0) return 0.0;
     const double rn = std::sqrt(num);
     return denom_ > 0.0 ? rn / denom_ : rn;
@@ -512,7 +477,6 @@ class LsqResidual {
   const std::vector<double>& b_;
   const double* x_;
   TeamReduce& reduce_;
-  bool serial_;
   double* r_;
   double denom_ = 0.0;
 };

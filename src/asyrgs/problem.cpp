@@ -81,7 +81,7 @@ struct SpdOperators {
   SharedSlot<CsrMatrix32> compact;
   SharedSlot<SpdPartitionState> partition;
   /// kWeighted draws (weights: squared row norms of the bound matrix).
-  SharedSlot<DirectionSampler> sampler;
+  SharedSlot<AliasTable> sampler;
 };
 
 struct LsqOperators {
@@ -95,8 +95,8 @@ struct LsqOperators {
   std::vector<double> row_sq;      ///< ||A_i||^2 (Kaczmarz sampling weights)
   std::vector<double> inv_row_sq;  ///< 1/||A_i||^2 projection denominators
                                    ///< (0 for zero rows: their update no-ops)
-  SharedSlot<DirectionSampler> col_sampler;  ///< coordinate descent, ∝ col_sq
-  SharedSlot<DirectionSampler> row_sampler;  ///< Kaczmarz, ∝ row_sq
+  SharedSlot<AliasTable> col_sampler;  ///< coordinate descent, ∝ col_sq
+  SharedSlot<AliasTable> row_sampler;  ///< Kaczmarz, ∝ row_sq
 };
 
 }  // namespace detail
@@ -155,26 +155,21 @@ void validate_partition_controls(const SolveControls& controls,
          "the shared randomization scope");
 }
 
-std::string sampling_note(const SolveControls& controls) {
-  return controls.sampling == SamplingPolicy::kWeighted ? ", weighted sampling"
-                                                        : "";
-}
-
-/// The kWeighted sampler in `slot`, built from `weights()` (one weight per
-/// direction) by the first weighted solve of any handle sharing the slot
-/// and counted in that handle's `builds`; null for uniform draws.  The
+/// The kWeighted alias table in `slot`, built from `weights()` (one weight
+/// per direction) by the first weighted solve of any handle sharing the
+/// slot and counted in that handle's `builds`; null for uniform draws.  The
 /// caller holds its handle's mutex.
 template <class Weights>
-const DirectionSampler* weighted_sampler(
-    SamplingPolicy policy, detail::SharedSlot<DirectionSampler>& slot,
-    Weights&& weights, long long& builds) {
+const AliasTable* weighted_sampler(SamplingPolicy policy,
+                                   detail::SharedSlot<AliasTable>& slot,
+                                   Weights&& weights, long long& builds) {
   if (policy != SamplingPolicy::kWeighted) return nullptr;
   return &slot.get(
       [&] {
         const std::vector<double>& w = weights();
-        return std::make_unique<const DirectionSampler>(
-            DirectionSampler::weighted(w.data(),
-                                       static_cast<index_t>(w.size())));
+        auto table = std::make_unique<AliasTable>();
+        table->build(w.data(), static_cast<index_t>(w.size()));
+        return table;
       },
       builds);
 }
@@ -195,15 +190,41 @@ int clamp_workers(int requested, const ThreadPool& pool) {
   return workers;
 }
 
-/// "<head>, <P> threads, <mode>[, <storage> storage]": the description of an
-/// asynchronous run, naming the team it actually ran on (out.workers, set by
-/// the engine).
-void describe_async(SolveOutcome& out, const char* head,
-                    const std::string& mode, StoragePolicy storage) {
+/// The tail of every asynchronous solve path: builds the plan with
+/// `make_plan()`, runs it through the engine with the update functor that
+/// `make_update.template operator()<kAtomicWrites>()` returns for the
+/// controls' write mode, and reports the run.  `seconds` times the plan's
+/// construction and the run.  The description reads "<head>, <P> threads,
+/// <lead><sync mode><note>[, weighted sampling][, <storage> storage]",
+/// naming the team the engine actually ran (out.workers).
+template <class Matrix, class MakePlan, class Residual, class MakeUpdate>
+SolveOutcome run_async(ThreadPool& pool, detail::EngineScratch& scratch,
+                       const SolveControls& controls, MakePlan&& make_plan,
+                       Residual& residual, MakeUpdate&& make_update,
+                       const char* head, const std::string& lead = "",
+                       const std::string& note = "") {
+  SolveOutcome out;
+  WallTimer timer;
+  const detail::DirectionPlan plan = make_plan();
+  if (controls.atomic_writes) {
+    const auto update = make_update.template operator()<true>();
+    detail::run_engine(pool, controls, plan, update, residual, out, &scratch);
+  } else {
+    const auto update = make_update.template operator()<false>();
+    detail::run_engine(pool, controls, plan, update, residual, out, &scratch);
+  }
+  out.seconds = timer.seconds();
+
+  out.storage_used = Matrix::kStorage;
+  out.sampling_used = controls.sampling;
   out.description = std::string(head) + ", " + std::to_string(out.workers) +
-                    " threads, " + mode;
-  if (storage != StoragePolicy::kInt64Double)
-    out.description += std::string(", ") + to_string(storage) + " storage";
+                    " threads, " + lead + sync_name(controls.sync) + note;
+  if (controls.sampling == SamplingPolicy::kWeighted)
+    out.description += ", weighted sampling";
+  if (Matrix::kStorage != StoragePolicy::kInt64Double)
+    out.description +=
+        std::string(", ") + to_string(Matrix::kStorage) + " storage";
+  return out;
 }
 
 }  // namespace
@@ -386,11 +407,11 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
   const int workers = clamp_workers(controls.workers, pool_);
 
   detail::pack_rhs_diag(b, operators_->inv_diag, scratch_->rhs_diag);
-  detail::SingleRhsResidual residual(a, scratch_->rhs_diag, x.data(), workers,
+  detail::SingleRhsResidual residual(a, scratch_->rhs_diag, x.data(),
                                      scratch_->engine.reduce(workers));
   // Weights from the bound full-width matrix, so the distribution does not
   // depend on the storage policy the kernels run against.
-  const DirectionSampler* const sampler =
+  const AliasTable* const sampler =
       weighted_sampler(controls.sampling, operators_->sampler,
                        [&] { return detail::row_sq_norms(a_); },
                        stats_.sampler_builds);
@@ -398,27 +419,21 @@ SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
   // Chaotic relaxation is the same update over a cyclic plan of owned rows
   // instead of random draws.
   const bool chaotic = controls.method == SpdMethod::kAsyncJacobi;
-  SolveOutcome out;
-  WallTimer timer;
-  const detail::DirectionPlan plan =
-      chaotic ? detail::DirectionPlan::cyclic(controls.scope, n, workers)
-              : detail::DirectionPlan(controls.seed, controls.scope, n,
-                                      workers, sampler);
-  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
-    const detail::SingleRhsUpdate<kAtomic, Index> update{
-        a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
-        scratch_->rhs_diag.data(), x.data(),           controls.step_size};
-    detail::run_engine(pool_, controls, plan, update, residual, out,
-                       &scratch_->engine);
-  });
-  out.seconds = timer.seconds();
-
-  describe_async(out, chaotic ? "chaotic relaxation" : "AsyRGS",
-                 sync_name(controls.sync) + sampling_note(controls),
-                 Matrix::kStorage);
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
-  return out;
+  return run_async<Matrix>(
+      pool_, scratch_->engine, controls,
+      [&] {
+        return chaotic
+                   ? detail::DirectionPlan::cyclic(controls.scope, n, workers)
+                   : detail::DirectionPlan(controls.seed, controls.scope, n,
+                                           workers, sampler);
+      },
+      residual,
+      [&]<bool kAtomic>() {
+        return detail::SingleRhsUpdate<kAtomic, Index>{
+            a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
+            scratch_->rhs_diag.data(), x.data(),           controls.step_size};
+      },
+      chaotic ? "chaotic relaxation" : "AsyRGS");
 }
 
 SolveOutcome SpdProblem::solve_async_partitioned(
@@ -465,36 +480,31 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
   // The residual norm is permutation-invariant, so evaluating it on the
   // permuted system reports exactly the metric the unpartitioned path
   // would.
-  detail::SingleRhsResidual residual(a, rhs_diag, xp.data(), workers,
+  detail::SingleRhsResidual residual(a, rhs_diag, xp.data(),
                                      scratch_->engine.reduce(workers));
-
-  SolveOutcome out;
-  WallTimer timer;
-  const detail::DirectionPlan plan(controls.seed, cut, controls.steal_rate,
-                                   workers);
-  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
-    const detail::SingleRhsUpdate<kAtomic, Index> update{
-        a.row_ptr().data(), a.col_idx().data(), a.values().data(),
-        rhs_diag.data(),    xp.data(),          controls.step_size};
-    detail::run_engine(pool_, controls, plan, update, residual, out,
-                       &scratch_->engine);
-  });
-  out.seconds = timer.seconds();
-
-  for (std::size_t i = 0; i < b.size(); ++i)
-    x[static_cast<std::size_t>(perm[i])] = xp[i];
 
   std::string steal = std::to_string(controls.steal_rate);
   // Trim to the informative digits (to_string pads to 6 decimals).
   while (steal.size() > 1 && steal.back() == '0') steal.pop_back();
   if (!steal.empty() && steal.back() == '.') steal.pop_back();
-  describe_async(out, "AsyRGS",
-                 std::string(sync_name(controls.sync)) + ", " +
-                     std::to_string(partitions) + " partitions (RCM, steal " +
-                     steal + ")",
-                 Matrix::kStorage);
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
+  SolveOutcome out = run_async<Matrix>(
+      pool_, scratch_->engine, controls,
+      [&] {
+        return detail::DirectionPlan(controls.seed, cut, controls.steal_rate,
+                                     workers);
+      },
+      residual,
+      [&]<bool kAtomic>() {
+        return detail::SingleRhsUpdate<kAtomic, Index>{
+            a.row_ptr().data(), a.col_idx().data(), a.values().data(),
+            rhs_diag.data(),    xp.data(),          controls.step_size};
+      },
+      "AsyRGS", "",
+      ", " + std::to_string(partitions) + " partitions (RCM, steal " + steal +
+          ")");
+
+  for (std::size_t i = 0; i < b.size(); ++i)
+    x[static_cast<std::size_t>(perm[i])] = xp[i];
   out.partitions_used = partitions;
   out.steal_rate_used = controls.steal_rate;
   return out;
@@ -583,17 +593,12 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
   const index_t k = b.cols();
   const int workers = clamp_workers(controls.workers, pool_);
 
-  detail::BlockResidual residual(a, b, x, workers,
-                                 scratch_->engine.reduce(workers));
-  const DirectionSampler* const sampler =
+  detail::BlockResidual residual(a, b, x, scratch_->engine.reduce(workers));
+  const AliasTable* const sampler =
       weighted_sampler(controls.sampling, operators_->sampler,
                        [&] { return detail::row_sq_norms(a_); },
                        stats_.sampler_builds);
 
-  SolveOutcome out;
-  WallTimer timer;
-  const detail::DirectionPlan plan(controls.seed, controls.scope, n, workers,
-                                   sampler);
   // Per-worker gamma scratch in one aligned slab, strided to whole cache
   // lines with a guard line between workers: adjacent heap allocations here
   // would false-share and destroy block-solve scaling.
@@ -604,22 +609,19 @@ SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
           doubles_per_line +
       doubles_per_line;
   double* const gamma = scratch_->engine.slab(workers, stride);
-  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
-    const detail::BlockRhsUpdate<kAtomic, Index> update{
-        &a, &b, &x, operators_->inv_diag.data(), controls.step_size, gamma,
-        stride};
-    detail::run_engine(pool_, controls, plan, update, residual, out,
-                       &scratch_->engine);
-  });
-  out.seconds = timer.seconds();
-
-  describe_async(out, "AsyRGS block",
-                 std::to_string(k) + " rhs, " + sync_name(controls.sync) +
-                     sampling_note(controls),
-                 Matrix::kStorage);
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
-  return out;
+  return run_async<Matrix>(
+      pool_, scratch_->engine, controls,
+      [&] {
+        return detail::DirectionPlan(controls.seed, controls.scope, n, workers,
+                                     sampler);
+      },
+      residual,
+      [&]<bool kAtomic>() {
+        return detail::BlockRhsUpdate<kAtomic, Index>{
+            &a, &b, &x, operators_->inv_diag.data(), controls.step_size, gamma,
+            stride};
+      },
+      "AsyRGS block", std::to_string(k) + " rhs, ");
 }
 
 // --- LsqProblem --------------------------------------------------------------
@@ -737,38 +739,32 @@ SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
   double* const r =
       check ? scratch_->engine.dense(static_cast<std::size_t>(a.rows()))
             : nullptr;
-  detail::LsqResidual residual(a, at, b, x.data(), workers,
+  detail::LsqResidual residual(a, at, b, x.data(),
                                scratch_->engine.reduce(workers), r, check);
 
   // Coordinate-descent weights: the column squared norms computed at
   // preparation.
-  const DirectionSampler* const sampler = weighted_sampler(
+  const AliasTable* const sampler = weighted_sampler(
       controls.sampling, operators_->col_sampler,
       [&]() -> const std::vector<double>& { return operators_->col_sq; },
       stats_.sampler_builds);
 
-  SolveOutcome out;
-  WallTimer timer;
-  const detail::DirectionPlan plan(controls.seed, controls.scope, n, workers,
-                                   sampler);
-  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
-    const detail::LsqUpdate<kAtomic, Index> update{
-        a.row_ptr().data(),        a.col_idx().data(),
-        a.values().data(),         at.row_ptr().data(),
-        at.col_idx().data(),       at.values().data(),
-        b.data(),                  operators_->col_sq.data(),
-        x.data(),                  controls.step_size};
-    detail::run_engine(pool_, controls, plan, update, residual, out,
-                       &scratch_->engine);
-  });
-  out.seconds = timer.seconds();
-
-  describe_async(out, "AsyRCD least squares",
-                 sync_name(controls.sync) + sampling_note(controls),
-                 Matrix::kStorage);
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
-  return out;
+  return run_async<Matrix>(
+      pool_, scratch_->engine, controls,
+      [&] {
+        return detail::DirectionPlan(controls.seed, controls.scope, n, workers,
+                                     sampler);
+      },
+      residual,
+      [&]<bool kAtomic>() {
+        return detail::LsqUpdate<kAtomic, Index>{
+            a.row_ptr().data(),        a.col_idx().data(),
+            a.values().data(),         at.row_ptr().data(),
+            at.col_idx().data(),       at.values().data(),
+            b.data(),                  operators_->col_sq.data(),
+            x.data(),                  controls.step_size};
+      },
+      "AsyRCD least squares");
 }
 
 template <class Matrix>
@@ -789,37 +785,31 @@ SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
   double* const r =
       check ? scratch_->engine.dense(static_cast<std::size_t>(a.rows()))
             : nullptr;
-  detail::LsqResidual residual(a, at, b, x.data(), workers,
+  detail::LsqResidual residual(a, at, b, x.data(),
                                scratch_->engine.reduce(workers), r, check);
 
   // The Strohmer-Vershynin distribution p_i ∝ ||A_i||^2, from the
   // prepare-time norms.
-  const DirectionSampler* const sampler = weighted_sampler(
+  const AliasTable* const sampler = weighted_sampler(
       controls.sampling, operators_->row_sampler,
       [&]() -> const std::vector<double>& { return operators_->row_sq; },
       stats_.sampler_builds);
 
-  SolveOutcome out;
-  WallTimer timer;
-  const detail::DirectionPlan plan(controls.seed, controls.scope, m, workers,
-                                   sampler);
-  detail::dispatch_atomic(controls.atomic_writes, [&]<bool kAtomic>() {
-    const detail::KaczmarzUpdate<kAtomic, Index> update{
-        a.row_ptr().data(),            a.col_idx().data(),
-        a.values().data(),             b.data(),
-        operators_->inv_row_sq.data(), x.data(),
-        controls.step_size};
-    detail::run_engine(pool_, controls, plan, update, residual, out,
-                       &scratch_->engine);
-  });
-  out.seconds = timer.seconds();
-
-  describe_async(out, "AsyKaczmarz least squares",
-                 sync_name(controls.sync) + sampling_note(controls),
-                 Matrix::kStorage);
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
-  return out;
+  return run_async<Matrix>(
+      pool_, scratch_->engine, controls,
+      [&] {
+        return detail::DirectionPlan(controls.seed, controls.scope, m, workers,
+                                     sampler);
+      },
+      residual,
+      [&]<bool kAtomic>() {
+        return detail::KaczmarzUpdate<kAtomic, Index>{
+            a.row_ptr().data(),            a.col_idx().data(),
+            a.values().data(),             b.data(),
+            operators_->inv_row_sq.data(), x.data(),
+            controls.step_size};
+      },
+      "AsyKaczmarz least squares");
 }
 
 }  // namespace asyrgs

@@ -108,26 +108,15 @@ std::uint64_t AliasTable::fnv1a() const noexcept {
   return h;
 }
 
-DirectionSampler DirectionSampler::uniform(index_t n) {
-  require(n > 0, "DirectionSampler: need at least one direction");
-  return DirectionSampler(SamplingPolicy::kUniform, n);
-}
-
-DirectionSampler DirectionSampler::weighted(const double* weights, index_t n) {
-  DirectionSampler s(SamplingPolicy::kWeighted, n);
-  s.table_.build(weights, n);
-  return s;
-}
-
-void DirectionSampler::map_in_place(index_t* out,
-                                    std::size_t count) const noexcept {
+void AliasTable::map_in_place(index_t* out,
+                              std::size_t count) const noexcept {
   static_assert(sizeof(index_t) == sizeof(std::uint64_t),
                 "raw Philox words are mapped in place through the index "
                 "buffer");
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t bits;
     std::memcpy(&bits, &out[i], sizeof(bits));
-    out[i] = table_.map(bits);
+    out[i] = map(bits);
   }
 }
 

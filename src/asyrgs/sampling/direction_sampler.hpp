@@ -8,10 +8,10 @@
 // that invariant while generalizing WHAT each position draws:
 //
 //   kUniform   position bits -> index via the 128-bit multiply reduction
-//              (Philox4x32::index_at).  This is byte-identical to the
-//              pre-sampling engine: a null/uniform sampler changes neither
-//              the Philox calls nor the mapping, so every existing golden
-//              hash holds.
+//              (Philox4x32::index_at).  The engine's plan takes no table
+//              (a null AliasTable pointer), so the draw path is byte-
+//              identical to the pre-sampling engine and every existing
+//              golden hash holds.
 //   kWeighted  position bits -> index via a Walker alias table built once
 //              from static weights (squared row norms, nnz counts, ...).
 //              One 64-bit draw decides bucket AND acceptance: the 128-bit
@@ -77,6 +77,13 @@ class AliasTable {
                                     : alias_[bucket];
   }
 
+  /// Batched map: `out` initially holds raw 64-bit Philox words (written
+  /// through the aliasing-compatible uint64 view of the index buffer by
+  /// Philox4x32::fill_at_strided) and is mapped to directions in place.
+  /// The engine's workers call only map/map_in_place, on a table built
+  /// before the team starts, so the draw path is lock-free.
+  void map_in_place(index_t* out, std::size_t count) const noexcept;
+
   /// Exact probability the table assigns to index i (for tests: within
   /// 1/2^64 quantization of weights[i] / sum(weights)).
   [[nodiscard]] double probability(index_t i) const noexcept;
@@ -88,53 +95,6 @@ class AliasTable {
  private:
   std::vector<std::uint64_t> threshold_;  // accept bucket b when rem < thr[b]
   std::vector<index_t> alias_;
-};
-
-/// A sampling policy bound to a direction count, ready for the engine.
-///
-/// Ownership/threading contract: the engine (the shared-stream
-/// DirectionPlan) holds a const pointer and calls only `map`/`map_in_place`
-/// from worker threads.  A weighted table is built once, at construction,
-/// and never changes, so the draw path is lock-free.  A kUniform sampler (or
-/// a null pointer) leaves the engine's draw path byte-identical to the
-/// pre-sampling code.
-class DirectionSampler {
- public:
-  /// Uniform policy over [0, n): no table, no mapping overhead.
-  [[nodiscard]] static DirectionSampler uniform(index_t n);
-
-  /// Static weighted policy (Walker alias table built once).
-  [[nodiscard]] static DirectionSampler weighted(const double* weights,
-                                                 index_t n);
-
-  [[nodiscard]] SamplingPolicy policy() const noexcept { return policy_; }
-  [[nodiscard]] index_t directions() const noexcept { return n_; }
-
-  /// Whether draws route through the alias table (false exactly for
-  /// kUniform — the engine's bit-identity gate).
-  [[nodiscard]] bool weighted_draws() const noexcept {
-    return policy_ != SamplingPolicy::kUniform;
-  }
-
-  /// One draw: 64 Philox bits to a direction.
-  [[nodiscard]] index_t map(std::uint64_t bits) const noexcept {
-    return table_.map(bits);
-  }
-
-  /// Batched draw: `out` initially holds raw 64-bit Philox words (written
-  /// through the aliasing-compatible uint64 view of the index buffer by
-  /// Philox4x32::fill_at_strided) and is mapped to directions in place.
-  void map_in_place(index_t* out, std::size_t count) const noexcept;
-
-  [[nodiscard]] const AliasTable& table() const noexcept { return table_; }
-
- private:
-  DirectionSampler(SamplingPolicy policy, index_t n) noexcept
-      : policy_(policy), n_(n) {}
-
-  SamplingPolicy policy_ = SamplingPolicy::kUniform;
-  index_t n_ = 0;
-  AliasTable table_;
 };
 
 }  // namespace asyrgs

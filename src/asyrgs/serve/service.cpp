@@ -424,13 +424,18 @@ SolveTicket SolverService::enqueue(std::shared_ptr<detail::TicketState> state,
                                    const RequestOptions& request) {
   state->priority = std::clamp(request.priority, 0, kPriorityClasses - 1);
   state->enqueue_tp = detail::ServiceClock::now();
-  if (request.deadline_seconds > 0.0) {
+  // A deadline past the clock's range from now (its int64 nanoseconds end
+  // about 9.2e9 s out), or +inf, never expires.  The comparison runs in the
+  // double domain the cast below computes in, so the cast stays in range
+  // and the sum cannot overflow.
+  const std::chrono::duration<double> deadline(request.deadline_seconds);
+  if (request.deadline_seconds > 0.0 &&
+      deadline <
+          detail::ServiceClock::time_point::max() - state->enqueue_tp) {
     state->has_deadline = true;
     state->deadline_tp =
-        state->enqueue_tp + std::chrono::duration_cast<
-                                detail::ServiceClock::duration>(
-                                std::chrono::duration<double>(
-                                    request.deadline_seconds));
+        state->enqueue_tp +
+        std::chrono::duration_cast<detail::ServiceClock::duration>(deadline);
   }
 
   const char* reject_reason = nullptr;
@@ -477,6 +482,8 @@ SolveTicket SolverService::enqueue(std::shared_ptr<detail::TicketState> state,
 
 namespace {
 
+using Kind = detail::TicketState::Kind;
+
 /// True when every entry is finite.  Submit rejects NaN or infinite inputs
 /// eagerly: one such entry would poison every iterate it reaches and run
 /// the request's whole budget to a NaN residual.
@@ -484,8 +491,52 @@ bool all_finite(const double* v, std::size_t n) {
   return std::all_of(v, v + n, [](double e) { return std::isfinite(e); });
 }
 
-bool all_finite(const std::vector<double>& v) {
-  return all_finite(v.data(), v.size());
+/// Throws "<who>: <what>" — every malformed request is refused this way, on
+/// the submitting thread.
+[[noreturn]] void refuse(const char* who, const char* what) {
+  throw Error(std::string(who) + ": " + what);
+}
+
+/// A new ticket for a request of `kind`, after checking that the service
+/// prepared the family it runs on.  `who` names the entry point.
+std::shared_ptr<detail::TicketState> new_ticket(const detail::ServiceImpl& impl,
+                                                Kind kind,
+                                                const SolveControls& controls,
+                                                const char* who) {
+  const bool lsq = kind == Kind::kLsq;
+  if (!(lsq ? impl.options.prepare_lsq : impl.options.prepare_spd))
+    refuse(who, lsq ? "service built without prepare_lsq"
+                    : "service built without prepare_spd");
+  auto state = std::make_shared<detail::TicketState>();
+  state->kind = kind;
+  state->controls = controls;
+  return state;
+}
+
+/// The ticket of a single-vector request (kSpd or kLsq): b holds one finite
+/// entry per matrix row, and the iterate starts at `x0` (one finite entry
+/// per column) when given, else at zero.
+std::shared_ptr<detail::TicketState> vector_ticket(
+    const detail::ServiceImpl& impl, Kind kind, std::vector<double> b,
+    std::optional<std::vector<double>> x0, const SolveControls& controls,
+    const char* who) {
+  auto state = new_ticket(impl, kind, controls, who);
+  if (static_cast<index_t>(b.size()) != impl.a.rows())
+    refuse(who, "rhs size must equal matrix rows");
+  if (!all_finite(b.data(), b.size())) refuse(who, "rhs must be finite");
+  const auto unknowns = static_cast<std::size_t>(impl.a.cols());
+  if (x0) {
+    if (x0->size() != unknowns)
+      refuse(who, "warm-start x0 size must equal matrix columns");
+    if (!all_finite(x0->data(), x0->size()))
+      refuse(who, "warm-start x0 must be finite");
+    state->warm_start = true;
+    state->x = std::move(*x0);
+  } else {
+    state->x.assign(unknowns, 0.0);
+  }
+  state->b = std::move(b);
+  return state;
 }
 
 }  // namespace
@@ -493,51 +544,28 @@ bool all_finite(const std::vector<double>& v) {
 SolveTicket SolverService::submit(std::vector<double> b,
                                   SolveControls controls,
                                   RequestOptions request) {
-  require(impl_->options.prepare_spd,
-          "SolverService::submit: service built without prepare_spd");
-  require(static_cast<index_t>(b.size()) == impl_->a.rows(),
-          "SolverService::submit: rhs size must equal matrix rows");
-  require(all_finite(b), "SolverService::submit: rhs must be finite");
-  auto state = std::make_shared<detail::TicketState>();
-  state->kind = detail::TicketState::Kind::kSpd;
-  state->controls = controls;
-  state->x.assign(b.size(), 0.0);
-  state->b = std::move(b);
-  return enqueue(std::move(state), request);
+  return enqueue(vector_ticket(*impl_, Kind::kSpd, std::move(b), std::nullopt,
+                               controls, "SolverService::submit"),
+                 request);
 }
 
 SolveTicket SolverService::submit(std::vector<double> b,
                                   std::vector<double> x0,
                                   SolveControls controls,
                                   RequestOptions request) {
-  require(impl_->options.prepare_spd,
-          "SolverService::submit: service built without prepare_spd");
-  require(static_cast<index_t>(b.size()) == impl_->a.rows(),
-          "SolverService::submit: rhs size must equal matrix rows");
-  require(x0.size() == b.size(),
-          "SolverService::submit: warm-start x0 size must equal matrix rows");
-  require(all_finite(b) && all_finite(x0),
-          "SolverService::submit: rhs and warm-start x0 must be finite");
-  auto state = std::make_shared<detail::TicketState>();
-  state->kind = detail::TicketState::Kind::kSpd;
-  state->controls = controls;
-  state->warm_start = true;
-  state->x = std::move(x0);
-  state->b = std::move(b);
-  return enqueue(std::move(state), request);
+  return enqueue(vector_ticket(*impl_, Kind::kSpd, std::move(b),
+                               std::move(x0), controls,
+                               "SolverService::submit"),
+                 request);
 }
 
 SolveTicket SolverService::submit_block(MultiVector b, SolveControls controls,
                                         RequestOptions request) {
-  require(impl_->options.prepare_spd,
-          "SolverService::submit_block: service built without prepare_spd");
-  require(b.rows() == impl_->a.rows() && b.cols() > 0,
-          "SolverService::submit_block: rhs rows must equal matrix rows");
-  require(all_finite(b.data(), b.size()),
-          "SolverService::submit_block: rhs must be finite");
-  auto state = std::make_shared<detail::TicketState>();
-  state->kind = detail::TicketState::Kind::kSpdBlock;
-  state->controls = controls;
+  const char* const who = "SolverService::submit_block";
+  auto state = new_ticket(*impl_, Kind::kSpdBlock, controls, who);
+  if (b.rows() != impl_->a.rows() || b.cols() <= 0)
+    refuse(who, "rhs rows must equal matrix rows");
+  if (!all_finite(b.data(), b.size())) refuse(who, "rhs must be finite");
   state->b_block = std::move(b);
   return enqueue(std::move(state), request);
 }
@@ -545,45 +573,19 @@ SolveTicket SolverService::submit_block(MultiVector b, SolveControls controls,
 SolveTicket SolverService::submit_least_squares(std::vector<double> b,
                                                 SolveControls controls,
                                                 RequestOptions request) {
-  require(impl_->options.prepare_lsq,
-          "SolverService::submit_least_squares: service built without "
-          "prepare_lsq");
-  require(static_cast<index_t>(b.size()) == impl_->a.rows(),
-          "SolverService::submit_least_squares: rhs size must equal matrix "
-          "rows");
-  require(all_finite(b),
-          "SolverService::submit_least_squares: rhs must be finite");
-  auto state = std::make_shared<detail::TicketState>();
-  state->kind = detail::TicketState::Kind::kLsq;
-  state->controls = controls;
-  state->x.assign(static_cast<std::size_t>(impl_->a.cols()), 0.0);
-  state->b = std::move(b);
-  return enqueue(std::move(state), request);
+  return enqueue(vector_ticket(*impl_, Kind::kLsq, std::move(b), std::nullopt,
+                               controls, "SolverService::submit_least_squares"),
+                 request);
 }
 
 SolveTicket SolverService::submit_least_squares(std::vector<double> b,
                                                 std::vector<double> x0,
                                                 SolveControls controls,
                                                 RequestOptions request) {
-  require(impl_->options.prepare_lsq,
-          "SolverService::submit_least_squares: service built without "
-          "prepare_lsq");
-  require(static_cast<index_t>(b.size()) == impl_->a.rows(),
-          "SolverService::submit_least_squares: rhs size must equal matrix "
-          "rows");
-  require(static_cast<index_t>(x0.size()) == impl_->a.cols(),
-          "SolverService::submit_least_squares: warm-start x0 size must "
-          "equal matrix columns");
-  require(all_finite(b) && all_finite(x0),
-          "SolverService::submit_least_squares: rhs and warm-start x0 must "
-          "be finite");
-  auto state = std::make_shared<detail::TicketState>();
-  state->kind = detail::TicketState::Kind::kLsq;
-  state->controls = controls;
-  state->warm_start = true;
-  state->x = std::move(x0);
-  state->b = std::move(b);
-  return enqueue(std::move(state), request);
+  return enqueue(vector_ticket(*impl_, Kind::kLsq, std::move(b),
+                               std::move(x0), controls,
+                               "SolverService::submit_least_squares"),
+                 request);
 }
 
 void SolverService::drain() {

@@ -144,7 +144,9 @@ struct RequestOptions {
   /// always takes the oldest request of the most urgent non-empty class.
   int priority = 1;
   /// Deadline measured from submission, in seconds; 0 (or negative)
-  /// disables it.  A request still *queued* when its deadline passes is
+  /// disables it, and so does one the steady clock cannot represent from
+  /// the submission time (beyond about 9.2e9 s, or +inf): such a request
+  /// never expires.  A request still *queued* when its deadline passes is
   /// shed with SolveStatus::kRejected and never executes.  A request
   /// already running is never aborted (solves are short; aborting
   /// mid-iteration would forfeit the paper's convergence guarantees).

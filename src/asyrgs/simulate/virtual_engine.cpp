@@ -43,7 +43,7 @@ class VirtualEngine {
                 const std::vector<double>& x0,
                 const std::vector<double>& x_star, index_t tau,
                 const VirtualEngineOptions& options,
-                const DirectionSampler* sampler = nullptr)
+                const AliasTable* sampler = nullptr)
       : a_(a), x_star_(x_star), x_(x0), options_(options) {
     require(a.square(), "virtual_engine: matrix must be square");
     require(static_cast<index_t>(b.size()) == a.rows() &&
@@ -71,10 +71,8 @@ class VirtualEngine {
                      options.step_size};
     // A team-1 shared-scope plan enumerates the global Philox direction
     // stream in order — the same stream every physical team size tiles.
-    // A non-uniform sampler maps that stream through its alias table
-    // exactly as the threaded engine's workers do.
-    require(sampler == nullptr || sampler->directions() == a.rows(),
-            "virtual_engine: sampler size must match the matrix");
+    // An alias table maps that stream exactly as the threaded engine's
+    // workers do (the plan checks it holds one weight per row).
     plan_.emplace(options.seed, RandomizationScope::kShared, a.rows(),
                   /*team=*/1, sampler);
     window_rows_.resize(static_cast<std::size_t>(tau) + 1, 0);
@@ -179,7 +177,7 @@ SimResult run_virtual_consistent(const CsrMatrix& a,
                                  const std::vector<double>& x_star,
                                  const ConsistentDelayModel& delay,
                                  const VirtualEngineOptions& options,
-                                 const DirectionSampler* sampler) {
+                                 const AliasTable* sampler) {
   VirtualEngine engine(a, b, x0, x_star, delay.tau(), options, sampler);
   SimResult recorded;
   std::vector<std::uint64_t> invisible;

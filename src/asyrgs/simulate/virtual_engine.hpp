@@ -58,19 +58,19 @@ using VirtualEngineOptions = SimOptions;
 
 /// Runs the production update kernel under a consistent-read schedule
 /// (iteration (8)): step j computes from the snapshot x_{k(j)}.  `a` must be
-/// square with a strictly positive diagonal.  An optional non-uniform
-/// `sampler` (sampling/direction_sampler.hpp) maps the Philox stream through
-/// the same alias table the threaded engine uses, so weighted virtual runs
-/// replay the production draw path; it must outlive the call and have
-/// directions() == a.rows().  nullptr (or a uniform sampler) keeps the raw
-/// stream bit-identical to every pre-sampling trace.
+/// square with a strictly positive diagonal.  An optional alias table
+/// `sampler` (sampling/direction_sampler.hpp) maps the Philox stream as the
+/// threaded engine maps it for kWeighted draws, so weighted virtual runs
+/// replay the production draw path; it must outlive the call and hold one
+/// weight per row.  nullptr keeps the raw stream bit-identical to every
+/// pre-sampling trace.
 SimResult run_virtual_consistent(const CsrMatrix& a,
                                  const std::vector<double>& b,
                                  const std::vector<double>& x0,
                                  const std::vector<double>& x_star,
                                  const ConsistentDelayModel& delay,
                                  const VirtualEngineOptions& options,
-                                 const DirectionSampler* sampler = nullptr);
+                                 const AliasTable* sampler = nullptr);
 
 /// Runs the production update kernel under an inconsistent-read schedule
 /// (iteration (9)): step j sees x_0 plus the visible set K(j).

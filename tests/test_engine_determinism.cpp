@@ -406,8 +406,8 @@ TEST(SyncModes, EveryWorkerRunsTheSameDirectionSequence) {
   std::vector<double> weights(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     weights[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 5);
-  const DirectionSampler weighted =
-      DirectionSampler::weighted(weights.data(), n);
+  AliasTable weighted;
+  weighted.build(weights.data(), n);
   // Four ranges of a path graph, each with its one-row halos.
   auto cut = std::make_shared<GraphPartition>();
   cut->lo = {0, 25, 50, 75, 97};
@@ -783,28 +783,11 @@ TEST(CheckSchedule, IntMaxBudgetSchedulesWithoutOverflow) {
             std::numeric_limits<int>::max());
 }
 
-// --- team-residual oversubscription heuristic --------------------------------
+// --- team-parallel residual -------------------------------------------------
 
-TEST(TeamResidualHeuristic, SerialOnlyWhenOversubscribed) {
-  // Parallel residual whenever the host can actually schedule the team...
-  EXPECT_TRUE(detail::team_residual_profitable(4, 4));
-  EXPECT_TRUE(detail::team_residual_profitable(4, 8));
-  EXPECT_TRUE(detail::team_residual_profitable(2, 2));
-  // ...or the hardware count is unknown (0), or the team is trivial.
-  EXPECT_TRUE(detail::team_residual_profitable(4, 0));
-  EXPECT_TRUE(detail::team_residual_profitable(1, 1));
-  EXPECT_TRUE(detail::team_residual_profitable(0, 1));
-  // Serial fallback exactly when workers outnumber hardware threads.
-  EXPECT_FALSE(detail::team_residual_profitable(2, 1));
-  EXPECT_FALSE(detail::team_residual_profitable(4, 1));
-  EXPECT_FALSE(detail::team_residual_profitable(8, 4));
-}
-
-TEST(TeamResidualHeuristic, ResidualValuesAgreeAcrossWorkerCounts) {
-  // Whichever path the host selects, the reported residual must match the
-  // serial ground truth to reduction-rounding accuracy.  (On 1-hardware-
-  // thread CI this exercises the serial fallback; on multicore hosts the
-  // team-parallel reduction.)
+TEST(TeamReduction, ResidualValuesAgreeAcrossWorkerCounts) {
+  // The reported residual, reduced across the team, must match the serial
+  // ground truth to reduction-rounding accuracy at every team size.
   ThreadPool pool(4);
   const CsrMatrix a = laplacian_2d(10, 10);
   const std::vector<double> x_star = random_vector(a.rows(), 6);

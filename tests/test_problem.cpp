@@ -990,6 +990,54 @@ constexpr CheckedPath kCheckedPaths[] = {
     CheckedPath::kSingle, CheckedPath::kPartitioned, CheckedPath::kBlock,
     CheckedPath::kLsq,    CheckedPath::kKaczmarz,    CheckedPath::kJacobi};
 
+/// The exact description of a 2-worker solve_checked run: every shape there
+/// fits the int32 compact storage that StorageMode::kAuto picks.
+std::string expected_description(CheckedPath path, SyncMode sync,
+                                 SamplingPolicy sampling) {
+  const std::string mode = sync == SyncMode::kFreeRunning ? "free running"
+                                                          : "barrier per sweep";
+  const std::string tail =
+      std::string(sampling == SamplingPolicy::kWeighted ? ", weighted sampling"
+                                                        : "") +
+      ", int32_double storage";
+  switch (path) {
+    case CheckedPath::kSingle:
+      return "AsyRGS, 2 threads, " + mode + tail;
+    case CheckedPath::kPartitioned:
+      return "AsyRGS, 2 threads, " + mode + ", 4 partitions (RCM, steal 0.05)" +
+             tail;
+    case CheckedPath::kBlock:
+      return "AsyRGS block, 2 threads, 3 rhs, " + mode + tail;
+    case CheckedPath::kLsq:
+      return "AsyRCD least squares, 2 threads, " + mode + tail;
+    case CheckedPath::kKaczmarz:
+      return "AsyKaczmarz least squares, 2 threads, " + mode + tail;
+    case CheckedPath::kJacobi:
+      return "chaotic relaxation, 2 threads, " + mode + tail;
+  }
+  return "?";
+}
+
+/// Everything but the status and counts that a 2-worker solve_checked run
+/// reports: the description, storage, sampling, method and partitioning.
+void expect_reported_run(const SolveOutcome& out, CheckedPath path,
+                         SyncMode sync, SamplingPolicy sampling,
+                         const std::string& label) {
+  EXPECT_EQ(out.description, expected_description(path, sync, sampling))
+      << label;
+  EXPECT_EQ(out.storage_used, StoragePolicy::kInt32Double) << label;
+  EXPECT_EQ(out.sampling_used, sampling) << label;
+  const SpdMethod method = path == CheckedPath::kKaczmarz
+                               ? SpdMethod::kAsyncKaczmarz
+                           : path == CheckedPath::kJacobi
+                               ? SpdMethod::kAsyncJacobi
+                               : SpdMethod::kAsyncRgs;
+  EXPECT_EQ(out.method_used, method) << label;
+  const bool partitioned = path == CheckedPath::kPartitioned;
+  EXPECT_EQ(out.partitions_used, partitioned ? 4 : 0) << label;
+  EXPECT_EQ(out.steal_rate_used, partitioned ? 0.05 : 0.0) << label;
+}
+
 TEST(ExactChecks, ReportedResidualIsExactAtTheReturnedIterate) {
   ThreadPool pool(2);
   for (CheckedPath path : kCheckedPaths) {
@@ -1086,8 +1134,26 @@ TEST(StatusRule, EveryAsynchronousPathAndSyncMode) {
         if (expected != SolveStatus::kConverged) {
           EXPECT_EQ(s.out.iterations, c.sweeps) << label;
         }
+        expect_reported_run(s.out, path, sync, SamplingPolicy::kUniform,
+                            label);
       }
     }
+    // One weighted run on each path that draws from a sampler.
+    if (path == CheckedPath::kPartitioned || path == CheckedPath::kJacobi)
+      continue;
+    const std::string label = std::string(path_name(path)) + " weighted";
+    SolveControls controls;
+    controls.workers = 2;
+    controls.seed = 5;
+    controls.sync = SyncMode::kBarrierPerSweep;
+    controls.sweeps = 23;
+    controls.sampling = SamplingPolicy::kWeighted;
+    const CheckedSolve s = solve_checked(path, pool, controls);
+    EXPECT_EQ(s.out.status, SolveStatus::kBudgetCompleted) << label;
+    EXPECT_EQ(s.out.workers, 2) << label;
+    EXPECT_EQ(s.out.iterations, 23) << label;
+    expect_reported_run(s.out, path, SyncMode::kBarrierPerSweep,
+                        SamplingPolicy::kWeighted, label);
   }
 }
 

@@ -1,10 +1,9 @@
 // Sampling subsystem tests (sampling/direction_sampler.hpp + the
 // DirectionPlan's weighted draws): alias-table build determinism (golden
-// hashes), probability exactness, the raw-bits strided fill, uniform-policy
-// bit-identity with the pre-sampling draw path, the plan's sampler
-// contract, and the load-bearing engine invariant — the direction multiset
-// of a fixed (seed, policy) run is identical at 1, 2, and 4 workers for
-// every sampling policy.
+// hashes), probability exactness, the batched map, the raw-bits strided
+// fill, the plan's sampler contract, and the load-bearing engine invariant
+// — the direction multiset of a fixed (seed, policy) run is identical at
+// 1, 2, and 4 workers for uniform (no table) and weighted draws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -97,6 +96,27 @@ TEST(AliasTable, MapHitsOnlyPositiveWeightIndicesAtRoughlyTheRightRate) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / kDraws, 0.75, 0.01);
 }
 
+TEST(AliasTable, MapInPlaceEqualsScalarMap) {
+  std::vector<double> w(17);
+  for (std::size_t i = 0; i < w.size(); ++i)
+    w[i] = static_cast<double>(i % 5) + 0.5;
+  AliasTable t;
+  t.build(w.data(), static_cast<index_t>(w.size()));
+
+  const Philox4x32 gen(99);
+  std::vector<std::uint64_t> bits(301);
+  gen.fill_at(7, bits.size(), bits.data());
+  // The engine writes raw words through the index buffer's uint64 view and
+  // maps in place; replicate that exact aliasing dance.
+  std::vector<index_t> batched(bits.size());
+  static_assert(sizeof(index_t) == sizeof(std::uint64_t));
+  gen.fill_at(7, bits.size(),
+              reinterpret_cast<std::uint64_t*>(batched.data()));
+  t.map_in_place(batched.data(), batched.size());
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    ASSERT_EQ(batched[i], t.map(bits[i])) << "i=" << i;
+}
+
 // --- raw-bits strided fill (the sampler's batched feed) ---------------------
 
 TEST(PhiloxFill, FillAtStridedMatchesAtForAllParities) {
@@ -112,62 +132,7 @@ TEST(PhiloxFill, FillAtStridedMatchesAtForAllParities) {
   }
 }
 
-// --- DirectionSampler --------------------------------------------------------
-
-TEST(DirectionSampler, UniformPolicyReportsNoWeightedDraws) {
-  const DirectionSampler s = DirectionSampler::uniform(10);
-  EXPECT_EQ(s.policy(), SamplingPolicy::kUniform);
-  EXPECT_EQ(s.directions(), 10);
-  EXPECT_FALSE(s.weighted_draws());
-}
-
-TEST(DirectionSampler, MapInPlaceEqualsScalarMap) {
-  std::vector<double> w(17);
-  for (std::size_t i = 0; i < w.size(); ++i)
-    w[i] = static_cast<double>(i % 5) + 0.5;
-  const DirectionSampler s =
-      DirectionSampler::weighted(w.data(), static_cast<index_t>(w.size()));
-  EXPECT_TRUE(s.weighted_draws());
-
-  const Philox4x32 gen(99);
-  std::vector<std::uint64_t> bits(301);
-  gen.fill_at(7, bits.size(), bits.data());
-  // The engine writes raw words through the index buffer's uint64 view and
-  // maps in place; replicate that exact aliasing dance.
-  std::vector<index_t> batched(bits.size());
-  static_assert(sizeof(index_t) == sizeof(std::uint64_t));
-  gen.fill_at(7, bits.size(),
-              reinterpret_cast<std::uint64_t*>(batched.data()));
-  s.map_in_place(batched.data(), batched.size());
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    ASSERT_EQ(batched[i], s.map(bits[i])) << "i=" << i;
-}
-
 // --- DirectionPlan with a sampler -------------------------------------------
-
-TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
-  const std::uint64_t seed = 17;
-  const index_t n = 53;
-  const DirectionSampler uniform = DirectionSampler::uniform(n);
-  for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan bare(seed, RandomizationScope::kShared, n,
-                                     team);
-    const detail::DirectionPlan sampled(seed, RandomizationScope::kShared, n,
-                                        team, &uniform);
-    for (int w = 0; w < team; ++w) {
-      const std::size_t mine = static_cast<std::size_t>(bare.per_sweep(w));
-      for (int sweep = 0; sweep < 4; ++sweep) {
-        std::vector<index_t> a(mine), b(mine);
-        bare.fill_in_sweep(w, sweep, 0, a.size(), a.data());
-        sampled.fill_in_sweep(w, sweep, 0, b.size(), b.data());
-        ASSERT_EQ(a, b) << "team=" << team << " w=" << w;
-        for (std::size_t t = 0; t < mine; ++t)
-          ASSERT_EQ(bare.pick_in_sweep(w, sweep, static_cast<index_t>(t)),
-                    sampled.pick_in_sweep(w, sweep, static_cast<index_t>(t)));
-      }
-    }
-  }
-}
 
 TEST(DirectionPlan, WeightedFillMatchesPickAndMapsTheSharedStream) {
   const std::uint64_t seed = 29;
@@ -175,7 +140,8 @@ TEST(DirectionPlan, WeightedFillMatchesPickAndMapsTheSharedStream) {
   std::vector<double> w(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 7);
-  const DirectionSampler sampler = DirectionSampler::weighted(w.data(), n);
+  AliasTable sampler;
+  sampler.build(w.data(), n);
   const Philox4x32 raw(seed);
   for (int team : {1, 2, 4}) {
     const detail::DirectionPlan plan(seed, RandomizationScope::kShared, n,
@@ -212,7 +178,7 @@ struct RecordingUpdate {
 std::vector<index_t> engine_multiset(ThreadPool& pool,
                                      const SolveControls& base, index_t n,
                                      int workers,
-                                     const DirectionSampler* sampler) {
+                                     const AliasTable* sampler) {
   SolveControls controls = base;
   controls.workers = workers;
   std::vector<std::vector<index_t>> per_worker(
@@ -240,17 +206,17 @@ TEST(SampledEngine, MultisetInvariantAcrossWorkerCountsPerPolicy) {
   std::vector<double> w(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     w[static_cast<std::size_t>(i)] = 0.25 + static_cast<double>((i * 13) % 9);
-  const DirectionSampler uniform = DirectionSampler::uniform(n);
-  const DirectionSampler weighted = DirectionSampler::weighted(w.data(), n);
+  AliasTable weighted;
+  weighted.build(w.data(), n);
 
-  for (const DirectionSampler* s : {static_cast<const DirectionSampler*>(
-                                        nullptr),
-                                    &uniform, &weighted}) {
+  // A null table draws uniformly; the weighted one maps every draw.
+  for (const AliasTable* s : {static_cast<const AliasTable*>(nullptr),
+                              static_cast<const AliasTable*>(&weighted)}) {
     const std::vector<index_t> expected = engine_multiset(pool, base, n, 1, s);
     for (int workers : {2, 4}) {
       EXPECT_EQ(engine_multiset(pool, base, n, workers, s), expected)
-          << "policy="
-          << (s ? to_string(s->policy()) : "null") << " workers=" << workers;
+          << "policy=" << (s ? "weighted" : "uniform")
+          << " workers=" << workers;
     }
   }
 }
@@ -261,7 +227,8 @@ TEST(SampledEngine, WeightedDrawsFollowTheTable) {
   const index_t n = 19;
   std::vector<double> w(static_cast<std::size_t>(n), 0.0);
   w[7] = 1.0;
-  const DirectionSampler sampler = DirectionSampler::weighted(w.data(), n);
+  AliasTable sampler;
+  sampler.build(w.data(), n);
   SolveControls opt;
   opt.seed = 3;
   opt.sweeps = 5;
@@ -276,17 +243,17 @@ TEST(SampledEngine, WeightedDrawsFollowTheTable) {
 // The plan enforces the weighted-sampler contract in every build type.
 TEST(DirectionPlan, RejectsSamplerItCannotDraw) {
   std::vector<double> w(8, 1.0);
-  const DirectionSampler weighted = DirectionSampler::weighted(w.data(), 8);
+  AliasTable weighted;
+  weighted.build(w.data(), 8);
   EXPECT_THROW(detail::DirectionPlan(1, RandomizationScope::kShared,
                                      /*n=*/9, 1, &weighted),
                Error);
   EXPECT_THROW(detail::DirectionPlan(1, RandomizationScope::kOwnerComputes,
                                      8, 2, &weighted),
                Error);
-  // A uniform sampler draws nothing through a table: any scope takes it.
-  const DirectionSampler uniform = DirectionSampler::uniform(8);
+  // No table draws uniformly: any scope takes it.
   EXPECT_NO_THROW(detail::DirectionPlan(
-      1, RandomizationScope::kOwnerComputes, 8, 2, &uniform));
+      1, RandomizationScope::kOwnerComputes, 8, 2, nullptr));
 }
 
 }  // namespace

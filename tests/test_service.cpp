@@ -679,6 +679,28 @@ TEST(SolverService, DeadlineExpiredRequestsAreShedUnexecuted) {
   EXPECT_EQ(stats.completed, 2);
 }
 
+TEST(SolverService, DeadlinesBeyondTheClockRangeNeverExpire) {
+  // A deadline the steady clock cannot represent from submission (past
+  // about 9.2e9 s of nanoseconds, or +inf) is no deadline at all: an idle
+  // service runs the request instead of shedding it at once.
+  const CsrMatrix a = laplacian_2d(8, 8);
+  ServiceOptions options;
+  options.shards = 1;
+  options.workers_per_shard = 1;
+  SolverService service(a, options);
+  const std::vector<double> b = random_vector(a.rows(), 3);
+  for (double deadline : {1e12, std::numeric_limits<double>::infinity()}) {
+    RequestOptions request;
+    request.deadline_seconds = deadline;
+    SolveTicket t = service.submit(b, slow_controls(5), request);
+    EXPECT_EQ(t.wait().status, SolveStatus::kBudgetCompleted)
+        << deadline << ": " << t.wait().description;
+    EXPECT_EQ(t.shard(), 0) << deadline;
+  }
+  service.drain();
+  EXPECT_EQ(service.stats().shed_deadline, 0);
+}
+
 TEST(SolverService, HigherPriorityClassDispatchesFirst) {
   const CsrMatrix a = laplacian_2d(16, 16);
   auto trace_text = std::make_shared<std::ostringstream>();

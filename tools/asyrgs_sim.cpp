@@ -180,8 +180,8 @@ int run_smoke() {
       }
       w[static_cast<std::size_t>(i)] = acc;
     }
-    const DirectionSampler weighted =
-        DirectionSampler::weighted(w.data(), c.a.rows());
+    AliasTable weighted;
+    weighted.build(w.data(), c.a.rows());
     const SimResult w1 =
         run_virtual_consistent(c.a, c.b, c.x0, c.x_star, zero, opt, &weighted);
     const SimResult w2 =
