@@ -39,6 +39,7 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
           "rcd_lsq_solve: shape mismatch");
   require(options.step_size > 0.0 && options.step_size < 2.0,
           "rcd_lsq_solve: step size must be in (0, 2)");
+  require(options.sweeps >= 0, "rcd_lsq_solve: sweeps must be non-negative");
   const index_t n = a.cols();
   // A local transpose: this sequential one-shot path makes no amortization
   // promise.  Repeat-solve users should hold an LsqProblem, which builds
@@ -47,6 +48,9 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
   const std::vector<double> col_sq = detail::column_sq_norms(at);
   for (double s : col_sq)
     require(s > 0.0, "rcd_lsq_solve: zero column (A must have full rank)");
+  if (options.sweeps == 0)
+    return detail::zero_sweep_report(
+        options, [&] { return normal_residual(a, b, x); });
 
   const Philox4x32 dirs(options.seed);
   const double beta = options.step_size;

@@ -164,7 +164,7 @@ struct SingleRhsUpdate {
 /// analogue of SingleRhsUpdate's row scan.
 template <bool kAtomicWrites, class Index = index_t>
 struct BlockRhsUpdate {
-  const CsrMatrixT<Index, double>* a;
+  const CsrMatrixT<Index>* a;
   const MultiVector* b;
   MultiVector* x;
   const double* inv_diag;
@@ -208,7 +208,7 @@ struct BlockRhsUpdate {
 template <class Index = index_t>
 class SingleRhsResidual {
  public:
-  SingleRhsResidual(const CsrMatrixT<Index, double>& a,
+  SingleRhsResidual(const CsrMatrixT<Index>& a,
                     const std::vector<RhsDiagPair>& rhs_diag, const double* x,
                     TeamReduce& reduce)
       : a_(a), bd_(rhs_diag), x_(x), reduce_(reduce),
@@ -247,7 +247,7 @@ class SingleRhsResidual {
     return std::sqrt(acc);
   }
 
-  const CsrMatrixT<Index, double>& a_;
+  const CsrMatrixT<Index>& a_;
   const std::vector<RhsDiagPair>& bd_;
   const double* x_;
   TeamReduce& reduce_;
@@ -258,7 +258,7 @@ class SingleRhsResidual {
 template <class Index = index_t>
 class BlockResidual {
  public:
-  BlockResidual(const CsrMatrixT<Index, double>& a, const MultiVector& b,
+  BlockResidual(const CsrMatrixT<Index>& a, const MultiVector& b,
                 const MultiVector& x, TeamReduce& reduce)
       : a_(a), b_(b), x_(x), reduce_(reduce), b_norm_(frobenius_norm(b)) {}
 
@@ -293,7 +293,7 @@ class BlockResidual {
   }
 
  private:
-  const CsrMatrixT<Index, double>& a_;
+  const CsrMatrixT<Index>& a_;
   const MultiVector& b_;
   const MultiVector& x_;
   TeamReduce& reduce_;
@@ -425,9 +425,9 @@ struct KaczmarzUpdate {
 template <class Index = index_t>
 class LsqResidual {
  public:
-  LsqResidual(const CsrMatrixT<Index, double>& a,
-              const CsrMatrixT<Index, double>& at, const std::vector<double>& b,
-              const double* x, TeamReduce& reduce, double* r, bool enabled)
+  LsqResidual(const CsrMatrixT<Index>& a, const CsrMatrixT<Index>& at,
+              const std::vector<double>& b, const double* x,
+              TeamReduce& reduce, double* r, bool enabled)
       : a_(a), at_(at), b_(b), x_(x), reduce_(reduce), r_(r) {
     if (!enabled) return;
     std::vector<double> g0(static_cast<std::size_t>(a.cols()));
@@ -472,8 +472,8 @@ class LsqResidual {
   }
 
  private:
-  const CsrMatrixT<Index, double>& a_;
-  const CsrMatrixT<Index, double>& at_;
+  const CsrMatrixT<Index>& a_;
+  const CsrMatrixT<Index>& at_;
   const std::vector<double>& b_;
   const double* x_;
   TeamReduce& reduce_;
@@ -483,7 +483,7 @@ class LsqResidual {
 
 /// Squared Euclidean norms of the columns of A, read off the rows of A^T.
 template <class Index>
-inline std::vector<double> column_sq_norms(const CsrMatrixT<Index, double>& at) {
+inline std::vector<double> column_sq_norms(const CsrMatrixT<Index>& at) {
   std::vector<double> sq(static_cast<std::size_t>(at.rows()), 0.0);
   for (index_t j = 0; j < at.rows(); ++j) {
     double acc = 0.0;
@@ -496,7 +496,7 @@ inline std::vector<double> column_sq_norms(const CsrMatrixT<Index, double>& at) 
 /// Squared Euclidean norms of the rows of A — the Strohmer-Vershynin
 /// Kaczmarz sampling weights and the denominators of the row projections.
 template <class Index>
-inline std::vector<double> row_sq_norms(const CsrMatrixT<Index, double>& a) {
+inline std::vector<double> row_sq_norms(const CsrMatrixT<Index>& a) {
   std::vector<double> sq(static_cast<std::size_t>(a.rows()), 0.0);
   for (index_t i = 0; i < a.rows(); ++i) {
     double acc = 0.0;

@@ -29,7 +29,8 @@ namespace asyrgs {
 
 /// Options for the randomized Gauss-Seidel family (sequential and async).
 struct RgsOptions {
-  int sweeps = 10;           ///< each sweep = n coordinate updates
+  int sweeps = 10;           ///< each sweep = n coordinate updates; negative
+                             ///< throws, 0 returns x0 and reports its metric
   double step_size = 1.0;    ///< beta in (0, 2)
   std::uint64_t seed = 1;    ///< keys the Philox direction stream
   bool track_history = false;///< record relative residual after each sweep
@@ -46,6 +47,25 @@ struct RgsReport {
   double final_relative_residual = 0.0;///< filled when history or tol active
   std::vector<double> residual_history;///< per sweep, when tracked
 };
+
+namespace detail {
+
+/// The report of a zero-sweep run, which leaves x0 unchanged: when rel_tol
+/// or track_history asks for a metric, x0's (`metric()`), converged when it
+/// meets rel_tol — the rule zero_budget_report keeps for SolveOptions.
+template <class Metric>
+[[nodiscard]] RgsReport zero_sweep_report(const RgsOptions& options,
+                                          Metric metric) {
+  RgsReport report;
+  if (options.track_history || options.rel_tol > 0.0) {
+    report.final_relative_residual = metric();
+    report.converged = options.rel_tol > 0.0 &&
+                       report.final_relative_residual <= options.rel_tol;
+  }
+  return report;
+}
+
+}  // namespace detail
 
 /// Runs sequential randomized Gauss-Seidel on SPD A x = b starting from `x`
 /// (updated in place).  Requires a strictly positive diagonal.

@@ -37,8 +37,7 @@ class ZipfSampler {
 
 }  // namespace
 
-template <class Index, class Value>
-SocialGramT<Index, Value> make_social_gram_as(const SocialGramOptions& opt) {
+SocialGram make_social_gram(const SocialGramOptions& opt) {
   require(opt.terms > 1 && opt.documents > 0,
           "make_social_gram: need terms > 1 and documents > 0");
   require(opt.mean_doc_length >= 1,
@@ -62,8 +61,8 @@ SocialGramT<Index, Value> make_social_gram_as(const SocialGramOptions& opt) {
   const ZipfSampler pick_topic(topical ? n_topics : 1, opt.zipf_exponent);
 
   // --- Corpus: each document is a set of (term, frequency) pairs. ---------
-  CooBuilderT<Index, Value> factor(opt.documents, opt.terms);
-  CooBuilderT<Index, Value> gram(opt.terms, opt.terms);
+  CooBuilder factor(opt.documents, opt.terms);
+  CooBuilder gram(opt.terms, opt.terms);
   // Rough triplet budget: docs * L picks for F, docs * L^2 for the Gram.
   factor.reserve(static_cast<std::size_t>(opt.documents) *
                  static_cast<std::size_t>(opt.mean_doc_length));
@@ -116,16 +115,7 @@ SocialGramT<Index, Value> make_social_gram_as(const SocialGramOptions& opt) {
   // appear (zero Gram row otherwise) — those rows become ridge*e_i.
   for (index_t i = 0; i < opt.terms; ++i) gram.add(i, i, opt.ridge);
 
-  return SocialGramT<Index, Value>{gram.to_csr(), factor.to_csr()};
+  return SocialGram{gram.to_csr(), factor.to_csr()};
 }
-
-SocialGram make_social_gram(const SocialGramOptions& opt) {
-  return make_social_gram_as<std::int64_t, double>(opt);
-}
-
-template SocialGramT<std::int64_t, double>
-make_social_gram_as<std::int64_t, double>(const SocialGramOptions&);
-template SocialGramT<std::int32_t, double>
-make_social_gram_as<std::int32_t, double>(const SocialGramOptions&);
 
 }  // namespace asyrgs

@@ -47,22 +47,13 @@ struct SocialGramOptions {
 };
 
 /// The generated system: A = F^T F + ridge*I and the factor F itself.
-template <class Index, class Value>
-struct SocialGramT {
-  CsrMatrixT<Index, Value> gram;    ///< n x n SPD Gram matrix
-  CsrMatrixT<Index, Value> factor;  ///< m x n document-term matrix F
+struct SocialGram {
+  CsrMatrix gram;    ///< n x n SPD Gram matrix
+  CsrMatrix factor;  ///< m x n document-term matrix F
 };
-using SocialGram = SocialGramT<std::int64_t, double>;
 
 /// Generates the corpus and assembles the Gram matrix exactly (duplicate
 /// co-occurrences summed).
 [[nodiscard]] SocialGram make_social_gram(const SocialGramOptions& opt);
-
-/// Policy-aware variant assembling directly at the target index width, so
-/// every policy generates the same matrix up to storage width.  (Defined in
-/// gram.cpp, instantiated for the two supported policies.)
-template <class Index, class Value>
-[[nodiscard]] SocialGramT<Index, Value> make_social_gram_as(
-    const SocialGramOptions& opt);
 
 }  // namespace asyrgs

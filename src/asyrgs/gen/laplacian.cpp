@@ -1,8 +1,6 @@
 #include "asyrgs/gen/laplacian.hpp"
 
 #include <cmath>
-#include <cstdint>
-
 #include <limits>
 #include <string>
 
@@ -36,10 +34,9 @@ std::size_t checked_reserve(index_t n, index_t stencil, const char* who) {
 
 }  // namespace
 
-template <class Index, class Value>
-CsrMatrixT<Index, Value> laplacian_1d_as(index_t n) {
+CsrMatrix laplacian_1d(index_t n) {
   require(n > 0, "laplacian_1d: n must be positive");
-  CooBuilderT<Index, Value> b(n, n);
+  CooBuilder b(n, n);
   b.reserve(checked_reserve(n, 3, "laplacian_1d"));
   for (index_t i = 0; i < n; ++i) {
     b.add(i, i, 2.0);
@@ -51,17 +48,11 @@ CsrMatrixT<Index, Value> laplacian_1d_as(index_t n) {
   return b.to_csr();
 }
 
-CsrMatrix laplacian_1d(index_t n) {
-  return laplacian_1d_as<std::int64_t, double>(n);
-}
-
-template <class Index, class Value>
-CsrMatrixT<Index, Value> laplacian_2d_as(index_t nx, index_t ny, double ax,
-                                         double ay) {
+CsrMatrix laplacian_2d(index_t nx, index_t ny, double ax, double ay) {
   require(nx > 0 && ny > 0, "laplacian_2d: grid dims must be positive");
   require(ax > 0.0 && ay > 0.0, "laplacian_2d: anisotropy must be positive");
   const index_t n = checked_mul(nx, ny, "laplacian_2d");
-  CooBuilderT<Index, Value> b(n, n);
+  CooBuilder b(n, n);
   b.reserve(checked_reserve(n, 5, "laplacian_2d"));
   auto id = [nx](index_t ix, index_t iy) { return iy * nx + ix; };
   for (index_t iy = 0; iy < ny; ++iy) {
@@ -77,17 +68,12 @@ CsrMatrixT<Index, Value> laplacian_2d_as(index_t nx, index_t ny, double ax,
   return b.to_csr();
 }
 
-CsrMatrix laplacian_2d(index_t nx, index_t ny, double ax, double ay) {
-  return laplacian_2d_as<std::int64_t, double>(nx, ny, ax, ay);
-}
-
-template <class Index, class Value>
-CsrMatrixT<Index, Value> laplacian_3d_as(index_t nx, index_t ny, index_t nz) {
+CsrMatrix laplacian_3d(index_t nx, index_t ny, index_t nz) {
   require(nx > 0 && ny > 0 && nz > 0,
           "laplacian_3d: grid dims must be positive");
   const index_t n =
       checked_mul(checked_mul(nx, ny, "laplacian_3d"), nz, "laplacian_3d");
-  CooBuilderT<Index, Value> b(n, n);
+  CooBuilder b(n, n);
   b.reserve(checked_reserve(n, 7, "laplacian_3d"));
   auto id = [nx, ny](index_t ix, index_t iy, index_t iz) {
     return (iz * ny + iy) * nx + ix;
@@ -109,27 +95,11 @@ CsrMatrixT<Index, Value> laplacian_3d_as(index_t nx, index_t ny, index_t nz) {
   return b.to_csr();
 }
 
-CsrMatrix laplacian_3d(index_t nx, index_t ny, index_t nz) {
-  return laplacian_3d_as<std::int64_t, double>(nx, ny, nz);
-}
-
 double laplacian_1d_eigenvalue(index_t n, index_t k) {
   require(k >= 1 && k <= n, "laplacian_1d_eigenvalue: k out of range");
   constexpr double pi = 3.14159265358979323846;
   return 2.0 - 2.0 * std::cos(static_cast<double>(k) * pi /
                               static_cast<double>(n + 1));
 }
-
-#define ASYRGS_INSTANTIATE_LAPLACIAN(Index, Value)                          \
-  template CsrMatrixT<Index, Value> laplacian_1d_as<Index, Value>(index_t); \
-  template CsrMatrixT<Index, Value> laplacian_2d_as<Index, Value>(          \
-      index_t, index_t, double, double);                                    \
-  template CsrMatrixT<Index, Value> laplacian_3d_as<Index, Value>(          \
-      index_t, index_t, index_t);
-
-ASYRGS_INSTANTIATE_LAPLACIAN(std::int64_t, double)
-ASYRGS_INSTANTIATE_LAPLACIAN(std::int32_t, double)
-
-#undef ASYRGS_INSTANTIATE_LAPLACIAN
 
 }  // namespace asyrgs

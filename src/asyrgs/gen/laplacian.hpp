@@ -22,21 +22,6 @@ namespace asyrgs {
 /// 3-D 7-point Dirichlet Laplacian on an nx x ny x nz grid.
 [[nodiscard]] CsrMatrix laplacian_3d(index_t nx, index_t ny, index_t nz);
 
-/// Policy-aware variants: assemble directly at the target index width — no
-/// full-width intermediate (the builder's constructor is the index-width
-/// guard) — so every policy generates identical matrices up to storage
-/// width.  (Definitions in laplacian.cpp, instantiated for the two
-/// supported policies.)
-template <class Index, class Value>
-[[nodiscard]] CsrMatrixT<Index, Value> laplacian_1d_as(index_t n);
-template <class Index, class Value>
-[[nodiscard]] CsrMatrixT<Index, Value> laplacian_2d_as(index_t nx, index_t ny,
-                                                       double ax = 1.0,
-                                                       double ay = 1.0);
-template <class Index, class Value>
-[[nodiscard]] CsrMatrixT<Index, Value> laplacian_3d_as(index_t nx, index_t ny,
-                                                       index_t nz);
-
 /// Exact k-th eigenvalue (1-based) of laplacian_1d(n).
 [[nodiscard]] double laplacian_1d_eigenvalue(index_t n, index_t k);
 

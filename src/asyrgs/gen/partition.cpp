@@ -117,8 +117,8 @@ std::vector<index_t> rcm_order(const CsrMatrix& a) {
 }
 
 template <class Index>
-CsrMatrixT<Index, double> permute_symmetric(const CsrMatrix& a,
-                                            const std::vector<index_t>& perm) {
+CsrMatrixT<Index> permute_symmetric(const CsrMatrix& a,
+                                    const std::vector<index_t>& perm) {
   require(a.square(), "permute_symmetric: matrix must be square");
   const index_t n = a.rows();
   require(static_cast<index_t>(perm.size()) == n,
@@ -161,8 +161,8 @@ CsrMatrixT<Index, double> permute_symmetric(const CsrMatrix& a,
       values[base + s] = entries[s].second;
     }
   }
-  return CsrMatrixT<Index, double>(n, n, std::move(row_ptr),
-                                   std::move(col_idx), std::move(values));
+  return CsrMatrixT<Index>(n, n, std::move(row_ptr), std::move(col_idx),
+                           std::move(values));
 }
 
 template CsrMatrix permute_symmetric<std::int64_t>(
@@ -171,7 +171,7 @@ template CsrMatrix32 permute_symmetric<std::int32_t>(
     const CsrMatrix&, const std::vector<index_t>&);
 
 template <class Index>
-GraphPartition cut_rows(const CsrMatrixT<Index, double>& permuted, int count) {
+GraphPartition cut_rows(const CsrMatrixT<Index>& permuted, int count) {
   const index_t n = permuted.rows();
   if (count < 1) count = 1;
   if (static_cast<index_t>(count) > n) count = static_cast<int>(n);

@@ -50,7 +50,7 @@ namespace asyrgs {
 /// never materializes a full-width twin first; throws asyrgs::Error when
 /// the dimension exceeds that width.
 template <class Index = std::int64_t>
-[[nodiscard]] CsrMatrixT<Index, double> permute_symmetric(
+[[nodiscard]] CsrMatrixT<Index> permute_symmetric(
     const CsrMatrix& a, const std::vector<index_t>& perm);
 
 /// Rows per cache line of doubles: partition boundaries are rounded to this
@@ -87,7 +87,7 @@ struct GraphPartition {
 /// [1, rows]; partitions may come out empty when count exceeds
 /// rows / kPartitionAlignRows (their streams simply never draw).
 template <class Index>
-[[nodiscard]] GraphPartition cut_rows(const CsrMatrixT<Index, double>& permuted,
+[[nodiscard]] GraphPartition cut_rows(const CsrMatrixT<Index>& permuted,
                                       int count);
 
 /// Prepare-time partition analysis of one matrix: the RCM permutation, the
@@ -117,8 +117,8 @@ class PartitionAnalysis {
   /// The RCM-permuted operator.  `Index` must be the width storage() names;
   /// throws asyrgs::Error otherwise (there is no copy at the other width).
   template <class Index = std::int64_t>
-  [[nodiscard]] const CsrMatrixT<Index, double>& permuted() const {
-    const auto* held = std::get_if<CsrMatrixT<Index, double>>(&permuted_);
+  [[nodiscard]] const CsrMatrixT<Index>& permuted() const {
+    const auto* held = std::get_if<CsrMatrixT<Index>>(&permuted_);
     require(held != nullptr,
             "PartitionAnalysis::permuted: the operator is held at another "
             "index width");

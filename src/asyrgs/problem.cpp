@@ -321,7 +321,7 @@ const CsrMatrix32* SpdProblem::compact() {
   return &operators_->compact.get(
       [&] {
         return std::make_unique<const CsrMatrix32>(
-            convert_storage<std::int32_t, double>(a_));
+            convert_storage<std::int32_t>(a_));
       },
       stats_.compact_builds);
 }
@@ -642,7 +642,7 @@ std::shared_ptr<detail::LsqOperators> lsq_operators(const CsrMatrix& a,
                                                     int& transpose_builds) {
   auto ops = std::make_shared<detail::LsqOperators>();
   if (policy == StoragePolicy::kInt32Double) {
-    ops->a32.emplace(convert_storage<std::int32_t, double>(a));
+    ops->a32.emplace(convert_storage<std::int32_t>(a));
     ops->at32.emplace(ops->a32->transpose());
     ops->col_sq = detail::column_sq_norms(*ops->at32);
   } else {

@@ -1,14 +1,8 @@
 // Coordinate-format builder for assembling sparse matrices.
 //
 // Generators and file readers accumulate (i, j, value) triplets here and then
-// convert to the immutable CSR format used by every kernel.  Duplicate
+// convert to the immutable full-width CSR format (CsrMatrix).  Duplicate
 // entries are summed during conversion (finite-element style assembly).
-//
-// The builder is parameterized on the same (Index, Value) storage policies
-// as CsrMatrixT and stores triplets directly at the target width — a file
-// loader or generator targeting CsrMatrix32 never materializes full-width
-// intermediates (the column range is validated once, at add()).
-// `CooBuilder` remains the full-width alias.
 #pragma once
 
 #include <algorithm>
@@ -21,26 +15,17 @@
 
 namespace asyrgs {
 
-/// Mutable triplet accumulator for one storage policy.
-template <class Index, class Value>
-class CooBuilderT {
-  static_assert(detail::kSupportedStorage<Index, Value>,
-                "CooBuilderT: supported storage policies are <int64,double> "
-                "and <int32,double>");
-
+/// Mutable triplet accumulator.
+class CooBuilder {
  public:
-  /// Creates a builder for a rows x cols matrix.  For narrow-index policies
-  /// the column count must fit the index width (the row count may exceed it
-  /// — rows live in row_ptr, which stays nnz_t).
-  CooBuilderT(index_t rows, index_t cols) : rows_(rows), cols_(cols) {
+  /// Creates a builder for a rows x cols matrix.
+  CooBuilder(index_t rows, index_t cols) : rows_(rows), cols_(cols) {
     require(rows > 0 && cols > 0, "CooBuilder: dimensions must be positive");
     // to_csr allocates rows + 1 row pointers; refuse a count no vector can
     // hold rather than surface std::length_error from deep inside it.
     require(static_cast<std::size_t>(rows) <
                 std::vector<nnz_t>().max_size(),
             "CooBuilder: row count exceeds the addressable row-pointer array");
-    require(index_width_fits<Index>(cols),
-            "CooBuilder: column count exceeds the index width");
   }
 
   /// Appends A(i, j) += value.
@@ -48,8 +33,8 @@ class CooBuilderT {
     require(i >= 0 && i < rows_ && j >= 0 && j < cols_,
             "CooBuilder::add: index out of range");
     is_.push_back(i);
-    js_.push_back(static_cast<Index>(j));
-    vs_.push_back(static_cast<Value>(value));
+    js_.push_back(j);
+    vs_.push_back(value);
   }
 
   /// Appends A(i, j) += value and, when i != j, A(j, i) += value.  Handy for
@@ -72,7 +57,7 @@ class CooBuilderT {
 
   /// Converts to CSR with sorted column indices; duplicate coordinates are
   /// summed and exact-zero results are kept (structural nonzeros).
-  [[nodiscard]] CsrMatrixT<Index, Value> to_csr() const {
+  [[nodiscard]] CsrMatrix to_csr() const {
     const std::size_t m = is_.size();
 
     // Counting sort by row, then sort each row segment by column and fold
@@ -82,8 +67,8 @@ class CooBuilderT {
     std::vector<nnz_t> row_start(row_count);
     std::partial_sum(row_start.begin(), row_start.end(), row_start.begin());
 
-    std::vector<Index> cols_tmp(m);
-    std::vector<Value> vals_tmp(m);
+    std::vector<index_t> cols_tmp(m);
+    std::vector<double> vals_tmp(m);
     {
       std::vector<nnz_t> cursor(row_start.begin(), row_start.end() - 1);
       for (std::size_t t = 0; t < m; ++t) {
@@ -94,12 +79,12 @@ class CooBuilderT {
     }
 
     std::vector<nnz_t> row_ptr(static_cast<std::size_t>(rows_) + 1, 0);
-    std::vector<Index> col_idx;
-    std::vector<Value> values;
+    std::vector<index_t> col_idx;
+    std::vector<double> values;
     col_idx.reserve(m);
     values.reserve(m);
 
-    std::vector<std::pair<Index, Value>> row_buffer;
+    std::vector<std::pair<index_t, double>> row_buffer;
     for (index_t i = 0; i < rows_; ++i) {
       row_buffer.clear();
       for (nnz_t t = row_start[i]; t < row_start[i + 1]; ++t)
@@ -120,20 +105,16 @@ class CooBuilderT {
       row_ptr[i + 1] = static_cast<nnz_t>(col_idx.size());
     }
 
-    return CsrMatrixT<Index, Value>(rows_, cols_, std::move(row_ptr),
-                                    std::move(col_idx), std::move(values));
+    return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col_idx),
+                     std::move(values));
   }
 
  private:
   index_t rows_;
   index_t cols_;
-  std::vector<index_t> is_;  // row indices; full width (rows may exceed Index)
-  std::vector<Index> js_;
-  std::vector<Value> vs_;
+  std::vector<index_t> is_;
+  std::vector<index_t> js_;
+  std::vector<double> vs_;
 };
-
-/// Full-width builder: the historical interface and the default everywhere a
-/// bare `CooBuilder` is named.
-using CooBuilder = CooBuilderT<std::int64_t, double>;
 
 }  // namespace asyrgs

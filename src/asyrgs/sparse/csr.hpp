@@ -4,13 +4,16 @@
 // indices within each row are sorted, which the randomized solvers rely on
 // for cache-friendly row scans and O(log nnz(row)) entry lookup.
 //
-// Storage policy: `CsrMatrixT<Index, Value>` selects the width of the stored
-// column indices.  Two policies are supported (anything else is rejected at
-// compile time); values are always double:
+// Every matrix holds double values.  `CsrMatrixT<Index>` selects only the
+// width of the stored column indices; two widths are supported (anything
+// else is rejected at compile time):
 //
-//   CsrMatrix       = CsrMatrixT<int64, double>  full-width (the historical
-//                                                layout; source-compatible)
-//   CsrMatrix32     = CsrMatrixT<int32, double>  compact indices
+//   CsrMatrix       = CsrMatrixT<int64>  full width: what the loaders,
+//                                        generators and builders produce
+//   CsrMatrix32     = CsrMatrixT<int32>  compact indices: narrowed from a
+//                                        CsrMatrix by convert_storage or
+//                                        permute_symmetric, which the
+//                                        prepared handles call
 //
 // Only the *stored* column indices narrow: dimensions stay index_t and row
 // pointers stay nnz_t.  The int32 arithmetic is bit-identical to the
@@ -34,8 +37,8 @@ namespace asyrgs {
 // Storage policy
 // ---------------------------------------------------------------------------
 
-/// The two supported (Index, Value) storage layouts, as a runtime tag —
-/// what prepared handles record and the bench/trace layers report.
+/// The two supported index widths, as a runtime tag — what prepared handles
+/// record and the bench/trace layers report.
 enum class StoragePolicy {
   kInt64Double,  ///< int64 indices, double values (full width)
   kInt32Double,  ///< int32 indices, double values (bit-identical math)
@@ -55,21 +58,14 @@ enum class StoragePolicy {
 
 namespace detail {
 
-template <class Index, class Value>
-inline constexpr bool kSupportedStorage =
-    (std::is_same_v<Index, std::int64_t> ||
-     std::is_same_v<Index, std::int32_t>) &&
-    std::is_same_v<Value, double>;
+template <class Index>
+inline constexpr bool kSupportedIndex =
+    std::is_same_v<Index, std::int64_t> || std::is_same_v<Index, std::int32_t>;
 
-template <class Index, class Value>
+template <class Index>
 [[nodiscard]] constexpr StoragePolicy storage_policy_of() noexcept {
-  static_assert(kSupportedStorage<Index, Value>,
-                "CsrMatrixT: supported storage policies are <int64,double> "
-                "and <int32,double>");
-  if constexpr (std::is_same_v<Index, std::int64_t>)
-    return StoragePolicy::kInt64Double;
-  else
-    return StoragePolicy::kInt32Double;
+  return std::is_same_v<Index, std::int64_t> ? StoragePolicy::kInt64Double
+                                             : StoragePolicy::kInt32Double;
 }
 
 }  // namespace detail
@@ -93,7 +89,7 @@ template <class Index>
 // They are shared by the sequential solvers (rgs, rcd_lsq), SpMV, and the
 // benches; the asynchronous kernels use their own variants with
 // relaxed-atomic reads of the shared iterate.  Both are templated over the
-// stored index width only: every policy stores double values.
+// stored index width.
 
 /// Sum of vals[t] * x[cols[t]] over one row (SpMV / dot building block).
 template <class Index>
@@ -109,7 +105,7 @@ template <class Index>
 /// acc minus the row/vector products, one subtraction per nonzero — the
 /// canonical Gauss-Seidel association (`acc = b_r`, then acc -= A_rj x_j in
 /// column order) that every solver shares so equal-seed runs agree bit for
-/// bit (per storage policy; int32/double reproduces int64/double exactly).
+/// bit (int32 indices reproduce int64 exactly).
 template <class Index>
 [[nodiscard]] inline double csr_row_sub_dot(
     double acc, const Index* __restrict cols, const double* __restrict vals,
@@ -118,26 +114,23 @@ template <class Index>
   return acc;
 }
 
-/// Sparse rows x cols matrix in CSR format with sorted column indices,
-/// parameterized on the stored index width (see the header comment for the
-/// two supported policies and their aliases).
+/// Sparse rows x cols matrix of doubles in CSR format with sorted column
+/// indices, parameterized on the stored index width (see the header comment
+/// for the two supported widths and their aliases).
 ///
 /// A plain value: immutable after construction, and copies share nothing.
 /// Thread-safety: every const member below only reads, so one matrix may be
 /// shared by any number of concurrent solver teams (the asynchronous solvers
 /// rely on this).
-template <class Index, class Value>
+template <class Index>
 class CsrMatrixT {
-  static_assert(detail::kSupportedStorage<Index, Value>,
-                "CsrMatrixT: supported storage policies are <int64,double> "
-                "and <int32,double>");
+  static_assert(detail::kSupportedIndex<Index>,
+                "CsrMatrixT: supported index widths are int64 and int32");
 
  public:
   using index_type = Index;
-  using value_type = Value;
   /// This instantiation's policy tag.
-  static constexpr StoragePolicy kStorage =
-      detail::storage_policy_of<Index, Value>();
+  static constexpr StoragePolicy kStorage = detail::storage_policy_of<Index>();
 
   CsrMatrixT() = default;
 
@@ -147,7 +140,7 @@ class CsrMatrixT {
   /// generated, assembled, transposed or narrowed matrix passes through
   /// here, so no solver ever sees a NaN or infinite entry.
   CsrMatrixT(index_t rows, index_t cols, std::vector<nnz_t> row_ptr,
-             std::vector<Index> col_idx, std::vector<Value> values)
+             std::vector<Index> col_idx, std::vector<double> values)
       : rows_(rows),
         cols_(cols),
         row_ptr_(std::move(row_ptr)),
@@ -188,7 +181,7 @@ class CsrMatrixT {
     return {col_idx_.data() + row_ptr_[i],
             static_cast<std::size_t>(row_ptr_[i + 1] - row_ptr_[i])};
   }
-  [[nodiscard]] std::span<const Value> row_vals(index_t i) const noexcept {
+  [[nodiscard]] std::span<const double> row_vals(index_t i) const noexcept {
     return {values_.data() + row_ptr_[i],
             static_cast<std::size_t>(row_ptr_[i + 1] - row_ptr_[i])};
   }
@@ -202,7 +195,7 @@ class CsrMatrixT {
   [[nodiscard]] const std::vector<Index>& col_idx() const noexcept {
     return col_idx_;
   }
-  [[nodiscard]] const std::vector<Value>& values() const noexcept {
+  [[nodiscard]] const std::vector<double>& values() const noexcept {
     return values_;
   }
 
@@ -264,7 +257,7 @@ class CsrMatrixT {
     for (index_t j = 0; j < cols_; ++j) t_row_ptr[j + 1] += t_row_ptr[j];
 
     std::vector<Index> t_col(col_idx_.size());
-    std::vector<Value> t_val(values_.size());
+    std::vector<double> t_val(values_.size());
     std::vector<nnz_t> cursor(t_row_ptr.begin(), t_row_ptr.end() - 1);
     // Walking rows in order writes each transposed row's entries in
     // increasing original-row order, so column indices stay sorted.
@@ -293,71 +286,46 @@ class CsrMatrixT {
   index_t cols_ = 0;
   std::vector<nnz_t> row_ptr_;  // size rows_ + 1
   std::vector<Index> col_idx_;  // size nnz
-  std::vector<Value> values_;   // size nnz
+  std::vector<double> values_;  // size nnz
 };
 
-/// Full-width storage: the historical layout and the source-compatible
-/// default everywhere a bare `CsrMatrix` is named.
-using CsrMatrix = CsrMatrixT<std::int64_t, double>;
+/// Full-width storage: what every loader, generator and builder produces,
+/// and the default everywhere a bare `CsrMatrix` is named.
+using CsrMatrix = CsrMatrixT<std::int64_t>;
 /// Compact indices, the same double values.  Solves on this policy are
 /// bit-identical to CsrMatrix (same doubles, same association).
-using CsrMatrix32 = CsrMatrixT<std::int32_t, double>;
+using CsrMatrix32 = CsrMatrixT<std::int32_t>;
 
-/// Rebuilds `a` under another storage policy.  Indices must fit the target
-/// width — throws asyrgs::Error when cols() exceeds it (the overflow guard
-/// the prepared handles rely on for their automatic narrowing).
-template <class ToIndex, class ToValue, class FromIndex, class FromValue>
-[[nodiscard]] CsrMatrixT<ToIndex, ToValue> convert_storage(
-    const CsrMatrixT<FromIndex, FromValue>& a) {
+/// Rebuilds `a` at another index width, copying the values unchanged.
+/// Indices must fit the target width — throws asyrgs::Error when cols()
+/// exceeds it (the overflow guard the prepared handles rely on for their
+/// automatic narrowing).  Values are always double; `ToValue` only keeps
+/// the two-argument spelling `convert_storage<std::int32_t, double>`
+/// compiling.
+template <class ToIndex, class ToValue = double, class FromIndex>
+[[nodiscard]] CsrMatrixT<ToIndex> convert_storage(
+    const CsrMatrixT<FromIndex>& a) {
+  static_assert(std::is_same_v<ToValue, double>,
+                "convert_storage: values are always double");
   require(index_width_fits<ToIndex>(a.cols()),
           "convert_storage: column count exceeds the target index width");
   std::vector<ToIndex> col_idx(a.col_idx().size());
   for (std::size_t t = 0; t < col_idx.size(); ++t)
     col_idx[t] = static_cast<ToIndex>(a.col_idx()[t]);
-  std::vector<ToValue> values(a.values().size());
-  for (std::size_t t = 0; t < values.size(); ++t)
-    values[t] = static_cast<ToValue>(a.values()[t]);
-  return CsrMatrixT<ToIndex, ToValue>(a.rows(), a.cols(), a.row_ptr(),
-                                      std::move(col_idx), std::move(values));
+  return CsrMatrixT<ToIndex>(a.rows(), a.cols(), a.row_ptr(),
+                             std::move(col_idx), a.values());
 }
 
 /// Result of removing structurally empty columns.
-template <class Index, class Value>
-struct ColumnCompressionT {
-  CsrMatrixT<Index, Value> matrix;   ///< same rows, empty columns removed
+struct ColumnCompression {
+  CsrMatrix matrix;                  ///< same rows, empty columns removed
   std::vector<index_t> kept_columns; ///< new column c was old kept_columns[c]
 };
-
-using ColumnCompression = ColumnCompressionT<std::int64_t, double>;
 
 /// Removes columns with no stored entries.  The paper preprocesses its data
 /// matrix the same way ("after removing rows and columns that were
 /// identically zero"); required by the least-squares solvers, which assume
 /// full column rank.
-template <class Index, class Value>
-[[nodiscard]] ColumnCompressionT<Index, Value> drop_empty_columns(
-    const CsrMatrixT<Index, Value>& a) {
-  std::vector<char> used(static_cast<std::size_t>(a.cols()), 0);
-  for (Index c : a.col_idx()) used[static_cast<std::size_t>(c)] = 1;
-
-  ColumnCompressionT<Index, Value> out;
-  std::vector<Index> new_index(static_cast<std::size_t>(a.cols()),
-                               static_cast<Index>(-1));
-  for (index_t c = 0; c < a.cols(); ++c) {
-    if (used[static_cast<std::size_t>(c)]) {
-      new_index[static_cast<std::size_t>(c)] =
-          static_cast<Index>(out.kept_columns.size());
-      out.kept_columns.push_back(c);
-    }
-  }
-  require(!out.kept_columns.empty(), "drop_empty_columns: matrix is all zero");
-
-  std::vector<Index> col_idx(a.col_idx());
-  for (Index& c : col_idx) c = new_index[static_cast<std::size_t>(c)];
-  out.matrix = CsrMatrixT<Index, Value>(
-      a.rows(), static_cast<index_t>(out.kept_columns.size()), a.row_ptr(),
-      std::move(col_idx), std::vector<Value>(a.values()));
-  return out;
-}
+[[nodiscard]] ColumnCompression drop_empty_columns(const CsrMatrix& a);
 
 }  // namespace asyrgs

@@ -18,8 +18,9 @@ std::string lower(std::string s) {
   return s;
 }
 
-/// Most triplets reserved before any entry line is read (see
-/// read_matrix_market_as).
+/// Most triplets (or vector values) reserved before any entry line is read,
+/// so a size line alone never asks for more memory than its entry lines
+/// then supply; larger inputs grow geometrically as entries arrive.
 constexpr nnz_t kMaxReservedEntries = nnz_t{1} << 16;
 
 /// Reads the next line that is neither empty nor a '%' comment.
@@ -35,8 +36,7 @@ bool next_content_line(std::istream& in, std::string& line) {
 
 }  // namespace
 
-template <class Index, class Value>
-CsrMatrixT<Index, Value> read_matrix_market_as(std::istream& in) {
+CsrMatrix read_matrix_market(std::istream& in) {
   std::string header;
   require(static_cast<bool>(std::getline(in, header)),
           "matrix market: empty stream");
@@ -70,14 +70,7 @@ CsrMatrixT<Index, Value> read_matrix_market_as(std::istream& in) {
               entries <= positions,
           "matrix market: declared entry count exceeds rows * cols");
 
-  // The builder stores triplets at the target (Index, Value) width from the
-  // first entry and validates the column range once here — no full-width
-  // intermediate pass.  The builder constructor is the overflow guard: a
-  // declared column count beyond the index width throws before any entry is
-  // read.  The up-front reservation is capped, so a size line alone never
-  // asks for more memory than its entry lines then supply; larger files
-  // grow the builder geometrically as entries arrive.
-  CooBuilderT<Index, Value> builder(rows, cols);
+  CooBuilder builder(rows, cols);
   const nnz_t reserved = std::min(entries, kMaxReservedEntries);
   builder.reserve(static_cast<std::size_t>(symmetric ? 2 * reserved : reserved));
   for (nnz_t t = 0; t < entries; ++t) {
@@ -99,23 +92,13 @@ CsrMatrixT<Index, Value> read_matrix_market_as(std::istream& in) {
   return builder.to_csr();
 }
 
-template <class Index, class Value>
-CsrMatrixT<Index, Value> read_matrix_market_file_as(const std::string& path) {
+CsrMatrix read_matrix_market_file(const std::string& path) {
   std::ifstream in(path);
   require(in.good(), ("cannot open matrix file: " + path).c_str());
-  return read_matrix_market_as<Index, Value>(in);
+  return read_matrix_market(in);
 }
 
-CsrMatrix read_matrix_market(std::istream& in) {
-  return read_matrix_market_as<std::int64_t, double>(in);
-}
-
-CsrMatrix read_matrix_market_file(const std::string& path) {
-  return read_matrix_market_file_as<std::int64_t, double>(path);
-}
-
-template <class Index, class Value>
-void write_matrix_market(std::ostream& out, const CsrMatrixT<Index, Value>& a) {
+void write_matrix_market(std::ostream& out, const CsrMatrix& a) {
   out << "%%MatrixMarket matrix coordinate real general\n";
   out << "% written by asyrgs\n";
   out << a.rows() << ' ' << a.cols() << ' ' << a.nnz() << '\n';
@@ -124,34 +107,15 @@ void write_matrix_market(std::ostream& out, const CsrMatrixT<Index, Value>& a) {
     const auto cols = a.row_cols(i);
     const auto vals = a.row_vals(i);
     for (std::size_t t = 0; t < cols.size(); ++t)
-      out << (i + 1) << ' ' << (cols[t] + 1) << ' '
-          << static_cast<double>(vals[t]) << '\n';
+      out << (i + 1) << ' ' << (cols[t] + 1) << ' ' << vals[t] << '\n';
   }
 }
 
-template <class Index, class Value>
-void write_matrix_market_file(const std::string& path,
-                              const CsrMatrixT<Index, Value>& a) {
+void write_matrix_market_file(const std::string& path, const CsrMatrix& a) {
   std::ofstream out(path);
   require(out.good(), ("cannot open output file: " + path).c_str());
   write_matrix_market(out, a);
 }
-
-// Instantiate the policy-aware entry points for the two supported policies.
-#define ASYRGS_INSTANTIATE_IO(Index, Value)                                   \
-  template CsrMatrixT<Index, Value> read_matrix_market_as<Index, Value>(      \
-      std::istream&);                                                         \
-  template CsrMatrixT<Index, Value> read_matrix_market_file_as<Index, Value>( \
-      const std::string&);                                                    \
-  template void write_matrix_market<Index, Value>(                            \
-      std::ostream&, const CsrMatrixT<Index, Value>&);                        \
-  template void write_matrix_market_file<Index, Value>(                       \
-      const std::string&, const CsrMatrixT<Index, Value>&);
-
-ASYRGS_INSTANTIATE_IO(std::int64_t, double)
-ASYRGS_INSTANTIATE_IO(std::int32_t, double)
-
-#undef ASYRGS_INSTANTIATE_IO
 
 std::vector<double> read_vector_market(std::istream& in) {
   std::string header;
@@ -173,7 +137,7 @@ std::vector<double> read_vector_market(std::istream& in) {
           "vector market: expected an n x 1 array");
 
   std::vector<double> v;
-  v.reserve(static_cast<std::size_t>(rows));
+  v.reserve(static_cast<std::size_t>(std::min(rows, kMaxReservedEntries)));
   for (index_t i = 0; i < rows; ++i) {
     require(next_content_line(in, line),
             "vector market: fewer values than declared");

@@ -16,8 +16,8 @@ index_t dynamic_grain(index_t rows, int workers) {
 
 }  // namespace
 
-template <class Index, class Value>
-void spmv(ThreadPool& pool, const CsrMatrixT<Index, Value>& a, const double* x,
+template <class Index>
+void spmv(ThreadPool& pool, const CsrMatrixT<Index>& a, const double* x,
           double* y, int workers, RowPartition partition) {
   const index_t n = a.rows();
   if (workers <= 0) workers = pool.size();
@@ -46,8 +46,8 @@ void spmv(ThreadPool& pool, const CsrMatrixT<Index, Value>& a, const double* x,
   }
 }
 
-template <class Index, class Value>
-void spmv(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
+template <class Index>
+void spmv(ThreadPool& pool, const CsrMatrixT<Index>& a,
           const std::vector<double>& x, std::vector<double>& y, int workers,
           RowPartition partition) {
   require(static_cast<index_t>(x.size()) == a.cols(),
@@ -59,9 +59,8 @@ void spmv(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
 namespace {
 
 /// One fused block row: y_row = A_i X over all block columns.
-template <class Index, class Value>
-inline void block_row_dot(const CsrMatrixT<Index, Value>& a,
-                          const MultiVector& x, index_t i, double* y_row) {
+inline void block_row_dot(const CsrMatrix& a, const MultiVector& x, index_t i,
+                          double* y_row) {
   const index_t k = x.cols();
   std::fill(y_row, y_row + k, 0.0);
   const auto cols = a.row_cols(i);
@@ -75,10 +74,8 @@ inline void block_row_dot(const CsrMatrixT<Index, Value>& a,
 
 }  // namespace
 
-template <class Index, class Value>
-void spmv_block(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
-                const MultiVector& x, MultiVector& y, int workers,
-                RowPartition partition) {
+void spmv_block(ThreadPool& pool, const CsrMatrix& a, const MultiVector& x,
+                MultiVector& y, int workers, RowPartition partition) {
   require(x.rows() == a.cols(), "spmv_block: X row count must equal cols");
   require(y.rows() == a.rows() && y.cols() == x.cols(),
           "spmv_block: Y shape mismatch");
@@ -104,10 +101,8 @@ void spmv_block(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
   }
 }
 
-template <class Index, class Value>
-void block_residual(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
-                    const MultiVector& b, const MultiVector& x, MultiVector& r,
-                    int workers) {
+void block_residual(ThreadPool& pool, const CsrMatrix& a, const MultiVector& b,
+                    const MultiVector& x, MultiVector& r, int workers) {
   require(b.rows() == a.rows() && x.rows() == a.cols(),
           "block_residual: shape mismatch");
   require(r.rows() == b.rows() && r.cols() == b.cols() &&
@@ -129,24 +124,17 @@ void block_residual(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
       workers);
 }
 
-// Instantiate every entry point for the two supported storage policies
-// (consumers see only the declarations in spmv.hpp).
-#define ASYRGS_INSTANTIATE_SPMV(Index, Value)                                  \
-  template void spmv<Index, Value>(ThreadPool&,                                \
-                                   const CsrMatrixT<Index, Value>&,            \
-                                   const double*, double*, int, RowPartition); \
-  template void spmv<Index, Value>(                                            \
-      ThreadPool&, const CsrMatrixT<Index, Value>&, const std::vector<double>&,\
-      std::vector<double>&, int, RowPartition);                                \
-  template void spmv_block<Index, Value>(                                      \
-      ThreadPool&, const CsrMatrixT<Index, Value>&, const MultiVector&,        \
-      MultiVector&, int, RowPartition);                                        \
-  template void block_residual<Index, Value>(                                  \
-      ThreadPool&, const CsrMatrixT<Index, Value>&, const MultiVector&,        \
-      const MultiVector&, MultiVector&, int);
+// Instantiate spmv for the two supported index widths (consumers see only
+// the declarations in spmv.hpp).
+#define ASYRGS_INSTANTIATE_SPMV(Index)                                        \
+  template void spmv<Index>(ThreadPool&, const CsrMatrixT<Index>&,            \
+                            const double*, double*, int, RowPartition);       \
+  template void spmv<Index>(ThreadPool&, const CsrMatrixT<Index>&,            \
+                            const std::vector<double>&, std::vector<double>&, \
+                            int, RowPartition);
 
-ASYRGS_INSTANTIATE_SPMV(std::int64_t, double)
-ASYRGS_INSTANTIATE_SPMV(std::int32_t, double)
+ASYRGS_INSTANTIATE_SPMV(std::int64_t)
+ASYRGS_INSTANTIATE_SPMV(std::int32_t)
 
 #undef ASYRGS_INSTANTIATE_SPMV
 

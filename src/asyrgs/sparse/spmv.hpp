@@ -10,8 +10,9 @@
 //                   baseline (Section 9).
 //  * kDynamic     - work-stealing chunks; robust default for skewed rows.
 //
-// Every entry point is templated over the CSR storage policy (definitions in
-// spmv.cpp, instantiated for the two supported policies).
+// spmv is templated over the CSR index width (definitions in spmv.cpp,
+// instantiated for CsrMatrix and CsrMatrix32); the block products take the
+// full-width CsrMatrix their Krylov callers hold.
 #pragma once
 
 #include "asyrgs/linalg/multivector.hpp"
@@ -29,28 +30,25 @@ enum class RowPartition { kContiguous, kRoundRobin, kDynamic };
 /// workers never write the same entry.  The pool runs one team at a time —
 /// do not issue concurrent spmv calls against the same pool from different
 /// threads (nested calls from inside a team degrade to 1 worker instead).
-template <class Index, class Value>
-void spmv(ThreadPool& pool, const CsrMatrixT<Index, Value>& a, const double* x,
+template <class Index>
+void spmv(ThreadPool& pool, const CsrMatrixT<Index>& a, const double* x,
           double* y, int workers = 0,
           RowPartition partition = RowPartition::kDynamic);
 
 /// Convenience overload over std::vector.
-template <class Index, class Value>
-void spmv(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
+template <class Index>
+void spmv(ThreadPool& pool, const CsrMatrixT<Index>& a,
           const std::vector<double>& x, std::vector<double>& y,
           int workers = 0, RowPartition partition = RowPartition::kDynamic);
 
 /// Y = A X for a row-major block of vectors (fused over the block: each row
 /// of A is scanned once and applied to all columns of X).
-template <class Index, class Value>
-void spmv_block(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
-                const MultiVector& x, MultiVector& y, int workers = 0,
+void spmv_block(ThreadPool& pool, const CsrMatrix& a, const MultiVector& x,
+                MultiVector& y, int workers = 0,
                 RowPartition partition = RowPartition::kDynamic);
 
 /// R = B - A X (block residual, fused like spmv_block).
-template <class Index, class Value>
-void block_residual(ThreadPool& pool, const CsrMatrixT<Index, Value>& a,
-                    const MultiVector& b, const MultiVector& x, MultiVector& r,
-                    int workers = 0);
+void block_residual(ThreadPool& pool, const CsrMatrix& a, const MultiVector& b,
+                    const MultiVector& x, MultiVector& r, int workers = 0);
 
 }  // namespace asyrgs

@@ -1,10 +1,16 @@
 // Classic iterative solver tests: Jacobi, Gauss-Seidel/SOR, CG, flexible CG,
 // preconditioners, block CG, and the iteration-budget contract every
-// SolveOptions solver keeps (Kaczmarz and CGNR included).
+// SolveOptions solver keeps (Kaczmarz and CGNR included), which the
+// sequential randomized references keep for their sweep budget too.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "asyrgs/core/async_lsq.hpp"
+#include "asyrgs/core/rgs.hpp"
+#include "asyrgs/gen/gram.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/random_spd.hpp"
 #include "asyrgs/gen/rhs.hpp"
@@ -371,6 +377,65 @@ TEST(Budget, CgnrZeroBudgetReportsTheNormalEquationsResidualOfX0) {
   expect_budget_contract([&](std::vector<double>& x, int budget) {
     return cgnr_solve(c.pool, c.a, c.b, x, c.options(budget));
   });
+}
+
+/// expect_budget_contract for the sequential randomized references, whose
+/// budget is RgsOptions::sweeps.  `solve(sweeps)` runs from x0 = 0 (metric
+/// 1) with rel_tol 1e-3 and returns its report and final iterate.
+template <class Solve>
+void expect_sweep_budget_contract(Solve&& solve) {
+  const auto [report, x] = solve(0);
+  EXPECT_EQ(report.sweeps_done, 0);
+  EXPECT_EQ(report.updates, 0);
+  EXPECT_EQ(report.final_relative_residual, 1.0);
+  EXPECT_FALSE(report.converged);
+  EXPECT_EQ(x, std::vector<double>(x.size(), 0.0));
+  EXPECT_THROW((void)solve(-5), Error);
+}
+
+RgsOptions rgs_options(int sweeps) {
+  RgsOptions ro;
+  ro.sweeps = sweeps;
+  ro.rel_tol = 1e-3;
+  return ro;
+}
+
+TEST(Budget, RgsZeroSweepsReportTheResidualOfX0) {
+  BudgetCase c;
+  expect_sweep_budget_contract([&](int sweeps) {
+    std::vector<double> x(c.b.size(), 0.0);
+    const RgsReport report = rgs_solve(c.a, c.b, x, rgs_options(sweeps));
+    return std::pair(report, x);
+  });
+}
+
+TEST(Budget, RgsBlockZeroSweepsReportTheResidualOfX0) {
+  BudgetCase c;
+  const MultiVector b = random_multivector(c.a.rows(), 3, 5);
+  expect_sweep_budget_contract([&](int sweeps) {
+    MultiVector x(c.a.rows(), 3);
+    const RgsReport report = rgs_solve_block(c.a, b, x, rgs_options(sweeps));
+    return std::pair(report,
+                     std::vector<double>(x.data(), x.data() + x.size()));
+  });
+}
+
+TEST(Budget, RcdLsqZeroSweepsReportTheNormalEquationsResidualOfX0) {
+  const CsrMatrix f = drop_empty_columns(make_social_gram({}).factor).matrix;
+  const std::vector<double> b = random_vector(f.rows(), 5);
+  expect_sweep_budget_contract([&](int sweeps) {
+    std::vector<double> x(static_cast<std::size_t>(f.cols()), 0.0);
+    const RgsReport report = rcd_lsq_solve(f, b, x, rgs_options(sweeps));
+    return std::pair(report, x);
+  });
+}
+
+TEST(Budget, RgsZeroSweepsAtTheSolutionReportConverged) {
+  Problem p = laplacian_problem(8, 8, 3);
+  std::vector<double> x = p.x_star;
+  const RgsReport report = rgs_solve(p.a, p.b, x, rgs_options(0));
+  EXPECT_TRUE(report.converged);
+  EXPECT_LE(report.final_relative_residual, 1e-12);
 }
 
 TEST(Budget, ZeroBudgetAtTheSolutionReportsConverged) {

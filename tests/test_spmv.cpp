@@ -1,7 +1,9 @@
 // Parallel SpMV tests: every partition strategy must agree with the serial
-// reference on balanced and heavily skewed matrices; block products must
-// agree with column-by-column products.
+// reference on balanced and heavily skewed matrices, at both index widths;
+// block products must agree with column-by-column products.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "asyrgs/gen/gram.hpp"
 #include "asyrgs/gen/laplacian.hpp"
@@ -13,35 +15,39 @@ namespace {
 
 class SpmvPartitionTest : public ::testing::TestWithParam<RowPartition> {};
 
-TEST_P(SpmvPartitionTest, MatchesSerialOnLaplacian) {
+/// spmv on `a` and on its int32 copy, the way perfbench's sparse.spmv_int32
+/// probe narrows it, must both reproduce the serial product.  Both scan each
+/// row in the same order, so the int32 result is bit-identical.
+void expect_matches_serial(const CsrMatrix& a, std::uint64_t seed,
+                           RowPartition partition) {
   ThreadPool pool(8);
-  const CsrMatrix a = laplacian_2d(37, 23);
-  const std::vector<double> x = random_vector(a.cols(), 5);
+  const std::vector<double> x = random_vector(a.cols(), seed);
   std::vector<double> expect(static_cast<std::size_t>(a.rows()));
   a.multiply(x.data(), expect.data());
 
   std::vector<double> y;
-  spmv(pool, a, x, y, 8, GetParam());
+  spmv(pool, a, x, y, 8, partition);
   ASSERT_EQ(y.size(), expect.size());
   for (std::size_t i = 0; i < y.size(); ++i)
     EXPECT_DOUBLE_EQ(y[i], expect[i]) << "row " << i;
+
+  std::vector<double> y32;
+  spmv(pool, convert_storage<std::int32_t, double>(a), x, y32, 8, partition);
+  ASSERT_EQ(y32.size(), expect.size());
+  for (std::size_t i = 0; i < y32.size(); ++i)
+    EXPECT_EQ(y32[i], expect[i]) << "int32 row " << i;
+}
+
+TEST_P(SpmvPartitionTest, MatchesSerialOnLaplacian) {
+  expect_matches_serial(laplacian_2d(37, 23), 5, GetParam());
 }
 
 TEST_P(SpmvPartitionTest, MatchesSerialOnSkewedGram) {
-  ThreadPool pool(8);
   SocialGramOptions opt;
   opt.terms = 300;
   opt.documents = 1500;
   opt.mean_doc_length = 6;
-  const CsrMatrix a = make_social_gram(opt).gram;
-  const std::vector<double> x = random_vector(a.cols(), 6);
-  std::vector<double> expect(static_cast<std::size_t>(a.rows()));
-  a.multiply(x.data(), expect.data());
-
-  std::vector<double> y;
-  spmv(pool, a, x, y, 8, GetParam());
-  for (std::size_t i = 0; i < y.size(); ++i)
-    EXPECT_DOUBLE_EQ(y[i], expect[i]) << "row " << i;
+  expect_matches_serial(make_social_gram(opt).gram, 6, GetParam());
 }
 
 TEST_P(SpmvPartitionTest, BlockMatchesColumnwise) {

@@ -7,8 +7,9 @@
 //      no double and no association, across 1/2/4 workers x sync modes.
 //  (b) The overflow guard, by shape arithmetic alone: resolve_storage_policy
 //      at a > 2^31 widest coordinate or nonzero count, convert_storage's
-//      throw, and the Matrix Market loader's declared-dimension check —
-//      none of which require materializing a multi-gigabyte operator.
+//      throw, and the full-width Matrix Market loader accepting a wide
+//      declaration — none of which require materializing a multi-gigabyte
+//      operator.
 //  (c) Policy equivalence and surfacing: int32/double storage reproduces
 //      full-width solves bit for bit and reports itself in
 //      SolveOutcome::storage_used / ProblemStats::storage / description;
@@ -267,20 +268,14 @@ TEST(StorageOverflow, ConvertStorageThrowsBeyondIndexWidth) {
 }
 
 TEST(StorageOverflow, MatrixMarketLoaderRejectsWideDeclarationEarly) {
-  // The declared dimensions alone must trip the guard — before any entry
-  // is parsed, so a malformed multi-gigabyte file fails fast.
+  // The loader reads at full width, so a declaration wider than int32
+  // loads; narrowing is the handles' job, guarded by convert_storage.
   std::istringstream wide(
       "%%MatrixMarket matrix coordinate real general\n"
       "2 2147483658 2\n"
       "1 1 1.0\n"
       "2 6 2.0\n");
-  EXPECT_THROW((read_matrix_market_as<std::int32_t, double>(wide)), Error);
-  std::istringstream wide_again(
-      "%%MatrixMarket matrix coordinate real general\n"
-      "2 2147483658 2\n"
-      "1 1 1.0\n"
-      "2 6 2.0\n");
-  const CsrMatrix full = read_matrix_market(wide_again);
+  const CsrMatrix full = read_matrix_market(wide);
   EXPECT_EQ(full.cols(), kTooWide);
 }
 
@@ -406,32 +401,6 @@ TEST(StoragePolicyTest, LsqHandleNarrowsBothFactors) {
   const SolveOutcome out = problem.solve(b, x, controls);
   EXPECT_EQ(out.storage_used, StoragePolicy::kInt32Double);
   EXPECT_LT(out.relative_residual, 1e-4);
-}
-
-TEST(StoragePolicyTest, GeneratorsEmitIdenticalStructureAtEveryWidth) {
-  const CsrMatrix wide = laplacian_2d(7, 5);
-  const CsrMatrix32 narrow = laplacian_2d_as<std::int32_t, double>(7, 5);
-  ASSERT_EQ(wide.nnz(), narrow.nnz());
-  EXPECT_EQ(wide.row_ptr(), narrow.row_ptr());
-  for (std::size_t t = 0; t < wide.col_idx().size(); ++t) {
-    EXPECT_EQ(wide.col_idx()[t],
-              static_cast<index_t>(narrow.col_idx()[t]));
-    EXPECT_EQ(wide.values()[t], narrow.values()[t]);
-  }
-}
-
-TEST(StoragePolicyTest, LoaderRoundTripsNarrowWidths) {
-  const CsrMatrix a = laplacian_2d(5, 4);
-  std::ostringstream out;
-  write_matrix_market(out, a);
-  std::istringstream in32(out.str());
-  const CsrMatrix32 a32 = read_matrix_market_as<std::int32_t, double>(in32);
-  ASSERT_EQ(a32.rows(), a.rows());
-  ASSERT_EQ(a32.nnz(), a.nnz());
-  for (std::size_t t = 0; t < a.values().size(); ++t) {
-    EXPECT_EQ(static_cast<index_t>(a32.col_idx()[t]), a.col_idx()[t]);
-    EXPECT_EQ(a32.values()[t], a.values()[t]);
-  }
 }
 
 }  // namespace
