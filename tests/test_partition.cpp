@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -157,6 +158,110 @@ TEST(PermuteSymmetric, NarrowAnalysisHoldsTheConvertedWideOperator) {
     EXPECT_EQ(wide_cut->lo, narrow_cut->lo);
     EXPECT_EQ(wide_cut->halo, narrow_cut->halo);
   }
+}
+
+/// FNV-1a over the 8-byte representation of each value in turn, the digest
+/// test_storage.cpp pins iterates with.  Indices hash widened to 64 bits, so
+/// both index widths of one operator share a digest.
+class Fnv1a {
+ public:
+  void add(std::uint64_t bits) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (bits >> (8 * b)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+  template <class Int>
+  void add_all(const std::vector<Int>& xs) {
+    add(static_cast<std::uint64_t>(xs.size()));
+    for (const Int x : xs) add(static_cast<std::uint64_t>(x));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+template <class Index>
+std::uint64_t digest(const CsrMatrixT<Index>& m) {
+  Fnv1a h;
+  h.add_all(m.row_ptr());
+  h.add_all(m.col_idx());
+  for (const double v : m.values()) h.add(v);
+  return h.value();
+}
+
+std::uint64_t digest(const GraphPartition& part) {
+  Fnv1a h;
+  h.add_all(part.lo);
+  for (const std::vector<index_t>& halo : part.halo) h.add_all(halo);
+  return h.value();
+}
+
+struct AnalysisDigests {
+  std::uint64_t order;     ///< rcm_order
+  std::uint64_t permuted;  ///< permute_symmetric, at either width
+  std::uint64_t cut8;      ///< PartitionAnalysis::cut(8): lo and halos
+};
+
+/// Checks the whole prepare-time analysis of `a` against digests captured
+/// before its passes were rewritten for speed: the analysis is a pure
+/// function of the matrix, so every bit must survive any such rewrite.
+void expect_analysis_pinned(const CsrMatrix& a, const AnalysisDigests& want) {
+  const std::vector<index_t> perm = rcm_order(a);
+  ASSERT_TRUE(is_permutation_of_range(perm, a.rows()));
+  Fnv1a order;
+  order.add_all(perm);
+  EXPECT_EQ(order.value(), want.order);
+  EXPECT_EQ(digest(permute_symmetric(a, perm)), want.permuted);
+  EXPECT_EQ(digest(permute_symmetric<std::int32_t>(a, perm)), want.permuted);
+  for (const StoragePolicy storage :
+       {StoragePolicy::kInt64Double, StoragePolicy::kInt32Double}) {
+    const PartitionAnalysis analysis(a, storage);
+    EXPECT_EQ(analysis.perm(), perm);
+    EXPECT_EQ(digest(*analysis.cut(8)), want.cut8) << to_string(storage);
+  }
+}
+
+TEST(AnalysisGolden, GridWhoseSecondProbeDoesNotDeepen) {
+  // The first probe runs from corner 0 to the opposite corner; the second,
+  // from there, finds the same 498 levels, so the final breadth-first
+  // search starts where the second probe did.  Nonuniform weights make the
+  // permuted values carry the permutation too.
+  expect_analysis_pinned(laplacian_2d(300, 200, 1.0, 2.5),
+                         {0xac0e58705075b99dull, 0x2ee92e469e8020daull,
+                          0x984ef1677f1fa556ull});
+}
+
+TEST(AnalysisGolden, PathLabelledFromItsMiddleRunsAThirdSearch) {
+  // A 1001-vertex path whose label 0 sits in the middle: the first probe
+  // reaches an end in 500 levels, the second, from that end, deepens to
+  // 1000, and the final search starts from the other end.  Labels
+  // alternate sides of the middle (..., 3, 1, 0, 2, 4, ...), so the order
+  // is no relabelling of the identity.
+  constexpr index_t n = 1001;
+  std::vector<index_t> along(static_cast<std::size_t>(n));  // path -> label
+  for (index_t p = 0; p < n; ++p) {
+    const index_t offset = p - n / 2;
+    along[static_cast<std::size_t>(p)] =
+        offset <= 0 ? -2 * offset - (offset < 0 ? 1 : 0) : 2 * offset;
+  }
+  CooBuilder b(n, n);
+  for (index_t i = 0; i < n; ++i)
+    b.add(i, i, 4.0 + 0.001 * static_cast<double>(i));
+  for (index_t p = 0; p + 1 < n; ++p)
+    b.add_symmetric(along[static_cast<std::size_t>(p)],
+                    along[static_cast<std::size_t>(p) + 1],
+                    -1.0 - 0.0001 * static_cast<double>(p));
+  const CsrMatrix a = b.to_csr();
+  ASSERT_TRUE(is_permutation_of_range(along, n));
+  expect_analysis_pinned(a, {0x5da80f89055f2f1aull, 0x037d75ca0a3d47b3ull,
+                             0x0307d6b4bb6475bcull});
 }
 
 // --- (b) cut_rows: coverage, alignment, halos --------------------------------

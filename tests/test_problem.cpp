@@ -266,6 +266,72 @@ TEST(PreparedSpd, SymmetryCheckBuildsNoTranspose) {
   EXPECT_THROW(SpdProblem(pool, lopsided, /*check_input=*/true), Error);
 }
 
+/// The message SpdProblem's constructor throws, or "" when it accepts `a`.
+std::string construction_error(const CsrMatrix& a, bool check_input) {
+  ThreadPool pool(1);
+  try {
+    SpdProblem problem(pool, a, check_input);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kNotSymmetric = "SpdProblem: matrix is not symmetric";
+constexpr const char* kNotPositiveDiagonal =
+    "SpdProblem: diagonal must be strictly positive (matrix cannot be SPD)";
+
+TEST(SpdValidation, MirrorGapAtTheToleranceIsAcceptedAndOneUlpAboveRejected) {
+  // Symmetry is judged at 1e-12 * ||A||_inf.  Row 2 fixes ||A||_inf = 8,
+  // and a zero entry facing its mirror makes the gap exactly the mirror.
+  const double tol = 1e-12 * 8.0;
+  const auto with_mirror = [](double mirror) {
+    CooBuilder b(3, 3);
+    b.add(0, 0, 4.0);
+    b.add(0, 1, 0.0);
+    b.add(1, 0, mirror);
+    b.add(1, 1, 4.0);
+    b.add(2, 2, 8.0);
+    return b.to_csr();
+  };
+  EXPECT_EQ(construction_error(with_mirror(tol), true), "");
+  EXPECT_EQ(construction_error(with_mirror(-tol), true), "");
+  const double above = std::nextafter(tol, 1.0);
+  EXPECT_EQ(construction_error(with_mirror(above), true), kNotSymmetric);
+  EXPECT_EQ(construction_error(with_mirror(-above), true), kNotSymmetric);
+  EXPECT_EQ(construction_error(with_mirror(above), false), "");
+}
+
+TEST(SpdValidation, OneSidedEntryRejectedOnlyWhenInputIsChecked) {
+  CooBuilder b(3, 3);
+  for (index_t i = 0; i < 3; ++i) b.add(i, i, 2.0);
+  b.add(2, 0, -1.0);  // below the diagonal: its mirror's row comes first
+  const CsrMatrix lopsided = b.to_csr();
+  EXPECT_EQ(construction_error(lopsided, true), kNotSymmetric);
+  EXPECT_EQ(construction_error(lopsided, false), "");
+}
+
+TEST(SpdValidation, BadDiagonalIsReportedBeforeAsymmetry) {
+  // Row 1's diagonal entry is missing, zero or negative; the asymmetric
+  // variant adds a one-sided entry in row 0, met before row 1 is.
+  for (const bool symmetric : {true, false}) {
+    for (const int bad : {0, 1, 2}) {
+      CooBuilder b(3, 3);
+      b.add(0, 0, 4.0);
+      b.add(2, 2, 4.0);
+      if (bad == 1) b.add(1, 1, 0.0);
+      if (bad == 2) b.add(1, 1, -4.0);
+      b.add_symmetric(2, 1, -1.0);
+      if (!symmetric) b.add(0, 2, -1.0);
+      const CsrMatrix a = b.to_csr();
+      for (const bool check_input : {true, false})
+        EXPECT_EQ(construction_error(a, check_input), kNotPositiveDiagonal)
+            << "symmetric " << symmetric << ", case " << bad
+            << ", check_input " << check_input;
+    }
+  }
+}
+
 TEST(PreparedSpd, RepeatSolvePerformsNoNewScratchAllocations) {
   ThreadPool pool(2);
   const CsrMatrix a = laplacian_2d(8, 8);
