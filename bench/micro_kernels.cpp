@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels everything else is
 // built from: Philox direction draws, atomic coordinate updates, SpMV
-// partitions, and single RGS/AsyRGS coordinate steps.  These track kernel
-// regressions; the paper-level experiments live in the fig*/table* binaries.
+// partitions, single RGS/AsyRGS coordinate steps, and the prepare-time
+// passes of a partitioned SPD handle.  These track kernel regressions; the
+// paper-level experiments live in the fig*/table* binaries.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include "asyrgs/core/rgs.hpp"
 #include "asyrgs/gen/gram.hpp"
 #include "asyrgs/gen/laplacian.hpp"
+#include "asyrgs/gen/partition.hpp"
 #include "asyrgs/gen/rhs.hpp"
+#include "asyrgs/problem.hpp"
 #include "asyrgs/sparse/spmv.hpp"
 #include "asyrgs/support/atomics.hpp"
 #include "asyrgs/support/prng.hpp"
@@ -257,6 +260,55 @@ void BM_RgsSweepLaplacian(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.rows());
 }
 BENCHMARK(BM_RgsSweepLaplacian)->Arg(64)->Arg(128);
+
+// --- prepare layer -----------------------------------------------------------
+//
+// The per-matrix passes a partitioned SPD handle pays once at preparation,
+// each on its own: the RCM ordering, the symmetric permutation into the
+// int32 operator the handle's solves read, and the constructor's one
+// validation pass (diagonal, ||A||_inf and the symmetry merge).  A 512^2
+// grid Laplacian (262144 rows, 23 MB at full width) leaves the private
+// caches, so the passes wait on memory the way perfbench's laplacian_2d
+// setup does, at a fraction of its time.
+
+const CsrMatrix& prepare_grid() {
+  static const CsrMatrix a = laplacian_2d(512, 512);
+  return a;
+}
+
+void BM_RcmOrder(benchmark::State& state) {
+  const CsrMatrix& a = prepare_grid();
+  for (auto _ : state) {
+    std::vector<index_t> perm = rcm_order(a);
+    benchmark::DoNotOptimize(perm.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_RcmOrder)->Unit(benchmark::kMillisecond);
+
+void BM_PermuteSymmetric(benchmark::State& state) {
+  const CsrMatrix& a = prepare_grid();
+  const std::vector<index_t> perm = rcm_order(a);
+  for (auto _ : state) {
+    CsrMatrix32 p = permute_symmetric<std::int32_t>(a, perm);
+    benchmark::DoNotOptimize(p.values().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_PermuteSymmetric)->Unit(benchmark::kMillisecond);
+
+void BM_SpdProblemConstruct(benchmark::State& state) {
+  const CsrMatrix& a = prepare_grid();
+  ThreadPool pool(1);
+  for (auto _ : state) {
+    SpdProblem problem(pool, a, /*check_input=*/true);
+    benchmark::DoNotOptimize(&problem);
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_SpdProblemConstruct)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace asyrgs

@@ -35,6 +35,7 @@
 #include "asyrgs/linalg/vector_ops.hpp"
 #include "asyrgs/sparse/csr.hpp"
 #include "asyrgs/support/atomics.hpp"
+#include "asyrgs/support/prefetch.hpp"
 
 namespace asyrgs::detail {
 
@@ -80,17 +81,6 @@ inline constexpr std::size_t kBodyAhead = 8;
 /// 0.201 -> 0.180 s (10 of 10 pairs) and 0.190 -> 0.168 s (9 of 10).
 inline constexpr nnz_t kRowHeaderAhead = 8;
 inline constexpr nnz_t kRowBodyAhead = 4;
-
-/// Prefetches the first two cache lines of p[lo, hi) and no address past
-/// p[hi - 1]: a short row fits in them, and the hardware prefetcher streams
-/// the rest of a long one once its first lines are read.
-template <class T>
-inline void prefetch_span(const T* p, nnz_t lo, nnz_t hi) noexcept {
-  if (hi <= lo) return;
-  constexpr nnz_t kLine = static_cast<nnz_t>(kCacheLineBytes / sizeof(T));
-  __builtin_prefetch(p + lo);
-  __builtin_prefetch(p + std::min(lo + kLine, hi - 1));
-}
 
 /// The body stage of a row scan over CSR arrays: row r's column indices and
 /// values.

@@ -4,6 +4,8 @@
 #include <variant>
 #include <utility>
 
+#include "asyrgs/support/prefetch.hpp"
+
 namespace asyrgs {
 
 namespace {
@@ -17,43 +19,71 @@ index_t degree(const CsrMatrix& a, index_t i) {
   return d;
 }
 
+/// A vertex's entry in the search state: its degree while unvisited, the
+/// degree's complement (negative) once visited.  A neighbour's visited mark
+/// and its sort key are then one load, and unvisiting restores the degree.
+index_t flip_visited(index_t key) { return ~key; }
+
 /// BFS from `start` over unvisited vertices, visiting neighbours in
 /// increasing-degree order (the Cuthill-McKee visit rule).  Appends the
-/// component's vertices to `order` in visit order, marks them visited, and
-/// reports the last level's first vertex and the eccentricity — the inputs
-/// the pseudo-peripheral search needs.
+/// component's vertices to `order` in visit order, marks them visited in
+/// `key`, and reports the last level's first vertex and the eccentricity —
+/// the inputs the pseudo-peripheral search needs.
 struct BfsResult {
   index_t far_vertex;
   index_t levels;
-  std::size_t first_appended;  ///< order.size() before this component ran
 };
 
-BfsResult cm_bfs(const CsrMatrix& a, const std::vector<index_t>& deg,
-                 index_t start, std::vector<char>& visited,
+/// Lookahead of the search's prefetch stages, in queue positions: sized to
+/// the memory latency each stage hides, not options (docs/TUNING.md,
+/// "Partitioned scheduling", gives the measurements).
+constexpr std::size_t kHeaderAhead = 16;
+constexpr std::size_t kBodyAhead = 8;
+constexpr std::size_t kGatherAhead = 4;
+
+BfsResult cm_bfs(const CsrMatrix& a, index_t start, std::vector<index_t>& key,
                  std::vector<index_t>& order,
-                 std::vector<index_t>& neighbour_scratch) {
-  BfsResult res{start, 0, order.size()};
-  visited[static_cast<std::size_t>(start)] = 1;
+                 std::vector<std::pair<index_t, index_t>>& neighbours) {
+  const nnz_t* row_ptr = a.row_ptr().data();
+  const std::int64_t* cols = a.col_idx().data();
+  BfsResult res{start, 0};
+  key[static_cast<std::size_t>(start)] =
+      flip_visited(key[static_cast<std::size_t>(start)]);
   order.push_back(start);
-  std::size_t level_begin = res.first_appended;
+  std::size_t level_begin = order.size() - 1;
   while (level_begin < order.size()) {
     const std::size_t level_end = order.size();
     for (std::size_t q = level_begin; q < level_end; ++q) {
-      const index_t u = order[q];
-      neighbour_scratch.clear();
-      for (const auto c : a.row_cols(u)) {
-        const index_t v = static_cast<index_t>(c);
-        if (v == u || visited[static_cast<std::size_t>(v)]) continue;
-        visited[static_cast<std::size_t>(v)] = 1;
-        neighbour_scratch.push_back(v);
+      // The queue is known ahead, up to order.size(), so the search stages
+      // the loads of the rows it will scan: kHeaderAhead positions ahead
+      // the row header, kBodyAhead ahead (reading that header) the row's
+      // column indices, and kGatherAhead ahead (reading those) the
+      // neighbours' keys.  Each stage reads only what the one before it
+      // prefetched, and no address leaves its array.
+      const std::size_t known = order.size();
+      if (q + kHeaderAhead < known)
+        __builtin_prefetch(&row_ptr[order[q + kHeaderAhead]]);
+      if (q + kBodyAhead < known) {
+        const index_t w = order[q + kBodyAhead];
+        detail::prefetch_span(cols, row_ptr[w], row_ptr[w + 1]);
       }
-      std::sort(neighbour_scratch.begin(), neighbour_scratch.end(),
-                [&deg](index_t x, index_t y) {
-                  const index_t dx = deg[static_cast<std::size_t>(x)];
-                  const index_t dy = deg[static_cast<std::size_t>(y)];
-                  return dx != dy ? dx < dy : x < y;
-                });
-      for (const index_t v : neighbour_scratch) order.push_back(v);
+      if (q + kGatherAhead < known) {
+        const index_t w = order[q + kGatherAhead];
+        for (nnz_t t = row_ptr[w]; t < row_ptr[w + 1]; ++t)
+          __builtin_prefetch(&key[static_cast<std::size_t>(cols[t])]);
+      }
+      const index_t u = order[q];
+      neighbours.clear();
+      for (nnz_t t = row_ptr[u]; t < row_ptr[u + 1]; ++t) {
+        const auto v = static_cast<std::size_t>(cols[t]);
+        const index_t deg = key[v];
+        if (deg < 0) continue;  // visited, u itself included
+        key[v] = flip_visited(deg);
+        neighbours.emplace_back(deg, static_cast<index_t>(v));
+      }
+      // (degree, vertex) pairs: lowest degree first, ties by index.
+      std::sort(neighbours.begin(), neighbours.end());
+      for (const auto& [deg, v] : neighbours) order.push_back(v);
     }
     if (level_end < order.size()) {
       ++res.levels;
@@ -69,45 +99,45 @@ BfsResult cm_bfs(const CsrMatrix& a, const std::vector<index_t>& deg,
 std::vector<index_t> rcm_order(const CsrMatrix& a) {
   require(a.square(), "rcm_order: matrix must be square");
   const index_t n = a.rows();
-  std::vector<index_t> deg(static_cast<std::size_t>(n));
+  std::vector<index_t> key(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
-    deg[static_cast<std::size_t>(i)] = degree(a, i);
+    key[static_cast<std::size_t>(i)] = degree(a, i);
 
-  std::vector<char> visited(static_cast<std::size_t>(n), 0);
   std::vector<index_t> order;
   order.reserve(static_cast<std::size_t>(n));
-  std::vector<index_t> scratch;
-  std::vector<index_t> probe_order;
-  // A probe BFS marks only vertices of the current component, all of them
-  // unvisited before it, so unmarking what it appended restores `visited`
-  // in O(component) — no per-component copy of the whole array.
-  const auto probe = [&](index_t from) {
-    probe_order.clear();
-    const BfsResult res = cm_bfs(a, deg, from, visited, probe_order, scratch);
-    for (const index_t v : probe_order)
-      visited[static_cast<std::size_t>(v)] = 0;
-    return res;
-  };
+  std::vector<std::pair<index_t, index_t>> scratch;
 
   for (index_t seed = 0; seed < n; ++seed) {
-    if (visited[static_cast<std::size_t>(seed)]) continue;
-    if (deg[static_cast<std::size_t>(seed)] == 0) {
+    index_t& seed_key = key[static_cast<std::size_t>(seed)];
+    if (seed_key < 0) continue;
+    if (seed_key == 0) {
       // Isolated vertex: nothing to probe.
-      visited[static_cast<std::size_t>(seed)] = 1;
+      seed_key = flip_visited(seed_key);
       order.push_back(seed);
       continue;
     }
     // Pseudo-peripheral start (George-Liu): BFS from the component's first
     // unvisited vertex, then restart from the farthest vertex found — two
     // passes get within a level or two of the true diameter, which is all
-    // the bandwidth profile needs.
-    const BfsResult pass1 = probe(seed);
-    index_t start = pass1.far_vertex;
-    if (start != seed) {
-      const BfsResult pass2 = probe(start);
-      if (pass2.levels > pass1.levels) start = pass2.far_vertex;
+    // the bandwidth profile needs.  Each search appends the component to
+    // `order`; a probe that is not the final search is retracted, which
+    // unvisits what it appended in O(component).  The search that starts
+    // where the final one would is kept as it stands: from the same vertex
+    // over the same unvisited set it is that search.
+    const std::size_t first = order.size();
+    const auto search_from = [&](index_t from) {
+      for (std::size_t k = first; k < order.size(); ++k) {
+        index_t& retracted = key[static_cast<std::size_t>(order[k])];
+        retracted = flip_visited(retracted);
+      }
+      order.resize(first);
+      return cm_bfs(a, from, key, order, scratch);
+    };
+    const BfsResult pass1 = cm_bfs(a, seed, key, order, scratch);
+    if (pass1.far_vertex != seed) {
+      const BfsResult pass2 = search_from(pass1.far_vertex);
+      if (pass2.levels > pass1.levels) search_from(pass2.far_vertex);
     }
-    cm_bfs(a, deg, start, visited, order, scratch);
   }
   // Reverse the concatenated Cuthill-McKee order.  Components are disjoint,
   // so reversing the whole sequence reverses each component's order without
@@ -125,41 +155,40 @@ CsrMatrixT<Index> permute_symmetric(const CsrMatrix& a,
           "permute_symmetric: perm size must match the matrix dimension");
   require(index_width_fits<Index>(n),
           "permute_symmetric: dimension exceeds the index width");
-  std::vector<index_t> inv(static_cast<std::size_t>(n), -1);
+  // The inverse permutation at the result's width: every new index fits it,
+  // and a narrow one halves the array the remapping gathers from.
+  std::vector<Index> inv(static_cast<std::size_t>(n), Index{-1});
   for (index_t i = 0; i < n; ++i) {
     const index_t o = perm[static_cast<std::size_t>(i)];
     require(o >= 0 && o < n && inv[static_cast<std::size_t>(o)] < 0,
             "permute_symmetric: perm must be a permutation of [0, n)");
-    inv[static_cast<std::size_t>(o)] = i;
+    inv[static_cast<std::size_t>(o)] = static_cast<Index>(i);
   }
 
-  std::vector<nnz_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t i = 0; i < n; ++i)
-    row_ptr[static_cast<std::size_t>(i) + 1] =
-        row_ptr[static_cast<std::size_t>(i)] +
-        static_cast<nnz_t>(a.row_cols(perm[static_cast<std::size_t>(i)]).size());
-  const std::size_t nnz = static_cast<std::size_t>(row_ptr.back());
-  std::vector<Index> col_idx(nnz);
-  std::vector<double> values(nnz);
+  // New row i is old row perm[i], its columns remapped through inv and
+  // re-sorted.  Rows are appended in one pass, so no array is zero-filled
+  // before it is written.
+  std::vector<nnz_t> row_ptr;
+  row_ptr.reserve(static_cast<std::size_t>(n) + 1);
+  row_ptr.push_back(0);
+  std::vector<Index> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(static_cast<std::size_t>(a.nnz()));
+  values.reserve(static_cast<std::size_t>(a.nnz()));
   std::vector<std::pair<Index, double>> entries;
   for (index_t i = 0; i < n; ++i) {
     const index_t o = perm[static_cast<std::size_t>(i)];
     const auto cols = a.row_cols(o);
     const auto vals = a.row_vals(o);
     entries.clear();
-    entries.reserve(cols.size());
     for (std::size_t s = 0; s < cols.size(); ++s)
-      entries.emplace_back(
-          static_cast<Index>(
-              inv[static_cast<std::size_t>(static_cast<index_t>(cols[s]))]),
-          vals[s]);
+      entries.emplace_back(inv[static_cast<std::size_t>(cols[s])], vals[s]);
     std::sort(entries.begin(), entries.end());
-    const std::size_t base =
-        static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(i)]);
-    for (std::size_t s = 0; s < entries.size(); ++s) {
-      col_idx[base + s] = entries[s].first;
-      values[base + s] = entries[s].second;
+    for (const auto& [c, v] : entries) {
+      col_idx.push_back(c);
+      values.push_back(v);
     }
+    row_ptr.push_back(static_cast<nnz_t>(col_idx.size()));
   }
   return CsrMatrixT<Index>(n, n, std::move(row_ptr), std::move(col_idx),
                            std::move(values));

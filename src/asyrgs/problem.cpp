@@ -275,18 +275,25 @@ SpdProblem::SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input,
       operators_(std::make_shared<detail::SpdOperators>()),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   require(a.square(), "SpdProblem: matrix must be square");
+  // One pass over A yields the diagonal, ||A||_inf and the symmetry merge,
+  // which matches each entry with its mirror in place (no SPD kernel reads
+  // A^T, so none is built).  Without check_input only the diagonal is read.
+  std::optional<SymmetryScan> scan;
   std::vector<double>& inv_diag = operators_->inv_diag;
-  inv_diag = a.diagonal();
+  if (check_input) {
+    scan = symmetry_scan(a);
+    inv_diag = std::move(scan->diagonal);
+  } else {
+    inv_diag = a.diagonal();
+  }
   for (double& d : inv_diag) {
     require(d > 0.0, "SpdProblem: diagonal must be strictly positive "
                      "(matrix cannot be SPD)");
     d = 1.0 / d;
   }
   ++stats_.validation_passes;
-  // The symmetry check merges each entry with its mirror in place; no SPD
-  // kernel reads A^T, so none is built.
-  if (check_input)
-    require(is_symmetric(a, 1e-12 * inf_norm(a)),
+  if (scan)
+    require(scan->symmetric_within(1e-12 * scan->inf_norm),
             "SpdProblem: matrix is not symmetric");
   // Only the policy is resolved here; its compact copy is built on demand.
   storage_ = resolve_storage_policy(storage, a.cols(), a.nnz());

@@ -292,8 +292,9 @@ struct ProblemStats {
 ///
 /// Construction only validates and computes reciprocals: the strictly-
 /// positive-diagonal check and reciprocal precomputation always, and the
-/// symmetry validation (is_symmetric: one merge of each entry with its
-/// mirror, no transpose) when `check_input` is set.  The two operators a
+/// symmetry validation (is_symmetric's merge of each entry with its mirror,
+/// no transpose) when `check_input` is set, all in one pass over A
+/// (symmetry_scan).  The two operators a
 /// solve may read beside the bound matrix are built once, when first
 /// needed: the compact natural-order copy (narrow storage policies; read by
 /// every unpartitioned asynchronous solve, including FCG's inner sweeps)

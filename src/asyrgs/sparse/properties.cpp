@@ -55,27 +55,53 @@ double rho2(const CsrMatrix& a) {
 }
 
 bool is_symmetric(const CsrMatrix& a, double tol) {
-  if (!a.square()) return false;
-  // Visiting rows in order asks row j for its entries in increasing column
-  // order (entry (i, j) wants its mirror (j, i), and i only grows), so one
-  // cursor per row finds every mirror without building A^T.  Each matched
-  // mirror advances its cursor; nnz successful matches consume every entry,
-  // so no entry can be left without a partner.
-  const std::vector<nnz_t>& row_ptr = a.row_ptr();
-  const std::vector<std::int64_t>& col_idx = a.col_idx();
-  const std::vector<double>& values = a.values();
-  std::vector<nnz_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (index_t i = 0; i < a.rows(); ++i) {
+  return a.square() && symmetry_scan(a).symmetric_within(tol);
+}
+
+SymmetryScan symmetry_scan(const CsrMatrix& a) {
+  require(a.square(), "symmetry_scan: matrix must be square");
+  const index_t n = a.rows();
+  const nnz_t* row_ptr = a.row_ptr().data();
+  const std::int64_t* col_idx = a.col_idx().data();
+  const double* values = a.values().data();
+  SymmetryScan scan;
+  scan.diagonal.resize(static_cast<std::size_t>(n));
+  // The merge.  Visiting rows in order asks row j for its entries in
+  // increasing column order (entry (i, j) wants its mirror (j, i), and i
+  // only grows), so one cursor per row finds every mirror without building
+  // A^T.  Each matched mirror advances its cursor; nnz successful matches
+  // consume every entry, so no entry can be left without a partner.  The
+  // merge stops at the first entry without a mirror; the diagonal and the
+  // row sums still see every entry.  Locals, not `scan`'s members, carry
+  // the pass: a store through `scan` could alias `values`.
+  std::vector<nnz_t> cursor(row_ptr, row_ptr + n);
+  bool mirrored = true;
+  double max_gap = scan.max_gap;
+  double norm = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    double diag = 0.0, row_sum = 0.0;
     for (nnz_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
       const index_t j = col_idx[t];
+      if (j == i) diag = values[t];
+      row_sum += std::abs(values[t]);  // inf_norm's order of summation
+      if (!mirrored) continue;
       nnz_t& mirror = cursor[j];
-      if (mirror == row_ptr[j + 1] || col_idx[mirror] != i) return false;
+      if (mirror == row_ptr[j + 1] || col_idx[mirror] != i) {
+        mirrored = false;
+        continue;
+      }
       // Same pair, same order of subtraction as a.equals(a.transpose(), tol).
-      if (std::abs(values[t] - values[mirror]) > tol) return false;
+      const double gap = std::abs(values[t] - values[mirror]);
+      if (gap > max_gap) max_gap = gap;
       ++mirror;
     }
+    scan.diagonal[static_cast<std::size_t>(i)] = diag;
+    norm = std::max(norm, row_sum);
   }
-  return true;
+  scan.inf_norm = norm;
+  scan.mirrored = mirrored;
+  scan.max_gap = max_gap;
+  return scan;
 }
 
 bool is_strictly_diagonally_dominant(const CsrMatrix& a) {

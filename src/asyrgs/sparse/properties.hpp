@@ -10,6 +10,7 @@
 // the delay bound tau = O(P)).
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "asyrgs/sparse/csr.hpp"
@@ -42,6 +43,29 @@ struct RowNnzStats {
 /// a.equals(a.transpose(), tol), from one merge over the sorted rows with
 /// n cursors of scratch instead of an O(nnz) transpose.
 [[nodiscard]] bool is_symmetric(const CsrMatrix& a, double tol = 0.0);
+
+/// What one pass over a square matrix learns for SPD validation, whose
+/// symmetry tolerance scales with ||A||_inf: the merge is_symmetric runs
+/// records its largest mirror gap instead of comparing against a tolerance
+/// not known until the pass ends.
+struct SymmetryScan {
+  std::vector<double> diagonal;  ///< a.diagonal()
+  double inf_norm = 0.0;         ///< inf_norm(a), summed in the same order
+  bool mirrored = true;          ///< every entry met its mirror
+  /// Largest |A_ij - A_ji| the merge compared (-infinity before any pair;
+  /// a NaN gap is never larger).
+  double max_gap = -std::numeric_limits<double>::infinity();
+
+  /// is_symmetric(a, tol), at any tolerance.
+  [[nodiscard]] bool symmetric_within(double tol) const noexcept {
+    return mirrored && !(max_gap > tol);
+  }
+};
+
+/// The diagonal, the infinity norm and the symmetry merge of a square
+/// matrix, from one pass over its rows.  Throws asyrgs::Error when `a` is
+/// not square.
+[[nodiscard]] SymmetryScan symmetry_scan(const CsrMatrix& a);
 
 /// True when A is strictly (row) diagonally dominant:
 /// |A_ii| > sum_{j != i} |A_ij| for every row.

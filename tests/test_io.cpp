@@ -107,6 +107,17 @@ TEST(Io, LargeDeclaredCountFailsOnTheMissingEntries) {
   EXPECT_THROW(read_matrix_market(in), Error);
 }
 
+TEST(Io, RowCountBeyondMemoryFailsBeforeAllocating) {
+  // 2^40 rows of no entries: each CSR row-offset array alone needs 8 TB,
+  // so the size line is refused as asyrgs::Error before anything sized by
+  // it is allocated — not std::bad_alloc, and not the abort of a
+  // sanitizer's allocator.
+  std::stringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "1099511627776 1 0\n");
+  EXPECT_THROW(read_matrix_market(in), Error);
+}
+
 TEST(Io, RejectsNonFiniteValues) {
   // Summed duplicates overflow to +inf: (1,2) = 1e308 + 1e308.
   std::stringstream overflow(
