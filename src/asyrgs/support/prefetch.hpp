@@ -1,11 +1,10 @@
 // Software prefetch of array spans (internal).
 //
-// The update kernels (core/kernels.hpp) and the prepare-time passes over a
-// matrix (gen/partition.cpp) walk rows in an order they know ahead — a
-// direction buffer, a breadth-first queue, a permutation — and stage the
-// loads of each upcoming row: its header first, then, once that is in
-// cache, its body.  A prefetch never faults, but no address here leaves
-// the array it names.
+// The update kernels (core/kernels.hpp) and the reverse Cuthill-McKee
+// search (gen/partition.cpp) walk rows in an order they know ahead — a
+// direction buffer, a breadth-first queue — and stage the loads of each
+// upcoming row: its header first, then, once that is in cache, its body.
+// A prefetch never faults, but no address here leaves the array it names.
 #pragma once
 
 #include <algorithm>
