@@ -36,7 +36,7 @@ struct BfsResult {
 
 /// Lookahead of the search's prefetch stages, in queue positions: sized to
 /// the memory latency each stage hides, not options (docs/TUNING.md,
-/// "Partitioned scheduling", gives the measurements).
+/// "Lookahead prefetch distances", gives the measurements).
 constexpr std::size_t kHeaderAhead = 16;
 constexpr std::size_t kBodyAhead = 8;
 constexpr std::size_t kGatherAhead = 4;

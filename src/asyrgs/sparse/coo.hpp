@@ -18,15 +18,10 @@ namespace asyrgs {
 /// Mutable triplet accumulator.
 class CooBuilder {
  public:
-  /// Creates a builder for a rows x cols matrix.
-  CooBuilder(index_t rows, index_t cols) : rows_(rows), cols_(cols) {
-    require(rows > 0 && cols > 0, "CooBuilder: dimensions must be positive");
-    // to_csr allocates rows + 1 row pointers; refuse a count no vector can
-    // hold rather than surface std::length_error from deep inside it.
-    require(static_cast<std::size_t>(rows) <
-                std::vector<nnz_t>().max_size(),
-            "CooBuilder: row count exceeds the addressable row-pointer array");
-  }
+  /// Creates a builder for a rows x cols matrix.  Throws asyrgs::Error when
+  /// a dimension is not positive, or when the row offsets to_csr allocates
+  /// for `rows` exceed the machine's physical memory (coo.cpp).
+  CooBuilder(index_t rows, index_t cols);
 
   /// Appends A(i, j) += value.
   void add(index_t i, index_t j, double value) {
@@ -61,7 +56,10 @@ class CooBuilder {
     const std::size_t m = is_.size();
 
     // Counting sort by row, then sort each row segment by column and fold
-    // duplicates.  O(nnz log rowlen) overall, no global sort.
+    // duplicates.  O(nnz log rowlen) overall, no global sort.  At most
+    // kRowOffsetArrays arrays of rows + 1 offsets are alive at once:
+    // row_count, row_start and cursor, then row_count, row_start and
+    // row_ptr.
     std::vector<nnz_t> row_count(static_cast<std::size_t>(rows_) + 1, 0);
     for (std::size_t t = 0; t < m; ++t) row_count[is_[t] + 1]++;
     std::vector<nnz_t> row_start(row_count);
@@ -110,6 +108,10 @@ class CooBuilder {
   }
 
  private:
+  /// The row-offset arrays to_csr holds at once; the constructor bounds the
+  /// row count by them.
+  static constexpr std::size_t kRowOffsetArrays = 3;
+
   index_t rows_;
   index_t cols_;
   std::vector<index_t> is_;

@@ -4,12 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <iomanip>
-#include <limits>
 #include <sstream>
-
-#if __has_include(<unistd.h>)
-#include <unistd.h>
-#endif
 
 #include "asyrgs/sparse/coo.hpp"
 
@@ -27,18 +22,6 @@ std::string lower(std::string s) {
 /// so a size line alone never asks for more memory than its entry lines
 /// then supply; larger inputs grow geometrically as entries arrive.
 constexpr nnz_t kMaxReservedEntries = nnz_t{1} << 16;
-
-/// Bytes of physical memory, or the largest size when the platform does not
-/// report it.
-std::size_t physical_memory_bytes() {
-#if defined(_SC_PHYS_PAGES) && defined(_SC_PAGE_SIZE)
-  const long pages = sysconf(_SC_PHYS_PAGES);
-  const long page = sysconf(_SC_PAGE_SIZE);
-  if (pages > 0 && page > 0)
-    return static_cast<std::size_t>(pages) * static_cast<std::size_t>(page);
-#endif
-  return std::numeric_limits<std::size_t>::max();
-}
 
 /// Reads the next line that is neither empty nor a '%' comment.
 bool next_content_line(std::istream& in, std::string& line) {
@@ -87,17 +70,8 @@ CsrMatrix read_matrix_market(std::istream& in) {
               entries <= positions,
           "matrix market: declared entry count exceeds rows * cols");
 
-  // CooBuilder::to_csr holds three arrays of rows + 1 row offsets at once,
-  // whatever the entry count.  A row count whose arrays exceed the memory
-  // of the machine cannot be loaded: refuse it before anything sized by it
-  // is allocated, rather than fail inside the allocator (which throws
-  // std::bad_alloc, or aborts under a sanitizer's allocator).
-  constexpr std::size_t kRowOffsetArrays = 3;
-  require(static_cast<std::size_t>(rows) <
-              physical_memory_bytes() / (kRowOffsetArrays * sizeof(nnz_t)),
-          "matrix market: declared row count needs more memory than the "
-          "machine has");
-
+  // The builder refuses a row count whose row offsets exceed the machine's
+  // memory before anything sized by it is allocated.
   CooBuilder builder(rows, cols);
   const nnz_t reserved = std::min(entries, kMaxReservedEntries);
   builder.reserve(static_cast<std::size_t>(symmetric ? 2 * reserved : reserved));

@@ -64,6 +64,9 @@ TEST(Coo, RejectsOutOfRange) {
   EXPECT_THROW(b.add(2, 0, 1.0), Error);
   EXPECT_THROW(b.add(0, -1, 1.0), Error);
   EXPECT_THROW(CooBuilder(0, 1), Error);
+  // 2^40 rows: each row-offset array to_csr would allocate needs 8 TB, so
+  // the constructor refuses the count before anything is allocated.
+  EXPECT_THROW(CooBuilder(index_t{1} << 40, 1), Error);
 }
 
 // --- CsrMatrix -----------------------------------------------------------------
